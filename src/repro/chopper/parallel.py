@@ -63,7 +63,6 @@ RunResult = Tuple[str, RunRecord, Any, Optional[dict]]
 
 # Sweeps whose largest run materializes fewer physical records than this
 # run inline: pool dispatch overhead dwarfs the work being distributed.
-# Override with REPRO_POOL_MIN_RECORDS (0 disables the size guard).
 SMALL_RUN_RECORDS = 25_000
 
 # How the last run_specs call dispatched, for tests and diagnostics:
@@ -203,20 +202,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _min_pool_records() -> int:
-    env = os.environ.get("REPRO_POOL_MIN_RECORDS", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return SMALL_RUN_RECORDS
-
-
-def _pool_forced() -> bool:
-    return os.environ.get("REPRO_POOL_FORCE", "").strip() == "1"
-
-
 def _inline_reason(specs: Sequence[RunSpec]) -> Optional[str]:
     """Why pool dispatch cannot win for this spec list, or None.
 
@@ -225,20 +210,16 @@ def _inline_reason(specs: Sequence[RunSpec]) -> Optional[str]:
     itself when the per-run record batches are small — and buys nothing
     at all when the host only has one usable core.
     """
-    if _pool_forced():
-        return None
     if _usable_cores() <= 1:
         return "inline-cores"
-    floor = _min_pool_records()
-    if floor > 0:
-        largest = 0
-        for spec in specs:
-            records = getattr(spec[0], "physical_records", None)
-            if records is None:
-                return None  # unknown size: give the pool the benefit
-            largest = max(largest, int(records))
-        if largest < floor:
-            return "inline-small"
+    largest = 0
+    for spec in specs:
+        records = getattr(spec[0], "physical_records", None)
+        if records is None:
+            return None  # unknown size: give the pool the benefit
+        largest = max(largest, int(records))
+    if largest < SMALL_RUN_RECORDS:
+        return "inline-small"
     return None
 
 
@@ -347,5 +328,5 @@ def run_specs(
         # parked before dying (driver-chosen names, so no reply needed).
         shm.cleanup_segments()
         for name in out_names:
-            shm.unlink_ref((shm._backend(), name))
+            shm.unlink_ref(name)
     return results  # type: ignore[return-value]

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.engine.partitioner import (
+    RANGE_SAMPLE_PER_PARTITION,
+    HashPartitioner,
+    Partitioner,
+    RangePartitioner,
+)
 from repro.engine.task import probe_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 HASH = "hash"
 RANGE = "range"
 _KINDS = (HASH, RANGE)
+
+# Simulated driver-side cost of a range-bounds sampling pass.
+RANGE_SAMPLING_BASE_DELAY = 0.2
+RANGE_SAMPLING_PER_PARTITION_DELAY = 0.002
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,8 @@ class SchemeRef:
             keys, self.scheme.num_partitions, seed=ctx.conf.seed
         )
         delay = (
-            ctx.conf.range_sampling_base_delay
-            + ctx.conf.range_sampling_per_partition_delay * sampled_partitions
+            RANGE_SAMPLING_BASE_DELAY
+            + RANGE_SAMPLING_PER_PARTITION_DELAY * sampled_partitions
         )
         return self._built, delay
 
@@ -122,7 +131,7 @@ class SchemeRef:
         assert dep is not None, "resolve() called on a non-map stage"
         rdd = map_stage.rdd
         n = min(max_partitions, rdd.num_partitions)
-        per_part = ctx.conf.range_sample_per_partition
+        per_part = RANGE_SAMPLE_PER_PARTITION
         keys: List = []
         for split in range(n):
             records = rdd.materialize(split, probe_context())

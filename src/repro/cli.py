@@ -14,8 +14,10 @@ Sub-commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Type
 
@@ -39,7 +41,6 @@ from repro.obs import (
     ResourceProfiler,
     RunLedger,
     Tracer,
-    profiling_enabled,
 )
 from repro.workloads import (
     KMeansWorkload,
@@ -148,9 +149,8 @@ def perf_conf_kwargs(args: argparse.Namespace) -> dict:
             raise ConfigurationError(str(exc)) from None
     if getattr(args, "no_prune", False):
         kwargs["partition_pruning"] = False
-    if getattr(args, "cache", None) is not None:
-        kwargs["result_cache"] = args.cache
     if getattr(args, "cache_path", None) is not None:
+        kwargs["result_cache"] = "sqlite"
         kwargs["result_cache_path"] = args.cache_path
     return kwargs
 
@@ -170,7 +170,7 @@ def make_runner(args: argparse.Namespace) -> ChopperRunner:
         runner.ledger = RunLedger(args.ledger)
     if getattr(args, "log", None):
         runner.event_log = EventLog()
-    if profiling_enabled(getattr(args, "profile", False)):
+    if getattr(args, "profile", False):
         runner.profiler = ResourceProfiler()
     return runner
 
@@ -220,7 +220,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
     metrics = MetricsRegistry() if args.metrics else None
     event_log = EventLog() if args.log else None
     profiler = None
-    if profiling_enabled(args.profile):
+    if args.profile:
         profiler = ResourceProfiler()
         profiler.start()
     ctx = AnalyticsContext(
@@ -439,10 +439,12 @@ def cmd_export_metrics(args: argparse.Namespace, out) -> int:
 
 def cmd_cache(args: argparse.Namespace, out) -> int:
     """Inspect or manage an on-disk partition-pruning result cache."""
-    from repro.relational.cache import open_backend, sniff_backend
+    from repro.relational.cache import SQLiteCacheBackend
 
-    kind = args.backend or sniff_backend(args.path)
-    backend = open_backend(kind, path=args.path)
+    if not os.path.isfile(args.path):
+        # sqlite would silently create the file; inspecting must not.
+        raise ConfigurationError(f"no cache file at {args.path!r}")
+    backend = SQLiteCacheBackend(args.path)
     try:
         entries = backend.entries()
         if args.action == "stats":
@@ -450,7 +452,7 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
             kept = sum(len(e.partitions) for e in entries)
             total = sum(e.num_partitions for e in entries)
             out.write(
-                f"backend: {kind}\n"
+                f"backend: {backend.name}\n"
                 f"path: {args.path}\n"
                 f"entries: {len(entries)}\n"
                 f"hits: {sum(e.hits for e in entries)}\n"
@@ -472,7 +474,7 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
             out.write(f"cleared {len(entries)} entries from {args.path}\n")
         else:  # export
             doc = {
-                "backend": kind,
+                "backend": backend.name,
                 "path": args.path,
                 "entries": [e.to_dict() for e in entries],
             }
@@ -595,9 +597,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "run(s); read it back with `repro logs`")
     parser.add_argument("--profile", action="store_true",
                         help="measure real host resources per task/stage "
-                             "(CPU, allocations, GC pauses); also enabled "
-                             "by REPRO_PROFILE=1. Simulated results stay "
-                             "bit-identical")
+                             "(CPU, allocations, GC pauses). Simulated "
+                             "results stay bit-identical")
 
 
 def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
@@ -667,25 +668,18 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         help="disable all partition pruning (zone maps, "
                              "range layouts, and cached partition sets; "
                              "identical results, more scan tasks)")
-    # Backend names are validated by EngineConf, not argparse, so the
-    # unknown-backend diagnostic is the standard one-line `error: ...`.
-    parser.add_argument("--cache", default=None, metavar="BACKEND",
-                        help="partition-pruning result cache backend: "
-                             "'memory', 'sqlite', or 'bitmap' (file "
-                             "backends need --cache-path); warm runs "
-                             "skip partitions proven irrelevant "
-                             "(bit-identical results)")
     parser.add_argument("--cache-path", default=None, metavar="PATH",
-                        help="result cache file for the sqlite/bitmap "
-                             "backends; shared across runs for warm "
-                             "lookups")
+                        help="sqlite file of the partition-pruning result "
+                             "cache; shared across runs, so warm runs skip "
+                             "partitions proven irrelevant (bit-identical "
+                             "results)")
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for independent measured "
-                             "runs (default: REPRO_PHYSICAL_PARALLELISM "
-                             "or 1); results are bit-identical to --jobs 1")
+                             "runs (default 1); results are bit-identical "
+                             "to --jobs 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,10 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="CHOPPER reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Exact flag names only: a prefix must never silently select a
+    # longer flag (a leftover `--cache sqlite` would otherwise become
+    # `--cache-path sqlite` and write a cache file named "sqlite").
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sub.add_parser("workloads", help="list available workloads")
+    add_parser("workloads", help="list available workloads")
 
-    p_run = sub.add_parser("run", help="run one workload")
+    p_run = add_parser("run", help="run one workload")
     _add_workload_args(p_run)
     p_run.add_argument("--config", default=None,
                        help="CHOPPER workload config file to apply")
@@ -708,14 +706,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p_run)
     _add_chaos_args(p_run)
 
-    p_explain = sub.add_parser(
+    p_explain = add_parser(
         "explain",
         help="print a workload's logical plan before/after optimization",
     )
     _add_workload_args(p_explain)
     p_explain.add_argument("--scale", type=float, default=1.0)
 
-    p_report = sub.add_parser(
+    p_report = add_parser(
         "report", help="render a history file (text) or a ledger run (HTML)"
     )
     p_report.add_argument(
@@ -727,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", default=None, metavar="PATH",
                           help="write the HTML report here instead of stdout")
 
-    p_profile = sub.add_parser("profile", help="test-run sweep -> workload DB")
+    p_profile = add_parser("profile", help="test-run sweep -> workload DB")
     _add_workload_args(p_profile)
     p_profile.add_argument("--db", required=True, help="output DB path (JSON)")
     p_profile.add_argument("--grid", type=int, nargs="+",
@@ -741,17 +739,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "sweep; read it back with `repro logs`")
     p_profile.add_argument("--profile", action="store_true",
                            help="measure real host resources per "
-                                "task/stage; also enabled by "
-                                "REPRO_PROFILE=1")
+                                "task/stage")
     _add_jobs_arg(p_profile)
 
-    p_opt = sub.add_parser("optimize", help="workload DB -> config file")
+    p_opt = add_parser("optimize", help="workload DB -> config file")
     _add_workload_args(p_opt)
     p_opt.add_argument("--db", required=True, help="workload DB path (JSON)")
     p_opt.add_argument("--output", default=None, help="config output path")
     p_opt.add_argument("--mode", choices=("global", "per-stage"), default="global")
 
-    p_cmp = sub.add_parser("compare", help="vanilla vs CHOPPER end to end")
+    p_cmp = add_parser("compare", help="vanilla vs CHOPPER end to end")
     _add_workload_args(p_cmp)
     p_cmp.add_argument("--grid", type=int, nargs="+",
                        default=[100, 200, 300, 500, 800])
@@ -761,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p_cmp)
     _add_chaos_args(p_cmp)
 
-    p_logs = sub.add_parser(
+    p_logs = add_parser(
         "logs", help="tail/filter a structured event log (run --log)"
     )
     p_logs.add_argument("path", help="JSONL event log written by --log")
@@ -776,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_logs.add_argument("--tail", type=int, default=None, metavar="N",
                         help="only the last N matching records")
 
-    p_export = sub.add_parser(
+    p_export = add_parser(
         "export-metrics",
         help="metrics snapshot (run --metrics) -> Prometheus text or "
              "OTLP JSON",
@@ -789,24 +786,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", default=None, metavar="PATH",
                           help="write here instead of stdout")
 
-    p_cache = sub.add_parser(
+    p_cache = add_parser(
         "cache",
-        help="inspect/manage an on-disk result cache (run --cache)",
+        help="inspect/manage an on-disk result cache (run --cache-path)",
     )
     p_cache.add_argument("action",
                          choices=("stats", "inspect", "clear", "export"),
                          help="stats: one-line totals; inspect: per-entry "
                               "rows; clear: drop all entries; export: JSON "
                               "dump")
-    p_cache.add_argument("path", help="cache file (sqlite or bitmap)")
-    p_cache.add_argument("--backend", default=None,
-                         help="force the backend kind instead of sniffing "
-                              "the file magic ('sqlite' or 'bitmap')")
+    p_cache.add_argument("path", help="sqlite cache file")
     p_cache.add_argument("--out", default=None, metavar="PATH",
                          help="export: write the JSON dump here instead of "
                               "stdout")
 
-    p_diff = sub.add_parser(
+    p_diff = add_parser(
         "diff-runs",
         help="compare two ledger runs; exit 1 on regression (CI gate)",
     )

@@ -18,7 +18,7 @@ class SchedulingError(ReproError):
 
 
 class StageAbortedError(SchedulingError):
-    """A stage was resubmitted ``max_stage_attempts`` times and gave up.
+    """A stage was resubmitted ``MAX_STAGE_ATTEMPTS`` times and gave up.
 
     Raised by the DAG scheduler when lineage recovery keeps losing the
     same shuffle outputs (e.g. nodes dying faster than stages re-run).

@@ -167,27 +167,10 @@ def _column_sizes(column: List[Any]) -> np.ndarray:
     return arr
 
 
-def estimate_partition_size(
-    records: list,
-    *,
-    vectorized: bool = False,
-    sample_cap: Optional[int] = None,
-) -> float:
+def estimate_partition_size(records: list) -> float:
     """Sum of :func:`estimate_size` over a partition's records.
 
-    With ``vectorized=True`` the per-record sizes come from
-    :func:`estimate_sizes`; the left-fold summation order is preserved, so
-    the result is bit-identical to the serial loop.
-
-    ``sample_cap`` enables the *approximate* sampling mode: size only
-    ``sample_cap`` evenly spaced records and scale up by the record count.
-    This is NOT bit-identical to the exact sum and is therefore opt-in —
-    nothing in the engine enables it by default.
+    The per-record sizes come from :func:`estimate_sizes` and are summed
+    as a left fold, so the result is bit-identical to the serial loop.
     """
-    if sample_cap is not None and len(records) > sample_cap > 0:
-        step = len(records) / sample_cap
-        sampled = [records[int(i * step)] for i in range(sample_cap)]
-        return float(sum(estimate_sizes(sampled)) * (len(records) / sample_cap))
-    if vectorized:
-        return float(sum(estimate_sizes(records)))
-    return float(sum(estimate_size(r) for r in records))
+    return float(sum(estimate_sizes(records)))

@@ -9,7 +9,7 @@ the not-yet-launched reduce side before submitting it:
 * **coalesce** — pack contiguous runs of small reduce partitions into one
   physical task targeting ``aqe_target_partition_bytes``, saving the
   per-task overhead and dispatch stagger that dominate tiny partitions;
-* **split** — carve a hot reduce partition (> ``aqe_skew_threshold`` x
+* **split** — carve a hot reduce partition (> ``SKEW_THRESHOLD`` x
   the median) into sub-tasks that each fetch a contiguous *slice of the
   map outputs*; the driver concatenates the slices in map order, so the
   assembled partition is byte-identical to the unsplit one;
@@ -18,7 +18,7 @@ the not-yet-launched reduce side before submitting it:
   re-bucket the already-written map outputs.
 
 Everything here is a pure function of the measured size histogram and
-the ``EngineConf`` knobs — given the same map outputs, a re-derived plan
+the target partition size — given the same map outputs, a re-derived plan
 is always identical, which is what keeps chaos-recovery runs and the
 threads/procs execution modes bit-identical with AQE on.
 
@@ -33,8 +33,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.common.sizing import estimate_size, sizes_array
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
+from repro.engine.partitioner import bucket_groups
 from repro.engine.stage import RESULT, Stage
+
+# A reduce partition is "hot" (split candidate, and grounds for
+# re-deriving range bounds) when its measured size exceeds this multiple
+# of the median non-empty partition.
+SKEW_THRESHOLD = 4.0
+# Upper bound on the slices a single hot partition is carved into.
+MAX_SUBPARTITIONS = 16
 
 __all__ = [
     "AdaptiveTaskSpec",
@@ -106,9 +117,7 @@ def _median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def hot_partitions(
-    sizes: Sequence[float], *, skew_threshold: float, target_bytes: float
-) -> Set[int]:
+def hot_partitions(sizes: Sequence[float], *, target_bytes: float) -> Set[int]:
     """Partitions whose size flags them for splitting.
 
     The median is taken over *non-empty* partitions only: range
@@ -122,16 +131,16 @@ def hot_partitions(
     return {
         i
         for i, s in enumerate(sizes)
-        if s > skew_threshold * med and s > target_bytes
+        if s > SKEW_THRESHOLD * med and s > target_bytes
     }
 
 
-def should_switch(sizes: Sequence[float], *, skew_threshold: float) -> bool:
+def should_switch(sizes: Sequence[float]) -> bool:
     """Is the measured histogram skewed enough to re-derive range bounds?"""
     nonzero = [s for s in sizes if s > 0]
     if len(sizes) < 2 or len(nonzero) < 2:
         return False
-    return max(nonzero) > skew_threshold * _median(nonzero)
+    return max(nonzero) > SKEW_THRESHOLD * _median(nonzero)
 
 
 def slice_map_ranges(
@@ -165,9 +174,7 @@ def slice_map_ranges(
 def plan_partitions(
     sizes: Sequence[float],
     *,
-    skew_threshold: float,
     target_bytes: float,
-    max_slices: int = 16,
     shuffle_id: Optional[int] = None,
     map_sizes: Optional[Callable[[int], Sequence[float]]] = None,
 ) -> Optional[AdaptivePlan]:
@@ -186,9 +193,7 @@ def plan_partitions(
     if n < 2:
         return None
     hot = (
-        hot_partitions(
-            sizes, skew_threshold=skew_threshold, target_bytes=target_bytes
-        )
+        hot_partitions(sizes, target_bytes=target_bytes)
         if map_sizes is not None
         else set()
     )
@@ -200,7 +205,9 @@ def plan_partitions(
     while i < n:
         if i in hot:
             per_map = list(map_sizes(i))  # type: ignore[misc]
-            want = min(max_slices, max(2, math.ceil(sizes[i] / target_bytes)))
+            want = min(
+                MAX_SUBPARTITIONS, max(2, math.ceil(sizes[i] / target_bytes))
+            )
             ranges = slice_map_ranges(per_map, want)
             if len(ranges) > 1:
                 n_split += 1
@@ -292,7 +299,6 @@ def bucket_records(
     partitioner,
     key_fn: Callable,
     write_scale: float,
-    vectorized: bool = True,
 ) -> Dict[int, Tuple[List, float]]:
     """Partition a map output's records into reduce buckets (AQE rebucket).
 
@@ -300,45 +306,17 @@ def bucket_records(
     ``{reduce_id: (records, payload_bytes)}`` with records in input
     order and payload priced at ``estimate_size * write_scale``.
     """
-    import numpy as np
-
-    from repro.common.sizing import estimate_size, sizes_array
-
-    out: Dict[int, Tuple[List, float]] = {}
     if not records:
-        return out
-    keys = [key_fn(r) for r in records]
-    if vectorized:
-        rids = partitioner.partition_many(keys)
-        rid_arr = np.asarray(rids, dtype=np.int64)
-        sizes = sizes_array(records)
-        if sizes is None:
-            sizes = np.array(
-                [estimate_size(r) for r in records], dtype=np.float64
-            )
-        bucket_bytes = np.zeros(partitioner.num_partitions, dtype=np.float64)
-        np.add.at(bucket_bytes, rid_arr, sizes)
-        order = np.argsort(rid_arr, kind="stable")
-        boundaries = np.flatnonzero(np.diff(rid_arr[order])) + 1
-        groups = np.split(order, boundaries)
-        for group in groups:
-            if len(group) == 0:
-                continue
-            rid = int(rid_arr[group[0]])
-            out[rid] = (
-                [records[int(i)] for i in group],
-                float(bucket_bytes[rid]) * write_scale,
-            )
-        return out
-    bucket_recs: Dict[int, List] = {}
-    bucket_bytes_s: Dict[int, float] = {}
-    for record, key in zip(records, keys):
-        rid = partitioner.partition(key)
-        bucket_recs.setdefault(rid, []).append(record)
-        bucket_bytes_s[rid] = bucket_bytes_s.get(rid, 0.0) + estimate_size(
-            record
-        )
+        return {}
+    rids = partitioner.partition_many([key_fn(r) for r in records])
+    sizes = sizes_array(records)
+    if sizes is None:
+        sizes = np.array([estimate_size(r) for r in records], dtype=np.float64)
+    # Reduce-id order: the shuffle manager sums block bytes in dict
+    # order, and re-bucketed outputs have always been written sorted.
     return {
-        rid: (recs, bucket_bytes_s[rid] * write_scale)
-        for rid, recs in bucket_recs.items()
+        rid: ([records[i] for i in group], nbytes * write_scale)
+        for rid, group, nbytes in sorted(
+            bucket_groups(rids, sizes), key=lambda bucket: bucket[0]
+        )
     }

@@ -9,8 +9,6 @@ via the listener bus (the statistics collector).
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -22,6 +20,7 @@ from repro.engine import dependencies
 from repro.engine.costmodel import CostModelConfig
 from repro.engine.dag_scheduler import DAGScheduler
 from repro.engine.listener import JobStats, ListenerBus, StageStats
+from repro.engine.partitioner import RANGE_SAMPLE_PER_PARTITION
 from repro.engine.rdd import RDD, SourceRDD, parallelize_generator
 from repro.engine.shuffle import ShuffleManager
 from repro.engine.storage import BlockStore, SpillManager, ZoneMapStore
@@ -30,14 +29,20 @@ from repro.obs import MetricsRegistry, Observability
 from repro.simul.engine import SimEngine
 from repro.simul.metrics import MetricsRecorder
 
+# Fraction of each executor's memory available for cached blocks
+# (Spark's storage memory). Cached partitions past the bound evict LRU
+# and recompute on the next read.
+CACHE_MEMORY_FRACTION = 0.5
+
 
 @dataclass
 class EngineConf:
-    """Engine configuration knobs.
+    """Engine configuration: the only channel that selects a mode.
 
     ``default_parallelism`` is the paper's vanilla baseline (300
     partitions for all workloads, §IV). ``copartition_scheduling`` turns
-    on CHOPPER's co-partition-aware task placement.
+    on CHOPPER's co-partition-aware task placement. Tuning constants
+    with a single value in use live next to the code that reads them.
     """
 
     default_parallelism: int = 300
@@ -46,56 +51,26 @@ class EngineConf:
     task_failure_rate: float = 0.0
     max_task_attempts: int = 4
     seed: int = DEFAULT_SEED
-    # Delay scheduling (Spark's spark.locality.wait): a queued task with
-    # locality preferences refuses non-preferred cores for this many
-    # seconds before spreading anywhere. 0 (default) = greedy spread.
-    locality_wait: float = 0.0
-    # Fraction of each executor's memory available for cached blocks
-    # (Spark's storage memory). Cached partitions past the bound evict
-    # LRU and recompute on the next read; <= 0 disables the bound.
-    cache_memory_fraction: float = 0.5
-    # Speculative execution (Spark's spark.speculation): once
-    # `speculation_quantile` of a stage's tasks have finished, a running
-    # task whose elapsed time exceeds `speculation_multiplier` x the
-    # median completed duration gets a duplicate attempt on another node;
-    # the first finisher wins.
+    # Speculative execution (Spark's spark.speculation): stragglers get
+    # a duplicate attempt on another node; the first finisher wins.
     speculation: bool = False
-    speculation_multiplier: float = 1.5
-    speculation_quantile: float = 0.75
     # --- Node-loss chaos (the paper's future-work failure question) ---
     # Deterministic injection: worker name -> absolute simulated time at
     # which the node dies (its executor stops, running attempts fail,
     # its shuffle outputs and cached blocks are discarded).
     node_failure_times: Optional[Dict[str, float]] = None
     # Seeded random injection: each worker independently dies with this
-    # probability, at a seeded time within `node_failure_window` seconds.
+    # probability, at a seeded time early in the run.
     node_failure_rate: float = 0.0
-    node_failure_window: float = 30.0
     # > 0: a dead node's cores rejoin the pool after this many seconds
     # (a fresh executor — its lost blocks stay lost). 0 = never.
     node_recovery_delay: float = 0.0
-    # Lineage recovery bounds: total runs of one map stage (first run +
-    # fetch-failure resubmissions) before aborting the job, and how long
-    # the DAG scheduler waits to batch concurrent fetch failures before
-    # resubmitting (Spark's resubmit delay).
-    max_stage_attempts: int = 4
-    stage_resubmit_delay: float = 0.05
-    # Keys sampled per partition when building range partitioners.
-    range_sample_per_partition: int = 20
-    # Simulated driver-side cost of a range-bounds sampling pass.
-    range_sampling_base_delay: float = 0.2
-    range_sampling_per_partition_delay: float = 0.002
     # --- Physical performance knobs (simulated results are unaffected) ---
     # Worker threads executing concurrently-granted task attempts. 1 =
     # fully serial; N > 1 runs attempt bodies on a thread pool while the
     # scheduler applies their effects in grant order, keeping the
     # simulated clock, metrics, and results bit-identical to serial.
-    # None reads REPRO_PHYSICAL_PARALLELISM (default 1).
-    physical_parallelism: Optional[int] = None
-    # Use the numpy bulk kernels (partition_many / estimate_sizes) on the
-    # per-record hot paths. Off = the scalar per-record loops; outputs
-    # are bit-identical either way (benchmark knob).
-    vectorized_kernels: bool = True
+    physical_parallelism: int = 1
     # Shuffle block container: "list" stores per-reduce record lists,
     # "columnar" stores numpy-backed RecordBatch column slices (bucketed,
     # concatenated and folded as arrays). Outputs are bit-identical
@@ -118,48 +93,31 @@ class EngineConf:
     # pushdown, column pruning, projection folding, repartition/sort
     # elision, limit pushdown) before lowering Table queries to RDDs.
     # Off = lower the raw operator tree; collected results are identical
-    # either way (CI gates on it), the optimized plan just runs fewer
-    # stages. None reads REPRO_LOGICAL_OPT (default on).
-    logical_optimizer: Optional[bool] = None
+    # either way, the optimized plan just runs fewer stages.
+    logical_optimizer: bool = True
     # Partition pruning: a final optimizer batch evaluates Filter
     # predicates against declared range layouts, collected zone maps
     # and the result cache, rewriting scans into partition subsets so
     # skipped partitions never schedule tasks. Collected results are
     # bit-identical on/off (the evidence is always a conservative
-    # superset). None reads REPRO_PRUNE (default on).
-    partition_pruning: Optional[bool] = None
+    # superset).
+    partition_pruning: bool = True
     # Result cache of pruned partition sets, keyed by query-variant
-    # signature: None (off), "memory" (per-context), "sqlite" or
-    # "bitmap" (file-backed; warm runs in later processes prune from
-    # earlier runs' zone maps).
+    # signature: None (off) or "sqlite" (a file at ``result_cache_path``;
+    # warm runs in later processes prune from earlier runs' zone maps).
     result_cache: Optional[str] = None
-    # File path of the sqlite/bitmap backends (required for those,
-    # rejected for "memory").
     result_cache_path: Optional[str] = None
-    # LRU bound on cached query variants.
-    result_cache_max_entries: int = 256
-    # Optional per-entry age bound in wall-clock seconds. Setting it
-    # opens the backend with a wall clock (entry timestamps stop being
-    # deterministic logical ticks — the trade TTL users opt into);
-    # leaving it None keeps the tick clock and byte-stable cache files.
-    result_cache_ttl: Optional[float] = None
     # Adaptive query execution: after each map stage materializes, the
     # DAG scheduler consults the exact per-partition shuffle sizes and
     # may re-plan the not-yet-launched reduce side (coalesce tiny
     # partitions, split hot ones into map-output slices, re-derive range
     # bounds for ordered shuffles from the measured key histogram).
     # Collected results are bit-identical on/off; only the physical task
-    # layout (and thus simulated timing) changes. None reads REPRO_AQE
-    # (default off).
-    adaptive_execution: Optional[bool] = None
-    # A reduce partition is "hot" (split candidate) when its measured
-    # size exceeds this multiple of the median non-empty partition.
-    aqe_skew_threshold: float = 4.0
+    # layout (and thus simulated timing) changes.
+    adaptive_execution: bool = False
     # Coalesce packs runs of small partitions up to (and splits carve
     # hot partitions down toward) this many virtual bytes per task.
     aqe_target_partition_bytes: float = 64.0 * 1024 * 1024
-    # Upper bound on the slices a single hot partition is carved into.
-    aqe_max_subpartitions: int = 16
 
     def __post_init__(self) -> None:
         if self.record_format not in ("list", "columnar"):
@@ -167,33 +125,10 @@ class EngineConf:
                 f"record_format must be 'list' or 'columnar',"
                 f" got {self.record_format!r}"
             )
-        if self.physical_parallelism is None:
-            env = os.environ.get("REPRO_PHYSICAL_PARALLELISM", "").strip()
-            try:
-                self.physical_parallelism = int(env) if env else 1
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_PHYSICAL_PARALLELISM must be an integer, got {env!r}"
-                ) from None
-        if self.logical_optimizer is None:
-            env = os.environ.get("REPRO_LOGICAL_OPT", "").strip().lower()
-            self.logical_optimizer = env not in ("0", "false", "no", "off")
-        if self.adaptive_execution is None:
-            env = os.environ.get("REPRO_AQE", "").strip().lower()
-            self.adaptive_execution = env in ("1", "true", "yes", "on")
-        if self.aqe_skew_threshold <= 1.0:
-            raise ConfigurationError(
-                f"aqe_skew_threshold must be > 1, got {self.aqe_skew_threshold}"
-            )
         if self.aqe_target_partition_bytes <= 0:
             raise ConfigurationError(
                 f"aqe_target_partition_bytes must be > 0,"
                 f" got {self.aqe_target_partition_bytes}"
-            )
-        if self.aqe_max_subpartitions < 2:
-            raise ConfigurationError(
-                f"aqe_max_subpartitions must be >= 2,"
-                f" got {self.aqe_max_subpartitions}"
             )
         if self.physical_parallelism < 1:
             raise ConfigurationError(
@@ -205,8 +140,6 @@ class EngineConf:
             raise ConfigurationError("task_failure_rate must be in [0, 1)")
         if not 0.0 <= self.node_failure_rate <= 1.0:
             raise ConfigurationError("node_failure_rate must be in [0, 1]")
-        if self.node_failure_rate > 0 and self.node_failure_window <= 0:
-            raise ConfigurationError("node_failure_window must be > 0")
         for name, when in (self.node_failure_times or {}).items():
             if when < 0:
                 raise ConfigurationError(
@@ -214,10 +147,6 @@ class EngineConf:
                 )
         if self.node_recovery_delay < 0:
             raise ConfigurationError("node_recovery_delay must be >= 0")
-        if self.max_stage_attempts < 1:
-            raise ConfigurationError("max_stage_attempts must be >= 1")
-        if self.stage_resubmit_delay < 0:
-            raise ConfigurationError("stage_resubmit_delay must be >= 0")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ConfigurationError(
                 f"memory_budget must be > 0 bytes, got {self.memory_budget}"
@@ -226,38 +155,13 @@ class EngineConf:
             raise ConfigurationError(
                 "spill_dir requires memory_budget (nothing spills without one)"
             )
-        if self.partition_pruning is None:
-            env = os.environ.get("REPRO_PRUNE", "").strip().lower()
-            self.partition_pruning = env not in ("0", "false", "no", "off")
-        if self.result_cache is not None and self.result_cache not in (
-            "memory", "sqlite", "bitmap",
-        ):
+        if self.result_cache not in (None, "sqlite"):
             raise ConfigurationError(
-                f"unknown cache backend {self.result_cache!r}"
-                f" (choose from memory, sqlite, bitmap)"
+                f"unknown cache backend {self.result_cache!r} (only 'sqlite')"
             )
-        if self.result_cache in ("sqlite", "bitmap") and (
-            self.result_cache_path is None
-        ):
+        if (self.result_cache is None) != (self.result_cache_path is None):
             raise ConfigurationError(
-                f"cache backend {self.result_cache!r} requires a cache path"
-            )
-        if self.result_cache == "memory" and self.result_cache_path is not None:
-            raise ConfigurationError(
-                "cache backend 'memory' does not take a cache path"
-            )
-        if self.result_cache_path is not None and self.result_cache is None:
-            raise ConfigurationError(
-                "a cache path requires a cache backend (sqlite or bitmap)"
-            )
-        if self.result_cache_max_entries < 1:
-            raise ConfigurationError(
-                f"result_cache_max_entries must be >= 1,"
-                f" got {self.result_cache_max_entries}"
-            )
-        if self.result_cache_ttl is not None and self.result_cache_ttl <= 0:
-            raise ConfigurationError(
-                f"result_cache_ttl must be > 0, got {self.result_cache_ttl}"
+                "result_cache='sqlite' and result_cache_path go together"
             )
 
 
@@ -319,18 +223,16 @@ class AnalyticsContext:
             spill=self.spill,
             obs=self.obs,
         )
-        if self.conf.cache_memory_fraction > 0:
-            fraction = self.conf.cache_memory_fraction
-            topology = self.cluster.topology
+        topology = self.cluster.topology
 
-            def cache_capacity(node_name: str) -> float:
-                return topology.node(node_name).executor_memory * fraction
-
-            self.block_store = BlockStore(
-                capacity_for=cache_capacity, spill=self.spill
+        def cache_capacity(node_name: str) -> float:
+            return (
+                topology.node(node_name).executor_memory * CACHE_MEMORY_FRACTION
             )
-        else:
-            self.block_store = BlockStore(spill=self.spill)
+
+        self.block_store = BlockStore(
+            capacity_for=cache_capacity, spill=self.spill
+        )
         self.task_scheduler = TaskScheduler(self)
         self.dag_scheduler = DAGScheduler(self)
         self.advisor: Optional[Any] = None
@@ -343,28 +245,18 @@ class AnalyticsContext:
         # Zone maps collected at scan time, and the optional result
         # cache of pruned partition sets (see relational/cache.py). The
         # import is deferred: the engine layer only needs the cache
-        # machinery when a backend is actually configured.
+        # machinery when a cache file is actually configured.
         self.zone_maps = ZoneMapStore()
         self.query_cache: Optional[Any] = None
         if self.conf.result_cache is not None:
-            from repro.relational.cache import ResultCacheManager, open_backend
-
-            # A TTL is wall-clock seconds, so the backend needs a wall
-            # clock; without one the deterministic tick clock applies
-            # (one tick per get/put, keeping cache files byte-stable).
-            backend = open_backend(
-                self.conf.result_cache,
-                path=self.conf.result_cache_path,
-                max_entries=self.conf.result_cache_max_entries,
-                ttl=self.conf.result_cache_ttl,
-                clock=(
-                    time.time
-                    if self.conf.result_cache_ttl is not None
-                    else None
-                ),
+            from repro.relational.cache import (
+                ResultCacheManager,
+                SQLiteCacheBackend,
             )
+
             self.query_cache = ResultCacheManager(
-                backend, metrics=self.obs.metrics
+                SQLiteCacheBackend(self.conf.result_cache_path),
+                metrics=self.obs.metrics,
             )
 
         self._rdd_counter = 0
@@ -476,7 +368,7 @@ class AnalyticsContext:
         reused by the main job, exactly like Spark's sampling jobs.
         ``max_partitions`` of 0 samples every partition.
         """
-        per_part = self.conf.range_sample_per_partition
+        per_part = RANGE_SAMPLE_PER_PARTITION
 
         def _sample(split: int, recs: List) -> List:
             if max_partitions and split >= max_partitions:
@@ -522,12 +414,17 @@ class AnalyticsContext:
         results survive close() — but spilled payloads do not; close a
         context only once its results are collected.
         """
-        if self.query_cache is not None:
-            # Resolve this run's cache misses from the zone maps its
-            # scans collected, then release the backend.
-            self.query_cache.flush(self.zone_maps)
-            self.query_cache.close()
-        self.block_store.clear()
-        self.shuffle_manager.clear()
-        if self.spill is not None:
-            self.spill.close()
+        try:
+            if self.query_cache is not None:
+                # Resolve this run's cache misses from the zone maps its
+                # scans collected.
+                self.query_cache.flush(self.zone_maps)
+        finally:
+            # A failed cache write must still release the backend, the
+            # blocks and the spill directory.
+            if self.query_cache is not None:
+                self.query_cache.close()
+            self.block_store.clear()
+            self.shuffle_manager.clear()
+            if self.spill is not None:
+                self.spill.close()

@@ -35,6 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import AnalyticsContext
     from repro.engine.rdd import RDD
 
+# Lineage recovery bounds: total runs of one map stage (first run +
+# fetch-failure resubmissions) before aborting the job, and how long the
+# scheduler waits to batch concurrent fetch failures before resubmitting
+# (Spark's resubmit delay).
+MAX_STAGE_ATTEMPTS = 4
+STAGE_RESUBMIT_DELAY = 0.05
+
 
 class StageRun:
     """Execution state of one stage within one job."""
@@ -459,7 +466,7 @@ class DAGScheduler:
         Called by the task scheduler. The task waits (parked, off the
         queue) while the parent map stage re-runs for exactly the lost
         map partitions; concurrent failures of the same shuffle batch
-        into one resubmission after ``stage_resubmit_delay``.
+        into one resubmission after ``STAGE_RESUBMIT_DELAY``.
         """
         self.fetch_failures += 1
         self._m_fetch_failures.inc()
@@ -483,7 +490,7 @@ class DAGScheduler:
         if failure.shuffle_id not in self._resubmitting:
             self._resubmitting.add(failure.shuffle_id)
             self.ctx.sim.schedule(
-                self.ctx.conf.stage_resubmit_delay,
+                STAGE_RESUBMIT_DELAY,
                 self._resubmit_map_stage,
                 failure.shuffle_id,
             )
@@ -497,11 +504,10 @@ class DAGScheduler:
             self._requeue_parked(shuffle_id)
             return
         stage.attempts += 1
-        if stage.attempts >= self.ctx.conf.max_stage_attempts:
+        if stage.attempts >= MAX_STAGE_ATTEMPTS:
             raise StageAbortedError(
                 f"stage {stage.name} resubmitted {stage.attempts} times "
-                f"(max_stage_attempts={self.ctx.conf.max_stage_attempts}); "
-                f"aborting job"
+                f"(MAX_STAGE_ATTEMPTS={MAX_STAGE_ATTEMPTS}); aborting job"
             )
         stage.completed = False
         self._completed_shuffles.discard(shuffle_id)
@@ -590,9 +596,7 @@ class DAGScheduler:
         split_dep = adaptive.splittable_shuffle(stage)
         plan = adaptive.plan_partitions(
             sizes,
-            skew_threshold=conf.aqe_skew_threshold,
             target_bytes=conf.aqe_target_partition_bytes,
-            max_slices=conf.aqe_max_subpartitions,
             shuffle_id=split_dep.shuffle_id if split_dep is not None else None,
             map_sizes=(
                 (lambda rid: manager.block_sizes(split_dep.shuffle_id, rid))
@@ -675,9 +679,7 @@ class DAGScheduler:
             ):
                 return False
         before = manager.partition_sizes(dep.shuffle_id)
-        if not adaptive.should_switch(
-            before, skew_threshold=conf.aqe_skew_threshold
-        ):
+        if not adaptive.should_switch(before):
             return False
         contents = manager.map_contents(dep.shuffle_id)
         keys: List[Any] = []
@@ -696,11 +698,7 @@ class DAGScheduler:
         for map_id in sorted(contents):
             node, records = contents[map_id]
             partitioned = adaptive.bucket_records(
-                records,
-                new,
-                dep.key_fn,
-                write_scale,
-                vectorized=conf.vectorized_kernels,
+                records, new, dep.key_fn, write_scale
             )
             manager.put_map_output(dep.shuffle_id, map_id, node, partitioned)
         # Future producers (chaos-resubmitted map tasks) bucket straight

@@ -25,6 +25,7 @@ from repro.engine.combine import combine_numeric_add, fold_batch
 from repro.engine.dependencies import default_key_fn
 from repro.engine.costmodel import CostModel, TaskCostBreakdown
 from repro.engine.effects import TaskEffects
+from repro.engine.partitioner import bucket_groups
 from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
 from repro.engine.task import Task, TaskContext
 
@@ -281,7 +282,7 @@ class TaskRunner:
         if dep.map_side_combine:
             assert dep.aggregator is not None
             agg = dep.aggregator
-            if columnar and self.ctx.conf.vectorized_kernels and agg.numeric_add:
+            if columnar and agg.numeric_add:
                 # Fold on columns only when the input already *is* a batch
                 # (a fused vec chain produced it). Columnarizing a list
                 # input just to fold it costs more than the dict-grouped
@@ -296,7 +297,7 @@ class TaskRunner:
                     else records
                 )
                 combined: Optional[Dict[Any, Any]] = None
-                if self.ctx.conf.vectorized_kernels and plain and agg.numeric_add:
+                if plain and agg.numeric_add:
                     combined = combine_numeric_add(fast_key, plain)
                 if combined is None:
                     combined = {}
@@ -327,78 +328,30 @@ class TaskRunner:
                 )
             write_scale = stage.rdd.size_scale
 
+        # One partition_many / sizes call per task, then bucket_groups
+        # hands back each bucket's record positions; the two formats
+        # differ only in how they slice (column views vs a list).
         partitioner = dep.partitioner
-        # Mutable per-bucket accumulators: append in place rather than
-        # rebuilding and reassigning a (records, bytes) tuple per record.
-        bucket_records: Dict[int, Any] = {}
-        bucket_bytes: Dict[int, float] = {}
+        buckets: Dict[int, Tuple[Any, float]] = {}
         if batch is not None:
-            # Columnar bucketing: hash/range-partition the key column in
-            # one kernel call, accumulate per-bucket bytes with the same
-            # unbuffered np.add.at left fold the list path uses, then
-            # slice each bucket's records as column views via a stable
-            # argsort — buckets emitted in first-occurrence order, records
-            # in arrival order, exactly like the scalar dict loop.
             rids = partitioner.partition_many(batch.keys)
-            rid_arr = np.fromiter(rids, dtype=np.intp, count=len(rids))
-            sizes = batch.sizes_array()
-            byte_acc = np.zeros(int(rid_arr.max()) + 1, dtype=np.float64)
-            np.add.at(byte_acc, rid_arr, sizes * write_scale)
-            order = np.argsort(rid_arr, kind="stable")
-            sorted_rids = rid_arr[order]
-            cuts = np.flatnonzero(sorted_rids[1:] != sorted_rids[:-1]) + 1
-            groups = np.split(order, cuts)
-            groups.sort(key=lambda g: g[0])  # first-occurrence order
-            for group in groups:
-                rid = int(rid_arr[group[0]])
-                bucket_records[rid] = batch.take(group)
-                bucket_bytes[rid] = float(byte_acc[rid])
-        elif self.ctx.conf.vectorized_kernels and out_records:
-            # Bulk kernels: one partition_many / sizes_array call per task
-            # instead of two Python calls per record, then group records
-            # by bucket with a stable argsort instead of a per-record
-            # dict loop. Bit-identity with the scalar path holds because:
-            # (a) the kernels match their scalar counterparts exactly,
-            # (b) np.add.at is unbuffered and applies additions in element
-            #     order — the same left fold the scalar loop performs, and
-            # (c) stable sort keeps records in arrival order within a
-            #     bucket, and buckets are emitted in first-occurrence
-            #     order, matching the scalar dict's insertion order.
+            weights = batch.sizes_array() * write_scale
+            for rid, group, nbytes in bucket_groups(rids, weights):
+                buckets[rid] = (batch.take(group), nbytes)
+        elif out_records:
             if out_keys is None:
                 if fast_key is None:
                     out_keys = [r[0] for r in out_records]
                 else:
                     out_keys = [fast_key(r) for r in out_records]
             rids = partitioner.partition_many(out_keys)
-            rid_arr = np.fromiter(rids, dtype=np.intp, count=len(rids))
             sizes = sizes_array(out_records)
             if sizes is None:  # heterogeneous batch: exact scalar sizing
                 sizes = np.array(
                     [estimate_size(r) for r in out_records], dtype=np.float64
                 )
-            byte_acc = np.zeros(int(rid_arr.max()) + 1, dtype=np.float64)
-            np.add.at(byte_acc, rid_arr, sizes * write_scale)
-            order = np.argsort(rid_arr, kind="stable")
-            sorted_rids = rid_arr[order]
-            cuts = np.flatnonzero(sorted_rids[1:] != sorted_rids[:-1]) + 1
-            groups = np.split(order, cuts)
-            groups.sort(key=lambda g: g[0])  # first-occurrence order
-            for group in groups:
-                rid = int(rid_arr[group[0]])
-                bucket_records[rid] = [out_records[i] for i in group]
-                bucket_bytes[rid] = float(byte_acc[rid])
-        else:
-            for record in out_records:
-                rid = partitioner.partition(key_fn(record))
-                recs = bucket_records.get(rid)
-                if recs is None:
-                    bucket_records[rid] = recs = []
-                    bucket_bytes[rid] = 0.0
-                recs.append(record)
-                bucket_bytes[rid] += estimate_size(record) * write_scale
-        buckets: Dict[int, Tuple[List, float]] = {
-            rid: (recs, bucket_bytes[rid]) for rid, recs in bucket_records.items()
-        }
+            for rid, group, nbytes in bucket_groups(rids, sizes * write_scale):
+                buckets[rid] = ([out_records[i] for i in group], nbytes)
 
         written = self.ctx.shuffle_manager.put_map_output(
             dep.shuffle_id, split, tctx.node, buckets

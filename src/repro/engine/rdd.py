@@ -213,12 +213,7 @@ class RDD:
                 task.rdd_bytes[self.id] = block.nbytes
                 return block.records
         records = self.compute(split, task)
-        raw_bytes = (
-            estimate_partition_size(
-                records, vectorized=self.ctx.conf.vectorized_kernels
-            )
-            * self.size_scale
-        )
+        raw_bytes = estimate_partition_size(records) * self.size_scale
         input_bytes = task.input_hints.get(self.id, 0.0)
         for dep in self.narrow_deps():
             input_bytes = max(input_bytes, task.rdd_bytes.get(dep.parent.id, 0.0))
@@ -896,12 +891,7 @@ class SourceRDD(RDD):
 
     def compute(self, split: int, task: TaskContext) -> List:
         records = list(self._generator(split, self._num_partitions))
-        nbytes = (
-            estimate_partition_size(
-                records, vectorized=self.ctx.conf.vectorized_kernels
-            )
-            * self._size_scale
-        )
+        nbytes = estimate_partition_size(records) * self._size_scale
         task.note_input(nbytes)
         spec = self.zone_map_spec
         if spec is not None:
@@ -1042,7 +1032,6 @@ class MapPartitionsRDD(RDD):
         batch: Optional[RecordBatch] = None
         if (
             conf.record_format == "columnar"
-            and conf.vectorized_kernels
             and base_records
             and all(step._record_op.vec is not None for step in chain)
         ):

@@ -13,17 +13,9 @@ dtype/shape metadata inside the pickle stream). The receiver attaches
 the segment by name and rebuilds ndarrays as **views into the segment**
 — the column bytes are never copied again.
 
-Backends
---------
-
-* ``shm`` — :class:`multiprocessing.shared_memory.SharedMemory`
-  (``/dev/shm`` on Linux). The default wherever available.
-* ``mmap`` — plain files in a scratch directory, memory-mapped on
-  attach. The fallback for platforms (or sandboxes) without POSIX
-  shared memory; page-cache backed, so reads are still zero-copy.
-
-``REPRO_SHM_BACKEND`` forces a backend (``shm`` / ``mmap`` / ``off``;
-``off`` disables segments entirely — payloads inline into the handle).
+Segments are :class:`multiprocessing.shared_memory.SharedMemory` regions
+(``/dev/shm`` on Linux); payloads under :data:`MIN_SEGMENT_BYTES` skip the
+segment and travel inline in the handle.
 
 Lifecycle
 ---------
@@ -42,11 +34,10 @@ too without hearing back from the worker (see
 from __future__ import annotations
 
 import atexit
-import mmap
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
+from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
 PICKLE_PROTOCOL = 5
@@ -57,17 +48,6 @@ PICKLE_PROTOCOL = 5
 MIN_SEGMENT_BYTES = 16 * 1024
 
 _ALIGN = 64  # buffer alignment inside a segment (cache line / SIMD)
-
-
-def _backend() -> str:
-    forced = os.environ.get("REPRO_SHM_BACKEND", "").strip().lower()
-    if forced in ("shm", "mmap", "off"):
-        return forced
-    try:  # pragma: no cover - import always succeeds on CPython >= 3.8
-        import multiprocessing.shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - exotic platforms
-        return "mmap"
-    return "shm"
 
 
 def _untrack(name: str) -> None:
@@ -86,60 +66,41 @@ def _untrack(name: str) -> None:
 
 
 class Segment:
-    """One shared-memory (or mmap-file) region with a name and a buffer."""
+    """One shared-memory region with a name and a buffer."""
 
-    def __init__(
-        self, backend: str, name: str, buf, closer, owner: bool, shm_obj=None
-    ) -> None:
-        self.backend = backend
-        self.name = name
-        self.buf = buf  # writable memoryview over the whole region
-        self._closer = closer
-        self.owner = owner
-        self._shm_obj = shm_obj  # the SharedMemory object, shm backend only
-
-    @property
-    def ref(self) -> Tuple[str, str]:
-        return (self.backend, self.name)
+    def __init__(self, shm: shared_memory.SharedMemory) -> None:
+        self.name = shm.name
+        self.buf = shm.buf  # writable memoryview over the whole region
+        self._shm: Optional[shared_memory.SharedMemory] = shm
 
     def close(self) -> None:
         """Drop this process's mapping (views must be released first)."""
-        if self._closer is None:
+        if self._shm is None:
             return
-        closer, self._closer = self._closer, None
+        shm, self._shm = self._shm, None
         self.buf = None
         try:
-            closer()
+            shm.close()
         except BufferError:
             # A live ndarray still views the mapping; leave it to the
-            # garbage collector — unlink (below) already happened or
-            # will happen by name, which does not need the mapping.
+            # garbage collector — unlink already happened or will happen
+            # by name, which does not need the mapping.
             pass
-        if self._shm_obj is not None:
-            # SharedMemory.__del__ retries close() and would spam
-            # "Exception ignored: BufferError" for mappings with live
-            # views; the instance attribute shadows the method, so the
-            # retry becomes a no-op and the GC reclaims the mapping
-            # together with the last view.
-            self._shm_obj.close = lambda: None
-            self._shm_obj = None
+        # SharedMemory.__del__ retries close() and would spam
+        # "Exception ignored: BufferError" for mappings with live
+        # views; the instance attribute shadows the method, so the
+        # retry becomes a no-op and the GC reclaims the mapping
+        # together with the last view.
+        shm.close = lambda: None
 
     def unlink(self) -> None:
         self.close()
-        unlink_ref((self.backend, self.name))
+        unlink_ref(self.name)
         _LIVE.pop(self.name, None)
 
 
 # Segments created (and thus owned) by this process, by name.
 _LIVE: Dict[str, Segment] = {}
-
-
-def _scratch_dir() -> str:
-    path = os.path.join(
-        tempfile.gettempdir(), f"repro-shm-{os.getuid() if hasattr(os, 'getuid') else 0}"
-    )
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 _seq = 0
@@ -154,68 +115,38 @@ def next_name(prefix: str = "") -> str:
 
 def create_segment(nbytes: int, name: Optional[str] = None) -> Segment:
     """Allocate a named segment of ``nbytes`` and register it as owned."""
-    backend = _backend()
-    name = name or next_name()
-    if backend == "shm":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes), name=name)
-        _untrack(shm.name)
-        seg = Segment("shm", shm.name, shm.buf, shm.close, owner=True, shm_obj=shm)
-    else:
-        path = os.path.join(_scratch_dir(), name)
-        with open(path, "wb") as fh:
-            fh.truncate(max(1, nbytes))
-        fh = open(path, "r+b")
-        mapping = mmap.mmap(fh.fileno(), 0)
-        fh.close()
-        seg = Segment("mmap", name, memoryview(mapping), mapping.close, owner=True)
+    shm = shared_memory.SharedMemory(
+        create=True, size=max(1, nbytes), name=name or next_name()
+    )
+    _untrack(shm.name)
+    seg = Segment(shm)
     _LIVE[seg.name] = seg
     return seg
 
 
-def attach_segment(ref: Tuple[str, str]) -> Segment:
+def attach_segment(name: str) -> Segment:
     """Map an existing segment created by another process (read/write)."""
-    backend, name = ref
-    if backend == "shm":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm.name)
-        return Segment("shm", name, shm.buf, shm.close, owner=False, shm_obj=shm)
-    path = os.path.join(_scratch_dir(), name)
-    fh = open(path, "r+b")
-    mapping = mmap.mmap(fh.fileno(), 0)
-    fh.close()
-    return Segment("mmap", name, memoryview(mapping), mapping.close, owner=False)
+    shm = shared_memory.SharedMemory(name=name)
+    _untrack(shm.name)
+    return Segment(shm)
 
 
-def unlink_ref(ref: Tuple[str, str]) -> bool:
+def unlink_ref(name: str) -> bool:
     """Remove a segment by name, regardless of which process created it.
 
     Returns True when something was actually removed — False means the
     segment never existed or is already gone (idempotent sweeps).
     """
-    backend, name = ref
-    if backend == "shm":
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return False
-        # No _untrack here: attaching registered the name once, and
-        # unlink() below unregisters it — balanced without our help.
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlink race
-            return False
-        return True
-    path = os.path.join(_scratch_dir(), name)
     try:
-        os.unlink(path)
+        shm = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
+        return False
+    # No _untrack here: attaching registered the name once, and
+    # unlink() below unregisters it — balanced without our help.
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - unlink race
         return False
     return True
 
@@ -228,7 +159,7 @@ def cleanup_segments() -> int:
         if seg is None:
             continue
         seg.close()
-        if unlink_ref(seg.ref):
+        if unlink_ref(seg.name):
             count += 1
     return count
 
@@ -242,11 +173,12 @@ class SharedPayload:
 
     ``meta_span`` is the byte span of the pickle stream inside the
     segment and ``buffer_spans`` the spans of its out-of-band buffers
-    (in ``buffer_callback`` order). When ``segment`` is None the payload
-    was too small to justify a segment and travels inline instead.
+    (in ``buffer_callback`` order). ``segment`` is the segment's name;
+    when it is None the payload was too small to justify a segment and
+    travels inline instead.
     """
 
-    segment: Optional[Tuple[str, str]]
+    segment: Optional[str]
     meta_span: Tuple[int, int]
     buffer_spans: List[Tuple[int, int]]
     inline: Optional[Tuple[bytes, List[bytes]]] = None
@@ -283,7 +215,7 @@ def encode_shared(obj: Any, name: Optional[str] = None) -> SharedPayload:
     meta = pickle.dumps(obj, protocol=PICKLE_PROTOCOL, buffer_callback=buffers.append)
     views = [b.raw() for b in buffers]
     total = len(meta) + sum(v.nbytes for v in views)
-    if _backend() == "off" or total < MIN_SEGMENT_BYTES:
+    if total < MIN_SEGMENT_BYTES:
         inline = (meta, [bytes(v) for v in views])
         for b in buffers:
             b.release()
@@ -303,7 +235,7 @@ def encode_shared(obj: Any, name: Optional[str] = None) -> SharedPayload:
     for b in buffers:
         b.release()
     payload = SharedPayload(
-        segment=seg.ref, meta_span=(0, len(meta)), buffer_spans=spans,
+        segment=seg.name, meta_span=(0, len(meta)), buffer_spans=spans,
         payload_bytes=total,
     )
     # Keep the creator's mapping open until unlink — cheap, and lets
@@ -325,8 +257,7 @@ def decode_shared(payload: SharedPayload, copy: bool = False) -> DecodedPayload:
         obj = pickle.loads(meta, buffers=raw)
         return DecodedPayload(obj)
     assert payload.segment is not None
-    name = payload.segment[1]
-    seg = _LIVE.get(name)
+    seg = _LIVE.get(payload.segment)
     attached = seg is None
     if attached:
         seg = attach_segment(payload.segment)

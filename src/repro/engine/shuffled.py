@@ -174,7 +174,7 @@ class ShuffledRDD(RDD):
     def _merge(self, records, incoming_combined: bool) -> List:
         assert self.aggregator is not None
         agg = self.aggregator
-        if self.ctx.conf.vectorized_kernels and len(records) and agg.numeric_add:
+        if len(records) and agg.numeric_add:
             # Both branches below are per-key left folds with elementwise
             # ``+`` (numeric_add's promise covers merge_value AND
             # merge_combiners), so the vectorized kernel applies to the

@@ -38,7 +38,7 @@ class Stage:
         self.shuffle_dep = shuffle_dep  # the dep this stage WRITES (map stages)
         self.completed = False
         # Fetch-failure resubmissions of this stage (lineage recovery);
-        # bounded by EngineConf.max_stage_attempts.
+        # bounded by dag_scheduler.MAX_STAGE_ATTEMPTS.
         self.attempts = 0
 
     @property

@@ -50,6 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import AnalyticsContext
     from repro.engine.dag_scheduler import StageRun
 
+# Speculation (Spark's spark.speculation.quantile / .multiplier): once
+# this fraction of a stage's tasks have finished, a running task whose
+# elapsed time exceeds the multiple of the median completed duration gets
+# a duplicate attempt on another node.
+SPECULATION_QUANTILE = 0.75
+SPECULATION_MULTIPLIER = 1.5
+# Seeded node failures (``node_failure_rate``) land inside the first
+# this-many simulated seconds.
+NODE_FAILURE_WINDOW = 30.0
+
 
 # eq=False throughout: these are identity objects. Value equality made
 # every `in` / `.remove` on the running-task list an O(fields) deep
@@ -196,9 +206,9 @@ class TaskScheduler:
         # Batched (threaded) dispatch: grant decisions happen serially in
         # this scan; granted bodies run on the worker pool; effects apply
         # in grant order afterwards (see _run_batch). Entries: ("run",
-        # queued, attempt) | ("fail", queued, attempt) | ("hold", queued,
-        # deadline) — recorded in serial event order so every
-        # sim.schedule lands with the same (time, seq) as serial.
+        # queued, attempt) | ("fail", queued, attempt) — recorded in
+        # serial event order so every sim.schedule lands with the same
+        # (time, seq) as serial.
         batch: Optional[list] = [] if self._batching_allowed() else None
         # Pass 1: honor locality preferences where a core is free.
         deferred: Deque[_QueuedTask] = deque()
@@ -215,38 +225,16 @@ class TaskScheduler:
                 deferred.append(queued)
         self._queue = deferred
         # Pass 2: FIFO spread onto the executor with the most free cores.
-        # Delay scheduling (Spark's locality wait): a task with locality
-        # preferences holds out for a preferred core for up to
-        # ``locality_wait`` seconds before accepting any slot.
-        wait = self.ctx.conf.locality_wait
-        now = self.ctx.sim.now
-        held: Deque[_QueuedTask] = deque()
         while self._queue:
             executor = self._most_free_executor()
             if executor is None:
                 break
             queued = self._queue.popleft()
-            if (
-                wait > 0
-                and queued.task.preferred_nodes
-                and now - queued.enqueued_at < wait
-            ):
-                if not queued.attempts and not self._wait_timer_set(queued):
-                    deadline = queued.enqueued_at + wait
-                    if batch is None:
-                        queued._wait_timer = self.ctx.sim.schedule_at(
-                            deadline, self._dispatch
-                        )
-                    else:
-                        batch.append(("hold", queued, deadline))
-                held.append(queued)
-                continue
             if batch is None:
                 self._launch(queued, executor)
             else:
                 attempt, fail = self._grant(queued, executor, False)
                 batch.append(("fail" if fail else "run", queued, attempt))
-        self._queue.extend(held)
         if batch:
             self._run_batch(batch)
         self._m_queue_depth.set(len(self._queue))
@@ -282,20 +270,12 @@ class TaskScheduler:
                 )
         for i, entry in enumerate(batch):
             kind, queued = entry[0], entry[1]
-            if kind == "hold":
-                queued._wait_timer = self.ctx.sim.schedule_at(
-                    entry[2], self._dispatch
-                )
-            elif kind == "fail":
+            if kind == "fail":
                 self._schedule_failure(queued, entry[2])
             else:
                 future = futures.get(i)
                 eff = future.result() if future is not None else None
                 self._finish_launch(queued, entry[2], eff)
-
-    @staticmethod
-    def _wait_timer_set(queued: "_QueuedTask") -> bool:
-        return getattr(queued, "_wait_timer", None) is not None
 
     def _match_preference(self, task: Task) -> Optional[_ExecutorState]:
         for pref in task.preferred_nodes:
@@ -521,11 +501,11 @@ class TaskScheduler:
             return
         completed = stage_run.stats.tasks
         total = len(stage_run.tasks)
-        if total == 0 or len(completed) < conf.speculation_quantile * total:
+        if total == 0 or len(completed) < SPECULATION_QUANTILE * total:
             return
         durations = sorted(t.duration for t in completed)
         median = durations[len(durations) // 2]
-        threshold = conf.speculation_multiplier * max(median, 1e-9)
+        threshold = SPECULATION_MULTIPLIER * max(median, 1e-9)
         now = self.ctx.sim.now
         for queued in list(self._running_tasks):
             if queued.stage_run is not stage_run or queued.done:
@@ -613,7 +593,7 @@ class TaskScheduler:
 
         Deterministic times come straight from ``node_failure_times``;
         ``node_failure_rate`` additionally rolls a seeded die per worker
-        for a failure somewhere inside ``node_failure_window``.
+        for a failure somewhere inside ``NODE_FAILURE_WINDOW``.
         """
         conf = self.ctx.conf
         times: Dict[str, float] = {}
@@ -629,7 +609,7 @@ class TaskScheduler:
                     continue
                 rng = seeded_rng(derive_seed(conf.seed, "node-failure", name))
                 if rng.random() < conf.node_failure_rate:
-                    times[name] = float(rng.random() * conf.node_failure_window)
+                    times[name] = float(rng.random() * NODE_FAILURE_WINDOW)
         if (
             times
             and len(times) >= len(self._executors)

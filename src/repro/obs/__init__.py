@@ -34,7 +34,7 @@ from repro.obs.export import to_otlp, to_prometheus, validate_prometheus
 from repro.obs.ledger import LEDGER_VERSION, LedgerCollector, RunLedger
 from repro.obs.log import DEBUG, ERROR, INFO, WARNING, EventLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import ResourceProfiler, profiling_enabled
+from repro.obs.profiling import ResourceProfiler
 from repro.obs.trace import TraceEvent, Tracer, save_chrome_trace, to_chrome
 
 
@@ -162,7 +162,6 @@ __all__ = [
     "gini",
     "model_drift",
     "partition_skew",
-    "profiling_enabled",
     "save_chrome_trace",
     "to_chrome",
     "to_otlp",

@@ -6,13 +6,13 @@ body, ``tracemalloc`` allocation deltas and peaks, and ``gc`` collection
 counts with pause timing via ``gc.callbacks`` — the memory-churn /
 GC-dominance picture Awan et al. report for in-memory analytics.
 
-Profiles are opt-in (``--profile`` / ``REPRO_PROFILE``) and explicitly
+Profiles are opt-in (``--profile``) and explicitly
 **non-deterministic**: host timings vary run to run, so profile fields are
 excluded from every identity comparison (``diff-runs`` thresholds, ledger
 identity hashes). Attaching a profiler must never change simulated
 results; probes only read clocks and allocator statistics.
 
-Under threaded task execution (``REPRO_PHYSICAL_PARALLELISM > 1``)
+Under threaded task execution (``physical_parallelism > 1``)
 ``thread_time`` stays per-task-accurate (it is per-thread CPU time), but
 ``tracemalloc`` statistics are process-global, so per-task allocation
 deltas and peaks are attributions, not isolates — documented in
@@ -22,20 +22,10 @@ deltas and peaks are attributions, not isolates — documented in
 from __future__ import annotations
 
 import gc
-import os
 import threading
 import time
 import tracemalloc
 from typing import Dict, Optional
-
-
-def profiling_enabled(flag: bool = False) -> bool:
-    """Is profiling requested, by flag or by ``REPRO_PROFILE``?"""
-    if flag:
-        return True
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 class _TaskProbe:

@@ -45,9 +45,8 @@ from repro.relational.plan import (
 from repro.relational.cache import (
     CacheEntry,
     ResultCacheManager,
-    open_backend,
+    SQLiteCacheBackend,
     query_signature,
-    sniff_backend,
 )
 from repro.relational.rules import (
     RuleBatch,
@@ -93,9 +92,8 @@ __all__ = [
     "lower_plan",
     "CacheEntry",
     "ResultCacheManager",
-    "open_backend",
+    "SQLiteCacheBackend",
     "query_signature",
-    "sniff_backend",
     "ColumnStats",
     "RangeLayout",
     "ZoneMapSpec",

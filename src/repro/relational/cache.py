@@ -1,4 +1,4 @@
-"""Partition-pruning result cache: query signatures + pluggable backends.
+"""Partition-pruning result cache: query signatures + one sqlite file.
 
 The cache does *not* store query results — it stores something cheaper
 and safer: for a given query variant, the set of partition IDs of a
@@ -7,22 +7,13 @@ intersects the cached set into the scan before any task is scheduled;
 a cold run records zone maps while scanning and derives the set at
 context close.
 
-Three backends implement the same five-method surface (``get`` / ``put``
-/ ``delete`` / ``clear`` / ``entries``):
-
-* ``memory`` — an in-process ``OrderedDict`` (LRU order is dict order);
-  gone when the context closes. The default for single-run experiments.
-* ``sqlite`` — a stdlib :mod:`sqlite3` file; survives across processes,
-  which is what makes warm CLI runs possible.
-* ``bitmap`` — a packed-bitmap file (magic ``RPC1``): partition sets are
-  stored as bitsets, one bit per partition, with a JSON header. Compact
-  for wide tables, trivially diffable, rewritten atomically on put.
-
-All backends evict LRU past ``max_entries`` and (optionally) expire
-entries older than ``ttl`` seconds. The clock is injectable so eviction
-is testable; by default entries are stamped with a monotonically
-increasing logical tick, keeping cache files deterministic for
-byte-level comparison (pass ``clock=time.time`` for wall-clock TTLs).
+Entries live in a stdlib :mod:`sqlite3` file, which is what lets a warm
+run in a later process prune from an earlier run's zone maps. Every
+write is row-targeted inside one ``BEGIN IMMEDIATE`` transaction, so
+processes sharing a file never clobber each other's rows. Past
+:data:`MAX_ENTRIES` the least-recently-used rows are deleted; recency is
+a logical tick (``MAX(last_used) + 1``, taken inside the writing
+transaction), so cache files never depend on the wall clock.
 
 Keys are *query-variant signatures*: a BLAKE2b hash over the
 canonicalized optimized plan text, the scan's table name + dataset
@@ -36,21 +27,18 @@ stored-version check — stale sets can never be applied.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from hashlib import blake2b
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.relational.expr import Expr
 from repro.relational.stats import can_match
 
-#: Valid backend names, in the order `repro cache` and error text list them.
-BACKENDS = ("memory", "sqlite", "bitmap")
-
-#: File magic of the packed-bitmap backend.
-BITMAP_MAGIC = b"RPC1"
+#: LRU bound on cached query variants.
+MAX_ENTRIES = 256
 
 
 def query_signature(
@@ -101,151 +89,28 @@ class CacheEntry:
         }
 
 
-class _TickClock:
-    """Deterministic default clock: a logical tick per call."""
-
-    def __init__(self) -> None:
-        self._tick = 0.0
-
-    def __call__(self) -> float:
-        self._tick += 1.0
-        return self._tick
-
-    def peek(self) -> float:
-        """The current tick without advancing (read-only lookups)."""
-        return self._tick
+_COLUMNS = (
+    "key, table_name, version, num_partitions, partitions,"
+    " created, last_used, hits"
+)
+_NEXT_TICK = "SELECT COALESCE(MAX(last_used), 0) + 1 FROM cache_entries"
 
 
-class CacheBackend:
-    """Shared LRU/TTL policy; subclasses provide the storage dict."""
-
-    name = "abstract"
-
-    def __init__(
-        self,
-        max_entries: int = 256,
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.max_entries = max_entries
-        self.ttl = ttl
-        self.clock = clock if clock is not None else _TickClock()
-
-    # Storage primitives subclasses implement ---------------------------
-    def _load(self) -> Dict[str, CacheEntry]:
-        raise NotImplementedError
-
-    def _store(self, entries: Dict[str, CacheEntry]) -> None:
-        raise NotImplementedError
-
-    # Granular persist hooks: the defaults fall back to a full _store
-    # rewrite; file backends override with cheaper targeted writes so a
-    # cache *lookup* doesn't cost O(entries) I/O (or clobber entries
-    # another process wrote between our load and store).
-    def _touch_stored(
-        self, entry: CacheEntry, entries: Dict[str, CacheEntry]
-    ) -> None:
-        """Persist one entry's LRU touch (last_used/hits bump)."""
-        self._store(entries)
-
-    def _delete_stored(
-        self, key: str, entries: Dict[str, CacheEntry]
-    ) -> None:
-        """Persist one entry's removal (``entries`` no longer has it)."""
-        self._store(entries)
-
-    # Shared policy ------------------------------------------------------
-    def _expired(self, entry: CacheEntry, now: float) -> bool:
-        return self.ttl is not None and (now - entry.created) > self.ttl
-
-    def get(self, key: str) -> Optional[CacheEntry]:
-        entries = self._load()
-        entry = entries.get(key)
-        if entry is None:
-            return None
-        now = self.clock()
-        if self._expired(entry, now):
-            del entries[key]
-            self._delete_stored(key, entries)
-            return None
-        entry = replace(entry, last_used=now, hits=entry.hits + 1)
-        del entries[key]  # re-insert at MRU position
-        entries[key] = entry
-        self._touch_stored(entry, entries)
-        return entry
-
-    def peek(self, key: str) -> Optional[CacheEntry]:
-        """Read-only lookup: no hit count, no LRU touch, no expiry
-        delete — the clock is not advanced, so a peek leaves every
-        observable cache state (counters, files, eviction order) as it
-        was. Dry runs (``repro explain``) use this."""
-        entries = self._load()
-        entry = entries.get(key)
-        if entry is None:
-            return None
-        now = (
-            self.clock.peek()
-            if isinstance(self.clock, _TickClock)
-            else self.clock()
-        )
-        if self._expired(entry, now):
-            return None
-        return entry
-
-    def put(self, entry: CacheEntry) -> None:
-        entries = self._load()
-        now = self.clock()
-        if entry.created == 0.0:
-            entry = replace(entry, created=now, last_used=now)
-        entries.pop(entry.key, None)
-        entries[entry.key] = entry
-        # Evict expired first, then LRU down to max_entries.
-        for key in [k for k, e in entries.items() if self._expired(e, now)]:
-            del entries[key]
-        while len(entries) > self.max_entries:
-            lru = min(entries.values(), key=lambda e: (e.last_used, e.key))
-            del entries[lru.key]
-        self._store(entries)
-
-    def delete(self, key: str) -> bool:
-        entries = self._load()
-        if key not in entries:
-            return False
-        del entries[key]
-        self._store(entries)
-        return True
-
-    def clear(self) -> int:
-        entries = self._load()
-        count = len(entries)
-        self._store({})
-        return count
-
-    def entries(self) -> List[CacheEntry]:
-        return sorted(self._load().values(), key=lambda e: e.key)
-
-    def close(self) -> None:
-        pass
+def _entry(row: tuple) -> CacheEntry:
+    return CacheEntry(
+        key=row[0],
+        table=row[1],
+        version=row[2],
+        num_partitions=row[3],
+        partitions=tuple(json.loads(row[4])),
+        created=row[5],
+        last_used=row[6],
+        hits=row[7],
+    )
 
 
-class MemoryCacheBackend(CacheBackend):
-    """In-process dict; per-context lifetime."""
-
-    name = "memory"
-
-    def __init__(self, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._entries: Dict[str, CacheEntry] = {}
-
-    def _load(self) -> Dict[str, CacheEntry]:
-        return self._entries
-
-    def _store(self, entries: Dict[str, CacheEntry]) -> None:
-        self._entries = entries
-
-
-class SQLiteCacheBackend(CacheBackend):
-    """A stdlib sqlite3 file; shared across processes and runs."""
+class SQLiteCacheBackend:
+    """The cache file: one row per query variant, LRU-bounded."""
 
     name = "sqlite"
 
@@ -262,288 +127,96 @@ class SQLiteCacheBackend(CacheBackend):
         )
     """
 
-    def __init__(self, path: str, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, path: str) -> None:
         self.path = path
         try:
-            self._conn = sqlite3.connect(path)
+            # Autocommit mode: transactions are opened explicitly below.
+            self._conn = sqlite3.connect(path, isolation_level=None)
             self._conn.execute(self._SCHEMA)
-            self._conn.commit()
-            # Resume the logical clock past any persisted timestamps so
-            # re-opened caches keep a coherent LRU order.
-            if isinstance(self.clock, _TickClock):
-                row = self._conn.execute(
-                    "SELECT COALESCE(MAX(last_used), 0) FROM cache_entries"
-                ).fetchone()
-                self.clock._tick = float(row[0])
         except sqlite3.Error as exc:
             raise ConfigurationError(
                 f"cannot open sqlite cache at {path!r}: {exc}"
             ) from exc
 
-    def _load(self) -> Dict[str, CacheEntry]:
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One write-locked transaction; sqlite errors become exit-2 text."""
+        try:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield self._conn
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._conn.execute("COMMIT")
+        except sqlite3.Error as exc:
+            raise ConfigurationError(
+                f"cannot write sqlite cache at {self.path!r}: {exc}"
+            ) from exc
+
+    def _select(self, where: str = "", args: tuple = ()) -> List[CacheEntry]:
         try:
             rows = self._conn.execute(
-                "SELECT key, table_name, version, num_partitions, partitions,"
-                " created, last_used, hits FROM cache_entries ORDER BY last_used"
+                f"SELECT {_COLUMNS} FROM cache_entries {where}", args
             ).fetchall()
         except sqlite3.Error as exc:
             raise ConfigurationError(
                 f"cannot read sqlite cache at {self.path!r}: {exc}"
             ) from exc
-        return {
-            row[0]: CacheEntry(
-                key=row[0],
-                table=row[1],
-                version=row[2],
-                num_partitions=row[3],
-                partitions=tuple(json.loads(row[4])),
-                created=row[5],
-                last_used=row[6],
-                hits=row[7],
-            )
-            for row in rows
-        }
+        return [_entry(row) for row in rows]
 
-    def _store(self, entries: Dict[str, CacheEntry]) -> None:
-        try:
-            self._conn.execute("DELETE FROM cache_entries")
-            self._conn.executemany(
-                "INSERT INTO cache_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        e.key, e.table, e.version, e.num_partitions,
-                        json.dumps(list(e.partitions)), e.created,
-                        e.last_used, e.hits,
-                    )
-                    for e in entries.values()
-                ],
+    def get(self, key: str) -> Optional[CacheEntry]:
+        """Look ``key`` up, counting the hit and marking it most recent."""
+        with self._transaction() as conn:
+            conn.execute(
+                f"UPDATE cache_entries SET last_used = ({_NEXT_TICK}),"
+                " hits = hits + 1 WHERE key = ?",
+                (key,),
             )
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            raise ConfigurationError(
-                f"cannot write sqlite cache at {self.path!r}: {exc}"
-            ) from exc
+            return self.peek(key)
 
-    def _touch_stored(
-        self, entry: CacheEntry, entries: Dict[str, CacheEntry]
-    ) -> None:
-        # Row-targeted: a lookup must not rewrite the whole table (and a
-        # full rewrite would clobber rows concurrent processes inserted
-        # between our load and store).
-        try:
-            self._conn.execute(
-                "UPDATE cache_entries SET last_used = ?, hits = ?"
-                " WHERE key = ?",
-                (entry.last_used, entry.hits, entry.key),
+    def peek(self, key: str) -> Optional[CacheEntry]:
+        """Read-only lookup: no hit count, no LRU touch — a peek leaves
+        every observable cache state as it was. Dry runs (``repro
+        explain``) use this."""
+        found = self._select("WHERE key = ?", (key,))
+        return found[0] if found else None
+
+    def put(self, entry: CacheEntry) -> None:
+        with self._transaction() as conn:
+            if entry.created == 0.0:
+                now = conn.execute(_NEXT_TICK).fetchone()[0]
+                entry = replace(entry, created=now, last_used=now)
+            conn.execute(
+                "INSERT OR REPLACE INTO cache_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    entry.key, entry.table, entry.version, entry.num_partitions,
+                    json.dumps(list(entry.partitions)), entry.created,
+                    entry.last_used, entry.hits,
+                ),
             )
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            raise ConfigurationError(
-                f"cannot write sqlite cache at {self.path!r}: {exc}"
-            ) from exc
+            conn.execute(
+                "DELETE FROM cache_entries WHERE key IN ("
+                " SELECT key FROM cache_entries ORDER BY last_used, key"
+                " LIMIT MAX(0, (SELECT COUNT(*) FROM cache_entries) - ?))",
+                (MAX_ENTRIES,),
+            )
 
-    def _delete_stored(
-        self, key: str, entries: Dict[str, CacheEntry]
-    ) -> None:
-        try:
-            self._conn.execute(
+    def delete(self, key: str) -> bool:
+        with self._transaction() as conn:
+            return conn.execute(
                 "DELETE FROM cache_entries WHERE key = ?", (key,)
-            )
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            raise ConfigurationError(
-                f"cannot write sqlite cache at {self.path!r}: {exc}"
-            ) from exc
+            ).rowcount > 0
+
+    def clear(self) -> int:
+        with self._transaction() as conn:
+            return conn.execute("DELETE FROM cache_entries").rowcount
+
+    def entries(self) -> List[CacheEntry]:
+        return self._select("ORDER BY key")
 
     def close(self) -> None:
         self._conn.close()
-
-
-def _pack_bitmap(partitions: Tuple[int, ...], num_partitions: int) -> bytes:
-    packed = bytearray((num_partitions + 7) // 8)
-    for p in partitions:
-        packed[p // 8] |= 1 << (p % 8)
-    return bytes(packed)
-
-
-def _unpack_bitmap(packed: bytes, num_partitions: int) -> Tuple[int, ...]:
-    return tuple(
-        p for p in range(num_partitions) if packed[p // 8] & (1 << (p % 8))
-    )
-
-
-class BitmapCacheBackend(CacheBackend):
-    """Packed-bitmap file: ``RPC1`` magic + JSON doc with hex bitsets.
-
-    Each entry's partition set is one bit per partition; the whole file
-    is rewritten on every *put* (entry counts are small by construction
-    — ``max_entries`` bounds them). LRU touches from ``get`` are
-    write-behind: held in an in-memory overlay and persisted at the next
-    put/delete/clear or at ``close()``, so a lookup costs one read, not
-    a whole-file rewrite — and concurrent reader processes can't drop
-    each other's entries through a per-hit read-modify-write cycle.
-    """
-
-    name = "bitmap"
-
-    def __init__(self, path: str, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.path = path
-        # Write-behind LRU touches keyed by entry; merged over _load
-        # results and flushed by the next full _store.
-        self._touched: Dict[str, CacheEntry] = {}
-        if os.path.exists(path):
-            self._check_magic()
-        else:
-            try:
-                self._store({})
-            except OSError as exc:
-                raise ConfigurationError(
-                    f"cannot create bitmap cache at {path!r}: {exc}"
-                ) from exc
-        if isinstance(self.clock, _TickClock):
-            entries = self._load()
-            if entries:
-                self.clock._tick = max(e.last_used for e in entries.values())
-
-    def _check_magic(self) -> None:
-        try:
-            with open(self.path, "rb") as fh:
-                magic = fh.read(len(BITMAP_MAGIC))
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot open bitmap cache at {self.path!r}: {exc}"
-            ) from exc
-        if magic != BITMAP_MAGIC:
-            raise ConfigurationError(
-                f"not a bitmap cache file (bad magic): {self.path!r}"
-            )
-
-    def _load(self) -> Dict[str, CacheEntry]:
-        try:
-            with open(self.path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read bitmap cache at {self.path!r}: {exc}"
-            ) from exc
-        if raw[: len(BITMAP_MAGIC)] != BITMAP_MAGIC:
-            raise ConfigurationError(
-                f"not a bitmap cache file (bad magic): {self.path!r}"
-            )
-        try:
-            doc = json.loads(raw[len(BITMAP_MAGIC):].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(
-                f"corrupt bitmap cache at {self.path!r}: {exc}"
-            ) from exc
-        entries: Dict[str, CacheEntry] = {}
-        for rec in doc.get("entries", []):
-            packed = bytes.fromhex(rec["bitmap"])
-            entries[rec["key"]] = CacheEntry(
-                key=rec["key"],
-                table=rec["table"],
-                version=rec["version"],
-                num_partitions=rec["num_partitions"],
-                partitions=_unpack_bitmap(packed, rec["num_partitions"]),
-                created=rec["created"],
-                last_used=rec["last_used"],
-                hits=rec["hits"],
-            )
-        # Overlay not-yet-persisted LRU touches (newer than the file
-        # copy). Keys missing from the file were deleted elsewhere;
-        # their touches are dropped with them.
-        for key, touched in self._touched.items():
-            if key in entries:
-                entries[key] = touched
-        return entries
-
-    def _store(self, entries: Dict[str, CacheEntry]) -> None:
-        doc = {
-            "format": 1,
-            "entries": [
-                {
-                    "key": e.key,
-                    "table": e.table,
-                    "version": e.version,
-                    "num_partitions": e.num_partitions,
-                    "bitmap": _pack_bitmap(e.partitions, e.num_partitions).hex(),
-                    "created": e.created,
-                    "last_used": e.last_used,
-                    "hits": e.hits,
-                }
-                for e in sorted(entries.values(), key=lambda e: e.key)
-            ],
-        }
-        payload = BITMAP_MAGIC + json.dumps(doc, sort_keys=True).encode("utf-8")
-        # Per-process temp name: concurrent writers each replace their
-        # own file (last one wins, atomically); a shared name would let
-        # one writer's replace() steal the temp out from under another.
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, self.path)
-        # Callers pass entries derived from _load(), which already
-        # merged the overlay — the write above persisted every touch.
-        self._touched.clear()
-
-    def _touch_stored(
-        self, entry: CacheEntry, entries: Dict[str, CacheEntry]
-    ) -> None:
-        self._touched[entry.key] = entry  # write-behind; see class doc
-
-    def close(self) -> None:
-        if self._touched:
-            self._store(self._load())
-
-
-def open_backend(
-    kind: str,
-    path: Optional[str] = None,
-    max_entries: int = 256,
-    ttl: Optional[float] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> CacheBackend:
-    """Open a cache backend by name; ConfigurationError on bad input."""
-    if kind not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown cache backend {kind!r} (choose from {', '.join(BACKENDS)})"
-        )
-    kwargs: Dict[str, Any] = {
-        "max_entries": max_entries, "ttl": ttl, "clock": clock,
-    }
-    if kind == "memory":
-        if path is not None:
-            raise ConfigurationError(
-                "cache backend 'memory' does not take a cache path"
-            )
-        return MemoryCacheBackend(**kwargs)
-    if path is None:
-        raise ConfigurationError(
-            f"cache backend {kind!r} requires a cache path"
-        )
-    if kind == "sqlite":
-        return SQLiteCacheBackend(path, **kwargs)
-    return BitmapCacheBackend(path, **kwargs)
-
-
-def sniff_backend(path: str) -> str:
-    """Identify an on-disk cache file by magic ('sqlite' or 'bitmap')."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read cache file {path!r}: {exc}"
-        ) from exc
-    if head.startswith(BITMAP_MAGIC):
-        return "bitmap"
-    if head.startswith(b"SQLite format 3"):
-        return "sqlite"
-    raise ConfigurationError(
-        f"unrecognized cache file format: {path!r}"
-    )
 
 
 @dataclass
@@ -569,7 +242,7 @@ class ResultCacheManager:
     (zero zone-map coverage, e.g. `repro explain`) write nothing.
     """
 
-    def __init__(self, backend: CacheBackend, metrics=None) -> None:
+    def __init__(self, backend: SQLiteCacheBackend, metrics=None) -> None:
         self.backend = backend
         self._metrics = metrics
         self._pending: Dict[str, _PendingLookup] = {}

@@ -592,9 +592,8 @@ def html_report(entry: dict) -> str:
             )
     else:
         out.append(
-            "<p class='sub ok'>not profiled — run with --profile or "
-            "REPRO_PROFILE=1 to measure host CPU, allocations, and GC "
-            "pauses</p>"
+            "<p class='sub ok'>not profiled — run with --profile to "
+            "measure host CPU, allocations, and GC pauses</p>"
         )
     out.append("</section></body></html>")
     return "".join(out)

@@ -37,10 +37,7 @@ class CrashyKMeans(KMeansWorkload):
 
 def _sweep(workload, jobs):
     """One tiny profiling sweep; returns the saved DB path's bytes."""
-    conf = EngineConf(
-        default_parallelism=16, vectorized_kernels=False,
-        physical_parallelism=1,
-    )
+    conf = EngineConf(default_parallelism=16)
     runner = ChopperRunner(workload, base_conf=conf, db=WorkloadDB())
     clear_block_cache()
     runner.profile(p_grid=[8, 16], kinds=["hash"], scales=[0.05], jobs=jobs)
@@ -55,11 +52,8 @@ def _db_files_match(tmp_path, runner_a, runner_b):
 
 
 @pytest.fixture(autouse=True)
-def clean_dispatch(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL_FORCE", raising=False)
-    monkeypatch.delenv("REPRO_POOL_MIN_RECORDS", raising=False)
+def clean_dispatch():
     par.last_dispatch = ""
-    yield
 
 
 class TestInlineFallback:
@@ -75,20 +69,19 @@ class TestInlineFallback:
     def test_single_core_runs_inline(self, monkeypatch, tmp_path):
         monkeypatch.setattr(par, "_usable_cores", lambda: 1)
         # Size guard off: the core count alone must force the fallback.
-        monkeypatch.setenv("REPRO_POOL_MIN_RECORDS", "0")
+        monkeypatch.setattr(par, "SMALL_RUN_RECORDS", 0)
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "inline-cores"
         assert _db_files_match(tmp_path, serial, pooled)
 
-    def test_min_records_env_override(self, monkeypatch):
+    def test_size_floor_is_on_the_largest_run(self, monkeypatch):
         monkeypatch.setattr(par, "_usable_cores", lambda: 4)
-        monkeypatch.setenv("REPRO_POOL_MIN_RECORDS", "100")
-        workload = KMeansWorkload(physical_records=SMALL_RECORDS)
-        spec = (workload, None, None, None, 0.05, "x", False)
-        assert par._inline_reason([spec]) is None  # 2000 >= 100
-        monkeypatch.setenv("REPRO_POOL_MIN_RECORDS", "1000000")
-        assert par._inline_reason([spec]) == "inline-small"
+        small = KMeansWorkload(physical_records=SMALL_RECORDS)
+        large = KMeansWorkload(physical_records=par.SMALL_RUN_RECORDS)
+        specs = [(w, None, None, None, 0.05, "x", False) for w in (small, large)]
+        assert par._inline_reason(specs[:1]) == "inline-small"
+        assert par._inline_reason(specs) is None
 
     def test_unknown_workload_size_gets_the_pool(self, monkeypatch):
         monkeypatch.setattr(par, "_usable_cores", lambda: 4)
@@ -97,9 +90,8 @@ class TestInlineFallback:
 
 
 class TestForcedPool:
-    def test_forced_pool_matches_serial(self, tmp_path, monkeypatch):
+    def test_forced_pool_matches_serial(self, tmp_path, force_pool):
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
-        monkeypatch.setenv("REPRO_POOL_FORCE", "1")
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "pool"
         assert _db_files_match(tmp_path, serial, pooled)
@@ -107,10 +99,11 @@ class TestForcedPool:
 
 
 class TestBrokenPoolRecovery:
-    def test_killed_worker_recovers_inline(self, tmp_path, monkeypatch):
+    def test_killed_worker_recovers_inline(
+        self, tmp_path, monkeypatch, force_pool
+    ):
         monkeypatch.setenv("REPRO_TEST_DRIVER_PID", str(os.getpid()))
         serial = _sweep(CrashyKMeans(physical_records=SMALL_RECORDS), jobs=1)
-        monkeypatch.setenv("REPRO_POOL_FORCE", "1")
         pooled = _sweep(CrashyKMeans(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "pool+recovered"
         assert _db_files_match(tmp_path, serial, pooled)

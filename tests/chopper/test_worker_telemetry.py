@@ -3,8 +3,8 @@
 Pool workers meter into fresh per-run sinks and ship the state back in
 their result segments; the driver merges in spec order, labeling each
 pool-dispatched run's series with its deterministic chunk slot. These
-tests force the pool on (REPRO_POOL_FORCE=1) so they exercise the real
-fork + shared-memory path even for the tiny test workloads.
+tests force the pool on (the ``force_pool`` fixture) so they exercise the
+real fork + shared-memory path even for the tiny test workloads.
 """
 
 import json
@@ -18,9 +18,7 @@ from repro.obs import EventLog, MetricsRegistry, ResourceProfiler
 from repro.workloads import WordCountWorkload
 
 
-@pytest.fixture(autouse=True)
-def force_pool(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+pytestmark = pytest.mark.usefixtures("force_pool")
 
 
 def _runner():

@@ -36,3 +36,16 @@ def ctx(small_cluster):
 def paper_ctx():
     """The paper's heterogeneous 6-node testbed."""
     return AnalyticsContext(paper_cluster(), EngineConf(default_parallelism=300))
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Make ``jobs > 1`` sweeps really fork, however small the host or run.
+
+    The pool declines single-core hosts and sweeps under
+    ``SMALL_RUN_RECORDS``; tests of the pool path lift both guards.
+    """
+    from repro.chopper import parallel
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(parallel, "SMALL_RUN_RECORDS", 0)

@@ -12,8 +12,10 @@ import pytest
 
 from repro.cluster import uniform_cluster
 from repro.common.errors import ConfigurationError
+from repro.common.sizing import estimate_size
 from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.adaptive import (
+    MAX_SUBPARTITIONS,
     AdaptiveTaskSpec,
     bucket_records,
     hot_partitions,
@@ -30,20 +32,20 @@ MB = 1024.0 * 1024.0
 class TestHotPartitions:
     def test_uniform_has_no_hot(self):
         assert hot_partitions(
-            [10.0] * 8, skew_threshold=4.0, target_bytes=1.0
+            [10.0] * 8, target_bytes=1.0
         ) == set()
 
     def test_hot_partition_flagged(self):
         sizes = [10.0, 10.0, 10.0, 100.0]
         assert hot_partitions(
-            sizes, skew_threshold=4.0, target_bytes=1.0
+            sizes, target_bytes=1.0
         ) == {3}
 
     def test_threshold_is_strict(self):
         # exactly threshold x median is NOT hot (strict >)
         sizes = [10.0, 10.0, 10.0, 40.0]
         assert (
-            hot_partitions(sizes, skew_threshold=4.0, target_bytes=1.0)
+            hot_partitions(sizes, target_bytes=1.0)
             == set()
         )
 
@@ -51,7 +53,7 @@ class TestHotPartitions:
         # 100x the median but under target_bytes: splitting buys nothing
         sizes = [1.0, 1.0, 1.0, 100.0]
         assert (
-            hot_partitions(sizes, skew_threshold=4.0, target_bytes=200.0)
+            hot_partitions(sizes, target_bytes=200.0)
             == set()
         )
 
@@ -60,27 +62,27 @@ class TestHotPartitions:
         # must not make every non-empty partition "hot"
         sizes = [0.0] * 6 + [10.0, 11.0]
         assert (
-            hot_partitions(sizes, skew_threshold=4.0, target_bytes=1.0)
+            hot_partitions(sizes, target_bytes=1.0)
             == set()
         )
 
     def test_all_empty(self):
         assert hot_partitions(
-            [0.0, 0.0], skew_threshold=4.0, target_bytes=1.0
+            [0.0, 0.0], target_bytes=1.0
         ) == set()
 
 
 class TestShouldSwitch:
     def test_balanced_histogram_keeps_partitioner(self):
-        assert not should_switch([10.0, 11.0, 9.0, 10.0], skew_threshold=4.0)
+        assert not should_switch([10.0, 11.0, 9.0, 10.0])
 
     def test_skewed_histogram_switches(self):
-        assert should_switch([10.0, 10.0, 10.0, 50.0], skew_threshold=4.0)
+        assert should_switch([10.0, 10.0, 10.0, 50.0])
 
     def test_degenerate_inputs_never_switch(self):
-        assert not should_switch([], skew_threshold=4.0)
-        assert not should_switch([100.0], skew_threshold=4.0)
-        assert not should_switch([0.0, 100.0], skew_threshold=4.0)
+        assert not should_switch([])
+        assert not should_switch([100.0])
+        assert not should_switch([0.0, 100.0])
 
 
 class TestSliceMapRanges:
@@ -112,7 +114,7 @@ class TestPlanPartitions:
         # partitions already near target: nothing to coalesce or split
         assert (
             plan_partitions(
-                [60.0 * MB] * 8, skew_threshold=4.0, target_bytes=64 * MB
+                [60.0 * MB] * 8, target_bytes=64 * MB
             )
             is None
         )
@@ -120,7 +122,7 @@ class TestPlanPartitions:
     def test_single_partition_returns_none(self):
         assert (
             plan_partitions(
-                [1.0], skew_threshold=4.0, target_bytes=64 * MB
+                [1.0], target_bytes=64 * MB
             )
             is None
         )
@@ -128,7 +130,7 @@ class TestPlanPartitions:
     def test_tiny_partitions_coalesced_toward_target(self):
         sizes = [1.0 * MB] * 16
         plan = plan_partitions(
-            sizes, skew_threshold=4.0, target_bytes=4 * MB
+            sizes, target_bytes=4 * MB
         )
         assert plan is not None
         assert plan.n_split == 0
@@ -144,7 +146,7 @@ class TestPlanPartitions:
     def test_coalesce_respects_target_boundary(self):
         sizes = [3.0 * MB, 3.0 * MB, 3.0 * MB]
         plan = plan_partitions(
-            sizes, skew_threshold=4.0, target_bytes=6 * MB
+            sizes, target_bytes=6 * MB
         )
         assert plan is not None
         assert [s.splits for s in plan.specs] == [(0, 1), (2,)]
@@ -155,7 +157,6 @@ class TestPlanPartitions:
 
         plan = plan_partitions(
             sizes,
-            skew_threshold=4.0,
             target_bytes=100 * MB,
             shuffle_id=7,
             map_sizes=lambda rid: per_map,
@@ -177,7 +178,7 @@ class TestPlanPartitions:
         # must run unsplit (slice-wise folds are not bit-identical)
         sizes = [10.0 * MB, 10.0 * MB, 10.0 * MB, 400.0 * MB]
         plan = plan_partitions(
-            sizes, skew_threshold=4.0, target_bytes=100 * MB
+            sizes, target_bytes=100 * MB
         )
         if plan is not None:
             assert plan.n_split == 0
@@ -188,20 +189,17 @@ class TestPlanPartitions:
         per_map = [1.0 * MB] * 64
         plan = plan_partitions(
             sizes,
-            skew_threshold=4.0,
-            target_bytes=2 * MB,
-            max_slices=4,
+            target_bytes=2 * MB,  # asks for 32 slices
             shuffle_id=1,
             map_sizes=lambda rid: per_map,
         )
         assert plan is not None
-        assert sum(1 for s in plan.specs if s.is_slice) == 4
+        assert sum(1 for s in plan.specs if s.is_slice) == MAX_SUBPARTITIONS
 
     def test_plan_is_deterministic(self):
         sizes = [3.0 * MB, 1.0 * MB, 50.0 * MB, 2.0 * MB, 1.0 * MB]
         per_map = [12.5 * MB] * 4
         kwargs = dict(
-            skew_threshold=4.0,
             target_bytes=5 * MB,
             shuffle_id=0,
             map_sizes=lambda rid: per_map,
@@ -277,37 +275,33 @@ class TestSplittableShuffle:
         assert splittable_shuffle(self._result_stage(rdd)) is None
 
 
+def scalar_buckets(records, partitioner, key_fn, write_scale):
+    """Per-record reference for the bucketing kernel: one
+    ``Partitioner.partition`` + ``estimate_size`` call per record."""
+    recs, nbytes = {}, {}
+    for record in records:
+        rid = partitioner.partition(key_fn(record))
+        recs.setdefault(rid, []).append(record)
+        nbytes[rid] = nbytes.get(rid, 0.0) + estimate_size(record)
+    return {rid: (recs[rid], nbytes[rid] * write_scale) for rid in recs}
+
+
 class TestBucketRecords:
-    def _check(self, vectorized):
-        records = [(i % 7, i) for i in range(100)]
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(i % 7, i) for i in range(100)],
+            [(f"k{i % 5}", float(i)) for i in range(60)],
+            [(i % 3, "x" * i) for i in range(40)],  # per-record sizes differ
+            [(1, 2), (2, "mixed"), (1, None)],  # sizes_array declines
+        ],
+    )
+    def test_matches_scalar_reference(self, records):
         part = HashPartitioner(4)
-        out = bucket_records(
-            records, part, lambda r: r[0], write_scale=2.0,
-            vectorized=vectorized,
-        )
-        # every record lands in its partitioner bucket, input order kept
-        rebuilt = []
-        for rid in sorted(out):
-            recs, nbytes = out[rid]
-            assert nbytes > 0
-            assert all(part.partition(r[0]) == rid for r in recs)
-            rebuilt.extend(recs)
-        assert sorted(rebuilt) == sorted(records)
-        for rid, (recs, _) in out.items():
-            assert recs == [r for r in records if part.partition(r[0]) == rid]
-        return out
-
-    def test_scalar_path(self):
-        self._check(vectorized=False)
-
-    def test_vectorized_path_matches_scalar(self):
-        vec = self._check(vectorized=True)
-        scalar = self._check(vectorized=False)
-        assert {k: v[0] for k, v in vec.items()} == {
-            k: v[0] for k, v in scalar.items()
-        }
-        for rid in vec:
-            assert vec[rid][1] == pytest.approx(scalar[rid][1])
+        out = bucket_records(records, part, lambda r: r[0], write_scale=2.0)
+        # records in input order per bucket, bytes bit-identical
+        assert out == scalar_buckets(records, part, lambda r: r[0], 2.0)
+        assert list(out) == sorted(out)  # blocks written in reduce-id order
 
     def test_empty(self):
         assert bucket_records([], HashPartitioner(2), lambda r: r, 1.0) == {}
@@ -345,22 +339,6 @@ class TestFromWeightedKeys:
 
 
 class TestConfValidation:
-    def test_skew_threshold_must_exceed_one(self):
-        with pytest.raises(ConfigurationError):
-            EngineConf(aqe_skew_threshold=1.0)
-
     def test_target_bytes_positive(self):
         with pytest.raises(ConfigurationError):
             EngineConf(aqe_target_partition_bytes=0)
-
-    def test_max_subpartitions_at_least_two(self):
-        with pytest.raises(ConfigurationError):
-            EngineConf(aqe_max_subpartitions=1)
-
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AQE", "1")
-        assert EngineConf().adaptive_execution is True
-        monkeypatch.setenv("REPRO_AQE", "0")
-        assert EngineConf().adaptive_execution is False
-        monkeypatch.delenv("REPRO_AQE")
-        assert not EngineConf().adaptive_execution

@@ -22,14 +22,13 @@ from repro.engine.partitioner import HashPartitioner
 from repro.workloads import SQLWorkload, WordCountWorkload
 
 # 50% of records carry key 0: the hash reduce side gets one partition
-# ~8x its siblings, which trips split (identity pipelines), coalesce
-# (tiny siblings), and switch (ordered pipelines) at the default knobs.
+# ~8x its siblings, which trips split (identity pipelines) and coalesce
+# (tiny siblings) at the default skew threshold.
 DATA = [((i % 40) if i % 2 else 0, i) for i in range(12000)]
 
 AQE_KNOBS = dict(
     adaptive_execution=True,
     aqe_target_partition_bytes=16.0 * 1024,
-    aqe_skew_threshold=2.0,
 )
 
 
@@ -84,9 +83,14 @@ def pipe_group(ctx):
     )
 
 
+# 80% of records carry key 0: range bounds sampled by record count
+# leave one partition > 4x the median, which is what switch waits for.
+SORT_DATA = [((i % 40) if i % 5 == 0 else 0, i) for i in range(12000)]
+
+
 def pipe_sort(ctx):
     """sortByKey with sampled bounds: the hash→range switch path."""
-    return ctx.parallelize(DATA, 8).sort_by_key().collect()
+    return ctx.parallelize(SORT_DATA, 8).sort_by_key().collect()
 
 
 def pipe_join(ctx):

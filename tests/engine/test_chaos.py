@@ -14,8 +14,9 @@ import pytest
 
 from repro.cluster import uniform_cluster
 from repro.common.errors import ConfigurationError, StageAbortedError
-from repro.engine import AnalyticsContext, EngineConf
+from repro.engine import AnalyticsContext, EngineConf, dag_scheduler
 from repro.engine.costmodel import CostModelConfig
+from repro.engine.task_scheduler import NODE_FAILURE_WINDOW
 from repro.obs import Tracer
 
 N_RECORDS = 8000
@@ -88,11 +89,10 @@ class TestConfigValidation:
         ).task_scheduler._planned_failures
         assert plan_a == plan_b
         plan_all = make_ctx(
-            node_failure_rate=1.0, node_failure_window=10.0,
-            node_recovery_delay=1.0,
+            node_failure_rate=1.0, node_recovery_delay=1.0,
         ).task_scheduler._planned_failures
         assert set(plan_all) == {"w0", "w1", "w2"}
-        assert all(0.0 <= t < 10.0 for t in plan_all.values())
+        assert all(0.0 <= t < NODE_FAILURE_WINDOW for t in plan_all.values())
 
 
 class TestNodeLossRecovery:
@@ -169,9 +169,10 @@ class TestNodeLossRecovery:
                     assert task.start < kill_time
         assert not ctx.task_scheduler.node_alive("w0")
 
-    def test_stage_abort_when_attempts_exhausted(self):
-        with pytest.raises(StageAbortedError, match="max_stage_attempts"):
-            self.run_chaos(mid_reduce_kill_time(), max_stage_attempts=1)
+    def test_stage_abort_when_attempts_exhausted(self, monkeypatch):
+        monkeypatch.setattr(dag_scheduler, "MAX_STAGE_ATTEMPTS", 1)
+        with pytest.raises(StageAbortedError, match="MAX_STAGE_ATTEMPTS"):
+            self.run_chaos(mid_reduce_kill_time())
 
     def test_partial_reruns_excluded_from_collector(self):
         from repro.chopper.stats import StatisticsCollector

@@ -1,7 +1,6 @@
 """Columnar shuffle blocks must be invisible in simulated results.
 
-``record_format="columnar"`` (with or without fusion and vectorized
-kernels) is a wall-clock optimization of the *real* computation; every
+``record_format="columnar"`` (with or without fusion) is a wall-clock optimization of the *real* computation; every
 simulated observable — results, the clock, metric snapshots including
 series creation order, workload DBs, chosen CHOPPER configs, chaos
 recovery trajectories — must be byte-identical to the seed list path.
@@ -21,9 +20,7 @@ from repro.workloads import (
     WordCountWorkload,
 )
 
-COLUMNAR = dict(
-    record_format="columnar", operator_fusion=True, vectorized_kernels=True
-)
+COLUMNAR = dict(record_format="columnar", operator_fusion=True)
 
 
 def fingerprint(workload_cls, scale=0.05, **conf_kwargs):
@@ -60,7 +57,7 @@ class TestColumnarRuns:
             KMeansWorkload, **COLUMNAR
         )
 
-    def test_columnar_without_vectorized_identical(self):
+    def test_columnar_without_fusion_identical(self):
         assert fingerprint(WordCountWorkload) == fingerprint(
             WordCountWorkload, record_format="columnar"
         )

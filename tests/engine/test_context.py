@@ -66,36 +66,13 @@ class TestContext:
         ctx.parallelize(range(10), 2).count()
         assert ctx.now > before
 
-    def test_result_cache_ttl_uses_wall_clock(self):
-        # result_cache_ttl is documented in wall-clock seconds, so the
-        # backend must be opened with a wall clock; without a TTL the
-        # deterministic tick clock keeps cache files byte-stable.
-        import time
-
-        from repro.relational.cache import _TickClock
-
-        with_ttl = AnalyticsContext(
-            uniform_cluster(n_workers=1, cores=1),
-            EngineConf(default_parallelism=1, result_cache="memory",
-                       result_cache_ttl=3600.0),
-        )
-        assert with_ttl.query_cache.backend.clock is time.time
-        with_ttl.close()
-        without = AnalyticsContext(
-            uniform_cluster(n_workers=1, cores=1),
-            EngineConf(default_parallelism=1, result_cache="memory"),
-        )
-        assert isinstance(without.query_cache.backend.clock, _TickClock)
-        without.close()
-
     def test_cache_capacity_follows_executor_memory(self):
         from repro.common.units import GB
 
         cluster = uniform_cluster(n_workers=2, cores=2, memory=8 * GB,
                                   executor_memory=4 * GB)
-        ctx = AnalyticsContext(cluster, EngineConf(
-            default_parallelism=4, cache_memory_fraction=0.5
-        ))
-        # A block of half the executor memory fits; a larger one does not.
+        ctx = AnalyticsContext(cluster, EngineConf(default_parallelism=4))
+        # A block of half the executor memory (CACHE_MEMORY_FRACTION)
+        # fits; a larger one does not.
         assert ctx.block_store.put(1, 0, [], 1.9 * GB, "w0")
         assert not ctx.block_store.put(1, 1, [], 2.5 * GB, "w0")

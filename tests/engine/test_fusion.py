@@ -86,10 +86,9 @@ class TestFusionChain:
     def test_fused_results_and_accounting_identical(self):
         assert run_fingerprint() == run_fingerprint(operator_fusion=True)
 
-    def test_fused_vectorized_columnar_identical(self):
+    def test_fused_columnar_identical(self):
         assert run_fingerprint() == run_fingerprint(
             operator_fusion=True,
-            vectorized_kernels=True,
             record_format="columnar",
         )
 
@@ -123,8 +122,7 @@ class TestFusionChain:
 class TestVecKernels:
     def test_vec_chain_runs_on_columns(self):
         ctx = make_ctx(
-            operator_fusion=True, vectorized_kernels=True,
-            record_format="columnar",
+            operator_fusion=True, record_format="columnar",
         )
         rdd = (
             ctx.parallelize([("w%d" % i, i) for i in range(20)], 2)
@@ -161,8 +159,7 @@ class TestVecKernels:
         base = run()
         assert base == run(operator_fusion=True)
         assert base == run(
-            operator_fusion=True, vectorized_kernels=True,
-            record_format="columnar",
+            operator_fusion=True, record_format="columnar",
         )
 
 

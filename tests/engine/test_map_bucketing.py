@@ -1,11 +1,11 @@
-"""Regression test for map-side output bucketing.
+"""Map-side output bucketing against its per-record reference.
 
-``TaskRunner._run_map_task`` used to rebuild the per-bucket
-``(records, bytes)`` tuple on every record — quadratic over bucket size.
-It now appends into mutable accumulators. These tests pin down that the
-optimized bucketing hands ``put_map_output`` byte-for-byte the same
-payloads as the naive tuple-rebuild reference, on both the combined
-(``reduce_by_key``) and pass-through (``group_by_key``) map paths.
+``TaskRunner._run_map_task`` buckets a task's output with one
+``partition_many`` call and the ``bucket_groups`` kernel. These tests pin
+down that it hands ``put_map_output`` byte-for-byte the same payloads as
+the naive per-record reference (``Partitioner.partition`` +
+``estimate_size`` per record), on both the combined (``reduce_by_key``)
+and pass-through (``group_by_key``) map paths and in both block formats.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import uniform_cluster
 from repro.common.sizing import estimate_size
 from repro.engine import AnalyticsContext, EngineConf
+from repro.engine.batch import as_record_list
 from repro.engine.costmodel import CostModelConfig
 from repro.engine.executor import TaskRunner
 from repro.engine.shuffle import ShuffleManager
@@ -59,7 +60,7 @@ def _reference_run_map_task(self, stage, split, tctx):
     tctx.note_shuffle_write(written)
 
 
-def _capture_payloads(monkeypatch, job, reference: bool):
+def _capture_payloads(monkeypatch, job, reference: bool, **conf):
     """Run ``job`` once; return every put_map_output payload, in order."""
     payloads = []
     original_put = ShuffleManager.put_map_output
@@ -71,7 +72,10 @@ def _capture_payloads(monkeypatch, job, reference: bool):
         payloads.append(
             (
                 map_id,
-                {rid: (list(recs), nbytes) for rid, (recs, nbytes) in buckets.items()},
+                [
+                    (rid, as_record_list(recs), nbytes)
+                    for rid, (recs, nbytes) in buckets.items()
+                ],
             )
         )
         return original_put(self, shuffle_id, map_id, node, buckets)
@@ -85,7 +89,9 @@ def _capture_payloads(monkeypatch, job, reference: bool):
     # calls it in completion order (the *applied* order stays serial).
     ctx = AnalyticsContext(
         uniform_cluster(n_workers=2, cores=2),
-        EngineConf(default_parallelism=4, cost=cost, physical_parallelism=1),
+        EngineConf(
+            default_parallelism=4, cost=cost, physical_parallelism=1, **conf
+        ),
     )
     result = job(ctx)
     monkeypatch.undo()
@@ -110,10 +116,15 @@ JOBS = {
 
 
 class TestMapBucketingRegression:
+    @pytest.mark.parametrize("record_format", ["list", "columnar"])
     @pytest.mark.parametrize("name", sorted(JOBS))
-    def test_payloads_match_naive_reference(self, monkeypatch, name):
+    def test_payloads_match_naive_reference(
+        self, monkeypatch, name, record_format
+    ):
         job = JOBS[name]
-        got, result = _capture_payloads(monkeypatch, job, reference=False)
+        got, result = _capture_payloads(
+            monkeypatch, job, reference=False, record_format=record_format
+        )
         want, ref_result = _capture_payloads(monkeypatch, job, reference=True)
         assert result == ref_result
         assert got == want  # identical buckets, byte sums, and ordering
@@ -126,5 +137,5 @@ class TestMapBucketingRegression:
         # Every reduce bucket carries records and a positive byte size.
         assert any(len(buckets) > 1 for _, buckets in payloads)
         for _mid, buckets in payloads:
-            for recs, nbytes in buckets.values():
+            for _rid, recs, nbytes in buckets:
                 assert recs and nbytes > 0

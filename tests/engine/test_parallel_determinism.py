@@ -62,12 +62,6 @@ class TestThreadedTaskParallelism:
             fingerprint(4, WordCountWorkload, **kwargs)
         )
 
-    def test_locality_wait_identical(self):
-        kwargs = dict(locality_wait=0.5, cost=CostModelConfig(jitter_sigma=0.2))
-        assert fingerprint(1, WordCountWorkload, **kwargs) == (
-            fingerprint(4, WordCountWorkload, **kwargs)
-        )
-
     def test_chaos_node_loss_recovery_identical(self):
         # Node loss + lineage recovery: parallel rounds touching a
         # degraded shuffle fall back to the inline serial path, so the
@@ -75,16 +69,6 @@ class TestThreadedTaskParallelism:
         kwargs = dict(node_failure_times={"B": 2.0}, node_recovery_delay=5.0)
         assert fingerprint(1, KMeansWorkload, **kwargs) == (
             fingerprint(4, KMeansWorkload, **kwargs)
-        )
-
-    def test_vectorized_kernels_identical_to_scalar(self):
-        # Not a parallelism test, but the same contract: the vectorized
-        # map-side bucketing/sizing kernels must be invisible in results.
-        assert fingerprint(1, WordCountWorkload, vectorized_kernels=False) == (
-            fingerprint(1, WordCountWorkload, vectorized_kernels=True)
-        )
-        assert fingerprint(1, KMeansWorkload, vectorized_kernels=False) == (
-            fingerprint(1, KMeansWorkload, vectorized_kernels=True)
         )
 
     def test_chaos_permanent_loss_identical(self):
@@ -161,16 +145,3 @@ class TestConfKnobs:
     def test_physical_parallelism_validated(self):
         with pytest.raises(ConfigurationError):
             EngineConf(physical_parallelism=0)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PHYSICAL_PARALLELISM", "3")
-        assert EngineConf().physical_parallelism == 3
-        monkeypatch.setenv("REPRO_PHYSICAL_PARALLELISM", "zebra")
-        with pytest.raises(ConfigurationError):
-            EngineConf()
-        monkeypatch.delenv("REPRO_PHYSICAL_PARALLELISM")
-        assert EngineConf().physical_parallelism == 1
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PHYSICAL_PARALLELISM", "5")
-        assert EngineConf(physical_parallelism=2).physical_parallelism == 2

@@ -198,45 +198,3 @@ class TestNetworkContention:
         assert out.reduce_by_key(lambda a, b: a + b, 4).collect_as_map() == {
             k: 20 for k in range(4)
         }
-
-
-class TestDelayScheduling:
-    def _cached_ctx(self, locality_wait):
-        cfg = CostModelConfig(
-            task_overhead=0.001, per_byte_compute=1e-4,
-            jitter_sigma=0.0, driver_dispatch_interval=0.0,
-        )
-        return AnalyticsContext(
-            uniform_cluster(n_workers=3, cores=2),
-            EngineConf(default_parallelism=6, cost=cfg,
-                       locality_wait=locality_wait),
-        )
-
-    def _locality_hits(self, ctx):
-        rdd = ctx.parallelize(list(range(30_000)), 6).cache()
-        rdd.count()
-        locations = {i: ctx.block_store.location(rdd.id, i) for i in range(6)}
-        # Occupy no cores; but create imbalance: tasks all prefer their
-        # cache node, which may be busy when greedily spread.
-        rdd.map(lambda x: x + 1).count()
-        stage = ctx.job_stats[-1].stages[0]
-        return sum(1 for t in stage.tasks if t.node == locations[t.task_index])
-
-    def test_waiting_improves_locality(self):
-        greedy = self._locality_hits(self._cached_ctx(0.0))
-        patient = self._locality_hits(self._cached_ctx(30.0))
-        assert patient >= greedy
-        assert patient == 6  # with a generous wait every task goes home
-
-    def test_wait_expires_and_task_still_runs(self):
-        ctx = self._cached_ctx(0.05)
-        rdd = ctx.parallelize(list(range(3000)), 6).cache()
-        assert rdd.count() == 3000
-        assert rdd.count() == 3000  # second pass completes despite waits
-
-    def test_results_unaffected(self):
-        ctx = self._cached_ctx(5.0)
-        pairs = ctx.parallelize([(i % 3, 1) for i in range(60)], 6)
-        assert pairs.reduce_by_key(lambda a, b: a + b, 3).collect_as_map() == {
-            0: 20, 1: 20, 2: 20,
-        }

@@ -1,13 +1,11 @@
 """Shared-memory data plane: round trips, zero-copy, lifecycle.
 
 The leak tests are the important ones: every segment created by a test
-must be gone — from ``/dev/shm`` and the mmap scratch directory — by the
-time the test ends, including when a pool worker dies mid-task.
+must be gone from ``/dev/shm`` by the time the test ends, including when
+a pool worker dies mid-task.
 """
 
-import glob
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -18,17 +16,9 @@ from repro.engine.batch import RecordBatch
 
 def _segment_names():
     """Names of repro segments currently visible to this process."""
-    names = set()
-    if os.path.isdir("/dev/shm"):
-        names.update(
-            n for n in os.listdir("/dev/shm") if n.startswith("repro-")
-        )
-    scratch = os.path.join(
-        tempfile.gettempdir(),
-        f"repro-shm-{os.getuid() if hasattr(os, 'getuid') else 0}",
-    )
-    names.update(os.path.basename(p) for p in glob.glob(scratch + "/*"))
-    return names
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
 
 
 @pytest.fixture(autouse=True)
@@ -40,42 +30,24 @@ def no_leaks():
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
-BACKENDS = ["shm", "mmap"]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_BACKEND", request.param)
-    return request.param
-
-
 class TestRoundTrip:
-    def test_large_payload_uses_segment(self, backend):
+    def test_large_payload_uses_segment(self):
         obj = {"cols": np.arange(10_000, dtype=np.int64), "tag": "x"}
         payload = shm.encode_shared(obj)
         assert payload.segment is not None
-        assert payload.segment[0] == backend
         decoded = shm.decode_shared(payload)
         assert decoded.obj["tag"] == "x"
         assert np.array_equal(decoded.obj["cols"], obj["cols"])
         decoded.close()
 
-    def test_small_payload_inlines(self, backend):
+    def test_small_payload_inlines(self):
         payload = shm.encode_shared([1, 2, 3])
         assert payload.segment is None
         assert payload.inline is not None
         decoded = shm.decode_shared(payload)
         assert decoded.obj == [1, 2, 3]
 
-    def test_off_backend_always_inlines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_BACKEND", "off")
-        obj = np.arange(100_000, dtype=np.float64)
-        payload = shm.encode_shared(obj)
-        assert payload.segment is None
-        decoded = shm.decode_shared(payload)
-        assert np.array_equal(decoded.obj, obj)
-
-    def test_copy_decode_owns_its_memory(self, backend):
+    def test_copy_decode_owns_its_memory(self):
         obj = np.arange(10_000, dtype=np.int64)
         payload = shm.encode_shared(obj)
         decoded = shm.decode_shared(payload, copy=True)
@@ -83,7 +55,7 @@ class TestRoundTrip:
         shm.cleanup_segments()  # segment gone; the copy must survive
         assert int(arr.sum()) == int(obj.sum())
 
-    def test_record_batch_helpers(self, backend):
+    def test_record_batch_helpers(self):
         batch = RecordBatch(
             np.arange(8_000, dtype=np.int64),
             np.arange(8_000, dtype=np.float64),
@@ -110,31 +82,31 @@ class TestRoundTrip:
 
 
 class TestLifecycle:
-    def test_cleanup_unlinks_owned_segments(self, backend):
+    def test_cleanup_unlinks_owned_segments(self):
         shm.encode_shared(np.arange(10_000, dtype=np.int64))
         shm.encode_shared(np.arange(10_000, dtype=np.int64))
         assert shm.cleanup_segments() == 2
         assert shm.cleanup_segments() == 0  # idempotent
 
-    def test_unlink_ref_is_idempotent(self, backend):
+    def test_unlink_ref_is_idempotent(self):
         payload = shm.encode_shared(np.arange(10_000, dtype=np.int64))
         ref = payload.segment
         assert shm.unlink_ref(ref) is True
         assert shm.unlink_ref(ref) is False
-        shm._LIVE.pop(ref[1], None)  # already unlinked by name
+        shm._LIVE.pop(ref, None)  # already unlinked by name
 
-    def test_unlink_never_created_returns_false(self, backend):
-        assert shm.unlink_ref((backend, "repro-never-created-xyz")) is False
+    def test_unlink_never_created_returns_false(self):
+        assert shm.unlink_ref("repro-never-created-xyz") is False
 
-    def test_driver_chosen_name(self, backend):
+    def test_driver_chosen_name(self):
         name = shm.next_name("test-")
         payload = shm.encode_shared(
             np.arange(10_000, dtype=np.int64), name=name
         )
-        assert payload.segment == (backend, name)
+        assert payload.segment == name
         # A crashed receiver never reports back; the creator sweeps by
         # the name it chose up front.
-        assert shm.unlink_ref((backend, name)) is True
+        assert shm.unlink_ref(name) is True
         shm._LIVE.pop(name, None)
 
     def test_next_name_unique(self):

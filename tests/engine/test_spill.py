@@ -306,3 +306,38 @@ class TestConfValidation:
         ctx.close()
         ctx.close()
         assert not os.path.exists(spill_dir)
+
+    def test_close_cleans_up_when_cache_flush_fails(self, tmp_path):
+        """A cache write error at close() surfaces, but never leaks the
+        spill directory or the blocks."""
+        import sqlite3
+
+        from repro.relational import Table, col, lit
+
+        cache_path = str(tmp_path / "q.db")
+        ctx = AnalyticsContext(
+            conf=EngineConf(
+                default_parallelism=4,
+                memory_budget=1024.0,
+                spill_dir=str(tmp_path),
+                result_cache="sqlite",
+                result_cache_path=cache_path,
+            )
+        )
+        rdd = ctx.source(
+            lambda split, splits: [(split * 10 + i, i) for i in range(10)],
+            4, op_name="ids", version="v1",
+        )
+        table = Table.from_rdd(rdd, ["id", "val"], optimize=True)
+        assert len(table.where(col("id") < lit(15)).collect()) == 15
+        assert ctx.query_cache.stats()["pending"] == 1  # flush will write
+        spill_dir = ctx.spill.directory
+        assert os.path.isdir(spill_dir)
+        # Break the cache file under the open context: the flush fails.
+        other = sqlite3.connect(cache_path)
+        other.execute("DROP TABLE cache_entries")
+        other.close()
+        with pytest.raises(ConfigurationError, match="sqlite cache"):
+            ctx.close()
+        assert not os.path.exists(spill_dir)
+        assert ctx.block_store.total_bytes() == 0.0

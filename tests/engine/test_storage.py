@@ -150,8 +150,8 @@ class TestLruEviction:
 
         tiny_cache = AnalyticsContext(
             uniform_cluster(n_workers=2, cores=2, memory=2 * GB,
-                            executor_memory=1 * GB),
-            EngineConf(default_parallelism=4, cache_memory_fraction=1e-7),
+                            executor_memory=200),
+            EngineConf(default_parallelism=4),
         )
         rdd = tiny_cache.parallelize(list(range(4000)), 4).cache()
         assert rdd.count() == 4000

@@ -10,7 +10,6 @@ silently diverge.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -121,19 +120,8 @@ class TestEstimateSizes:
         recs = [(1, 2), (1, 2, 3), (4,)]
         assert estimate_sizes(recs) == [estimate_size(r) for r in recs]
 
-    def test_partition_size_vectorized_identical(self):
+    def test_partition_size_matches_scalar_sum(self):
         recs = [("word-%d" % (i % 7), i * 1.5) for i in range(500)]
-        assert estimate_partition_size(recs, vectorized=True) == (
-            estimate_partition_size(recs)
-        )
-
-    def test_partition_size_sampling(self):
-        recs = list(range(1000))
-        exact = estimate_partition_size(recs)
-        sampled = estimate_partition_size(recs, sample_cap=100)
-        # Uniform records: the extrapolated estimate is exact.
-        assert sampled == pytest.approx(exact)
-        small = [1, 2, 3]
-        assert estimate_partition_size(small, sample_cap=100) == (
-            estimate_partition_size(small)
+        assert estimate_partition_size(recs) == float(
+            sum(estimate_size(r) for r in recs)
         )

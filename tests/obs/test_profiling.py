@@ -4,21 +4,8 @@ import json
 
 from repro.cluster import paper_cluster
 from repro.engine import AnalyticsContext, EngineConf
-from repro.obs import ResourceProfiler, profiling_enabled
+from repro.obs import ResourceProfiler
 from repro.workloads import WordCountWorkload
-
-
-class TestProfilingEnabled:
-    def test_flag_wins(self):
-        assert profiling_enabled(True) is True
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert profiling_enabled() is False
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert profiling_enabled() is True
-        monkeypatch.setenv("REPRO_PROFILE", "off")
-        assert profiling_enabled() is False
 
 
 class TestProbes:

@@ -7,15 +7,13 @@ The two contracts this file pins down:
   chaos and AQE runs (profile fields are excluded from entry identity by
   dropping the ``profile`` key, which is the only key telemetry adds).
 * **Identity of telemetry** — metric snapshots and event logs are
-  byte-identical across serial, threaded (REPRO_PHYSICAL_PARALLELISM=4),
+  byte-identical across serial, threaded (physical_parallelism=4),
   and process-pool sweeps, modulo the ``worker`` attribution that only
   pool dispatch adds.
 """
 
 import dataclasses
 import json
-
-import pytest
 
 from repro.chopper import ChopperRunner
 from repro.chopper import parallel as par
@@ -42,10 +40,10 @@ def _strip_worker_field(records):
     ]
 
 
-def _sweep(jobs):
+def _sweep(jobs, **conf):
     runner = ChopperRunner(
         WordCountWorkload(physical_records=2000),
-        base_conf=EngineConf(default_parallelism=8),
+        base_conf=EngineConf(default_parallelism=8, **conf),
     )
     runner.metrics_registry = MetricsRegistry()
     runner.event_log = EventLog()
@@ -65,14 +63,9 @@ def _db_dump(runner):
 
 
 class TestCrossModeTelemetryIdentity:
-    def test_serial_vs_threads_vs_procs(self, monkeypatch):
+    def test_serial_vs_threads_vs_procs(self, force_pool):
         serial = _sweep(jobs=1)
-
-        monkeypatch.setenv("REPRO_PHYSICAL_PARALLELISM", "4")
-        threads = _sweep(jobs=1)
-        monkeypatch.delenv("REPRO_PHYSICAL_PARALLELISM")
-
-        monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+        threads = _sweep(jobs=1, physical_parallelism=4)
         procs = _sweep(jobs=4)
         assert par.last_dispatch == "pool"
 
@@ -99,8 +92,7 @@ class TestCrossModeTelemetryIdentity:
             sort_keys=True,
         ) == base_snap
 
-    def test_procs_sweep_repeats_byte_identically(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    def test_procs_sweep_repeats_byte_identically(self, force_pool):
         first = _sweep(jobs=4)
         second = _sweep(jobs=4)
         assert json.dumps(

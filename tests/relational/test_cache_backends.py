@@ -1,19 +1,22 @@
-"""Result-cache backends: round-trip, eviction, TTL, sniffing, errors."""
+"""Result-cache backend: round-trip, eviction, persistence, writers, errors."""
 
-from dataclasses import replace
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.relational import col, lit
+from repro.relational import cache, col, lit
 from repro.relational.cache import (
-    BITMAP_MAGIC,
     CacheEntry,
-    MemoryCacheBackend,
     ResultCacheManager,
-    open_backend,
+    SQLiteCacheBackend,
     query_signature,
-    sniff_backend,
+)
+
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src")
 )
 
 
@@ -24,14 +27,8 @@ def entry(key="k1", partitions=(0, 2, 5), n=8, **kwargs):
     )
 
 
-def make_backend(kind, tmp_path, **kwargs):
-    path = None
-    if kind != "memory":
-        path = str(tmp_path / f"cache.{kind}")
-    return open_backend(kind, path=path, **kwargs)
-
-
-BACKENDS = ["memory", "sqlite", "bitmap"]
+def backend(tmp_path):
+    return SQLiteCacheBackend(str(tmp_path / "cache.sqlite"))
 
 
 class TestQuerySignature:
@@ -50,210 +47,199 @@ class TestQuerySignature:
         assert base != query_signature("plan", "orders", "v1", 8, col("x") < lit(6))
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestBackendRoundTrip:
-    def test_put_get(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path)
-        backend.put(entry())
-        got = backend.get("k1")
+    def test_put_get(self, tmp_path):
+        b = backend(tmp_path)
+        b.put(entry())
+        got = b.get("k1")
         assert got is not None
         assert got.partitions == (0, 2, 5)
         assert got.table == "orders"
         assert got.hits == 1  # get() counts the hit
-        backend.close()
+        b.close()
 
-    def test_get_missing(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path)
-        assert backend.get("nope") is None
-        backend.close()
+    def test_get_missing(self, tmp_path):
+        b = backend(tmp_path)
+        assert b.get("nope") is None
+        b.close()
 
-    def test_delete_and_clear(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path)
-        backend.put(entry("a"))
-        backend.put(entry("b"))
-        assert backend.delete("a") is True
-        assert backend.delete("a") is False
-        assert backend.clear() == 1
-        assert backend.entries() == []
-        backend.close()
+    def test_delete_and_clear(self, tmp_path):
+        b = backend(tmp_path)
+        b.put(entry("a"))
+        b.put(entry("b"))
+        assert b.delete("a") is True
+        assert b.delete("a") is False
+        assert b.clear() == 1
+        assert b.entries() == []
+        b.close()
 
-    def test_lru_eviction(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, max_entries=2)
-        backend.put(entry("a"))
-        backend.put(entry("b"))
-        backend.get("a")  # refresh a; b becomes LRU
-        backend.put(entry("c"))
-        keys = {e.key for e in backend.entries()}
-        assert keys == {"a", "c"}
-        backend.close()
+    def test_lru_eviction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "MAX_ENTRIES", 2)
+        b = backend(tmp_path)
+        b.put(entry("a"))
+        b.put(entry("b"))
+        b.get("a")  # refresh a; b becomes LRU
+        b.put(entry("c"))
+        assert {e.key for e in b.entries()} == {"a", "c"}
+        b.close()
 
-    def test_ttl_expiry_with_injected_clock(self, kind, tmp_path):
-        ticks = iter(range(1, 100))
-        backend = make_backend(
-            kind, tmp_path, ttl=5.0, clock=lambda: float(next(ticks))
-        )
-        backend.put(entry("a"))  # created at t=1
-        assert backend.get("a") is not None  # t=2: alive
-        for _ in range(6):
-            next(ticks)
-        assert backend.get("a") is None  # past ttl: expired and dropped
-        assert backend.entries() == []
-        backend.close()
-
-    def test_empty_partition_set(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path)
-        backend.put(entry("e", partitions=()))
-        got = backend.get("e")
+    def test_empty_partition_set(self, tmp_path):
+        b = backend(tmp_path)
+        b.put(entry("e", partitions=()))
+        got = b.get("e")
         assert got is not None and got.partitions == ()
-        backend.close()
+        b.close()
 
-    def test_peek_is_read_only(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, max_entries=2)
-        backend.put(entry("a"))
-        backend.put(entry("b"))
-        got = backend.peek("a")
+    def test_wide_partition_set(self, tmp_path):
+        b = backend(tmp_path)
+        parts = tuple(range(0, 300, 7))
+        b.put(entry("wide", partitions=parts, n=300))
+        assert b.get("wide").partitions == parts
+        b.close()
+
+    def test_peek_is_read_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "MAX_ENTRIES", 2)
+        b = backend(tmp_path)
+        b.put(entry("a"))
+        b.put(entry("b"))
+        got = b.peek("a")
         assert got is not None and got.partitions == (0, 2, 5)
         assert got.hits == 0  # no hit counted
-        assert backend.peek("nope") is None
+        assert b.peek("nope") is None
         # Unlike get(), peek must not refresh recency: "a" stays LRU
         # and is the one evicted by the next put.
-        backend.put(entry("c"))
-        assert {e.key for e in backend.entries()} == {"b", "c"}
-        backend.close()
-
-    def test_peek_hides_expired_without_deleting(self, kind, tmp_path):
-        ticks = iter(range(1, 100))
-        backend = make_backend(
-            kind, tmp_path, ttl=5.0, clock=lambda: float(next(ticks))
-        )
-        backend.put(entry("a"))  # created at t=1
-        for _ in range(6):
-            next(ticks)
-        assert backend.peek("a") is None  # expired for readers...
-        assert len(backend.entries()) == 1  # ...but not dropped
-        backend.close()
+        b.put(entry("c"))
+        assert {e.key for e in b.entries()} == {"b", "c"}
+        b.close()
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("kind", ["sqlite", "bitmap"])
-    def test_survives_reopen(self, kind, tmp_path):
-        path = str(tmp_path / f"c.{kind}")
-        backend = open_backend(kind, path=path)
-        backend.put(entry("a"))
-        backend.close()
-        reopened = open_backend(kind, path=path)
+    def test_survives_reopen(self, tmp_path):
+        b = backend(tmp_path)
+        b.put(entry("a"))
+        b.close()
+        reopened = backend(tmp_path)
         got = reopened.get("a")
         assert got is not None and got.partitions == (0, 2, 5)
         reopened.close()
 
-    @pytest.mark.parametrize("kind", ["sqlite", "bitmap"])
-    def test_sniff_backend(self, kind, tmp_path):
-        path = str(tmp_path / f"c.{kind}")
-        backend = open_backend(kind, path=path)
-        backend.put(entry("a"))
-        backend.close()
-        assert sniff_backend(path) == kind
+    def test_recency_is_coherent_across_reopen(self, tmp_path, monkeypatch):
+        # The logical tick resumes from the file, not from zero: an
+        # entry written after a reopen is newer than everything before.
+        monkeypatch.setattr(cache, "MAX_ENTRIES", 2)
+        b = backend(tmp_path)
+        b.put(entry("a"))
+        b.put(entry("b"))
+        b.close()
+        reopened = backend(tmp_path)
+        reopened.put(entry("c"))
+        assert {e.key for e in reopened.entries()} == {"b", "c"}
+        reopened.close()
 
-    def test_sniff_missing_file(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            sniff_backend(str(tmp_path / "missing.db"))
+    def test_same_operations_give_same_entries(self, tmp_path):
+        # No wall clock anywhere: two files fed the same operations hold
+        # identical rows (timestamps included).
+        dumps = []
+        for name in ("one", "two"):
+            b = SQLiteCacheBackend(str(tmp_path / name))
+            b.put(entry("a"))
+            b.get("a")
+            b.put(entry("b"))
+            dumps.append([e.to_dict() for e in b.entries()])
+            b.close()
+        assert dumps[0] == dumps[1]
 
-    def test_sniff_unrecognized(self, tmp_path):
+    def test_not_a_database_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a cache file")
-        with pytest.raises(ConfigurationError):
-            sniff_backend(str(path))
+        path.write_bytes(b"not a cache file, and long enough to be read")
+        with pytest.raises(ConfigurationError, match="cannot open sqlite cache"):
+            SQLiteCacheBackend(str(path))
 
-    def test_bitmap_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "c.bitmap"
-        path.write_bytes(b"XXXX{}")
-        with pytest.raises(ConfigurationError):
-            open_backend("bitmap", path=str(path))
+    def test_unopenable_path_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot open sqlite cache"):
+            SQLiteCacheBackend(str(tmp_path / "no" / "such" / "dir" / "c.db"))
 
-    def test_bitmap_corrupt_payload_rejected(self, tmp_path):
-        path = tmp_path / "c.bitmap"
-        path.write_bytes(BITMAP_MAGIC + b"{truncated")
-        with pytest.raises(ConfigurationError):
-            open_backend("bitmap", path=str(path)).entries()
 
-    def test_bitmap_round_trips_wide_tables(self, tmp_path):
-        path = str(tmp_path / "c.bitmap")
-        backend = open_backend("bitmap", path=path)
-        parts = tuple(range(0, 300, 7))
-        backend.put(entry("wide", partitions=parts, n=300))
-        assert backend.get("wide").partitions == parts
-        backend.close()
+WRITER = """
+import os, sys, time
+sys.path.insert(0, {src!r})
+from repro.relational.cache import CacheEntry, SQLiteCacheBackend
 
-    def test_sqlite_touch_preserves_concurrent_writes(self, tmp_path):
-        # A lookup's LRU touch must only update its own row: entries
-        # another process wrote between our load and the touch have to
-        # survive (a full delete-and-rewrite from the stale snapshot
-        # would silently drop them).
-        path = str(tmp_path / "c.sqlite")
-        ours = open_backend("sqlite", path=path)
-        ours.put(entry("a"))
-        stale = ours._load()  # snapshot taken before "b" exists
-        theirs = open_backend("sqlite", path=path)
-        theirs.put(entry("b"))
-        theirs.close()
-        touched = replace(stale["a"], hits=5)
-        ours._touch_stored(touched, stale)
-        keys = {e.key for e in ours.entries()}
-        assert keys == {"a", "b"}  # "b" not clobbered by the touch
-        assert ours.peek("a").hits == 5
+backend = SQLiteCacheBackend({path!r})
+print("ready", flush=True)
+while not os.path.exists({path!r} + ".go"):  # start together
+    time.sleep(0.001)
+for i in range({per_writer}):
+    key = "w{{}}-{{}}".format(sys.argv[1], i)
+    backend.put(CacheEntry(key=key, table="orders", version="v1",
+                           num_partitions=8, partitions=(i % 8,)))
+    assert backend.get(key) is not None
+backend.close()
+"""
+
+
+class TestConcurrentWriters:
+    """Writes are row-targeted: no writer replays a stale snapshot."""
+
+    def test_interleaved_puts_both_survive(self, tmp_path):
+        ours, theirs = backend(tmp_path), backend(tmp_path)
+        assert ours.entries() == []  # A reads...
+        theirs.put(entry("k2"))  # ...B writes k2...
+        ours.put(entry("k1"))  # ...A writes k1: k2 must survive
+        assert {e.key for e in ours.entries()} == {"k1", "k2"}
+        assert {e.key for e in theirs.entries()} == {"k1", "k2"}
         ours.close()
+        theirs.close()
 
-    def test_bitmap_get_is_write_behind(self, tmp_path):
-        # Hits must not rewrite the file; the touch persists at the
-        # next put or at close.
-        path = str(tmp_path / "c.bitmap")
-        backend = open_backend("bitmap", path=path)
-        backend.put(entry("a"))
-        before = open(path, "rb").read()
-        assert backend.get("a").hits == 1
-        assert open(path, "rb").read() == before  # untouched on disk
-        backend.close()  # flushes the pending touch
-        reopened = open_backend("bitmap", path=path)
-        got = reopened.peek("a")
-        assert got is not None and got.hits == 1
-        reopened.close()
+    def test_delete_and_touch_leave_other_rows_alone(self, tmp_path):
+        ours, theirs = backend(tmp_path), backend(tmp_path)
+        ours.put(entry("a"))
+        ours.put(entry("gone"))
+        assert len(ours.entries()) == 2
+        theirs.put(entry("b"))
+        assert ours.delete("gone") is True
+        assert ours.get("a").hits == 1
+        assert {e.key for e in theirs.entries()} == {"a", "b"}
+        ours.close()
+        theirs.close()
 
-    def test_bitmap_put_flushes_pending_touches(self, tmp_path):
-        path = str(tmp_path / "c.bitmap")
-        backend = open_backend("bitmap", path=path)
-        backend.put(entry("a"))
-        backend.get("a")
-        backend.put(entry("b"))  # full write carries the touch along
-        backend.close()
-        reopened = open_backend("bitmap", path=path)
-        assert reopened.peek("a").hits == 1
-        reopened.close()
-
-
-class TestOpenBackendErrors:
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown cache backend"):
-            open_backend("redis", path=str(tmp_path / "x"))
-
-    def test_memory_with_path(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="does not take"):
-            open_backend("memory", path=str(tmp_path / "x"))
-
-    @pytest.mark.parametrize("kind", ["sqlite", "bitmap"])
-    def test_file_backend_without_path(self, kind):
-        with pytest.raises(ConfigurationError, match="requires a cache path"):
-            open_backend(kind)
+    def test_four_processes_lose_no_entry(self, tmp_path):
+        """More writers than cores, interleaving puts and gets on one
+        file: every entry of every writer is there afterwards."""
+        path = str(tmp_path / "shared.sqlite")
+        per_writer = 60  # 240 entries in all: under MAX_ENTRIES
+        script = WRITER.format(src=SRC, path=path, per_writer=per_writer)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(w)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for w in range(4)
+        ]
+        for proc in procs:
+            assert proc.stdout.readline() == b"ready\n"
+        open(path + ".go", "w").close()
+        for proc in procs:
+            _out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        b = SQLiteCacheBackend(path)
+        found = b.entries()
+        b.close()
+        assert {e.key for e in found} == {
+            f"w{w}-{i}" for w in range(4) for i in range(per_writer)
+        }
+        assert all(e.hits == 1 for e in found)
 
 
 class TestResultCacheManager:
     def predicate(self):
         return col("order_id") < lit(100)
 
-    def test_miss_then_flush_then_hit(self):
+    def test_miss_then_flush_then_hit(self, tmp_path):
         from repro.engine.storage import ZoneMapStore
         from repro.relational.stats import ColumnStats
 
-        manager = ResultCacheManager(MemoryCacheBackend())
+        manager = ResultCacheManager(backend(tmp_path))
         pred = self.predicate()
         key = query_signature("p", "orders", "v1", 4, pred)
         assert manager.lookup(key, "orders", "v1", 4, pred) is None
@@ -273,18 +259,18 @@ class TestResultCacheManager:
         assert got == {0}
         assert manager.hits == 1
 
-    def test_flush_skips_unexecuted_scans(self):
+    def test_flush_skips_unexecuted_scans(self, tmp_path):
         from repro.engine.storage import ZoneMapStore
 
-        manager = ResultCacheManager(MemoryCacheBackend())
+        manager = ResultCacheManager(backend(tmp_path))
         pred = self.predicate()
         key = query_signature("p", "orders", "v1", 4, pred)
         manager.lookup(key, "orders", "v1", 4, pred)
         # No zone maps collected (e.g. `repro explain`): nothing written.
         assert manager.flush(ZoneMapStore()) == 0
 
-    def test_version_mismatch_is_a_miss(self):
-        manager = ResultCacheManager(MemoryCacheBackend())
+    def test_version_mismatch_is_a_miss(self, tmp_path):
+        manager = ResultCacheManager(backend(tmp_path))
         pred = self.predicate()
         key = query_signature("p", "orders", "v1", 4, pred)
         manager.backend.put(
@@ -294,8 +280,8 @@ class TestResultCacheManager:
         assert manager.lookup(key, "orders", "v1", 4, pred) is None
         assert manager.misses == 1
 
-    def test_stats_shape(self):
-        manager = ResultCacheManager(MemoryCacheBackend())
+    def test_stats_shape(self, tmp_path):
+        manager = ResultCacheManager(backend(tmp_path))
         s = manager.stats()
-        assert s["backend"] == "memory"
+        assert s["backend"] == "sqlite"
         assert {"hits", "misses", "pending", "entries"} <= set(s)

@@ -109,15 +109,12 @@ def test_optimizer_removes_stages_and_records_hits():
     assert hits.get("DropRepartition", 0) >= 1
 
 
-def test_conf_flag_controls_default(monkeypatch):
-    monkeypatch.setenv("REPRO_LOGICAL_OPT", "0")
-    ctx = fresh_ctx()
-    assert ctx.conf.logical_optimizer is False
+def test_conf_flag_controls_default():
+    ctx = fresh_ctx(logical_optimizer=False)
     t = Table.from_rows(ctx, [(1, 2)], ["a", "b"], 1)
     t.select("a").collect()
     assert ctx.plan_events == []
 
-    monkeypatch.delenv("REPRO_LOGICAL_OPT")
     ctx = fresh_ctx()
     assert ctx.conf.logical_optimizer is True
     t = Table.from_rows(ctx, [(1, 2)], ["a", "b"], 1)

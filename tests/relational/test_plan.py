@@ -34,7 +34,7 @@ CUSTOMER_SCHEMA = ["cust", "region"]
 
 
 # optimize=True pins the behavior under test: these tests inspect the
-# rewritten plans regardless of the session's REPRO_LOGICAL_OPT.
+# rewritten plans regardless of EngineConf.logical_optimizer.
 @pytest.fixture
 def orders(ctx):
     return Table.from_rows(

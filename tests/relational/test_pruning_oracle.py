@@ -43,8 +43,8 @@ def id_source(ctx, version="v1"):
 
 
 def run_query(ctx, limit=40, layout=None, optimize=True):
-    # optimize=True pins the prune rewrite under test regardless of the
-    # session's REPRO_LOGICAL_OPT; the opt-disabled oracle passes None.
+    # optimize=True pins the prune rewrite under test; the opt-disabled
+    # oracle passes None to defer to EngineConf.logical_optimizer.
     table = Table.from_rdd(
         id_source(ctx), ["id", "val"], layout=layout, optimize=optimize
     )
@@ -124,8 +124,10 @@ class TestInContextPruning:
 
 
 class TestExplainDryRun:
-    def test_explain_moves_no_counters_or_cache_state(self):
-        ctx = make_ctx(result_cache="memory")
+    def test_explain_moves_no_counters_or_cache_state(self, tmp_path):
+        ctx = make_ctx(
+            result_cache="sqlite", result_cache_path=str(tmp_path / "q.db")
+        )
         table = Table.from_rdd(id_source(ctx), ["id", "val"], optimize=True)
         query = table.where(col("id") < lit(40))
         query.collect()  # cold run: one counted miss, zone maps recorded
@@ -184,12 +186,12 @@ class TestExecutionModes:
         assert cold == base_cold
         assert warm == base_warm
 
-    def test_logical_opt_disabled(self, monkeypatch):
-        # optimize=None honors the env var: raw lowering, no pruning —
+    def test_logical_opt_disabled(self):
+        # optimize=None honors the conf: raw lowering, no pruning —
         # rows must still match the optimized-and-pruned baseline.
-        monkeypatch.setenv("REPRO_LOGICAL_OPT", "0")
-        cold, warm, _ = self.warm_fingerprint(optimize=None)
-        monkeypatch.delenv("REPRO_LOGICAL_OPT")
+        cold, warm, _ = self.warm_fingerprint(
+            optimize=None, logical_optimizer=False
+        )
         base_cold, base_warm, _ = self.warm_fingerprint()
         assert cold == base_cold
         assert warm == base_warm
@@ -204,7 +206,7 @@ from repro.workloads import SQLWorkload
 
 ctx = AnalyticsContext(
     uniform_cluster(n_workers=4, cores=2),
-    EngineConf(default_parallelism=8, result_cache="bitmap",
+    EngineConf(default_parallelism=8, result_cache="sqlite",
                result_cache_path={path!r}),
 )
 wl = SQLWorkload(physical_records=1200, max_order=150, optimize=True)
@@ -216,18 +218,18 @@ print(json.dumps({{"rows": repr(result.value), "hits": hits}}))
 
 
 class TestProcessParallelism:
-    def test_procs4_share_a_bitmap_cache(self, tmp_path):
-        """Four concurrent processes over one warm bitmap cache all
+    def test_procs4_share_a_sqlite_cache(self, tmp_path):
+        """Four concurrent processes over one warm sqlite cache all
         return the serial answer (and actually hit the cache)."""
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         src = os.path.abspath(src)
-        path = str(tmp_path / "shared.bitmap")
+        path = str(tmp_path / "shared.sqlite")
         script = WORKER.format(src=src, path=path)
 
         # Seed the cache with one in-process cold run.
         ctx = AnalyticsContext(
             uniform_cluster(n_workers=4, cores=2),
-            EngineConf(default_parallelism=8, result_cache="bitmap",
+            EngineConf(default_parallelism=8, result_cache="sqlite",
                        result_cache_path=path),
         )
         workload = SQLWorkload(physical_records=1200, max_order=150,

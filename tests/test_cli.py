@@ -638,8 +638,8 @@ class TestTelemetryCli:
         metrics = str(tmp_path / "m.json")
         code, _, _ = run_cli(
             "run", "sql", "--physical-records", "1200", "--parallelism", "8",
-            "--max-order", "150", "--cache", "sqlite",
-            "--cache-path", str(tmp_path / "q.db"), "--metrics", metrics,
+            "--max-order", "150", "--cache-path", str(tmp_path / "q.db"),
+            "--metrics", metrics,
         )
         assert code == 0
         code, text, _ = run_cli("export-metrics", metrics)
@@ -654,8 +654,7 @@ class TestCacheCli:
     def cold_run(self, tmp_path, *extra):
         path = str(tmp_path / "q.db")
         code, text, err = run_cli(
-            "run", *SQL_FAST, "--max-order", "150",
-            "--cache", "sqlite", "--cache-path", path,
+            "run", *SQL_FAST, "--max-order", "150", "--cache-path", path,
             "--metrics", str(tmp_path / "m.json"), *extra,
         )
         assert code == 0, err
@@ -698,8 +697,7 @@ class TestCacheCli:
     def test_explain_shows_pruning_decisions(self, tmp_path):
         path, _ = self.cold_run(tmp_path)
         code, text, _ = run_cli(
-            "explain", *SQL_FAST, "--max-order", "150",
-            "--cache", "sqlite", "--cache-path", path,
+            "explain", *SQL_FAST, "--max-order", "150", "--cache-path", path,
         )
         assert code == 0
         assert "== Partition pruning ==" in text
@@ -718,38 +716,21 @@ class TestCacheCli:
         _, warm_text = self.cold_run(tmp_path, "--no-prune")
         assert "partitions_pruned=0" in warm_text
 
-    def test_unknown_backend_one_line_error(self, tmp_path):
-        code, _, err = run_cli(
-            "run", *SQL_FAST, "--cache", "redis",
-            "--cache-path", str(tmp_path / "x"),
-        )
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "redis" in err
-        assert "sqlite" in err  # suggests the valid names
-        assert err.count("\n") == 1
-
-    def test_file_backend_without_path_one_line_error(self):
-        code, _, err = run_cli("run", *SQL_FAST, "--cache", "sqlite")
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "cache path" in err
-        assert err.count("\n") == 1
-
-    def test_memory_backend_with_path_one_line_error(self, tmp_path):
-        code, _, err = run_cli(
-            "run", *SQL_FAST, "--cache", "memory",
-            "--cache-path", str(tmp_path / "x"),
-        )
-        assert code == 2
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+    def test_removed_cache_flag_is_not_a_prefix_of_cache_path(self, capsys):
+        # `--cache BACKEND` is gone; it must fail, not abbreviate to
+        # `--cache-path sqlite` and create a cache file of that name.
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", *SQL_FAST, "--cache", "sqlite")
+        assert info.value.code == 2
+        assert "--cache" in capsys.readouterr().err
 
     def test_cache_cmd_missing_file_one_line_error(self, tmp_path):
-        code, _, err = run_cli("cache", "stats", str(tmp_path / "missing.db"))
+        missing = tmp_path / "missing.db"
+        code, _, err = run_cli("cache", "stats", str(missing))
         assert code == 2
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        assert not missing.exists()  # inspecting never creates the file
 
     def test_cache_cmd_unrecognized_file_one_line_error(self, tmp_path):
         junk = tmp_path / "junk.bin"
