@@ -20,26 +20,9 @@ directly (the unchanged serial path).
 
 from __future__ import annotations
 
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
-
-# Task payloads (specs, records, results) cross process boundaries with
-# pickle protocol 5: ndarray-backed containers — RecordBatch columns in
-# particular — serialize as raw buffer bytes instead of per-element
-# Python objects, which is what keeps the process pool "pickle-light".
-PICKLE_PROTOCOL = 5
-
-
-def dumps_payload(obj: Any) -> bytes:
-    """Serialize a cross-process task payload (protocol 5)."""
-    return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
-
-
-def loads_payload(blob: bytes) -> Any:
-    """Deserialize a payload produced by :func:`dumps_payload`."""
-    return pickle.loads(blob)
 
 # Op tags recorded in TaskEffects.ops, replayed in order at apply time:
 #   ("cache_get", key, block)        - validated: the key still maps to

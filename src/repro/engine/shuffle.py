@@ -199,9 +199,7 @@ class ShuffleManager:
             blocks[reduce_id] = block
             written += nbytes
             if self._spill is not None:
-                self._spill.admit(
-                    block, label=f"shuffle:{shuffle_id}:{map_id}:{reduce_id}"
-                )
+                self._spill.admit(block, ("shuffle", shuffle_id, map_id, reduce_id))
         state.blocks[map_id] = blocks
         state.bytes_written += written
         state.map_nodes[map_id] = node

@@ -10,9 +10,9 @@ Two tenants share this module:
 * :class:`SpillManager` — the *physical* side: a configurable memory
   budget (``EngineConf.memory_budget``, virtual bytes) over every block
   payload the engine holds — cached RDD partitions and shuffle blocks
-  alike. Payloads past the budget are serialized to an on-disk block
-  directory (append-only ``blocks.dat`` plus a byte-offset index) and
-  read back transparently on access. Spilling is **invisible to the
+  alike. Payloads past the budget are serialized to an append-only
+  on-disk block file (``blocks.dat``, one frame per block) and read
+  back transparently on access. Spilling is **invisible to the
   simulation**: virtual byte accounting, LRU order, fetch stats, the
   simulated clock and every record are bit-identical with or without a
   budget — only where the payload bytes physically live changes. That
@@ -29,17 +29,75 @@ Virtual byte totals per node feed the memory-utilization metric
 
 from __future__ import annotations
 
-import json
+import math
 import os
+import pickle
 import shutil
+import struct
 import tempfile
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError, StorageError
 from repro.engine import effects
+
+# The one block codec. A spilled block is one frame: a tag byte, then
+# either the rows of an ndarray-row block (what KMeans/PCA cache) stacked
+# into one contiguous array behind a dtype/shape header, or - for every
+# other payload - its protocol-5 pickle.
+_ARRAY, _PICKLE = b"A", b"P"
+_HEAD = struct.Struct("<cBB")  # tag, len(dtype.str), ndim of the frame
+_ALIGN = 16  # array data starts aligned within the frame
+
+
+def _encode_block(records: Any) -> bytes:
+    """One block's records as a frame (see :func:`_decode_block`)."""
+    first = records[0] if type(records) is list and records else None
+    if type(first) is np.ndarray:
+        dtype, shape = first.dtype, first.shape
+        # dtype.str must name the dtype exactly (structured ones do not).
+        if not dtype.hasobject and np.dtype(dtype.str) == dtype and all(
+            type(r) is np.ndarray and r.dtype == dtype and r.shape == shape
+            for r in records
+        ):
+            frame = np.stack(records)
+            descr = dtype.str.encode("ascii")
+            head = (
+                _HEAD.pack(_ARRAY, len(descr), frame.ndim) + descr
+                + struct.pack(f"<{frame.ndim}Q", *frame.shape)
+            )
+            return head + bytes(-len(head) % _ALIGN) + frame.tobytes()
+    return _PICKLE + pickle.dumps(records, protocol=5)
+
+
+def _decode_block(buf: bytearray) -> Any:
+    """The records of one frame, a fresh list on every call.
+
+    The rows of an array frame are writeable C-contiguous views of
+    ``buf``: one buffer per read-back instead of one per record. They
+    share it as their ``.base``, which is safe because cached records
+    are immutable by contract (``workloads/datagen._BLOCK_CACHE``).
+    Raises on a header that does not describe ``len(buf)`` bytes.
+    """
+    tag = bytes(buf[:1])
+    if tag == _PICKLE:
+        return pickle.loads(memoryview(buf)[1:])
+    if tag != _ARRAY:
+        raise ValueError(f"unknown frame tag {tag!r}")
+    _, descr_len, ndim = _HEAD.unpack_from(buf)
+    dtype = np.dtype(bytes(buf[_HEAD.size:_HEAD.size + descr_len]).decode("ascii"))
+    shape = struct.unpack_from(f"<{ndim}Q", buf, _HEAD.size + descr_len)
+    start = -(-(_HEAD.size + descr_len + 8 * ndim) // _ALIGN) * _ALIGN
+    count = math.prod(shape)
+    if start + count * dtype.itemsize != len(buf):
+        raise ValueError(f"frame header {dtype.str}{shape} does not fit its extent")
+    frame = np.frombuffer(buf, dtype, count, start).reshape(shape)
+    # Iterating a 1-D frame would yield scalars, not the 0-d rows spilled.
+    return list(frame) if ndim > 1 else [frame[i, ...] for i in range(shape[0])]
 
 
 @dataclass(frozen=True)
@@ -133,15 +191,13 @@ class SpillManager:
         else:
             self.directory = tempfile.mkdtemp(prefix="repro-spill-")
         self._data_path = os.path.join(self.directory, "blocks.dat")
-        self._index_path = os.path.join(self.directory, "index.jsonl")
         self._write_fh: Any = None
-        self._index_fh: Any = None
         self._read_fd: Optional[int] = None
         self._offset = 0
         self._closed = False
-        # Resident blocks in admission/recency order: id(block) -> block.
-        self._resident: "OrderedDict[int, SpillableBlock]" = OrderedDict()
-        self._labels: Dict[int, str] = {}
+        # Resident blocks in admission/recency order, each mapped to the
+        # key its spill label is built from (blocks hash by identity).
+        self._resident: "OrderedDict[SpillableBlock, tuple]" = OrderedDict()
         self._resident_bytes = 0.0
         self._obs = obs
         self._clock = clock or (lambda: 0.0)
@@ -165,21 +221,21 @@ class SpillManager:
     def resident_bytes(self) -> float:
         return self._resident_bytes
 
-    def admit(self, block: SpillableBlock, label: str = "") -> None:
-        """Track a new resident payload; spill LRU past the budget."""
-        key = id(block)
-        self._resident[key] = block
-        self._labels[key] = label
+    def admit(self, block: SpillableBlock, key: tuple) -> None:
+        """Track a new resident payload; spill LRU past the budget.
+
+        ``key`` names the block (``("cache", rdd, split)``); it is only
+        joined into the ``cache:rdd:split`` label if the block spills.
+        """
+        self._resident[block] = key
         self._resident_bytes += block.nbytes
         while self._resident_bytes > self.budget and self._resident:
-            victim_key, victim = next(iter(self._resident.items()))
-            self._spill_block(victim_key, victim)
+            self._spill_block(*self._resident.popitem(last=False))
 
     def touch(self, block: SpillableBlock) -> None:
         """Refresh a resident block's LRU recency (no-op once spilled)."""
-        key = id(block)
-        if key in self._resident:
-            self._resident.move_to_end(key)
+        if block in self._resident:
+            self._resident.move_to_end(block)
 
     def forget(self, block: SpillableBlock) -> None:
         """A block left its store (eviction / node loss / replacement).
@@ -189,10 +245,7 @@ class SpillManager:
         closes — the block file is append-only, like shuffle files).
         Idempotent, and accounting is clamped at zero either way.
         """
-        key = id(block)
-        entry = self._resident.pop(key, None)
-        self._labels.pop(key, None)
-        if entry is not None:
+        if self._resident.pop(block, None) is not None:
             self._resident_bytes = max(0.0, self._resident_bytes - block.nbytes)
         if block.spill is not None:
             self.live_spilled_bytes = max(
@@ -205,26 +258,14 @@ class SpillManager:
     # Disk I/O
     # ------------------------------------------------------------------
 
-    def _spill_block(self, key: int, block: SpillableBlock) -> None:
-        del self._resident[key]
-        label = self._labels.pop(key, "")
-        blob = effects.dumps_payload(block._records)
+    def _spill_block(self, block: SpillableBlock, key: tuple) -> None:
+        blob = _encode_block(block._records)
         if self._write_fh is None:
             self._write_fh = open(self._data_path, "ab")
-            self._index_fh = open(self._index_path, "a", encoding="utf-8")
         offset = self._offset
         self._write_fh.write(blob)
         self._write_fh.flush()
         self._offset += len(blob)
-        self._index_fh.write(
-            json.dumps(
-                {"offset": offset, "length": len(blob), "label": label,
-                 "nbytes": block.nbytes, "node": block.node},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        self._index_fh.flush()
         # Publish the disk location before dropping the resident payload
         # so a concurrent reader always sees one of the two (identical)
         # sources.
@@ -238,6 +279,7 @@ class SpillManager:
         self.live_spilled_bytes += block.nbytes
         if self._obs is not None:
             now = self._clock()
+            label = ":".join(map(str, key))
             # Driver-side span (node travels in args): spills land in the
             # trace's dedicated "spill" lane, not on a worker core lane.
             self._obs.span(
@@ -263,15 +305,23 @@ class SpillManager:
             if self._write_fh is not None:
                 self._write_fh.flush()
             self._read_fd = os.open(self._data_path, os.O_RDONLY)
-        blob = os.pread(self._read_fd, ref.length, ref.offset)
-        if len(blob) != ref.length:
+        # Straight into the buffer the decoded rows will view: one copy
+        # between the page cache and the task.
+        buf = bytearray(ref.length)
+        got = os.preadv(self._read_fd, [buf], ref.offset)
+        if got != ref.length:
             raise StorageError(
                 f"truncated spill read at {ref.offset}:"
-                f" wanted {ref.length} bytes, got {len(blob)}"
+                f" wanted {ref.length} bytes, got {got}"
             )
         self.spill_reads += 1
-        self.spill_read_disk_bytes += len(blob)
-        return effects.loads_payload(blob)
+        self.spill_read_disk_bytes += got
+        try:
+            return _decode_block(buf)
+        except Exception as exc:  # unpickling damaged bytes can raise anything
+            raise StorageError(
+                f"damaged spill block at {ref.offset}:{ref.length}: {exc!r}"
+            ) from exc
 
     # ------------------------------------------------------------------
 
@@ -280,15 +330,13 @@ class SpillManager:
         if self._closed:
             return
         self._closed = True
-        for fh in (self._write_fh, self._index_fh):
-            if fh is not None:
-                fh.close()
+        if self._write_fh is not None:
+            self._write_fh.close()
+            self._write_fh = None
         if self._read_fd is not None:
             os.close(self._read_fd)
             self._read_fd = None
-        self._write_fh = self._index_fh = None
         self._resident.clear()
-        self._labels.clear()
         self._resident_bytes = 0.0
         self._finalizer.detach()
         shutil.rmtree(self.directory, ignore_errors=True)
@@ -364,7 +412,7 @@ class BlockStore:
         self._index[key] = block
         self._node_bytes[node] = self._node_bytes.get(node, 0.0) + nbytes
         if self._spill is not None:
-            self._spill.admit(block, label=f"cache:{rdd_id}:{split}")
+            self._spill.admit(block, ("cache", rdd_id, split))
         return True
 
     def get(self, rdd_id: int, split: int) -> Optional[CachedBlock]:

@@ -328,11 +328,13 @@ class TextDataGen(_GenBase):
     zipf_a: float = 1.3
 
     def rdd(self, ctx: AnalyticsContext, num_partitions: int) -> SourceRDD:
+        token = [f"w{w}" for w in range(self.vocabulary)].__getitem__
+
         def block(b: int) -> List[str]:
             n = self._block_len(b)
             rng = self._block_rng("text", b)
             ranks = (rng.zipf(self.zipf_a, size=(n, self.words_per_line)) - 1) % self.vocabulary
-            return [" ".join(f"w{w}" for w in row) for row in ranks]
+            return [" ".join(map(token, row)) for row in ranks.tolist()]
 
         sample = " ".join(["w1000"] * self.words_per_line)
         scale = self._size_scale(sample)

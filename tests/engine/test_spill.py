@@ -10,9 +10,14 @@ loss.
 import os
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, StorageError
+from repro.engine.batch import RecordBatch
 from repro.engine.context import AnalyticsContext, EngineConf
 from repro.engine.shuffle import ShuffleManager
 from repro.engine.storage import BlockStore, SpillManager
@@ -98,9 +103,9 @@ class TestSpillManager:
         store.put(1, 0, list(range(100)), 80.0, "a")
         store.put(1, 1, [], 80.0, "a")
         assert spill.spilled_bytes == 80.0  # virtual
-        assert spill.spilled_disk_bytes > 0  # physical (pickled size)
-        blob = pickle.dumps(list(range(100)), protocol=5)
-        assert spill.spilled_disk_bytes == len(blob)
+        assert spill.spilled_disk_bytes > 0  # physical (frame size)
+        blocks = os.path.join(spill.directory, "blocks.dat")
+        assert spill.spilled_disk_bytes == os.path.getsize(blocks)
 
     def test_close_removes_block_directory(self, tmp_path):
         manager = SpillManager(10.0, directory=str(tmp_path))
@@ -114,6 +119,126 @@ class TestSpillManager:
         assert not os.path.exists(spill_dir)
         # The caller-provided parent directory is left alone.
         assert os.path.isdir(str(tmp_path))
+
+
+    @pytest.mark.parametrize("payload", [
+        [("k", i) for i in range(20)],  # pickle fallback
+        [np.arange(4.0) + i for i in range(20)],  # array frame
+    ], ids=["pickle", "frame"])
+    @pytest.mark.parametrize("at", [0, 1, 3, 8], ids=lambda at: f"byte{at}")
+    def test_damaged_block_fails_with_storage_error(self, spill, payload, at):
+        """Flipped bytes in one extent (tag, dtype, shape or pickle
+        stream) surface as StorageError, not as whatever the decoder
+        raises; the neighbouring extent still reads."""
+        store = BlockStore(spill=spill)
+        store.put(1, 0, list(payload), 60.0, "a")
+        store.put(1, 1, list(payload), 60.0, "a")
+        store.put(1, 2, [], 60.0, "a")  # 180 > 100: blocks 0 and 1 on disk
+        damaged, intact = store.peek(1, 0), store.peek(1, 1)
+        assert damaged.is_spilled and intact.is_spilled
+        with open(os.path.join(spill.directory, "blocks.dat"), "r+b") as fh:
+            fh.seek(damaged.spill.offset + at)
+            fh.write(b"\xff" * 4)
+        with pytest.raises(StorageError, match=f"at {damaged.spill.offset}:"):
+            damaged.records
+        assert pickle.dumps(intact.records) == pickle.dumps(payload)
+
+
+class _Sub(np.ndarray):
+    """An ndarray subclass: carries behaviour a frame cannot represent."""
+
+
+def _spilled_block(records):
+    """``records`` in a block that spilled at admission; (manager, block)."""
+    manager = SpillManager(1.0)
+    store = BlockStore(spill=manager)
+    store.put(1, 0, records, 50.0, "a")
+    block = store.peek(1, 0)
+    assert block.is_spilled
+    return manager, block
+
+
+def _frame_tag(manager) -> bytes:
+    with open(os.path.join(manager.directory, "blocks.dat"), "rb") as fh:
+        return fh.read(1)
+
+
+@st.composite
+def _array_rows(draw):
+    """Equal-shape, equal-dtype rows, some of them non-contiguous views."""
+    dtype = np.dtype(draw(st.sampled_from(["f8", "f4", "i8", "u1", "bool", "c16"])))
+    shape = draw(st.sampled_from([(), (0,), (1,), (5,), (2, 3)]))
+    n = draw(st.integers(1, 6))
+    if shape and shape[-1] and draw(st.booleans()):
+        wide = draw(hnp.arrays(dtype, (n,) + shape[:-1] + (2 * shape[-1],)))
+        return [wide[i, ..., ::2] for i in range(n)]
+    stacked = draw(hnp.arrays(dtype, (n,) + shape))
+    return [stacked[i, ...] for i in range(n)]
+
+
+def _special_floats():
+    bits = np.array(
+        [0x7FF8000000000123, 0xFFF0000000000001, 0x8000000000000000,
+         0x7FF0000000000000, 0xFFF0000000000000], dtype="u8",
+    )  # NaNs with payload bits, -0.0, +inf, -inf
+    rows = bits.view("f8")
+    return [rows.copy(), rows[::-1], rows.copy()]  # the middle one is strided
+
+
+class TestBlockCodec:
+    """Round-trip contract of the spill frame codec, through the manager."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_array_rows())
+    def test_array_rows_round_trip_in_one_frame(self, rows):
+        self._check_framed(rows)
+
+    def test_special_float_bits_survive(self):
+        self._check_framed(_special_floats())
+
+    @staticmethod
+    def _check_framed(rows):
+        manager, block = _spilled_block(list(rows))
+        try:
+            assert _frame_tag(manager) == b"A"
+            back, again = block.records, block.records
+        finally:
+            manager.close()
+        assert type(back) is list and back is not again
+        assert len(back) == len(rows)
+        for got, want in zip(back, rows):
+            assert type(got) is np.ndarray
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
+        # One buffer per read-back, not one per record: what keeps a
+        # collect() of spilled partitions from doubling RSS.
+        assert back[0].base is not None
+        assert {id(r.base) for r in back} == {id(back[0].base)}
+        assert back[0].base is not again[0].base
+
+    @pytest.mark.parametrize("records", [
+        [np.zeros(3), np.zeros(4)],
+        [np.zeros(3), np.zeros(3, dtype="f4")],
+        [np.array([{"a": 1}, None], dtype=object)] * 2,
+        [np.zeros(3).view(_Sub)] * 2,
+        [np.zeros(3), (1, 2)],
+        [np.zeros(2, dtype=[("x", "f8"), ("y", "i4")])] * 2,
+        [("k", 1), ("k", 2)],
+        RecordBatch(np.arange(4), np.arange(4.0)),
+        ["a", "b"],
+        [],
+    ], ids=["shapes", "dtypes", "object", "subclass", "mixed", "structured",
+            "tuples", "batch", "strings", "empty"])
+    def test_other_payloads_keep_the_pickle_encoding(self, records):
+        manager, block = _spilled_block(records)
+        try:
+            assert _frame_tag(manager) == b"P"
+            back, again = block.records, block.records
+        finally:
+            manager.close()
+        assert type(back) is type(records) and back is not again
+        assert pickle.dumps(back) == pickle.dumps(records)
 
 
 class TestRemoveAndEvictWithSpilledBlocks:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.common.errors import WorkloadError
 from repro.common.units import GB
+from repro.workloads import datagen
 from repro.workloads.datagen import (
+    BLOCK,
     EdgeDataGen,
     KMeansDataGen,
     PCADataGen,
@@ -136,6 +138,26 @@ class TestOtherGens:
         lines = gen.rdd(ctx, 4).collect()
         assert len(lines) == 200
         assert all(len(line.split()) == gen.words_per_line for line in lines)
+
+    def test_text_blocks_equal_per_word_formatting(self, ctx):
+        """The token table only saves the 8 f-strings per line: the first,
+        a middle and the partial last block hold the lines that formatting
+        each rank gives, under unchanged cache and dataset keys."""
+        gen = TextDataGen(virtual_bytes=1e9, physical_records=200, seed=11)
+        datagen.clear_block_cache()
+        lines = gen.rdd(ctx, 4).collect()
+        for b in (0, 1, 3):  # 200 = 3 * 64 + 8
+            n = gen._block_len(b)
+            ranks = gen._block_rng("text", b).zipf(
+                gen.zipf_a, size=(n, gen.words_per_line)
+            )
+            expected = [
+                " ".join(f"w{w}" for w in row) for row in (ranks - 1) % gen.vocabulary
+            ]
+            assert lines[b * BLOCK:b * BLOCK + n] == expected
+            key = ("TextDataGen", 200, 11, 2000, 8, 1.3, "text", b)
+            assert datagen._BLOCK_CACHE[key] == expected
+        assert gen.dataset_version("text") == "a4eb1be936a69485"
 
     def test_edges(self, ctx):
         gen = EdgeDataGen(virtual_bytes=1e9, physical_records=500, n_vertices=50)
