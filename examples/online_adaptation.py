@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Online adaptation, history logging, and run reports.
+"""Online adaptation, ledger replay, and run reports.
 
 Shows three production-oriented features around the core optimizer:
 
-1. **History files** — production runs are logged to JSONL (the Spark
-   history-server pattern) and fed back into the workload DB offline;
+1. **The run ledger** — production runs append a JSONL entry each (the
+   Spark history-server pattern) and are fed back into the workload DB
+   offline, from the file alone;
 2. **Online adaptation** — during a run, CHOPPER keeps collecting stage
    statistics, refits its models, and rewrites the config in place, so
    later iterations of an iterative workload use fresher schemes;
@@ -17,14 +18,14 @@ from pathlib import Path
 
 from repro.chopper import (
     ChopperRunner,
-    HistoryLogger,
     OnlineChopper,
-    load_history_record,
+    RunRecord,
     validate_config,
 )
 from repro.cluster import paper_cluster
 from repro.common.units import fmt_duration
 from repro.engine import AnalyticsContext, EngineConf
+from repro.obs import RunLedger
 from repro.reporting import gantt, stage_report, utilization_report
 from repro.workloads import LogisticRegressionWorkload
 
@@ -35,22 +36,23 @@ def main() -> None:
     )
     runner = ChopperRunner(workload)
 
-    # --- 1. a "production" run, logged to a history file -----------------
-    history_dir = Path(tempfile.mkdtemp(prefix="repro-history-"))
-    history_path = history_dir / "prod-run.jsonl"
-    ctx = AnalyticsContext(paper_cluster(), EngineConf(default_parallelism=300))
-    logger = HistoryLogger.attach(ctx, history_path)
-    workload.run(ctx)
-    logger.detach()
-    print(f"production run logged -> {history_path}")
-    print(stage_report(ctx.stage_stats, title="production run (vanilla)"))
+    # --- 1. a "production" run, remembered in the run ledger -------------
+    ledger_path = Path(tempfile.mkdtemp(prefix="repro-ledger-")) / "runs.jsonl"
+    runner.ledger = RunLedger(str(ledger_path))
+    production = runner.run_vanilla()
+    runner.ledger = None  # the test runs below are not production runs
+    print(f"production run recorded -> {ledger_path}")
+    print(
+        stage_report(
+            production.ctx.stage_stats, title="production run (vanilla)"
+        )
+    )
 
-    # --- 2. profile + fold the history back into the DB ------------------
+    # --- 2. profile + fold the ledger back into the DB -------------------
     print("\nprofiling test runs...")
     runner.profile(p_grid=(100, 300, 600, 1000), scales=(1.0,))
-    runner.db.add_run(
-        load_history_record(history_path, workload.name, workload.input_bytes)
-    )
+    for entry in RunLedger(str(ledger_path)).entries():
+        runner.db.add_run(RunRecord.from_ledger_entry(entry))
     runner.train()
     config = runner.optimize()
 
@@ -83,7 +85,7 @@ def main() -> None:
     with online.attach(online_ctx):
         workload.run(online_ctx)
     print(f"\nonline run: {fmt_duration(online_ctx.now)}"
-          f" (vanilla was {fmt_duration(ctx.now)});"
+          f" (vanilla was {fmt_duration(production.total_time)});"
           f" models refit {online.refits}x during the run")
 
     print("\ntask timeline (online run):")

@@ -18,7 +18,6 @@ from repro.chopper.advisor import ChopperAdvisor, FixedSchemeAdvisor, ProfilingA
 from repro.chopper.config_gen import ConfigEntry, WorkloadConfig
 from repro.chopper.cost import CostWeights, get_min_par, repartition_cost, stage_cost
 from repro.chopper.crossval import CvReport, StageCvResult, cross_validate, cross_validate_stage
-from repro.chopper.history import HistoryLogger, load_history_record, read_history
 from repro.chopper.global_opt import (
     GAMMA_DEFAULT,
     RegroupedNode,
@@ -65,9 +64,6 @@ __all__ = [
     "StageCvResult",
     "cross_validate",
     "cross_validate_stage",
-    "HistoryLogger",
-    "load_history_record",
-    "read_history",
     "OnlineChopper",
     "ChopperRunner",
     "RunOutcome",

@@ -32,7 +32,7 @@ from repro.chopper.config_gen import WorkloadConfig
 from repro.chopper.cost import CostWeights
 from repro.chopper.global_opt import GAMMA_DEFAULT, get_global_par
 from repro.chopper.model import fit_models_by_partitioner
-from repro.chopper.stats import StageObservation
+from repro.chopper.stats import RunRecord
 from repro.chopper.workload_db import WorkloadDB
 from repro.common.errors import ModelError
 from repro.engine.context import AnalyticsContext
@@ -66,7 +66,9 @@ class OnlineChopper(Listener):
         self.advisor = ChopperAdvisor(self.config)
         self.refits = 0
         self._since_refit = 0
-        self._order = 0
+        # The production run as observed so far (what a collector on
+        # the same context would hold).
+        self.record = RunRecord(workload=workload, input_bytes=d_total)
         self._ctx: Optional[AnalyticsContext] = None
 
     # ------------------------------------------------------------------
@@ -85,8 +87,9 @@ class OnlineChopper(Listener):
     # ------------------------------------------------------------------
 
     def on_stage_completed(self, stage_stats: StageStats) -> None:
-        observation = StageObservation.from_stage_stats(stage_stats, self._order)
-        self._order += 1
+        observation = self.record.observe(stage_stats)
+        if observation is None:  # partial lineage-recovery re-run
+            return
         self.db.add_observation(self.workload, observation)
         self._since_refit += 1
         if self._since_refit >= self.refit_every:

@@ -24,11 +24,11 @@ whose physical record batches are below :data:`SMALL_RUN_RECORDS`
 (the ``procs4`` regression case). The fallback is byte-identical by
 construction: it *is* the serial loop.
 
-Run specs carry (workload, cluster factory, base conf, advisor spec)
-rather than live objects with context references; advisors are rebuilt
-worker-side from their constructor arguments. Anything unpicklable (a
-lambda cluster factory, a custom workload) makes the caller fall back to
-the serial path.
+What a run *is* lives in :func:`repro.chopper.runner.measured_run`; this
+module only decides where it executes. Run specs carry (workload,
+cluster factory, base conf, advisor spec) rather than live objects with
+context references; anything unpicklable (a lambda cluster factory, a
+custom workload) runs in-process too.
 """
 
 from __future__ import annotations
@@ -39,113 +39,41 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from functools import partial
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.chopper.advisor import ChopperAdvisor, ProfilingAdvisor
-from repro.chopper.stats import RunRecord, StatisticsCollector
+from repro.chopper.runner import RunOutcome, RunSpec, measured_run
 from repro.engine import shm
 
-# (workload, cluster_factory, base_conf, advisor_spec, scale, label,
-#  copartition) where advisor_spec is None | ("profiling", kind, P) |
-#  ("config", WorkloadConfig).
-RunSpec = Tuple[Any, Any, Any, Optional[tuple], float, str, bool]
-
-# (want metrics, want logs, want profile) — which telemetry each worker
-# run should collect and ship back; None collects nothing.
-Telemetry = Optional[Tuple[bool, bool, bool]]
-
-# What measure_one returns: the telemetry blob is None unless requested,
-# else {"metrics": registry dump, "logs": records, "profile": rollup}
-# (each key present only when its flag was set), plus a "worker" slot
-# label stamped in by run_specs for pool-dispatched runs.
-RunResult = Tuple[str, RunRecord, Any, Optional[dict]]
+# What measured_run returns: the outcome and its telemetry blob, into
+# which run_specs stamps a "worker" slot label for pool-dispatched runs.
+RunResult = Tuple[RunOutcome, dict]
 
 # Sweeps whose largest run materializes fewer physical records than this
 # run inline: pool dispatch overhead dwarfs the work being distributed.
 SMALL_RUN_RECORDS = 25_000
 
 # How the last run_specs call dispatched, for tests and diagnostics:
-# "serial" (trivial), "inline-small", "inline-cores", "pool", or
-# "pool-heterogeneous"; "+recovered" is appended when a broken pool made
-# the remainder run inline.
+# "serial" (one worker), "inline-small", "inline-cores",
+# "inline-unpicklable", "pool", or "pool-heterogeneous"; "+recovered" is
+# appended when a broken pool made the remainder run inline.
 last_dispatch: str = ""
 
 
-def measure_one(spec: RunSpec, telemetry: Telemetry = None) -> RunResult:
-    """Worker-side measured run (mirrors ChopperRunner._measured_run).
+def worker_run(spec: RunSpec) -> RunResult:
+    """:func:`measured_run` as a pool worker executes it.
 
-    Module-level so it pickles by reference. The worker's context runs
-    fully serial (``physical_parallelism=1``) — the processes are the
-    parallelism — which changes nothing: simulated results are proven
-    identical across physical parallelism levels.
-
-    When ``telemetry`` asks for it, the run meters into a fresh
-    per-run registry / event log / profiler — exactly what the driver's
-    serial loop does — and ships the picklable state back for the
-    driver-side merge.
+    The worker's context runs fully serial (``physical_parallelism=1``)
+    — the processes are the parallelism, and a forked worker must not
+    submit to the driver's thread pool — which changes nothing:
+    simulated results are proven identical across physical parallelism
+    levels. The closed context stays behind: contexts hold live closures
+    and never cross the process boundary.
     """
-    from repro.engine.context import AnalyticsContext
-
-    (workload, cluster_factory, base_conf, advisor_spec, scale, label,
-     copartition) = spec
-    if advisor_spec is None:
-        advisor = None
-    elif advisor_spec[0] == "profiling":
-        advisor = ProfilingAdvisor(
-            advisor_spec[1], advisor_spec[2], override_fixed=True
-        )
-    else:
-        advisor = ChopperAdvisor(advisor_spec[1])
-    conf = replace(
-        base_conf, copartition_scheduling=copartition, physical_parallelism=1
+    outcome, blob = measured_run(
+        spec._replace(conf=replace(spec.conf, physical_parallelism=1))
     )
-    want_metrics, want_log, want_profile = telemetry or (False, False, False)
-    run_registry = event_log = profiler = None
-    if want_metrics or want_log or want_profile:
-        from repro.obs import EventLog, MetricsRegistry, ResourceProfiler
-
-        if want_metrics:
-            run_registry = MetricsRegistry()
-        if want_log:
-            event_log = EventLog()
-        if want_profile:
-            profiler = ResourceProfiler()
-            profiler.start()
-    ctx = AnalyticsContext(
-        cluster_factory(), conf,
-        metrics_registry=run_registry,
-        event_log=event_log,
-        profiler=profiler,
-    )
-    if event_log is not None:
-        # Same bind + boundary record as the driver's serial loop, so
-        # merged logs differ from a serial sweep only in seq restamping
-        # and the added "worker" field.
-        event_log.bind(run=label)
-        event_log.emit(
-            "INFO", "chopper", "measured_run", label=label, scale=scale
-        )
-    if advisor is not None:
-        ctx.set_advisor(advisor)
-    collector = StatisticsCollector(workload.name, workload.virtual_bytes(scale))
-    with collector.attached(ctx):
-        result = workload.run(ctx, scale=scale)
-    record = collector.record
-    record.total_time = ctx.now
-    ctx.close()
-    tele: Optional[dict] = None
-    if telemetry is not None:
-        if profiler is not None:
-            profiler.stop()
-        tele = {}
-        if run_registry is not None:
-            tele["metrics"] = run_registry.dump_state()
-        if event_log is not None:
-            tele["logs"] = list(event_log.records)
-        if profiler is not None:
-            tele["profile"] = profiler.rollup()
-    return label, record, result, tele
+    outcome.ctx = None
+    return outcome, blob
 
 
 def picklable(*objects: Any) -> bool:
@@ -163,22 +91,19 @@ def measure_chunk(task: Tuple[shm.SharedPayload, str]) -> shm.SharedPayload:
 
     ``task`` is (payload handle, result segment name). The handle decodes
     — zero-copy where the chunk carries array buffers — to ``(header,
-    variations, telemetry)``: ``header`` is the ``(workload,
-    cluster_factory, base_conf)`` triple every spec of the sweep shares,
-    packed once per chunk instead of once per spec, each variation is an
-    ``(advisor_spec, scale, label, copartition)`` tail, and ``telemetry``
-    is the per-run collection request threaded through unchanged. The
-    results of the whole chunk come back as one shared segment (created
-    under the driver-chosen ``out_name``), so a chunk of N runs costs
-    one segment round trip, not N pipe payloads.
+    variations)``: ``header`` is the ``(workload, cluster_factory,
+    base_conf)`` triple every spec of the sweep shares, packed once per
+    chunk instead of once per spec, and each variation is an
+    ``(advisor_spec, scale, label, sinks)`` tail. The results of the
+    whole chunk come back as one shared segment (created under the
+    driver-chosen ``out_name``), so a chunk of N runs costs one segment
+    round trip, not N pipe payloads.
     """
     payload, out_name = task
     decoded = shm.decode_shared(payload)
     try:
-        header, variations, telemetry = decoded.obj
-        results = [
-            measure_one(header + tail, telemetry) for tail in variations
-        ]
+        header, variations = decoded.obj
+        results = [worker_run(RunSpec(*header, *tail)) for tail in variations]
     finally:
         decoded.close()
     return shm.encode_shared(results, name=out_name)
@@ -224,21 +149,46 @@ def _inline_reason(specs: Sequence[RunSpec]) -> Optional[str]:
 
 
 def _label_worker(res: RunResult, worker: str) -> RunResult:
-    """Stamp the worker slot into a shipped telemetry blob (if any).
+    """Stamp the worker slot into a shipped telemetry blob.
 
     Slots are deterministic (chunk index / round-robin position), so
     repeated sweeps produce byte-identical worker-labeled series even
     though OS scheduling of the actual processes is not deterministic.
     """
-    if res[3] is not None:
-        res[3]["worker"] = worker
+    res[1]["worker"] = worker
     return res
 
 
-def run_specs(
-    specs: Sequence[RunSpec], jobs: int, telemetry: Telemetry = None
-) -> List[RunResult]:
-    """Run measured-run specs on a process pool; results in spec order.
+def run_specs(specs: Iterable[RunSpec], jobs: int) -> Iterator[RunResult]:
+    """Run measured-run specs on up to ``jobs`` processes, in spec order.
+
+    One worker (``jobs=1``, or a single spec) is the serial loop: a
+    generator that asks for each spec only when the run before it has
+    been handed over, so the caller folds that run before the next one
+    builds its context. Small sweeps, single-core hosts and unpicklable
+    specs (see :func:`_inline_reason`) take the same loop, and a pool
+    that breaks mid-flight (a killed worker) is swept clean and the
+    unfinished specs re-run inline — the results are byte-identical in
+    every case because each run is the same :func:`measured_run`.
+    """
+    global last_dispatch
+    reason: Optional[str] = "serial"
+    if jobs > 1:
+        specs = list(specs)  # a pool is handed the whole list up front
+        if len(specs) > 1:
+            reason = _inline_reason(specs)
+            if reason is None and not picklable(specs):
+                reason = "inline-unpicklable"
+    if reason is None:
+        yield from _pool_specs(specs, min(jobs, len(specs)))
+        return
+    last_dispatch = reason
+    for spec in specs:
+        yield measured_run(spec)
+
+
+def _pool_specs(specs: Sequence[RunSpec], workers: int) -> List[RunResult]:
+    """Fan ``specs`` over a process pool; results in spec order.
 
     Sweeps (every spec sharing one ``(workload, cluster_factory,
     base_conf)`` header) use the shared-memory chunked protocol: the
@@ -247,25 +197,9 @@ def run_specs(
     chunks in shared segments, header packed once per chunk. Workers
     return their chunk's results through driver-named segments, which
     the driver copies out and unlinks. Heterogeneous spec lists fall
-    back to one-task-per-spec ``pool.map``. Either way the returned list
-    is in spec order, so callers merge records exactly as the serial
-    loop would.
-
-    Small sweeps and single-core hosts skip the pool entirely (see
-    :func:`_inline_reason`), and a pool that breaks mid-flight (a killed
-    worker) is swept clean and the unfinished specs re-run inline — the
-    result is byte-identical in every case because each fallback *is*
-    the serial loop.
+    back to one-task-per-spec ``pool.map``.
     """
     global last_dispatch
-    workers = max(1, min(jobs, len(specs)))
-    if workers == 1 or len(specs) == 1:
-        last_dispatch = "serial"
-        return [measure_one(spec, telemetry) for spec in specs]
-    reason = _inline_reason(specs)
-    if reason is not None:
-        last_dispatch = reason
-        return [measure_one(spec, telemetry) for spec in specs]
     head = specs[0]
     shared = all(
         s[0] is head[0] and s[1] is head[1] and s[2] is head[2] for s in specs
@@ -278,28 +212,26 @@ def run_specs(
             ) as pool:
                 return [
                     _label_worker(res, f"w{i % workers}")
-                    for i, res in enumerate(
-                        pool.map(partial(measure_one, telemetry=telemetry), specs)
-                    )
+                    for i, res in enumerate(pool.map(worker_run, specs))
                 ]
         except BrokenProcessPool:
             last_dispatch += "+recovered"
             # Inline re-runs happen on the driver, so no worker label.
-            return [measure_one(spec, telemetry) for spec in specs]
+            return [measured_run(spec) for spec in specs]
     results: List[Optional[RunResult]] = [None] * len(specs)
     # Inline: pre-warms the block cache; runs on the driver (no label).
-    results[0] = measure_one(head, telemetry)
+    results[0] = measured_run(head)
     rest = list(range(1, len(specs)))
     workers = min(workers, len(rest))
     chunks = [rest[i::workers] for i in range(workers)]
-    header = head[:3]
+    header = tuple(head[:3])
     last_dispatch = "pool"
     out_names = [shm.next_name(f"out{i}-") for i in range(len(chunks))]
     try:
         tasks = [
             (
                 shm.encode_shared(
-                    (header, [specs[j][3:] for j in chunk], telemetry)
+                    (header, [tuple(specs[j][3:]) for j in chunk])
                 ),
                 out_name,
             )
@@ -321,7 +253,7 @@ def run_specs(
             last_dispatch += "+recovered"
             for j in rest:
                 if results[j] is None:
-                    results[j] = measure_one(specs[j], telemetry)
+                    results[j] = measured_run(specs[j])
     finally:
         # Sweep every segment this fan-out may have created: the chunk
         # segments the driver owns, and any result segment a worker

@@ -21,7 +21,17 @@ from __future__ import annotations
 import dataclasses
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.chopper.advisor import ChopperAdvisor, ProfilingAdvisor
 from repro.chopper.config_gen import WorkloadConfig
@@ -49,12 +59,15 @@ from repro.workloads.base import Workload, WorkloadResult
 class RunOutcome:
     """One measured workload run (vanilla or CHOPPER).
 
-    ``ctx`` is None when the run was measured in a worker process
+    ``ctx`` is the run's context, already closed: stats, metrics and
+    results stay readable, spilled payloads and the cache backend are
+    released. It is None when the run was measured in a worker process
     (``jobs > 1``) — contexts hold live closures and never cross the
     process boundary; everything reported comes from ``record``.
     """
 
     label: str
+    scale: float
     record: RunRecord
     result: WorkloadResult
     ctx: Optional[AnalyticsContext]
@@ -67,22 +80,128 @@ class RunOutcome:
     def total_shuffle_bytes(self) -> float:
         return sum(o.shuffle_bytes for o in self.record.observations)
 
-    @property
-    def plan_events(self) -> List[dict]:
-        """Relational plan-optimizer events (empty for worker-pool runs
-        and for workloads that never build a Table query)."""
-        if self.ctx is None:
-            return []
-        return list(getattr(self.ctx, "plan_events", []))
 
-    @property
-    def rule_hits(self) -> dict:
-        """Total logical-rewrite hit counts across the run's plans."""
-        hits: dict = {}
-        for event in self.plan_events:
-            for rule, n in (event.get("rule_hits") or {}).items():
-                hits[rule] = hits.get(rule, 0) + n
-        return hits
+class RunSpec(NamedTuple):
+    """The picklable inputs of one measured run.
+
+    ``advisor`` is None (vanilla), ``("profiling", kind, P)`` or
+    ``("config", WorkloadConfig)``: advisors are rebuilt from their
+    constructor arguments where the run executes. ``sinks`` names the
+    telemetry the run collects, by the key it ships under in the blob:
+    ``metrics``, ``logs``, ``profile``, ``spans``, ``body``.
+    """
+
+    workload: Workload
+    cluster_factory: Callable[[], Cluster]
+    conf: EngineConf
+    advisor: Optional[tuple]
+    scale: float
+    label: str
+    sinks: FrozenSet[str]
+
+
+def measured_run(spec: RunSpec) -> Tuple[RunOutcome, dict]:
+    """CHOPPER's one primitive: run the workload once under a scheme.
+
+    Every measured run — a sweep test run, the vanilla/CHOPPER pair,
+    ``repro run`` — is this function, in the driver or in a pool worker
+    (module-level, so it pickles by reference). It builds the context,
+    attaches *fresh per-run* sinks, runs, and closes the context before
+    returning or raising, so a run always flushes its result cache and
+    removes its spill files. Alongside the outcome it returns the
+    telemetry blob the driver folds into its shared sinks (see
+    :meth:`ChopperRunner._fold`): one key per requested sink, plus
+    ``nodes`` / ``plan_events`` with ``spans``.
+    """
+    workload, cluster_factory, base_conf, advisor_spec, scale, label, sinks = spec
+    if advisor_spec is None:
+        advisor = None
+    elif advisor_spec[0] == "profiling":
+        advisor = ProfilingAdvisor(
+            advisor_spec[1], advisor_spec[2], override_fixed=True
+        )
+    else:
+        advisor = ChopperAdvisor(advisor_spec[1])
+    # A config-driven run gets co-partition-aware scheduling (step 4).
+    conf = replace(
+        base_conf, copartition_scheduling=isinstance(advisor, ChopperAdvisor)
+    )
+    registry = MetricsRegistry() if "metrics" in sinks else None
+    log = EventLog() if "logs" in sinks else None
+    tracer = Tracer() if "spans" in sinks else None
+    ledger_collector = LedgerCollector() if "body" in sinks else None
+    collector = StatisticsCollector(workload.name, workload.virtual_bytes(scale))
+    profiler = ResourceProfiler() if "profile" in sinks else None
+    blob: dict = {}
+    with ExitStack() as stack:
+        if profiler is not None:
+            profiler.start()
+            stack.callback(profiler.stop)
+        ctx = AnalyticsContext(
+            cluster_factory(), conf,
+            metrics_registry=registry, event_log=log, profiler=profiler,
+        )
+        # Also when the workload raises: an error must not leave spill
+        # files and an open cache backend to the garbage collector.
+        stack.callback(ctx.close)
+        if log is not None:
+            log.bind(run=label)
+            log.emit("INFO", "chopper", "measured_run", label=label, scale=scale)
+        if advisor is not None:
+            ctx.set_advisor(advisor)
+        if tracer is not None:
+            ctx.obs.set_tracer(tracer)
+        if ledger_collector is not None:
+            stack.enter_context(ledger_collector.attached(ctx))
+        stack.enter_context(collector.attached(ctx))
+        result = workload.run(ctx, scale=scale)
+        if ledger_collector is not None:
+            # Read while the cache backend is open: the body counts its
+            # entries and this run's still-pending misses.
+            blob["body"] = {
+                **ledger_collector.body(),
+                "scale": scale,
+                "input_bytes": workload.virtual_bytes(scale),
+                "config": dataclasses.asdict(conf),
+                "cluster": dict(ctx.obs.nodes),
+                "chopper": _advisor_summary(advisor),
+            }
+    if registry is not None:
+        blob["metrics"] = registry.dump_state()
+    if log is not None:
+        blob["logs"] = log.records
+    if tracer is not None:
+        blob["spans"] = tracer.events
+        blob["nodes"] = dict(ctx.obs.nodes)
+        blob["plan_events"] = list(ctx.plan_events)
+    if profiler is not None:
+        blob["profile"] = profiler.rollup()
+        if ledger_collector is not None:
+            # Host-resource measurements are real (wall clock, RSS),
+            # hence non-deterministic; identity checks must drop this
+            # key before hashing entries.
+            blob["body"]["profile"] = blob["profile"]
+    outcome = RunOutcome(
+        label=label, scale=scale, record=collector.record, result=result,
+        ctx=ctx,
+    )
+    return outcome, blob
+
+
+def _advisor_summary(advisor) -> Optional[dict]:
+    """What partitioning advice drove the run, for the ledger entry."""
+    if advisor is None:
+        return None
+    if isinstance(advisor, ChopperAdvisor):
+        return {
+            "advisor": "chopper",
+            "schemes": [e.to_dict() for e in advisor.config.entries.values()],
+        }
+    return {
+        "advisor": "profiling",
+        "kind": advisor.scheme.kind,
+        "P": advisor.scheme.num_partitions,
+    }
 
 
 @dataclass
@@ -97,15 +216,14 @@ class ChopperRunner:
     gamma: float = GAMMA_DEFAULT
     # Observability: when set, every measured run of this pipeline lands
     # on one shared trace timeline / metrics registry (CLI --trace /
-    # --metrics on `compare`), and/or appends a structured entry to the
-    # run ledger (CLI --ledger).
+    # --metrics), appends a structured entry to the run ledger (CLI
+    # --ledger), and feeds a shared structured event log (CLI --log) and
+    # sweep resource profiler (CLI --profile). Runs collect into fresh
+    # per-run sinks wherever they execute and the driver folds them in
+    # here in spec order, so every sink survives ``jobs > 1``.
     tracer: Optional[Tracer] = None
     metrics_registry: Optional[MetricsRegistry] = None
     ledger: Optional[RunLedger] = None
-    # Telemetry: a shared structured event log (CLI --log) and a sweep
-    # resource profiler (CLI --profile). Both survive ``jobs > 1``:
-    # workers ship their records/rollups back and the driver merges them
-    # in the serial loop's order.
     event_log: Optional[EventLog] = None
     profiler: Optional[ResourceProfiler] = None
 
@@ -133,38 +251,29 @@ class ChopperRunner:
         fixed-stage test and by ``get_stage_input``).
 
         ``jobs`` > 1 fans the independent test runs over a process pool
-        (default: ``base_conf.physical_parallelism``); records merge
-        into the DB in the serial loop's order, so the DB is
-        bit-identical to a serial sweep. Traced/ledgered runners and
-        unpicklable workloads fall back to the serial loop; metered,
-        logged, and profiled runners fan out fine — workers ship their
-        telemetry back for a deterministic driver-side merge.
+        (default: ``base_conf.physical_parallelism``); records and
+        telemetry fold in spec order, so the DB and every sink are
+        identical to a ``jobs=1`` sweep. Unpicklable workloads or
+        cluster factories run in-process.
         """
         jobs = self._resolve_jobs(jobs)
+        specs: List[RunSpec] = []
+        for scale in scales:
+            specs.append(self._spec(None, scale, f"reference@{scale}"))
+            for kind in kinds:
+                for p in p_grid:
+                    specs.append(self._spec(
+                        ("profiling", kind, p), scale,
+                        f"profile-{kind}-{p}@{scale}",
+                    ))
         with self._phase("profile", grid=list(p_grid), scales=list(scales)):
-            if jobs > 1 and self.tracer is None and self.ledger is None:
-                runs = self._profile_parallel(p_grid, kinds, scales, jobs)
-                if runs is not None:
-                    return runs
-            runs = 0
-            for scale in scales:
-                record = self._measured_run(
-                    advisor=None, scale=scale, label=f"reference@{scale}"
-                ).record
-                self.db.add_run(record)
-                if scale == max(scales):
-                    self.db.set_dag(self.workload.name, WorkloadDag.from_run(record))
-                runs += 1
-                for kind in kinds:
-                    for p in p_grid:
-                        outcome = self._measured_run(
-                            advisor=ProfilingAdvisor(kind, p, override_fixed=True),
-                            scale=scale,
-                            label=f"profile-{kind}-{p}@{scale}",
-                        )
-                        self.db.add_run(outcome.record)
-                        runs += 1
-        return runs
+            for spec, outcome in zip(specs, self._run(specs, jobs)):
+                self.db.add_run(outcome.record)
+                if spec.advisor is None and spec.scale == max(scales):
+                    self.db.set_dag(
+                        self.workload.name, WorkloadDag.from_run(outcome.record)
+                    )
+        return len(specs)
 
     def _resolve_jobs(self, jobs: Optional[int]) -> int:
         if jobs is None:
@@ -172,45 +281,6 @@ class ChopperRunner:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         return jobs
-
-    def _profile_parallel(
-        self,
-        p_grid: Sequence[int],
-        kinds: Sequence[str],
-        scales: Sequence[float],
-        jobs: int,
-    ) -> Optional[int]:
-        """Fan the sweep over worker processes; None = not picklable."""
-        from repro.chopper import parallel as par
-
-        if not par.picklable(self.workload, self.cluster_factory, self.base_conf):
-            return None
-        base = (self.workload, self.cluster_factory, self.base_conf)
-        specs: List[par.RunSpec] = []
-        for scale in scales:
-            specs.append(base + (None, scale, f"reference@{scale}", False))
-            for kind in kinds:
-                for p in p_grid:
-                    specs.append(base + (
-                        ("profiling", kind, p), scale,
-                        f"profile-{kind}-{p}@{scale}", False,
-                    ))
-        results = iter(
-            par.run_specs(specs, jobs, telemetry=self._telemetry_options())
-        )
-        # Merge in the exact order the serial loop would have produced.
-        for scale in scales:
-            _, record, _, tele = next(results)
-            self._merge_telemetry(tele)
-            self.db.add_run(record)
-            if scale == max(scales):
-                self.db.set_dag(self.workload.name, WorkloadDag.from_run(record))
-            for _kind in kinds:
-                for _p in p_grid:
-                    _, record, _, tele = next(results)
-                    self._merge_telemetry(tele)
-                    self.db.add_run(record)
-        return len(specs)
 
     # ------------------------------------------------------------------
     # Step 2: model training
@@ -273,9 +343,19 @@ class ChopperRunner:
     # Step 4: measured runs
     # ------------------------------------------------------------------
 
+    def measure(
+        self,
+        advisor: Optional[tuple] = None,
+        scale: float = 1.0,
+        label: str = "run",
+    ) -> RunOutcome:
+        """One measured run under ``advisor`` (see :class:`RunSpec`)."""
+        (outcome,) = self._run([self._spec(advisor, scale, label)])
+        return outcome
+
     def run_vanilla(self, scale: float = 1.0) -> RunOutcome:
         """The paper's baseline: fixed default parallelism, hash, no advisor."""
-        return self._measured_run(advisor=None, scale=scale, label="vanilla")
+        return self.measure(None, scale, "vanilla")
 
     def run_chopper(
         self,
@@ -286,10 +366,7 @@ class ChopperRunner:
         """The CHOPPER run: config-driven advisor + co-partition scheduling."""
         if config is None:
             config = self.optimize(mode=mode, scale=scale)
-        advisor = ChopperAdvisor(config)
-        return self._measured_run(
-            advisor=advisor, scale=scale, label="chopper", copartition=True
-        )
+        return self.measure(("config", config), scale, "chopper")
 
     def compare(
         self, mode: str = "global", scale: float = 1.0,
@@ -298,41 +375,18 @@ class ChopperRunner:
         """(vanilla, chopper) outcomes at the same scale.
 
         ``jobs`` > 1 runs the two independent measured runs in worker
-        processes (the config is still optimized up front, on the
-        driver); their outcomes carry ``ctx=None``.
+        processes (an outcome measured there carries ``ctx=None``).
         """
-        jobs = self._resolve_jobs(jobs)
-        if jobs > 1 and self.tracer is None and self.ledger is None:
-            outcomes = self._compare_parallel(mode, scale, jobs)
-            if outcomes is not None:
-                return outcomes
-        return self.run_vanilla(scale), self.run_chopper(mode=mode, scale=scale)
+        def pair() -> Iterator[RunSpec]:
+            yield self._spec(None, scale, "vanilla")
+            # Optimized when the spec is asked for: after the vanilla
+            # run at jobs=1 (a trace shows the optimizer between the
+            # two runs), up front when a pool wants the whole list.
+            config = self.optimize(mode=mode, scale=scale)
+            yield self._spec(("config", config), scale, "chopper")
 
-    def _compare_parallel(
-        self, mode: str, scale: float, jobs: int
-    ) -> Optional[Tuple[RunOutcome, RunOutcome]]:
-        from repro.chopper import parallel as par
-
-        config = self.optimize(mode=mode, scale=scale)
-        if not par.picklable(
-            self.workload, self.cluster_factory, self.base_conf, config
-        ):
-            return None
-        base = (self.workload, self.cluster_factory, self.base_conf)
-        specs = [
-            base + (None, scale, "vanilla", False),
-            base + (("config", config), scale, "chopper", True),
-        ]
-        results = par.run_specs(
-            specs, jobs, telemetry=self._telemetry_options()
-        )
-        outcomes = []
-        for label, record, result, tele in results:
-            self._merge_telemetry(tele)
-            outcomes.append(
-                RunOutcome(label=label, record=record, result=result, ctx=None)
-            )
-        return outcomes[0], outcomes[1]
+        vanilla, chopper = self._run(pair(), self._resolve_jobs(jobs))
+        return vanilla, chopper
 
     # ------------------------------------------------------------------
 
@@ -342,146 +396,79 @@ class ChopperRunner:
             return nullcontext()
         return self.tracer.phase(label, **args)
 
-    def _telemetry_options(self) -> Optional[Tuple[bool, bool, bool]]:
-        """(want metrics, want logs, want profile) for worker runs."""
-        want = (
-            self.metrics_registry is not None,
-            self.event_log is not None,
-            self.profiler is not None,
+    def _spec(
+        self, advisor: Optional[tuple], scale: float, label: str
+    ) -> RunSpec:
+        sinks = {
+            "spans": self.tracer,
+            "metrics": self.metrics_registry,
+            "logs": self.event_log,
+            "profile": self.profiler,
+            "body": self.ledger,
+        }
+        return RunSpec(
+            self.workload, self.cluster_factory, self.base_conf,
+            advisor, scale, label,
+            frozenset(key for key, sink in sinks.items() if sink is not None),
         )
-        return want if any(want) else None
 
-    def _merge_telemetry(self, tele: Optional[dict]) -> None:
-        """Fold one worker run's shipped telemetry into the shared sinks.
+    def _run(
+        self, specs: Iterable[RunSpec], jobs: int = 1
+    ) -> Iterator[RunOutcome]:
+        """Measure ``specs``, folding each result as it is produced.
 
-        Called in the serial loop's order, so repeated sweeps merge
-        byte-identically. Pool-dispatched runs carry a deterministic
-        ``worker`` slot label: their metric deltas land twice — once in
-        the unlabeled totals (matching what a serial sweep would have
-        recorded) and once under ``worker=wN`` so per-worker series
-        survive aggregation; their log records gain a ``worker`` field.
+        Lazy on purpose: at ``jobs=1`` the next run builds its context
+        only once this one is closed and folded, so a sweep never holds
+        more than one run's blocks.
         """
-        if not tele:
-            return
-        worker = tele.get("worker")
-        state = tele.get("metrics")
-        if state is not None and self.metrics_registry is not None:
-            self.metrics_registry.merge_state(state)
+        # Imported here: parallel imports measured_run from this module.
+        from repro.chopper import parallel
+
+        for outcome, blob in parallel.run_specs(specs, jobs):
+            self._fold(outcome, blob)
+            yield outcome
+
+    def _fold(self, outcome: RunOutcome, blob: dict) -> None:
+        """Merge one measured run's telemetry blob into the shared sinks.
+
+        The only driver-side merge, called in spec order wherever the
+        run executed, so sweeps aggregate through one float-operation
+        and sequence-number order and repeat byte-identically at any
+        ``jobs``. Pool-dispatched runs carry a deterministic ``worker``
+        slot label: their metric deltas land twice — in the unlabeled
+        totals, and under ``worker=wN`` so per-worker series survive
+        aggregation — and their log records gain a ``worker`` field.
+        """
+        worker = blob.get("worker")
+        if self.metrics_registry is not None:
+            self.metrics_registry.merge_state(blob["metrics"])
             if worker is not None:
                 self.metrics_registry.merge_state(
-                    state, extra_labels={"worker": worker}
+                    blob["metrics"], extra_labels={"worker": worker}
                 )
-        records = tele.get("logs")
-        if records is not None and self.event_log is not None:
-            self.event_log.extend(records, worker=worker)
-        rolled = tele.get("profile")
-        if rolled is not None and self.profiler is not None:
-            self.profiler.merge(rolled)
-
-    def _measured_run(
-        self,
-        advisor,
-        scale: float,
-        label: str,
-        copartition: bool = False,
-    ) -> RunOutcome:
-        conf = replace(self.base_conf, copartition_scheduling=copartition)
-        # Each metered run writes into a fresh registry that is merged
-        # into the shared one afterwards, so a serial sweep and a
-        # worker-pool sweep aggregate through the same float-operation
-        # sequence (worker runs ship the same dump_state payload).
-        run_registry = (
-            MetricsRegistry() if self.metrics_registry is not None else None
-        )
-        run_profiler: Optional[ResourceProfiler] = None
-        if self.profiler is not None:
-            run_profiler = ResourceProfiler()
-            run_profiler.start()
-        ctx = AnalyticsContext(
-            self.cluster_factory(), conf,
-            metrics_registry=run_registry,
-            event_log=self.event_log,
-            profiler=run_profiler,
-        )
         if self.event_log is not None:
-            self.event_log.bind(run=label)
-            self.event_log.emit(
-                "INFO", "chopper", "measured_run", label=label, scale=scale
-            )
-        if advisor is not None:
-            ctx.set_advisor(advisor)
-        collector = StatisticsCollector(
-            self.workload.name, self.workload.virtual_bytes(scale)
-        )
-        ledger_collector = (
-            LedgerCollector() if self.ledger is not None else None
-        )
-        with ExitStack() as stack:
-            if self.tracer is not None:
-                # Each measured run gets its own context (sim clock starts
-                # at 0), so shift its spans past the trace horizon — the
-                # pipeline renders as consecutive runs on one timeline.
-                ctx.obs.set_tracer(self.tracer)
-                stack.enter_context(self.tracer.scope(label, scale=scale))
-            if ledger_collector is not None:
-                stack.enter_context(ledger_collector.attached(ctx))
-            stack.enter_context(collector.attached(ctx))
-            result = self.workload.run(ctx, scale=scale)
-        record = collector.record
-        record.total_time = ctx.now
-        if run_registry is not None:
-            assert self.metrics_registry is not None
-            self.metrics_registry.merge_state(run_registry.dump_state())
-        profile_rollup = None
-        if run_profiler is not None:
-            run_profiler.stop()
-            profile_rollup = run_profiler.rollup()
-            assert self.profiler is not None
-            self.profiler.merge(profile_rollup)
+            self.event_log.extend(blob["logs"], worker=worker)
+        if self.profiler is not None:
+            self.profiler.merge(blob["profile"])
         if self.tracer is not None:
-            for event in ctx.plan_events:
+            # Each run's sim clock started at 0: replay its spans past
+            # the trace horizon, so the pipeline renders as consecutive
+            # runs on one timeline.
+            self.tracer.declare_nodes(blob["nodes"])
+            with self.tracer.scope(outcome.label, scale=outcome.scale):
+                for event in blob["spans"]:
+                    self.tracer.on_span(event)
+            for event in blob["plan_events"]:
                 self.tracer.instant(
                     "plan-optimized", "relational.plan",
                     rule_hits=event.get("rule_hits", {}),
                     nodes_before=event.get("nodes_before"),
                     nodes_after=event.get("nodes_after"),
                 )
-        if ledger_collector is not None:
-            assert self.ledger is not None
-            body = ledger_collector.body()
-            body["scale"] = scale
-            body["input_bytes"] = self.workload.virtual_bytes(scale)
-            body["config"] = dataclasses.asdict(conf)
-            body["cluster"] = dict(ctx.obs.nodes)
-            body["chopper"] = self._advisor_summary(advisor)
-            body["model_eval"] = self._model_eval(record)
-            if profile_rollup is not None:
-                # Host-resource measurements are real (wall clock, RSS),
-                # hence non-deterministic; identity checks must drop
-                # this key before hashing entries.
-                body["profile"] = profile_rollup
-            self.ledger.append(self.workload.name, label, body)
-        return RunOutcome(label=label, record=record, result=result, ctx=ctx)
-
-    @staticmethod
-    def _advisor_summary(advisor) -> Optional[dict]:
-        """What partitioning advice drove the run, for the ledger entry."""
-        if advisor is None:
-            return None
-        if isinstance(advisor, ChopperAdvisor):
-            return {
-                "advisor": "chopper",
-                "schemes": [
-                    e.to_dict() for e in advisor.config.entries.values()
-                ],
-            }
-        if isinstance(advisor, ProfilingAdvisor):
-            return {
-                "advisor": "profiling",
-                "kind": advisor.scheme.kind,
-                "P": advisor.scheme.num_partitions,
-            }
-        return {"advisor": type(advisor).__name__}
+        if self.ledger is not None:
+            body = blob["body"]
+            body["model_eval"] = self._model_eval(outcome.record)
+            self.ledger.append(self.workload.name, outcome.label, body)
 
     def _model_eval(self, record: RunRecord) -> Optional[dict]:
         """Predicted-vs-actual per stage, where trained models exist.

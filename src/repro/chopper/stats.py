@@ -97,6 +97,64 @@ class RunRecord:
             grouped.setdefault(obs.signature, []).append(obs)
         return grouped
 
+    def observe(self, stats: StageStats) -> Optional[StageObservation]:
+        """Append one completed stage; the only stats -> observation path.
+
+        Returns None for a partial resubmission after a fetch failure
+        (``attempt > 0``): only the lost map partitions re-ran, so its
+        (D, P, t_exe) would mistrain the models. Every consumer (the
+        collector, online adaptation, ledger replay) keeps clean,
+        full-stage observations only.
+        """
+        if stats.attempt > 0:
+            return None
+        observation = StageObservation.from_stage_stats(
+            stats, len(self.observations)
+        )
+        self.observations.append(observation)
+        return observation
+
+    @classmethod
+    def from_ledger_entry(cls, entry: dict) -> "RunRecord":
+        """Rebuild a run's record from its ledger entry.
+
+        §III-B: "CHOPPER also remembers the statistics from the user
+        workload execution in a production environment" — the ledger is
+        that memory; ``db.add_run(RunRecord.from_ledger_entry(e))``
+        trains from runs that happened in other processes. Exact: the
+        rebuilt record equals the one a live collector produced. Entries
+        written before the DAG keys existed load with their defaults.
+        """
+        record = cls(
+            workload=entry["workload"],
+            input_bytes=entry["input_bytes"],
+            total_time=entry["wall_clock"],
+        )
+        for row in entry["stages"]:
+            record.observe(
+                StageStats(
+                    stage_run_id=row["stage_run_id"],
+                    job_id=0,
+                    signature=row["signature"],
+                    name=row["name"],
+                    kind=row["kind"],
+                    num_partitions=row["num_partitions"],
+                    partitioner_kind=row["partitioner"],
+                    submitted_at=row["start"],
+                    completed_at=row["end"],
+                    input_bytes=row["input_bytes"],
+                    shuffle_read_bytes=row["shuffle_read_bytes"],
+                    shuffle_write_bytes=row["shuffle_write_bytes"],
+                    parent_signatures=row.get("parent_signatures", []),
+                    cogroup_sides=row.get("cogroup_sides", 0),
+                    user_fixed=row.get("user_fixed", False),
+                    source_signatures=row.get("source_signatures", []),
+                    attempt=row["attempt"],
+                    adapted_num_partitions=row.get("adapted_partitions"),
+                )
+            )
+        return record
+
 
 class StatisticsCollector(Listener):
     """Records stage completions for the duration of one workload run.
@@ -111,20 +169,11 @@ class StatisticsCollector(Listener):
 
     def __init__(self, workload: str, input_bytes: float) -> None:
         self.record = RunRecord(workload=workload, input_bytes=input_bytes)
-        self._order = 0
         self._started_at: Optional[float] = None
         self._ctx: Optional[AnalyticsContext] = None
 
     def on_stage_completed(self, stage_stats: StageStats) -> None:
-        if stage_stats.attempt > 0:
-            # Partial resubmission after a fetch failure: only the lost
-            # map partitions re-ran, so (D, P, t_exe) would mistrain the
-            # models. Keep the DB to clean, full-stage observations.
-            return
-        self.record.observations.append(
-            StageObservation.from_stage_stats(stage_stats, self._order)
-        )
-        self._order += 1
+        self.record.observe(stage_stats)
 
     def attach(self, ctx: AnalyticsContext) -> "StatisticsCollector":
         ctx.listener_bus.add(self)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Type
 
 from dataclasses import replace
 
-from repro.chopper import ChopperAdvisor, ChopperRunner, WorkloadConfig, improvement
+from repro.chopper import ChopperRunner, WorkloadConfig, improvement
 from repro.chopper.workload_db import WorkloadDB
 from repro.cluster import paper_cluster
 from repro.common.errors import (
@@ -36,7 +36,6 @@ from repro.common.units import fmt_bytes, fmt_duration, parse_bytes
 from repro.engine import AnalyticsContext, EngineConf
 from repro.obs import (
     EventLog,
-    LedgerCollector,
     MetricsRegistry,
     ResourceProfiler,
     RunLedger,
@@ -214,98 +213,22 @@ def cmd_workloads(args: argparse.Namespace, out) -> int:
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:
-    import dataclasses
-
-    workload = build_workload(args)
-    metrics = MetricsRegistry() if args.metrics else None
-    event_log = EventLog() if args.log else None
-    profiler = None
-    if args.profile:
-        profiler = ResourceProfiler()
-        profiler.start()
-    ctx = AnalyticsContext(
-        paper_cluster(),
-        EngineConf(
-            default_parallelism=args.parallelism,
-            **chaos_conf_kwargs(args),
-            **perf_conf_kwargs(args),
-        ),
-        metrics_registry=metrics,
-        event_log=event_log,
-        profiler=profiler,
-    )
-    if event_log is not None:
-        event_log.bind(run=workload.name)
-    tracer = None
-    if args.trace:
-        tracer = Tracer()
-        ctx.obs.set_tracer(tracer)
+    runner = make_runner(args)
+    runner.base_conf = replace(runner.base_conf, **chaos_conf_kwargs(args))
     advisor = None
     if args.config:
-        ctx.conf.copartition_scheduling = True
-        advisor = ChopperAdvisor(WorkloadConfig.load(args.config))
-        ctx.set_advisor(advisor)
-    from repro.chopper import HistoryLogger, StatisticsCollector
-    from repro.chopper.runner import ChopperRunner as _Runner
-
-    logger = HistoryLogger.attach(ctx, args.history) if args.history else None
-    ledger_collector = LedgerCollector() if args.ledger else None
-    if ledger_collector is not None:
-        ledger_collector.attach(ctx)
-    collector = StatisticsCollector(workload.name, workload.virtual_bytes(args.scale))
-    with collector.attached(ctx):
-        workload.run(ctx, scale=args.scale)
-    if logger is not None:
-        logger.detach()
-        out.write(f"history -> {args.history}\n")
-    rolled = None
-    if profiler is not None:
-        profiler.stop()
-        rolled = profiler.rollup()
-    if ledger_collector is not None:
-        ledger_collector.detach()
-        body = ledger_collector.body()
-        body["scale"] = args.scale
-        body["input_bytes"] = workload.virtual_bytes(args.scale)
-        body["config"] = dataclasses.asdict(ctx.conf)
-        body["cluster"] = dict(ctx.obs.nodes)
-        body["chopper"] = _Runner._advisor_summary(advisor)
-        body["model_eval"] = None
-        if rolled is not None:
-            # Real host measurements — non-deterministic by nature, so
-            # identity checks drop this key (see docs/observability.md).
-            body["profile"] = rolled
-        run_id = RunLedger(args.ledger).append(workload.name, "run", body)
+        advisor = ("config", WorkloadConfig.load(args.config))
+    outcome = runner.measure(advisor, scale=args.scale, label="run")
+    if runner.ledger is not None:
+        run_id = runner.ledger.runs()[-1]["run_id"]
         out.write(f"ledger {run_id} -> {args.ledger}\n")
-    if tracer is not None:
-        tracer.save(args.trace)
-        out.write(f"trace -> {args.trace}\n")
-    if metrics is not None:
-        from repro.obs.diagnostics import counter_health
-
-        metrics.save(args.metrics)
-        out.write(f"metrics -> {args.metrics}\n")
-        out.write(
-            "health: "
-            + " ".join(
-                f"{name.split('.', 1)[1]}={total:g}"
-                for name, total in counter_health(metrics).items()
-            )
-            + "\n"
-        )
-    if event_log is not None:
-        event_log.save(args.log)
-        out.write(f"log -> {args.log} ({len(event_log.records)} records)\n")
-    if rolled is not None:
-        print_profile_summary(out, rolled)
-    record = collector.record
-    print_stage_table(out, record.observations)
-    out.write(f"total: {fmt_duration(ctx.now)} (simulated)\n")
+    _write_artifacts(runner, args, out, health=True)
+    print_stage_table(out, outcome.record.observations)
+    out.write(f"total: {fmt_duration(outcome.total_time)} (simulated)\n")
     if args.gantt:
         from repro.reporting import gantt
 
-        out.write(gantt(ctx, width=72) + "\n")
-    ctx.close()
+        out.write(gantt(outcome.ctx, width=72) + "\n")
     return 0
 
 
@@ -332,57 +255,17 @@ def cmd_explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _sniff_report_input(path: str) -> str:
-    """Classify a report input file: 'history' or 'ledger'.
-
-    Both are JSONL; a history file starts with its ``{"event": "header"}``
-    line, a ledger entry carries a ``run_id``.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-    except OSError as exc:
-        raise LedgerError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if not first:
-        raise LedgerError(f"{path} is empty")
-    try:
-        head = json.loads(first)
-    except json.JSONDecodeError:
-        raise LedgerError(
-            f"{path} is neither a history file nor a run ledger "
-            f"(first line is not JSON)"
-        ) from None
-    if isinstance(head, dict) and head.get("event") == "header":
-        return "history"
-    if isinstance(head, dict) and "run_id" in head:
-        return "ledger"
-    raise LedgerError(
-        f"{path} is neither a history file nor a run ledger "
-        f"(unrecognized first line)"
-    )
-
-
 def cmd_report(args: argparse.Namespace, out) -> int:
-    """Render a history file (text table) or a ledger run (HTML)."""
-    if _sniff_report_input(args.history) == "history":
-        from repro.chopper import load_history_record
-
-        record = load_history_record(
-            args.history, workload="history", input_bytes=1.0
-        )
-        print_stage_table(out, record.observations)
-        out.write(f"total stage span: {fmt_duration(record.total_time)}\n")
-        return 0
-
+    """Render one ledger run as a self-contained HTML report."""
     from repro.reporting import html_report
 
-    ledger = RunLedger(args.history)
+    ledger = RunLedger(args.ledger)
     if args.run:
         entry = ledger.read(args.run)
     else:
         entries = ledger.entries()
         if not entries:
-            raise LedgerError(f"{args.history} holds no runs")
+            raise LedgerError(f"{args.ledger} holds no runs")
         entry = entries[-1]
     html = html_report(entry)
     if args.out:
@@ -515,8 +398,30 @@ def cmd_diff_runs(args: argparse.Namespace, out) -> int:
     return 1
 
 
-def _write_telemetry(runner: ChopperRunner, args, out) -> None:
-    """Persist a runner's event log and print its profile summary."""
+def _write_artifacts(
+    runner: ChopperRunner, args, out, health: bool = False
+) -> None:
+    """Save a runner's trace, metrics snapshot and event log to the
+    paths the flags named, and print its profile summary."""
+    if runner.tracer is not None:
+        runner.tracer.save(args.trace)
+        out.write(f"trace -> {args.trace}\n")
+    if runner.metrics_registry is not None:
+        runner.metrics_registry.save(args.metrics)
+        out.write(f"metrics -> {args.metrics}\n")
+        if health:
+            from repro.obs.diagnostics import counter_health
+
+            out.write(
+                "health: "
+                + " ".join(
+                    f"{name.split('.', 1)[1]}={total:g}"
+                    for name, total in counter_health(
+                        runner.metrics_registry
+                    ).items()
+                )
+                + "\n"
+            )
     if runner.event_log is not None:
         runner.event_log.save(args.log)
         out.write(
@@ -536,7 +441,7 @@ def cmd_profile(args: argparse.Namespace, out) -> int:
     out.write(
         f"profiled {runs} runs, trained {trained} models -> {args.db}\n"
     )
-    _write_telemetry(runner, args, out)
+    _write_artifacts(runner, args, out)
     return 0
 
 
@@ -566,13 +471,7 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
         # see clean observations.
         runner.base_conf = replace(runner.base_conf, **chaos)
     vanilla, chopper = runner.compare(mode=args.mode, jobs=args.jobs)
-    if runner.tracer is not None:
-        runner.tracer.save(args.trace)
-        out.write(f"trace -> {args.trace}\n")
-    if runner.metrics_registry is not None:
-        runner.metrics_registry.save(args.metrics)
-        out.write(f"metrics -> {args.metrics}\n")
-    _write_telemetry(runner, args, out)
+    _write_artifacts(runner, args, out)
     out.write(f"vanilla: {fmt_duration(vanilla.total_time)}\n")
     out.write(f"chopper: {fmt_duration(chopper.total_time)}\n")
     out.write(f"improvement: {improvement(vanilla, chopper) * 100:.1f}%\n")
@@ -699,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", default=None,
                        help="CHOPPER workload config file to apply")
     p_run.add_argument("--scale", type=float, default=1.0)
-    p_run.add_argument("--history", default=None,
-                       help="write a JSONL history file of the run")
     p_run.add_argument("--gantt", action="store_true",
                        help="print an ASCII task timeline after the run")
     _add_obs_args(p_run)
@@ -714,12 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--scale", type=float, default=1.0)
 
     p_report = add_parser(
-        "report", help="render a history file (text) or a ledger run (HTML)"
+        "report", help="render a ledger run as a self-contained HTML report"
     )
-    p_report.add_argument(
-        "history",
-        help="history JSONL (run --history) or run ledger (--ledger)",
-    )
+    p_report.add_argument("ledger", help="run ledger JSONL (written by --ledger)")
     p_report.add_argument("--run", default=None, metavar="RUN_ID",
                           help="ledger run to render (default: the latest)")
     p_report.add_argument("--out", default=None, metavar="PATH",
@@ -733,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--scales", type=float, nargs="+", default=[0.33, 1.0])
     p_profile.add_argument("--ledger", default=None, metavar="PATH",
                            help="append every profiling run to this run "
-                                "ledger (disables --jobs fan-out)")
+                                "ledger")
     p_profile.add_argument("--log", default=None, metavar="PATH",
                            help="write a structured JSONL event log of the "
                                 "sweep; read it back with `repro logs`")

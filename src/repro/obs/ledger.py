@@ -350,6 +350,12 @@ class LedgerCollector:
                 # Source partitions skipped by pruned scans in this
                 # stage's pipeline (never scheduled as tasks).
                 "pruned_partitions": stats.pruned_partitions,
+                # DAG metadata: with these the entry alone rebuilds the
+                # run's RunRecord (RunRecord.from_ledger_entry).
+                "parent_signatures": list(stats.parent_signatures),
+                "cogroup_sides": stats.cogroup_sides,
+                "user_fixed": stats.user_fixed,
+                "source_signatures": list(stats.source_signatures),
             }
         )
 

@@ -6,7 +6,7 @@ from repro.chopper.stats import StatisticsCollector
 from repro.cluster import uniform_cluster
 from repro.common.errors import ModelError
 from repro.engine import AnalyticsContext, EngineConf
-from repro.workloads import KMeansWorkload
+from repro.workloads import KMeansWorkload, ShuffleWordCountWorkload
 
 
 @pytest.fixture(scope="module")
@@ -89,5 +89,36 @@ class TestOnlineChopper:
         with online.attach(ctx):
             trained.workload.run(ctx)
         record = collector.finish(ctx)
-        record.total_time = ctx.now
         assert record.total_time < vanilla.total_time * 1.02
+
+
+class TestPartialRerunsAreNotObservations:
+    def test_online_and_collector_record_the_same_chaos_run(self):
+        """A lineage-recovery re-run (attempt > 0) covers only the lost
+        map partitions; training on its (D, P, t_exe) mistrains."""
+        workload = ShuffleWordCountWorkload(virtual_gb=1.0, physical_records=400)
+        runner = ChopperRunner(
+            workload, base_conf=EngineConf(default_parallelism=16)
+        )
+        runner.profile(p_grid=(8, 16, 32), kinds=("hash",), scales=(1.0,))
+        runner.train()
+        online = OnlineChopper(
+            runner.db, workload.name, workload.virtual_bytes(), runner.weights
+        )
+        collector = StatisticsCollector(workload.name, workload.virtual_bytes())
+        ctx = AnalyticsContext(
+            conf=EngineConf(
+                default_parallelism=16,
+                node_failure_times={"A": 1230.0},
+                node_recovery_delay=5.0,
+            )
+        )
+        # Listen only (no advisor), so the run is the chaos run as timed.
+        ctx.listener_bus.add(online)
+        before = len(runner.db.observations(workload.name))
+        with collector.attached(ctx):
+            workload.run(ctx)
+        assert sorted(s.attempt for s in ctx.stage_stats) == [0, 0, 0, 1]
+        assert collector.record.stage_count == 3
+        fed = runner.db.observations(workload.name)[before:]
+        assert fed == collector.record.observations

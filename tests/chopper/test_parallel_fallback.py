@@ -61,7 +61,7 @@ class TestInlineFallback:
         # Pretend we have cores so only the size guard can trigger.
         monkeypatch.setattr(par, "_usable_cores", lambda: 4)
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
-        assert par.last_dispatch == ""  # jobs=1 never reaches run_specs
+        assert par.last_dispatch == "serial"  # one worker: run_specs' loop
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "inline-small"
         assert _db_files_match(tmp_path, serial, pooled)

@@ -1,12 +1,16 @@
 """Integration tests for the CHOPPER runner pipeline (small workloads)."""
 
+import os
+import sqlite3
+
 import pytest
 
 from repro.chopper import ChopperRunner, improvement
 from repro.chopper.config_gen import WorkloadConfig
 from repro.cluster import uniform_cluster
-from repro.common.errors import ModelError
+from repro.common.errors import ModelError, WorkloadError
 from repro.engine import EngineConf
+from repro.relational.cache import SQLiteCacheBackend
 from repro.workloads import KMeansWorkload, SQLWorkload
 
 
@@ -104,3 +108,51 @@ class TestSQLPipeline:
         van, chop = runner.compare()
         # Same query answer under both systems.
         assert dict(van.result.value) == pytest.approx(dict(chop.result.value))
+
+
+class FailsAfterFirstQuery(SQLWorkload):
+    def run(self, ctx, scale=1.0):
+        super().run(ctx, scale=scale)
+        raise WorkloadError("the second query failed")
+
+
+class TestRunsReleaseTheirContext:
+    """Every measured run closes its context: on-disk state is the same
+    at any ``jobs`` and is released before ``profile()`` returns or an
+    error propagates (not whenever the garbage collector gets to it)."""
+
+    SELECTIVE = dict(virtual_gb=2, physical_records=2000, max_order=200)
+
+    def conf(self, tmp_path, tag=""):
+        return EngineConf(
+            memory_budget=64e6, spill_dir=str(tmp_path / f"spill{tag}"),
+            result_cache="sqlite",
+            result_cache_path=str(tmp_path / f"cache{tag}.db"),
+        )
+
+    def test_on_disk_state_does_not_depend_on_jobs(self, tmp_path):
+        rows, spilled = [], []
+        for jobs in (1, 2):
+            conf = self.conf(tmp_path, jobs)
+            runner = ChopperRunner(SQLWorkload(**self.SELECTIVE), base_conf=conf)
+            runner.profile(
+                p_grid=(100,), kinds=("hash",), scales=(1.0,), jobs=jobs
+            )
+            spilled.append(os.listdir(conf.spill_dir))  # no gc.collect()
+            backend = SQLiteCacheBackend(conf.result_cache_path)
+            rows.append(len(backend.entries()))
+            backend.close()
+        assert rows == [1, 1]
+        assert spilled == [[], []]
+
+    def test_failed_run_releases_spill_dir_and_cache(self, tmp_path):
+        conf = self.conf(tmp_path)
+        runner = ChopperRunner(
+            FailsAfterFirstQuery(**self.SELECTIVE), base_conf=conf
+        )
+        with pytest.raises(WorkloadError, match="second query"):
+            runner.run_vanilla()
+        assert os.listdir(conf.spill_dir) == []
+        db = sqlite3.connect(conf.result_cache_path, timeout=0)
+        db.execute("BEGIN IMMEDIATE")  # no writer still holds the file
+        db.close()

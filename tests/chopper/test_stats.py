@@ -1,8 +1,18 @@
 """Tests for the statistics collector."""
 
+import filecmp
+
 import pytest
 
+from repro.chopper import ChopperRunner, WorkloadDag
 from repro.chopper.stats import RunRecord, StageObservation, StatisticsCollector
+from repro.engine import EngineConf
+from repro.obs import RunLedger
+from repro.workloads import ShuffleWordCountWorkload, WordCountWorkload
+
+# Node A dies during the reduce: the map stage's lost partitions re-run
+# as one partial stage (attempt=1) among the run's four stage events.
+NODE_LOSS = dict(node_failure_times={"A": 1230.0}, node_recovery_delay=5.0)
 
 
 class TestStatisticsCollector:
@@ -63,3 +73,41 @@ class TestStatisticsCollector:
         grouped = record.by_signature()
         assert len(grouped["a"]) == 2
         assert len(grouped["b"]) == 1
+
+
+class TestLedgerReplay:
+    """The ledger is CHOPPER's memory of past runs (§III-B)."""
+
+    def test_record_rebuilt_from_disk_equals_live_record(self, tmp_path):
+        runner = ChopperRunner(
+            ShuffleWordCountWorkload(virtual_gb=1.0, physical_records=400),
+            base_conf=EngineConf(default_parallelism=16, **NODE_LOSS),
+        )
+        runner.ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        live = runner.run_vanilla().record
+        (entry,) = runner.ledger.entries()
+        assert sorted(s["attempt"] for s in entry["stages"]) == [0, 0, 0, 1]
+        assert live.stage_count == 3
+        # Dataclass equality: every float survives JSON exactly.
+        assert RunRecord.from_ledger_entry(entry) == live
+
+    def test_db_fed_from_ledger_trains_the_same_models(self, tmp_path):
+        live = ChopperRunner(
+            WordCountWorkload(virtual_gb=2.0, physical_records=500),
+            base_conf=EngineConf(default_parallelism=16),
+        )
+        live.ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        live.profile(p_grid=(8, 16, 32, 64), kinds=("hash",), scales=(1.0,))
+        replayed = ChopperRunner(live.workload, base_conf=live.base_conf)
+        records = [
+            RunRecord.from_ledger_entry(e) for e in live.ledger.entries()
+        ]
+        for record in records:
+            replayed.db.add_run(record)
+        replayed.db.set_dag(live.workload.name, WorkloadDag.from_run(records[0]))
+        assert replayed.train() == live.train() > 0
+        live.db.save(tmp_path / "live.json")
+        replayed.db.save(tmp_path / "replayed.json")
+        assert filecmp.cmp(
+            tmp_path / "live.json", tmp_path / "replayed.json", shallow=False
+        )

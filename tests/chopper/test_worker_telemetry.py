@@ -76,7 +76,10 @@ class TestPoolSweepTelemetry:
         runner.train()
         before = len(runner.event_log.records)
         vanilla, chopper = runner.compare(scale=0.02, jobs=2)
-        assert vanilla.ctx is None and chopper.ctx is None  # pool ran it
+        # Spec 0 runs on the driver (it warms the block cache the forked
+        # workers inherit); contexts never cross the process boundary.
+        assert par.last_dispatch == "pool"
+        assert vanilla.ctx is not None and chopper.ctx is None
         labels = {
             r.get("run")
             for r in runner.event_log.records[before:]

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.chopper import ChopperRunner
+from repro.chopper import ChopperRunner, parallel
 from repro.chopper.workload_db import WorkloadDB
 from repro.cluster import paper_cluster
 from repro.common.errors import ConfigurationError
@@ -113,19 +113,7 @@ class TestSweepParallelism:
         conf_p = runner_p.optimize(scale=0.08)
         assert conf_s.to_json() == conf_p.to_json()
 
-    def test_traced_runner_falls_back_to_serial(self):
-        from repro.obs import Tracer
-
-        runner = ChopperRunner(
-            WordCountWorkload(),
-            base_conf=EngineConf(default_parallelism=16),
-            db=WorkloadDB(),
-        )
-        runner.tracer = Tracer()
-        n = runner.profile(p_grid=[4], kinds=["hash"], scales=[0.04], jobs=4)
-        assert n == 2  # reference + one profile run, measured in-process
-
-    def test_unpicklable_workload_falls_back(self):
+    def test_unpicklable_workload_falls_back(self, force_pool):
         runner = ChopperRunner(
             WordCountWorkload(),
             cluster_factory=lambda: paper_cluster(),  # lambdas don't pickle
@@ -134,6 +122,7 @@ class TestSweepParallelism:
         )
         n = runner.profile(p_grid=[4], kinds=["hash"], scales=[0.04], jobs=4)
         assert n == 2
+        assert parallel.last_dispatch == "inline-unpicklable"
 
     def test_bad_jobs_rejected(self):
         runner = ChopperRunner(WordCountWorkload(), db=WorkloadDB())

@@ -6,10 +6,10 @@ The two contracts this file pins down:
   run ids are byte-identical with logging/profiling on or off, including
   chaos and AQE runs (profile fields are excluded from entry identity by
   dropping the ``profile`` key, which is the only key telemetry adds).
-* **Identity of telemetry** — metric snapshots and event logs are
-  byte-identical across serial, threaded (physical_parallelism=4),
-  and process-pool sweeps, modulo the ``worker`` attribution that only
-  pool dispatch adds.
+* **Identity of telemetry** — metric snapshots, event logs, traces and
+  ledger entries are byte-identical across serial, threaded
+  (physical_parallelism=4), and process-pool sweeps, modulo the
+  ``worker`` attribution that only pool dispatch adds.
 """
 
 import dataclasses
@@ -19,7 +19,13 @@ from repro.chopper import ChopperRunner
 from repro.chopper import parallel as par
 from repro.cluster import paper_cluster
 from repro.engine import AnalyticsContext, EngineConf
-from repro.obs import EventLog, MetricsRegistry, ResourceProfiler, RunLedger
+from repro.obs import (
+    EventLog,
+    MetricsRegistry,
+    ResourceProfiler,
+    RunLedger,
+    Tracer,
+)
 from repro.workloads import ShuffleWordCountWorkload, WordCountWorkload
 
 
@@ -40,15 +46,25 @@ def _strip_worker_field(records):
     ]
 
 
-def _sweep(jobs, **conf):
+def _sweep(jobs, ledger_path=None, p_grid=(4, 8), profiler=None, **conf):
     runner = ChopperRunner(
         WordCountWorkload(physical_records=2000),
         base_conf=EngineConf(default_parallelism=8, **conf),
+        metrics_registry=MetricsRegistry(),
+        event_log=EventLog(),
+        tracer=Tracer(),
+        ledger=RunLedger(str(ledger_path)) if ledger_path else None,
+        profiler=profiler,
     )
-    runner.metrics_registry = MetricsRegistry()
-    runner.event_log = EventLog()
-    runner.profile(p_grid=(4, 8), scales=(0.02,), jobs=jobs)
+    runner.profile(p_grid=p_grid, scales=(0.02,), jobs=jobs)
     return runner
+
+
+def _chrome(runner):
+    doc = runner.tracer.to_chrome()
+    for event in doc["traceEvents"]:
+        event["args"].pop("wall_ms", None)  # phase spans: real host time
+    return json.dumps(doc)
 
 
 def _db_dump(runner):
@@ -63,11 +79,17 @@ def _db_dump(runner):
 
 
 class TestCrossModeTelemetryIdentity:
-    def test_serial_vs_threads_vs_procs(self, force_pool):
-        serial = _sweep(jobs=1)
+    def test_serial_vs_threads_vs_procs(self, force_pool, tmp_path):
+        serial = _sweep(1, tmp_path / "serial.jsonl")
         threads = _sweep(jobs=1, physical_parallelism=4)
-        procs = _sweep(jobs=4)
+        procs = _sweep(4, tmp_path / "procs.jsonl")
         assert par.last_dispatch == "pool"
+        # The sinks that used to force the serial loop: same run ids,
+        # same order, same bytes (no profiler, so nothing to strip).
+        assert len(serial.ledger.runs()) == 5
+        assert (tmp_path / "serial.jsonl").read_bytes() == (
+            tmp_path / "procs.jsonl"
+        ).read_bytes()
 
         base_snap = json.dumps(
             serial.metrics_registry.snapshot(), sort_keys=True
@@ -86,6 +108,7 @@ class TestCrossModeTelemetryIdentity:
                 == base_log
             )
             assert _db_dump(other) == _db_dump(serial)
+            assert _chrome(other) == _chrome(serial)
         # The serial sweep has no worker attribution to strip.
         assert json.dumps(
             _strip_worker_series(serial.metrics_registry.snapshot()),
@@ -178,30 +201,11 @@ class TestLedgerIdentity:
 
 class TestProfileTelemetryExclusion:
     def test_profiled_sweep_metrics_and_logs_match_unprofiled(self):
-        with_profile = ChopperRunner(
-            WordCountWorkload(physical_records=2000),
-            base_conf=EngineConf(default_parallelism=8),
-        )
-        with_profile.metrics_registry = MetricsRegistry()
-        with_profile.event_log = EventLog()
-        with_profile.profiler = ResourceProfiler()
-        with_profile.profile(p_grid=(4,), scales=(0.02,), jobs=1)
-
-        without = _sweep_grid4()
+        with_profile = _sweep(1, p_grid=(4,), profiler=ResourceProfiler())
+        without = _sweep(1, p_grid=(4,))
         assert json.dumps(
             with_profile.metrics_registry.snapshot(), sort_keys=True
         ) == json.dumps(without.metrics_registry.snapshot(), sort_keys=True)
         assert json.dumps(with_profile.event_log.records) == json.dumps(
             without.event_log.records
         )
-
-
-def _sweep_grid4():
-    runner = ChopperRunner(
-        WordCountWorkload(physical_records=2000),
-        base_conf=EngineConf(default_parallelism=8),
-    )
-    runner.metrics_registry = MetricsRegistry()
-    runner.event_log = EventLog()
-    runner.profile(p_grid=(4,), scales=(0.02,), jobs=1)
-    return runner

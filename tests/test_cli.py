@@ -235,27 +235,16 @@ class TestPipelineCommands:
 
 
 class TestHistoryAndReport:
-    def test_run_writes_history_and_report_reads_it(self, tmp_path):
-        history = str(tmp_path / "run.jsonl")
-        code, text, _ = run_cli(
-            "run", "wordcount",
-            "--virtual-gb", "1.0", "--physical-records", "300",
-            "--parallelism", "16", "--history", history,
-        )
-        assert code == 0
-        assert "history ->" in text
-
-        code, text, _ = run_cli("report", history)
-        assert code == 0
-        assert "total stage span" in text
-        assert "shuffle_map" in text
+    def test_history_flag_is_gone(self, tmp_path, capsys):
+        # The ledger is the one persisted per-run format.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", *WC_FAST, "--history", str(tmp_path / "run.jsonl"))
+        assert exit_info.value.code == 2
+        assert "--history" in capsys.readouterr().err
 
     def test_run_gantt_flag(self):
-        code, text, _ = run_cli(
-            "run", "wordcount",
-            "--virtual-gb", "1.0", "--physical-records", "300",
-            "--parallelism", "16", "--gantt",
-        )
+        # Drawn from the run's context after measured_run closed it.
+        code, text, _ = run_cli("run", *WC_FAST, "--gantt")
         assert code == 0
         assert "|" in text and "t = " in text
 
@@ -428,13 +417,13 @@ class TestLedgerCommands:
         assert html.startswith("<!DOCTYPE html>")
         assert "0000-wordcount-run" in html
 
-    def test_report_still_reads_history_files(self, tmp_path):
-        history = str(tmp_path / "run.jsonl")
-        code, _, _ = run_cli("run", *WC_FAST, "--history", history)
+    def test_report_rejects_non_ledger_file(self, tmp_path):
+        log = str(tmp_path / "run.log")
+        code, _, _ = run_cli("run", *WC_FAST, "--log", log)
         assert code == 0
-        code, text, _ = run_cli("report", history)
-        assert code == 0
-        assert "total stage span" in text
+        code, text, err = run_cli("report", log)
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_diff_runs_identical_exit_zero(self, tmp_path):
         ledger = self.ledger_with_two_runs(tmp_path)
