@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.common.sizing import estimate_size, sizes_array
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
-from repro.engine.partitioner import bucket_groups
+from repro.engine.shuffle import MapOutput
 from repro.engine.stage import RESULT, Stage
 
 # A reduce partition is "hot" (split candidate, and grounds for
@@ -95,15 +95,6 @@ class AdaptivePlan:
     n_coalesced: int  # original partitions packed into multi-split tasks
     n_split: int  # original partitions carved into slices
     shuffle_ids: Tuple[int, ...] = ()
-
-    @property
-    def slice_counts(self) -> Dict[int, int]:
-        """Original split -> number of slices it was carved into."""
-        counts: Dict[int, int] = {}
-        for spec in self.specs:
-            if spec.is_slice:
-                counts[spec.splits[0]] = spec.n_slices
-        return counts
 
 
 def _median(values: Sequence[float]) -> float:
@@ -299,24 +290,21 @@ def bucket_records(
     partitioner,
     key_fn: Callable,
     write_scale: float,
-) -> Dict[int, Tuple[List, float]]:
+) -> MapOutput:
     """Partition a map output's records into reduce buckets (AQE rebucket).
 
-    Mirrors the executor's list-path map-output bucketing: returns
-    ``{reduce_id: (records, payload_bytes)}`` with records in input
-    order and payload priced at ``estimate_size * write_scale``.
+    The executor's bucketing kernel over a record list, with the two
+    things re-bucketed outputs have always done differently: a bucket's
+    payload is its summed ``estimate_size`` scaled *after* the fold, and
+    the write total folds the buckets in reduce-id order.
     """
     if not records:
-        return {}
+        return MapOutput(records, (), ())
     rids = partitioner.partition_many([key_fn(r) for r in records])
     sizes = sizes_array(records)
     if sizes is None:
         sizes = np.array([estimate_size(r) for r in records], dtype=np.float64)
-    # Reduce-id order: the shuffle manager sums block bytes in dict
-    # order, and re-bucketed outputs have always been written sorted.
-    return {
-        rid: ([records[i] for i in group], nbytes * write_scale)
-        for rid, group, nbytes in sorted(
-            bucket_groups(rids, sizes), key=lambda bucket: bucket[0]
-        )
-    }
+    output = MapOutput(records, rids, sizes)
+    output.payload *= write_scale
+    output.order = None
+    return output

@@ -142,12 +142,6 @@ class RecordBatch:
         )
         return list(zip(keys, values))
 
-    def keys_list(self) -> List[Any]:
-        """Keys as Python scalars (fresh list for array columns)."""
-        if isinstance(self.keys, np.ndarray):
-            return self.keys.tolist()
-        return list(self.keys)
-
     def to_shared(self, name: Optional[str] = None):
         """Park this batch in a shared-memory segment (registered once).
 
@@ -188,6 +182,10 @@ class RecordBatch:
             return [col[i] for i in indices]
 
         return RecordBatch(_take(self.keys), _take(self.values))
+
+    def slice(self, start: int, stop: int) -> "RecordBatch":
+        """Records ``[start, stop)`` — array columns slice as views."""
+        return RecordBatch(self.keys[start:stop], self.values[start:stop])
 
     @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":

@@ -697,10 +697,10 @@ class DAGScheduler:
         write_scale = dep.parent.size_scale
         for map_id in sorted(contents):
             node, records = contents[map_id]
-            partitioned = adaptive.bucket_records(
+            output = adaptive.bucket_records(
                 records, new, dep.key_fn, write_scale
             )
-            manager.put_map_output(dep.shuffle_id, map_id, node, partitioned)
+            manager.put_map_output(dep.shuffle_id, map_id, node, output)
         # Future producers (chaos-resubmitted map tasks) bucket straight
         # into the new space; consumers align against the real scheme.
         dep.partitioner = new

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #   ("shuffle_read", shuffle_id, version)
 #                                    - validated: the shuffle's version
 #                                      counter is unchanged.
-#   ("shuffle_put", shuffle_id, map_id, node, partitioned)
+#   ("shuffle_put", shuffle_id, map_id, node, output)
 #                                    - replayed via put_map_output; the
 #                                      returned byte count feeds the
 #                                      task's shuffle-write note.

@@ -6,7 +6,7 @@ is granted a core. It executes the task's RDD pipeline *physically*
 effects in a :class:`TaskContext`, and converts them into a simulated
 duration via the :class:`CostModel`. Map tasks additionally partition
 their output by the shuffle dependency's partitioner and register the
-blocks with the shuffle manager — including optional map-side combining,
+output with the shuffle manager — including optional map-side combining,
 which is where aggregation shuffles get their small, `P_map`-proportional
 volume (paper Fig. 4).
 """
@@ -20,12 +20,12 @@ import numpy as np
 from repro.common.errors import FetchFailure, SchedulingError
 from repro.common.sizing import estimate_size, sizes_array
 from repro.engine import effects
-from repro.engine.batch import RecordBatch
+from repro.engine.batch import RecordBatch, as_record_list
 from repro.engine.combine import combine_numeric_add, fold_batch
 from repro.engine.dependencies import default_key_fn
 from repro.engine.costmodel import CostModel, TaskCostBreakdown
 from repro.engine.effects import TaskEffects
-from repro.engine.partitioner import bucket_groups
+from repro.engine.shuffle import MapOutput
 from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
 from repro.engine.task import Task, TaskContext
 
@@ -246,9 +246,9 @@ class TaskRunner:
                 _, key, records, nbytes, node_name = op
                 ctx.block_store.put(key[0], key[1], records, nbytes, node_name)
             elif tag == "shuffle_put":
-                _, shuffle_id, map_id, node_name, partitioned = op
+                _, shuffle_id, map_id, node_name, output = op
                 written = ctx.shuffle_manager.put_map_output(
-                    shuffle_id, map_id, node_name, partitioned
+                    shuffle_id, map_id, node_name, output
                 )
                 eff.tctx.note_shuffle_write(written)
             elif tag == "shuffle_read":
@@ -291,11 +291,7 @@ class TaskRunner:
                 if isinstance(records, RecordBatch):
                     batch = fold_batch(records)
             if batch is None:
-                plain = (
-                    records.to_records()
-                    if isinstance(records, RecordBatch)
-                    else records
-                )
+                plain = as_record_list(records)
                 combined: Optional[Dict[Any, Any]] = None
                 if plain and agg.numeric_add:
                     combined = combine_numeric_add(fast_key, plain)
@@ -321,23 +317,15 @@ class TaskRunner:
                 elif records:
                     batch = RecordBatch.from_records(records)
             if batch is None:
-                out_records = (
-                    records.to_records()
-                    if isinstance(records, RecordBatch)
-                    else records
-                )
+                out_records = as_record_list(records)
             write_scale = stage.rdd.size_scale
 
-        # One partition_many / sizes call per task, then bucket_groups
-        # hands back each bucket's record positions; the two formats
-        # differ only in how they slice (column views vs a list).
+        # One partition_many / sizes call per task, then one bucketing
+        # kernel (MapOutput) for both formats.
         partitioner = dep.partitioner
-        buckets: Dict[int, Tuple[Any, float]] = {}
         if batch is not None:
             rids = partitioner.partition_many(batch.keys)
-            weights = batch.sizes_array() * write_scale
-            for rid, group, nbytes in bucket_groups(rids, weights):
-                buckets[rid] = (batch.take(group), nbytes)
+            output = MapOutput(batch, rids, batch.sizes_array() * write_scale)
         elif out_records:
             if out_keys is None:
                 if fast_key is None:
@@ -350,11 +338,12 @@ class TaskRunner:
                 sizes = np.array(
                     [estimate_size(r) for r in out_records], dtype=np.float64
                 )
-            for rid, group, nbytes in bucket_groups(rids, sizes * write_scale):
-                buckets[rid] = ([out_records[i] for i in group], nbytes)
+            output = MapOutput(out_records, rids, sizes * write_scale)
+        else:
+            output = MapOutput([], (), ())
 
         written = self.ctx.shuffle_manager.put_map_output(
-            dep.shuffle_id, split, tctx.node, buckets
+            dep.shuffle_id, split, tctx.node, output
         )
         if written is not None:
             tctx.note_shuffle_write(written)

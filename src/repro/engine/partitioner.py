@@ -464,35 +464,6 @@ class RangePartitioner(Partitioner):
         return cls(num_partitions, bounds)
 
 
-def bucket_groups(
-    rids: Sequence[int], weights: np.ndarray
-) -> List[Tuple[int, np.ndarray, float]]:
-    """Group record positions by reduce id: the map-side bucketing kernel.
-
-    ``rids`` is one ``partition_many`` result (non-empty), ``weights``
-    the per-record byte sizes. Returns ``(reduce_id, positions,
-    weight_sum)`` per non-empty bucket, exactly what a per-record dict
-    loop (``Partitioner.partition`` + ``+=``) would build: buckets in
-    first-occurrence order, positions in arrival order (stable sort), and
-    weights summed by ``np.add.at``'s unbuffered left fold, so the sums
-    are bit-identical to the scalar accumulation. Callers slice their
-    own container with ``positions``.
-    """
-    rid_arr = np.fromiter(rids, dtype=np.intp, count=len(rids))
-    sums = np.zeros(int(rid_arr.max()) + 1, dtype=np.float64)
-    np.add.at(sums, rid_arr, weights)
-    order = np.argsort(rid_arr, kind="stable")
-    sorted_rids = rid_arr[order]
-    cuts = np.flatnonzero(sorted_rids[1:] != sorted_rids[:-1]) + 1
-    groups = np.split(order, cuts)
-    groups.sort(key=lambda g: g[0])  # first-occurrence order
-    buckets = []
-    for group in groups:
-        rid = int(rid_arr[group[0]])
-        buckets.append((rid, group, float(sums[rid])))
-    return buckets
-
-
 def make_partitioner(
     kind: str,
     num_partitions: int,

@@ -754,33 +754,39 @@ class RDD:
         return self.reduce(lambda a, b: a if a <= b else b)
 
     def stats(self) -> Dict[str, float]:
-        """Count/mean/min/max/stdev of a numeric RDD in one pass."""
+        """Count/mean/min/max/stdev of a numeric RDD in one pass.
+
+        Partitions report ``(n, mean, M2)`` (M2: squared deviations from
+        their own mean), merged with Chan et al.'s pairwise update:
+        ``E[x^2] - mean^2`` cancels catastrophically on near-equal values.
+        """
 
         def _part(_s: int, recs: List):
             if not recs:
                 return (0, 0.0, 0.0, float("inf"), float("-inf"))
-            total = float(sum(recs))
-            sq = float(sum(r * r for r in recs))
-            return (len(recs), total, sq, float(min(recs)), float(max(recs)))
+            mean = float(sum(recs)) / len(recs)
+            m2 = float(sum((r - mean) ** 2 for r in recs))
+            return (len(recs), mean, m2, float(min(recs)), float(max(recs)))
 
-        count, total, sq = 0, 0.0, 0.0
+        count, mean, m2 = 0, 0.0, 0.0
         lo, hi = float("inf"), float("-inf")
-        for n, t, s, p_lo, p_hi in self.ctx.run_job(self, _part):
-            count += n
-            total += t
-            sq += s
+        for n, p_mean, p_m2, p_lo, p_hi in self.ctx.run_job(self, _part):
+            if n:
+                total = count + n
+                delta = p_mean - mean
+                mean += delta * (n / total)
+                m2 += p_m2 + delta * delta * (count * n / total)
+                count = total
             lo = min(lo, p_lo)
             hi = max(hi, p_hi)
         if count == 0:
             raise WorkloadError("stats() on an empty RDD")
-        mean = total / count
-        variance = max(sq / count - mean * mean, 0.0)
         return {
             "count": float(count),
             "mean": mean,
             "min": lo,
             "max": hi,
-            "stdev": variance**0.5,
+            "stdev": (m2 / count) ** 0.5,
         }
 
     def sum(self) -> float:

@@ -1,62 +1,128 @@
 """Shuffle manager: map-output registry and reduce-side fetch accounting.
 
 Map tasks partition their output by the shuffle dependency's partitioner
-and register per-reduce blocks here (records + virtual bytes + the node
-that produced them). Reduce tasks fetch all blocks for their partition and
-get back the records plus a :class:`FetchStats` describing how many bytes
-were local vs remote per source node — which the cost model converts into
-fetch time and the metrics recorder into network traffic.
+and register it here as **one** :class:`MapOutput` each: a container
+stably sorted by reduce id plus a sparse bucket index in numpy arrays
+(sort-based shuffle: one data file and one index per map task, no object
+per (map, reduce) pair). Reduce tasks fetch their partition as slices of
+those containers and get back the records plus a :class:`FetchStats`
+describing how many bytes were local vs remote per source node — which
+the cost model converts into fetch time and the metrics recorder into
+network traffic.
 
 Byte accounting uses *virtual* bytes (physical estimate x the writing
-RDD's ``size_scale``) plus a per-non-empty-block header, so shuffle volume
+RDD's ``size_scale``) plus a per-non-empty-bucket header, so shuffle volume
 reproduces the paper's Fig. 4 behaviour: for map-side-combined
 aggregations the payload grows linearly with the map partition count.
+Every total is a float left fold whose order is simulated behaviour; the
+arrays change where the addends live, never the order they are added in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.common.errors import FetchFailure, ShuffleError
 from repro.engine import effects
-from repro.engine.batch import RecordBatch
-from repro.engine.storage import SpillableBlock, SpillManager
+from repro.engine.batch import RecordBatch, as_record_list
+from repro.engine.storage import SpillableBlock, SpillManager, SpillRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import MetricsRegistry
 
-# A block payload: a list of (k, v) tuples or a columnar RecordBatch.
+# A records container: a list of (k, v) tuples or a columnar RecordBatch.
 Records = Union[List, RecordBatch]
 
 
-class ShuffleBlock(SpillableBlock):
-    """One (map partition, reduce partition) output block.
+class MapOutput(SpillableBlock):
+    """One map task's shuffle output, and the shuffle's spillable unit.
 
-    With a memory budget configured, the payload may physically live in
-    the spill file; ``.records`` reads it back transparently and every
-    virtual byte total is unaffected (see :mod:`repro.engine.storage`).
+    Buckets the task's records by reduce id (the one map-side kernel):
+    ``rids`` is one ``partition_many`` result and ``weights`` the
+    per-record byte sizes, both in ``container`` order. The container is
+    kept stably sorted by reduce id (uncopied if it already is) and three
+    parallel arrays describe its non-empty buckets: ascending reduce ids
+    ``rids``, ``len(rids) + 1`` container ``offsets``, per-bucket
+    ``payload`` bytes. They are exactly the buckets of a per-record dict
+    loop (``partition`` + ``+=``): records in arrival order, weights
+    summed by ``np.add.at``'s unbuffered left fold, and ``order`` (how
+    bucket bytes fold into the task's write total; None = ascending) the
+    dict's insertion order. Registration spends ``order`` and fills in
+    that total (``nbytes``) and ``node``. Under a memory budget the
+    container may live in the spill file, one frame per bucket, so a
+    reduce task reads back only its own bucket.
     """
+
+    __slots__ = ("rids", "offsets", "payload", "order")
+
+    def __init__(
+        self, container: Records, rids: Sequence[int], weights: np.ndarray
+    ) -> None:
+        rid_arr = np.fromiter(rids, dtype=np.int32, count=len(rids))
+        n = len(rid_arr)
+        sums = np.zeros(int(rid_arr.max()) + 1 if n else 0, dtype=np.float64)
+        np.add.at(sums, rid_arr, weights)
+        positions = None
+        if (rid_arr[1:] < rid_arr[:-1]).any():
+            positions = np.argsort(rid_arr, kind="stable")
+            rid_arr = rid_arr[positions]
+            if isinstance(container, RecordBatch):
+                container = container.take(positions)
+            else:
+                container = [container[i] for i in positions.tolist()]
+        super().__init__(container, 0.0, "")
+        starts = np.flatnonzero(np.concatenate(([n > 0], rid_arr[1:] != rid_arr[:-1])))
+        self.rids = rid_arr[starts]
+        self.offsets = np.append(starts, n).astype(np.int32)
+        self.payload = sums[self.rids]
+        # positions[start] is where a bucket's first record sat in the
+        # task's output: ranking those recovers first-occurrence order.
+        self.order = None if positions is None else np.argsort(positions[starts])
+
+    def __len__(self) -> int:  # the number of non-empty buckets
+        return len(self.rids)
+
+    def bucket(self, start: int, stop: int) -> Records:
+        """One bucket, records ``[start, stop)``: the container itself when
+        it spans the whole output, else a fresh list or column views."""
+        container = self._records
+        if container is None:
+            slot = np.searchsorted(self.offsets, start)
+            at, end = self.frames[slot : slot + 2].tolist()
+            return self.spill_source.fetch(SpillRef(at, end - at))
+        if stop - start == len(container):
+            return container
+        if isinstance(container, RecordBatch):
+            return container.slice(start, stop)
+        return container[start:stop]
+
+    def _payloads(self) -> List[Records]:
+        offsets = self.offsets.tolist()
+        return [self.bucket(*span) for span in zip(offsets, offsets[1:])]
+
+    @property
+    def records(self) -> Records:
+        """Every record in bucket order: the container, or all its frames."""
+        container = self._records
+        return _gather(self._payloads()) if container is None else container
 
 
 def _gather(contributing: List[Records]) -> Records:
-    """Merge the non-empty blocks of one reduce partition, in map order.
+    """Merge the non-empty buckets of one reduce partition, in map order.
 
-    One block returns the registered container itself (zero copy); a mix
-    of batches and lists — possible when one map task's bucket resisted
-    columnarization — degrades to a concatenated list, preserving the
-    exact record order of the all-list path.
+    One bucket is returned as served (zero copy). A mix of batches and
+    lists (one map task's output resisted columnarization) degrades to a
+    concatenated list, in the exact record order of the all-list path.
     """
-    if not contributing:
-        return []
     if len(contributing) == 1:
         return contributing[0]
-    if all(isinstance(c, RecordBatch) for c in contributing):
+    if contributing and all(isinstance(c, RecordBatch) for c in contributing):
         return RecordBatch.concat(contributing)
-    out: List = []
-    for c in contributing:
-        out.extend(c.to_records() if isinstance(c, RecordBatch) else c)
-    return out
+    return list(chain.from_iterable(map(as_record_list, contributing)))
 
 
 @dataclass
@@ -76,25 +142,59 @@ class FetchStats:
         return self.local_bytes + self.remote_bytes
 
 
+class _ReduceIndex:
+    """Every registered bucket of one shuffle, grouped by reduce id.
+
+    CSR over four parallel ``columns``: the map output a bucket belongs
+    to, its ``[start, stop)`` span there, and its bytes (payload + header).
+    A reduce id's rows are in map *registration* order, the order
+    ``partition_sizes`` and ``map_output_nodes`` have always folded in.
+    """
+
+    __slots__ = ("indptr", "columns", "sizes")
+
+    def __init__(
+        self, outputs: Dict[int, MapOutput], num_reduces: int, header: float
+    ) -> None:
+        stored = list(outputs.values())
+        none = np.empty(0, np.int32)  # keeps the dtype when nothing is registered
+        rids = np.concatenate([none] + [o.rids for o in stored])
+        nbytes = np.concatenate([np.empty(0)] + [o.payload for o in stored]) + header
+        maps = np.repeat(np.array(list(outputs), np.int32), [len(o) for o in stored])
+        starts = np.concatenate([none] + [o.offsets[:-1] for o in stored])
+        stops = np.concatenate([none] + [o.offsets[1:] for o in stored])
+        self.sizes = np.zeros(num_reduces, dtype=np.float64)
+        np.add.at(self.sizes, rids, nbytes)  # a left fold per reduce id
+        by_rid = np.argsort(rids, kind="stable")
+        self.indptr = np.searchsorted(rids[by_rid], np.arange(num_reduces + 1))
+        self.columns = (maps[by_rid], starts[by_rid], stops[by_rid], nbytes[by_rid])
+
+    def rows(self, reduce_id: int) -> Tuple[np.ndarray, ...]:
+        """``(maps, starts, stops, nbytes)`` of one reduce partition's
+        buckets (none for an id outside the shuffle: no bucket has it)."""
+        lo = hi = 0
+        if 0 <= reduce_id < len(self.sizes):
+            lo, hi = self.indptr[reduce_id : reduce_id + 2].tolist()
+        return tuple(column[lo:hi] for column in self.columns)
+
+
 @dataclass
 class _ShuffleState:
     num_maps: int
     num_reduces: int
-    # blocks[map_id][reduce_id] -> ShuffleBlock (only non-empty stored)
-    blocks: Dict[int, Dict[int, ShuffleBlock]] = field(default_factory=dict)
+    # Registered map outputs by map id, in registration order (a replaced
+    # output keeps its place, a rebuilt one goes to the end).
+    outputs: Dict[int, MapOutput] = field(default_factory=dict)
     bytes_written: float = 0.0
-    # Node that produced each registered map output (one per map task).
-    map_nodes: Dict[int, str] = field(default_factory=dict)
     # Map outputs discarded by a node loss: map_id -> the dead node.
     # Non-empty means fetches must fail until a resubmitted map stage
     # re-registers the lost partitions.
     lost: Dict[int, str] = field(default_factory=dict)
-    # Bumped on every block mutation (put / invalidate). Deferred fetches
+    # Bumped on every output mutation (put / invalidate). Deferred fetches
     # record the value they read and re-validate it at apply time.
     version: int = 0
-    # Lazy locality index: reduce_id -> {node: bytes}. None = stale,
-    # rebuilt in one pass on the next map_output_nodes call.
-    reduce_index: Optional[Dict[int, Dict[str, float]]] = None
+    # Lazy per-reduce view of ``outputs``; None = stale (rebuilt on use).
+    index: Optional[_ReduceIndex] = None
 
 
 class ShuffleManager:
@@ -139,8 +239,7 @@ class ShuffleManager:
                 return
             raise ShuffleError(
                 f"shuffle {shuffle_id} re-registered with different dimensions:"
-                f" {state.num_maps}x{state.num_reduces}"
-                f" -> {num_maps}x{num_reduces}"
+                f" {state.num_maps}x{state.num_reduces} -> {num_maps}x{num_reduces}"
             )
         self._shuffles[shuffle_id] = _ShuffleState(num_maps, num_reduces)
         if self._obs is not None:
@@ -153,22 +252,18 @@ class ShuffleManager:
         return shuffle_id in self._shuffles
 
     def put_map_output(
-        self,
-        shuffle_id: int,
-        map_id: int,
-        node: str,
-        partitioned: Dict[int, Tuple[Records, float]],
+        self, shuffle_id: int, map_id: int, node: str, output: MapOutput
     ) -> Optional[float]:
-        """Store one map task's output blocks.
+        """Store one map task's output.
 
-        ``partitioned`` maps reduce partition id -> (records, payload
-        bytes). Returns the total bytes written (payload + headers), which
-        the caller charges as shuffle write — or None from a deferred
-        attempt, whose write (and byte count) lands at apply time.
+        Returns the total bytes written (payload + a header per non-empty
+        bucket, folded in ``output.order``), which the caller charges as
+        shuffle write — or None from a deferred attempt, whose write (and
+        byte count) lands at apply time.
         """
         sink = effects.active()
         if sink is not None:
-            sink.ops.append(("shuffle_put", shuffle_id, map_id, node, partitioned))
+            sink.ops.append(("shuffle_put", shuffle_id, map_id, node, output))
             return None
         state = self._state(shuffle_id)
         if not 0 <= map_id < state.num_maps:
@@ -176,45 +271,51 @@ class ShuffleManager:
                 f"map id {map_id} out of range for shuffle {shuffle_id} "
                 f"({state.num_maps} maps)"
             )
-        previous = state.blocks.get(map_id)
+        rids = output.rids
+        if len(rids) and not 0 <= rids[0] <= rids[-1] < state.num_reduces:
+            raise ShuffleError(
+                f"reduce id {rids[0] if rids[0] < 0 else rids[-1]} out of range "
+                f"for shuffle {shuffle_id} ({state.num_reduces} reduces)"
+            )
+        nbytes = output.payload + self.block_header
+        written = 0.0  # an explicit left fold, in float64
+        for size in (nbytes if output.order is None else nbytes[output.order]).tolist():
+            written += size
+        previous = state.outputs.get(map_id)
         if previous is not None:
             # A re-executed (retried or speculative) map task replaces its
             # output; don't double-count the bytes.
-            state.bytes_written -= sum(b.nbytes for b in previous.values())
+            state.bytes_written -= previous.nbytes
             if self._spill is not None:
-                for b in previous.values():
-                    self._spill.forget(b)
-        blocks: Dict[int, ShuffleBlock] = {}
-        written = 0.0
-        for reduce_id, (records, payload) in partitioned.items():
-            if not 0 <= reduce_id < state.num_reduces:
-                raise ShuffleError(
-                    f"reduce id {reduce_id} out of range for shuffle "
-                    f"{shuffle_id} ({state.num_reduces} reduces)"
-                )
-            if not records:
-                continue
-            nbytes = payload + self.block_header
-            block = ShuffleBlock(records=records, nbytes=nbytes, node=node)
-            blocks[reduce_id] = block
-            written += nbytes
-            if self._spill is not None:
-                self._spill.admit(block, ("shuffle", shuffle_id, map_id, reduce_id))
-        state.blocks[map_id] = blocks
+                self._spill.forget(previous)
+        # Registered: the write total is known, its fold order is spent.
+        output.nbytes, output.node, output.order = written, node, None
+        state.outputs[map_id] = output
+        if self._spill is not None and len(rids):
+            self._spill.admit(output, ("shuffle", shuffle_id, map_id))
         state.bytes_written += written
-        state.map_nodes[map_id] = node
         # A rebuilt output heals the shuffle for this map partition.
         if state.lost.pop(map_id, None) is not None:
             self._lost_blocks -= 1
         state.version += 1
-        state.reduce_index = None
+        state.index = None
         if self._metrics is not None and written:
             # Re-executed (retried / speculative) maps physically write
             # again, so the counter honestly includes the duplicate I/O
-            # even though the registry replaces the blocks.
+            # even though the registry replaces the output.
             self._write_total.inc(written)
             self._metrics.counter("shuffle.write_bytes", node=node).inc(written)
         return written
+
+    def _index(self, state: _ShuffleState) -> _ReduceIndex:
+        index = state.index
+        if index is None:
+            # One pass, amortized over every reduce task of the stage;
+            # racing attempt threads at worst build the same index twice.
+            index = state.index = _ReduceIndex(
+                state.outputs, state.num_reduces, self.block_header
+            )
+        return index
 
     def fetch(
         self,
@@ -227,16 +328,15 @@ class ShuffleManager:
 
         ``map_range`` restricts the fetch to the half-open ``[lo, hi)``
         slice of map outputs (AQE split sub-tasks); the completeness and
-        lost-block checks still cover the whole shuffle, so a slice never
+        lost-output checks still cover the whole shuffle, so a slice never
         serves a partial view either.
 
-        When exactly one non-empty map block feeds the reduce partition
-        (common at small map counts), its records container is returned
-        **as-is, without copying** — callers must treat fetched records
-        as read-only and copy before mutating (``ShuffledRDD`` already
-        does for its sorting mode). Multiple blocks concatenate: list
-        blocks by extend, columnar :class:`RecordBatch` blocks by
-        column-wise ``np.concatenate``.
+        A single contributing bucket is returned as served, which for a
+        bucket spanning its whole map output is the stored container
+        **itself, uncopied** — callers must treat fetched records as
+        read-only and copy before mutating (``ShuffledRDD`` does for its
+        sorting mode). Several buckets concatenate (columnar
+        :class:`RecordBatch` slices column-wise).
 
         Raises :class:`FetchFailure` when any of the shuffle's map
         outputs were discarded by a node loss — never silently serves a
@@ -252,80 +352,65 @@ class ShuffleManager:
         if state.lost:
             map_ids = sorted(state.lost)
             raise FetchFailure(shuffle_id, map_ids, state.lost[map_ids[0]])
-        if len(state.blocks) < state.num_maps:
+        if len(state.outputs) < state.num_maps:
             raise ShuffleError(
                 f"shuffle {shuffle_id}: fetch before all map outputs ready "
-                f"({len(state.blocks)}/{state.num_maps})"
+                f"({len(state.outputs)}/{state.num_maps})"
             )
+        maps, starts, stops, nbytes = self._index(state).rows(reduce_id)
+        # Serve (and account) in ascending map id, whatever order the map
+        # tasks registered in.
+        rows = np.argsort(maps)
+        if map_range is not None:
+            ordered = maps[rows]
+            rows = rows[(ordered >= map_range[0]) & (ordered < map_range[1])]
         contributing: List[Records] = []
         stats = FetchStats()
-        map_ids = (
-            range(state.num_maps)
-            if map_range is None
-            else range(max(0, map_range[0]), min(state.num_maps, map_range[1]))
-        )
-        for map_id in map_ids:
-            block = state.blocks[map_id].get(reduce_id)
-            if block is None:
-                continue
-            contributing.append(block.records)
-            stats.n_blocks += 1
-            if block.node == dst_node:
-                stats.local_bytes += block.nbytes
+        for map_id, start, stop, size in zip(
+            *(column[rows].tolist() for column in (maps, starts, stops, nbytes))
+        ):
+            output = state.outputs[map_id]
+            contributing.append(output.bucket(start, stop))
+            if output.node == dst_node:
+                stats.local_bytes += size
             else:
-                stats.remote_bytes_by_src[block.node] = (
-                    stats.remote_bytes_by_src.get(block.node, 0.0) + block.nbytes
+                stats.remote_bytes_by_src[output.node] = (
+                    stats.remote_bytes_by_src.get(output.node, 0.0) + size
                 )
+        stats.n_blocks = len(contributing)
         records = _gather(contributing)
         if self._metrics is not None:
-            if sink is not None:
-                # Buffer the increments in the serial order — including
-                # the lazy creation of labeled counters, which must not
-                # happen before the task's apply turn (counter creation
-                # order is visible in metric snapshots).
-                if stats.local_bytes:
-                    sink.ops.append(("counter", self._local_total, stats.local_bytes))
-                    sink.ops.append((
-                        "metric", "shuffle.local_bytes",
-                        (("node", dst_node),), stats.local_bytes,
-                    ))
-                for src, nbytes in stats.remote_bytes_by_src.items():
-                    sink.ops.append(("counter", self._remote_total, nbytes))
-                    sink.ops.append((
-                        "metric", "shuffle.remote_bytes", (("src", src),), nbytes,
-                    ))
-            else:
-                if stats.local_bytes:
-                    self._local_total.inc(stats.local_bytes)
-                    self._metrics.counter(
-                        "shuffle.local_bytes", node=dst_node
-                    ).inc(stats.local_bytes)
-                for src, nbytes in stats.remote_bytes_by_src.items():
-                    self._remote_total.inc(nbytes)
-                    self._metrics.counter("shuffle.remote_bytes", src=src).inc(nbytes)
+            moved = [
+                (self._remote_total, "shuffle.remote_bytes", "src", src, size)
+                for src, size in stats.remote_bytes_by_src.items()
+            ]
+            if stats.local_bytes:
+                moved.insert(0, (
+                    self._local_total, "shuffle.local_bytes", "node", dst_node,
+                    stats.local_bytes,
+                ))
+            for total, name, label, value, size in moved:
+                if sink is None:
+                    total.inc(size)
+                    self._metrics.counter(name, **{label: value}).inc(size)
+                else:
+                    # Buffered in the serial order, the lazy creation of
+                    # the labeled counter included: it must not happen
+                    # before the task's apply turn (creation order is
+                    # visible in metric snapshots).
+                    sink.ops.append(("counter", total, size))
+                    sink.ops.append(("metric", name, ((label, value),), size))
         return records, stats
 
     def map_output_nodes(self, shuffle_id: int, reduce_id: int) -> Dict[str, float]:
         """Bytes available per node for one reduce partition (for locality)."""
         state = self._state(shuffle_id)
-        index = state.reduce_index
-        if index is None:
-            # Rebuild the whole per-reduce index in one pass over the
-            # blocks, amortized over every reduce task of the stage (the
-            # previous code rescanned all maps per call: O(maps x
-            # reduces) per *stage submission* became quadratic in
-            # reduces). For any one reduce id the nodes are visited in
-            # the same map order as the per-call scan, so the float
-            # totals are bit-identical.
-            index = {}
-            for blocks in state.blocks.values():
-                for rid, block in blocks.items():
-                    by_node = index.get(rid)
-                    if by_node is None:
-                        index[rid] = by_node = {}
-                    by_node[block.node] = by_node.get(block.node, 0.0) + block.nbytes
-            state.reduce_index = index
-        return dict(index.get(reduce_id, ()))
+        maps, _starts, _stops, nbytes = self._index(state).rows(reduce_id)
+        by_node: Dict[str, float] = {}
+        for map_id, size in zip(maps.tolist(), nbytes.tolist()):
+            node = state.outputs[map_id].node
+            by_node[node] = by_node.get(node, 0.0) + size
+        return by_node
 
     def invalidate_node(self, node: str) -> Dict[int, List[int]]:
         """Discard every map output produced on ``node`` (executor loss).
@@ -338,26 +423,19 @@ class ShuffleManager:
         """
         lost: Dict[int, List[int]] = {}
         for shuffle_id, state in self._shuffles.items():
-            gone = sorted(
-                map_id
-                for map_id, host in state.map_nodes.items()
-                if host == node
-            )
+            gone = sorted(m for m, out in state.outputs.items() if out.node == node)
             for map_id in gone:
-                blocks = state.blocks.pop(map_id, {})
-                state.bytes_written -= sum(b.nbytes for b in blocks.values())
+                output = state.outputs.pop(map_id)
+                state.bytes_written -= output.nbytes
                 if self._spill is not None:
-                    # A dead node's spilled blocks are dropped exactly
-                    # like resident ones: extents released, later reads
-                    # recompute via lineage.
-                    for b in blocks.values():
-                        self._spill.forget(b)
-                del state.map_nodes[map_id]
+                    # Spilled outputs go like resident ones: extents
+                    # released, later reads recompute via lineage.
+                    self._spill.forget(output)
                 state.lost[map_id] = node
                 self._lost_blocks += 1
             if gone:
                 state.version += 1
-                state.reduce_index = None
+                state.index = None
                 lost[shuffle_id] = gone
         if lost and self._obs is not None:
             for shuffle_id in sorted(lost):
@@ -391,12 +469,7 @@ class ShuffleManager:
         The data-side view of partition skew: how the map outputs actually
         distributed over the reduce partitions, including empty ones.
         """
-        state = self._state(shuffle_id)
-        sizes = [0.0] * state.num_reduces
-        for blocks in state.blocks.values():
-            for reduce_id, block in blocks.items():
-                sizes[reduce_id] += block.nbytes
-        return sizes
+        return self._index(self._state(shuffle_id)).sizes.tolist()
 
     def block_sizes(self, shuffle_id: int, reduce_id: int) -> List[float]:
         """Bytes per map output feeding one reduce partition (index = map id).
@@ -405,23 +478,19 @@ class ShuffleManager:
         ranges are packed to near-equal byte totals.
         """
         state = self._state(shuffle_id)
-        sizes = [0.0] * state.num_maps
-        for map_id, blocks in state.blocks.items():
-            block = blocks.get(reduce_id)
-            if block is not None:
-                sizes[map_id] = block.nbytes
-        return sizes
+        maps, _starts, _stops, nbytes = self._index(state).rows(reduce_id)
+        sizes = np.zeros(state.num_maps, dtype=np.float64)
+        sizes[maps] = nbytes
+        return sizes.tolist()
 
     def map_contents(self, shuffle_id: int) -> Dict[int, Tuple[str, List]]:
-        """Every map output's records, flattened in ascending bucket order.
+        """``{map_id: (node, records)}``, records in ascending bucket order.
 
-        Returns ``{map_id: (node, records)}`` for AQE rebucketting: the
-        caller re-partitions each map's records under a new partitioner
+        For AQE rebucketting: the caller re-partitions each map's records
         and writes them back via :meth:`put_map_output` (which handles
-        replacement accounting, spill bookkeeping, and the version bump
-        that invalidates concurrent deferred reads). Columnar blocks are
-        flattened to record lists; ``put_map_output`` re-prices them.
-
+        replacement accounting, spill bookkeeping and the version bump
+        that invalidates concurrent deferred reads). Read-only like
+        fetched records: a list container is handed out as stored.
         Refuses while any map output is lost — rebucketting a degraded
         shuffle would bake the loss into the new buckets.
         """
@@ -429,36 +498,21 @@ class ShuffleManager:
         if state.lost:
             map_ids = sorted(state.lost)
             raise FetchFailure(shuffle_id, map_ids, state.lost[map_ids[0]])
-        out: Dict[int, Tuple[str, List]] = {}
-        for map_id in sorted(state.blocks):
-            records: List = []
-            blocks = state.blocks[map_id]
-            for reduce_id in sorted(blocks):
-                payload = blocks[reduce_id].records
-                records.extend(
-                    payload.to_records()
-                    if isinstance(payload, RecordBatch)
-                    else payload
-                )
-            out[map_id] = (state.map_nodes[map_id], records)
-        return out
+        return {
+            map_id: (output.node, as_record_list(output.records))
+            for map_id, output in sorted(state.outputs.items())
+        }
 
     def spilled_blocks(self) -> int:
-        """How many registered shuffle blocks currently live on disk."""
-        return sum(
-            1
-            for state in self._shuffles.values()
-            for blocks in state.blocks.values()
-            for block in blocks.values()
-            if block.is_spilled
-        )
+        """How many registered map outputs currently live on disk."""
+        outputs = (o for s in self._shuffles.values() for o in s.outputs.values())
+        return sum(1 for output in outputs if output.is_spilled)
 
     def clear(self) -> None:
         if self._spill is not None:
             for state in self._shuffles.values():
-                for blocks in state.blocks.values():
-                    for block in blocks.values():
-                        self._spill.forget(block)
+                for output in state.outputs.values():
+                    self._spill.forget(output)
         self._shuffles.clear()
         self._lost_blocks = 0
 

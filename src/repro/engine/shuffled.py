@@ -261,18 +261,6 @@ class CogroupRDD(RDD):
     def size_scale(self) -> float:
         return max(dep.parent.size_scale for dep in self.deps)
 
-    def set_partitioner(self, partitioner: Partitioner) -> None:
-        """Re-target the cogroup (CHOPPER rewrite hook).
-
-        Updates every shuffle dependency to the new partitioner; narrow
-        dependencies are left alone (their parents are being re-aligned by
-        the same rewrite pass).
-        """
-        self._partitioner = partitioner
-        for dep in self.deps:
-            if isinstance(dep, ShuffleDependency):
-                dep.partitioner = partitioner
-
     def reset_alignment(self) -> None:
         """Restore every shadowed shuffle dependency (pre-rewrite state)."""
         changed = False

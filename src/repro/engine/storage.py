@@ -11,8 +11,10 @@ Two tenants share this module:
   budget (``EngineConf.memory_budget``, virtual bytes) over every block
   payload the engine holds — cached RDD partitions and shuffle blocks
   alike. Payloads past the budget are serialized to an append-only
-  on-disk block file (``blocks.dat``, one frame per block) and read
-  back transparently on access. Spilling is **invisible to the
+  on-disk block file (``blocks.dat``: one extent per block, holding one
+  frame per cached partition and one frame per reduce bucket of a map
+  output) and read back transparently on access, a frame at a time.
+  Spilling is **invisible to the
   simulation**: virtual byte accounting, LRU order, fetch stats, the
   simulated clock and every record are bit-identical with or without a
   budget — only where the payload bytes physically live changes. That
@@ -38,7 +40,7 @@ import tempfile
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,12 +116,14 @@ class SpillableBlock:
     ``records`` reads transparently: resident payloads return directly,
     spilled ones deserialize from the spill manager's block file on each
     access (spilled blocks are not re-admitted to memory — shuffle
-    blocks are read once per reduce partition, so promotion would only
+    buckets are read once per reduce partition, so promotion would only
     churn the budget). All *virtual* accounting (``nbytes``, node
-    tagging, LRU order) is untouched by spilling.
+    tagging, LRU order) is untouched by spilling. A block spills as one
+    extent (``spill``) tiled by one or more frames; ``frames`` holds their
+    ``n + 1`` absolute file offsets, so one frame can be read on its own.
     """
 
-    __slots__ = ("nbytes", "node", "_records", "spill", "spill_source")
+    __slots__ = ("nbytes", "node", "_records", "spill", "spill_source", "frames")
 
     def __init__(self, records: Any, nbytes: float, node: str) -> None:
         self._records = records
@@ -127,6 +131,11 @@ class SpillableBlock:
         self.node = node
         self.spill: Optional[SpillRef] = None
         self.spill_source: Optional["SpillManager"] = None
+        self.frames: Optional[np.ndarray] = None
+
+    def _payloads(self) -> Sequence[Any]:
+        """What a spill writes, one frame each (resident blocks only)."""
+        return (self._records,)
 
     @property
     def records(self) -> Any:
@@ -135,10 +144,6 @@ class SpillableBlock:
             assert self.spill_source is not None
             return self.spill_source.fetch(self.spill)
         return records
-
-    @records.setter
-    def records(self, value: Any) -> None:
-        self._records = value
 
     @property
     def is_spilled(self) -> bool:
@@ -253,13 +258,15 @@ class SpillManager:
             )
             block.spill = None
             block.spill_source = None
+            block.frames = None
 
     # ------------------------------------------------------------------
     # Disk I/O
     # ------------------------------------------------------------------
 
     def _spill_block(self, block: SpillableBlock, key: tuple) -> None:
-        blob = _encode_block(block._records)
+        frames = [_encode_block(payload) for payload in block._payloads()]
+        blob = b"".join(frames)
         if self._write_fh is None:
             self._write_fh = open(self._data_path, "ab")
         offset = self._offset
@@ -270,6 +277,7 @@ class SpillManager:
         # so a concurrent reader always sees one of the two (identical)
         # sources.
         block.spill_source = self
+        block.frames = offset + np.cumsum([0] + [len(frame) for frame in frames])
         block.spill = SpillRef(offset=offset, length=len(blob))
         block._records = None
         self._resident_bytes = max(0.0, self._resident_bytes - block.nbytes)
@@ -495,10 +503,6 @@ class BlockStore:
 
     def total_bytes(self) -> float:
         return sum(self._node_bytes.values())
-
-    def spilled_blocks(self) -> int:
-        """How many cached blocks currently live on disk."""
-        return sum(1 for b in self._index.values() if b.is_spilled)
 
     def clear(self) -> None:
         if self._spill is not None:

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import paper_cluster, uniform_cluster
 from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.costmodel import CostModelConfig
+
+# Tier-1 is a function of the commit: every @given test draws the same
+# examples on every run (seeded from the test itself) and no example
+# database carries failures from one checkout to the next. Per-test
+# @settings (max_examples, deadline, health checks) still apply on top.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def quiet_cost() -> CostModelConfig:

@@ -1,11 +1,14 @@
 """Map-side output bucketing against its per-record reference.
 
 ``TaskRunner._run_map_task`` buckets a task's output with one
-``partition_many`` call and the ``bucket_groups`` kernel. These tests pin
-down that it hands ``put_map_output`` byte-for-byte the same payloads as
-the naive per-record reference (``Partitioner.partition`` +
-``estimate_size`` per record), on both the combined (``reduce_by_key``)
-and pass-through (``group_by_key``) map paths and in both block formats.
+``partition_many`` call and the ``MapOutput.bucketed`` kernel, which
+hands ``put_map_output`` one container sorted by reduce id plus a sparse
+bucket index. These tests read the buckets back off that consolidated
+output and pin down that they are byte-for-byte the buckets of the naive
+per-record reference (``Partitioner.partition`` + ``estimate_size`` per
+record, a dict of lists), in the same first-occurrence order and with
+the same write total, on both the combined (``reduce_by_key``) and
+pass-through (``group_by_key``) map paths and in both record formats.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import pytest
 from repro.cluster import uniform_cluster
 from repro.common.sizing import estimate_size
 from repro.engine import AnalyticsContext, EngineConf
-from repro.engine.batch import as_record_list
 from repro.engine.costmodel import CostModelConfig
 from repro.engine.executor import TaskRunner
 from repro.engine.shuffle import ShuffleManager
+from tests.engine.test_shuffle import buckets_of, map_output
 
 
 def _reference_run_map_task(self, stage, split, tctx):
@@ -55,7 +58,7 @@ def _reference_run_map_task(self, stage, split, tctx):
         )
 
     written = self.ctx.shuffle_manager.put_map_output(
-        dep.shuffle_id, split, tctx.node, buckets
+        dep.shuffle_id, split, tctx.node, map_output(buckets)
     )
     tctx.note_shuffle_write(written)
 
@@ -65,20 +68,15 @@ def _capture_payloads(monkeypatch, job, reference: bool, **conf):
     payloads = []
     original_put = ShuffleManager.put_map_output
 
-    def recording_put(self, shuffle_id, map_id, node, buckets):
+    def recording_put(self, shuffle_id, map_id, node, output):
         # shuffle_id comes from a process-global counter, so it differs
-        # between the two comparison runs; the payload proper is
-        # (map split, bucket contents, bucket byte sizes).
-        payloads.append(
-            (
-                map_id,
-                [
-                    (rid, as_record_list(recs), nbytes)
-                    for rid, (recs, nbytes) in buckets.items()
-                ],
-            )
-        )
-        return original_put(self, shuffle_id, map_id, node, buckets)
+        # between the two comparison runs; the payload proper is (map
+        # split, bucket contents and byte sizes in write order, bytes
+        # written).
+        buckets = buckets_of(output)  # before registration drops the order
+        written = original_put(self, shuffle_id, map_id, node, output)
+        payloads.append((map_id, buckets, written))
+        return written
 
     monkeypatch.setattr(ShuffleManager, "put_map_output", recording_put)
     if reference:
@@ -127,7 +125,8 @@ class TestMapBucketingRegression:
         )
         want, ref_result = _capture_payloads(monkeypatch, job, reference=True)
         assert result == ref_result
-        assert got == want  # identical buckets, byte sums, and ordering
+        # Identical buckets, byte sums, ordering and write totals (==).
+        assert got == want
 
     def test_payloads_nontrivial(self, monkeypatch):
         payloads, _ = _capture_payloads(
@@ -135,7 +134,14 @@ class TestMapBucketingRegression:
         )
         assert payloads, "job produced no map output"
         # Every reduce bucket carries records and a positive byte size.
-        assert any(len(buckets) > 1 for _, buckets in payloads)
-        for _mid, buckets in payloads:
+        assert any(len(buckets) > 1 for _, buckets, _written in payloads)
+        # ... and some task met its buckets out of reduce-id order, so the
+        # first-occurrence write order is really exercised.
+        assert any(
+            [rid for rid, _, _ in buckets] != sorted(rid for rid, _, _ in buckets)
+            for _, buckets, _written in payloads
+        )
+        for _mid, buckets, written in payloads:
+            assert written > sum(nbytes for _, _, nbytes in buckets) > 0
             for _rid, recs, nbytes in buckets:
                 assert recs and nbytes > 0

@@ -1,10 +1,13 @@
 """Tests for the shuffle manager's registry and fetch accounting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ShuffleError
-from repro.engine.batch import RecordBatch
-from repro.engine.shuffle import ShuffleManager
+from repro.engine.batch import RecordBatch, as_record_list
+from repro.engine.shuffle import MapOutput, ShuffleManager, _gather
 
 
 @pytest.fixture
@@ -12,8 +15,38 @@ def mgr():
     return ShuffleManager(block_header=10.0)
 
 
+def map_output(buckets):
+    """The consolidated output holding ``{reduce_id: (records, payload)}``.
+
+    Empty buckets are dropped, a single bucket keeps its container, and
+    the write total folds in the dict's order. A bucket's first record
+    carries its whole payload, so the kernel's fold reproduces it exactly.
+    """
+    live = {rid: bucket for rid, bucket in buckets.items() if len(bucket[0])}
+    rids, weights = [], []
+    for rid, (records, payload) in live.items():
+        rids += [rid] * len(records)
+        weights += [payload] + [0.0] * (len(records) - 1)
+    return MapOutput(_gather([recs for recs, _ in live.values()]), rids, np.array(weights))
+
+
+def buckets_of(output):
+    """``[(reduce_id, records, payload)]`` read off a consolidated output,
+    in the order the write total folds them."""
+    records = as_record_list(output.records)
+    slots = range(len(output)) if output.order is None else output.order.tolist()
+    return [
+        (
+            int(output.rids[slot]),
+            records[output.offsets[slot] : output.offsets[slot + 1]],
+            float(output.payload[slot]),
+        )
+        for slot in slots
+    ]
+
+
 def put(mgr, shuffle_id, map_id, node, blocks):
-    return mgr.put_map_output(shuffle_id, map_id, node, blocks)
+    return mgr.put_map_output(shuffle_id, map_id, node, map_output(blocks))
 
 
 class TestRegistry:
@@ -240,3 +273,231 @@ class TestNodeLoss:
         assert mgr.missing_map_ids(1) == []
         records, _stats = mgr.fetch(1, 0, "b")
         assert records == [("x", 1), ("y", 2)]
+
+
+# ----------------------------------------------------------------------
+# The consolidated layout against a dict-of-lists model
+# ----------------------------------------------------------------------
+
+
+class _DictModel:
+    """One Python object per (map, reduce) pair: the layout the arrays
+    replaced, kept as the reference. ``blocks[map_id][reduce_id]`` is
+    ``(records, nbytes)``; both dicts are walked in insertion order, which
+    is where every float total gets its summation order from."""
+
+    def __init__(self, num_maps, num_reduces, header):
+        self.num_maps, self.num_reduces, self.header = num_maps, num_reduces, header
+        self.blocks, self.nodes, self.written = {}, {}, {}
+        self.bytes_written = 0.0
+
+    def put(self, map_id, node, records, rids, weights, ascending):
+        buckets = {}
+        for record, rid, weight in zip(records, rids, weights):
+            recs, payload = buckets.get(rid, ([], 0.0))
+            buckets[rid] = (recs + [record], payload + weight)
+        if ascending:
+            buckets = dict(sorted(buckets.items()))
+        if map_id in self.blocks:
+            self.bytes_written -= self.written[map_id]
+        written = 0.0
+        blocks = {}
+        for rid, (recs, payload) in buckets.items():
+            blocks[rid] = (recs, payload + self.header)
+            written += payload + self.header
+        self.blocks[map_id] = blocks  # a replaced key keeps its place
+        self.nodes[map_id], self.written[map_id] = node, written
+        self.bytes_written += written
+        return written
+
+    def invalidate(self, node):
+        gone = sorted(m for m, host in self.nodes.items() if host == node)
+        for map_id in gone:
+            del self.blocks[map_id], self.nodes[map_id]
+            self.bytes_written -= self.written.pop(map_id)
+        return gone
+
+    def fetch(self, reduce_id, dst_node, map_range):
+        lo, hi = map_range or (0, self.num_maps)
+        records, local, remote, n_blocks = [], 0.0, {}, 0
+        for map_id in range(max(0, lo), min(self.num_maps, hi)):
+            block = self.blocks[map_id].get(reduce_id)
+            if block is None:
+                continue
+            records.extend(block[0])
+            n_blocks += 1
+            node = self.nodes[map_id]
+            if node == dst_node:
+                local += block[1]
+            else:
+                remote[node] = remote.get(node, 0.0) + block[1]
+        return records, local, remote, n_blocks
+
+    def partition_sizes(self):
+        sizes = [0.0] * self.num_reduces
+        for blocks in self.blocks.values():
+            for rid, (_recs, nbytes) in blocks.items():
+                sizes[rid] += nbytes
+        return sizes
+
+    def block_sizes(self, reduce_id):
+        sizes = [0.0] * self.num_maps
+        for map_id, blocks in self.blocks.items():
+            if reduce_id in blocks:
+                sizes[map_id] = blocks[reduce_id][1]
+        return sizes
+
+    def map_output_nodes(self, reduce_id):
+        by_node = {}
+        for map_id, blocks in self.blocks.items():
+            if reduce_id in blocks:
+                node = self.nodes[map_id]
+                by_node[node] = by_node.get(node, 0.0) + blocks[reduce_id][1]
+        return by_node
+
+
+# Weights whose sums depend on the order they are added in.
+_WEIGHTS = st.sampled_from([0.1, 1 / 3, 24.0, 40.5, 1e9 + 0.7, 3.3e-7])
+_NODES = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def _map_task(draw, map_id, num_reduces, serial):
+    """One map task's output: records, reduce ids, weights, how it is held."""
+    n = draw(st.integers(0, 12))
+    records = [(f"m{map_id}.{serial}.{i}", float(i)) for i in range(n)]
+    return {
+        "map_id": map_id,
+        "node": draw(_NODES),
+        "records": records,
+        "rids": draw(st.lists(st.integers(0, num_reduces - 1), min_size=n, max_size=n)),
+        "weights": draw(st.lists(_WEIGHTS, min_size=n, max_size=n)),
+        "columnar": draw(st.booleans()),
+        "ascending": draw(st.booleans()),
+    }
+
+
+@st.composite
+def _shuffle_history(draw):
+    num_maps, num_reduces = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    order = draw(st.permutations(range(num_maps)))
+    tasks = [draw(_map_task(m, num_reduces, 0)) for m in order]
+    replaced = draw(st.none() | st.integers(0, num_maps - 1))
+    if replaced is not None:  # a retried / speculative map task
+        tasks.append(draw(_map_task(replaced, num_reduces, 1)))
+    lo = draw(st.integers(0, num_maps))
+    return {
+        "num_maps": num_maps,
+        "num_reduces": num_reduces,
+        "header": draw(st.sampled_from([0.0, 0.1, 10.0, 64.0])),
+        "tasks": tasks,
+        "lost_node": draw(st.none() | _NODES),
+        "rebuild_nodes": draw(st.lists(_NODES, min_size=num_maps, max_size=num_maps)),
+        "map_range": draw(st.none() | st.just((lo, draw(st.integers(lo, num_maps))))),
+        "dst_node": draw(_NODES),
+    }
+
+
+def _put_both(mgr, model, task):
+    records = task["records"]
+    container = records
+    if task["columnar"] and records:
+        container = RecordBatch.from_records(records)
+    output = MapOutput(container, task["rids"], np.array(task["weights"]))
+    if task["ascending"]:  # what AQE's re-bucketing asks for
+        output.order = None
+    got = mgr.put_map_output(1, task["map_id"], task["node"], output)
+    want = model.put(
+        task["map_id"], task["node"], records, task["rids"], task["weights"],
+        task["ascending"],
+    )
+    assert got == want
+    assert len(output) == len(model.blocks[task["map_id"]])
+
+
+def _assert_same_view(mgr, model, history):
+    """Every query answers as the dict walk does: records and floats ``==``."""
+    assert mgr.bytes_written(1) == model.bytes_written
+    assert mgr.partition_sizes(1) == model.partition_sizes()
+    for rid in range(model.num_reduces):
+        assert mgr.block_sizes(1, rid) == model.block_sizes(rid)
+        assert mgr.map_output_nodes(1, rid) == model.map_output_nodes(rid)
+        for map_range in (None, history["map_range"]):
+            records, stats = mgr.fetch(1, rid, history["dst_node"], map_range=map_range)
+            want, local, remote, n_blocks = model.fetch(
+                rid, history["dst_node"], map_range
+            )
+            assert as_record_list(records) == want
+            assert stats.local_bytes == local
+            assert stats.remote_bytes_by_src == remote
+            assert stats.n_blocks == n_blocks
+
+
+class TestConsolidatedLayoutAgainstDictModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffle_history())
+    def test_every_query_matches_the_dict_walk(self, history):
+        from repro.common.errors import FetchFailure
+
+        mgr = ShuffleManager(block_header=history["header"])
+        model = _DictModel(history["num_maps"], history["num_reduces"], history["header"])
+        mgr.register(1, history["num_maps"], history["num_reduces"])
+        for task in history["tasks"]:
+            _put_both(mgr, model, task)
+        _assert_same_view(mgr, model, history)
+
+        if history["lost_node"] is None:
+            return
+        gone = model.invalidate(history["lost_node"])
+        assert mgr.invalidate_node(history["lost_node"]) == ({1: gone} if gone else {})
+        assert mgr.bytes_written(1) == model.bytes_written
+        assert mgr.partition_sizes(1) == model.partition_sizes()
+        if gone:
+            with pytest.raises(FetchFailure) as failure:
+                mgr.fetch(1, 0, history["dst_node"])
+            assert failure.value.map_ids == gone
+        # Lineage recovery re-registers the lost maps at the end.
+        for map_id in gone:
+            task = dict(history["tasks"][0], map_id=map_id)
+            task["node"] = history["rebuild_nodes"][map_id]
+            _put_both(mgr, model, task)
+        _assert_same_view(mgr, model, history)
+
+
+class TestObjectsAtRest:
+    @staticmethod
+    def _tracked_by_gc(num_reduces: int):
+        """gc-tracked objects a registered, indexed 20k-record shuffle adds
+        (and how many non-empty buckets it holds)."""
+        import gc
+
+        from repro.engine.partitioner import HashPartitioner
+
+        num_maps = 10
+        records = [(f"w{i % 997}", float(i)) for i in range(20_000)]
+        partitioner = HashPartitioner(num_reduces)
+        mgr = ShuffleManager()
+        mgr.register(1, num_maps, num_reduces)
+        gc.collect()  # also untracks the all-atomic record tuples
+        before = len(gc.get_objects())
+        non_empty = 0
+        for map_id in range(num_maps):
+            chunk = records[map_id::num_maps]
+            rids = partitioner.partition_many([key for key, _ in chunk])
+            output = MapOutput(chunk, rids, np.full(len(chunk), 40.0))
+            non_empty += len(output)
+            mgr.put_map_output(1, map_id, "a", output)
+        fetched, _stats = mgr.fetch(1, rids[0], "a")  # builds the shuffle's index
+        assert len(fetched) > 0
+        del chunk, rids, output, fetched
+        gc.collect()
+        return len(gc.get_objects()) - before, non_empty
+
+    def test_object_count_does_not_grow_with_reduce_partitions(self):
+        """No Python object per (map, reduce) pair survives the map task:
+        64x the reduce partitions (50x the non-empty buckets) hold the
+        same records in the same number of objects."""
+        few, few_buckets = self._tracked_by_gc(8)
+        many, many_buckets = self._tracked_by_gc(512)
+        assert many_buckets > 40 * few_buckets
+        assert abs(many - few) <= 0.05 * few

@@ -19,8 +19,9 @@ from hypothesis.extra import numpy as hnp
 from repro.common.errors import ConfigurationError, StorageError
 from repro.engine.batch import RecordBatch
 from repro.engine.context import AnalyticsContext, EngineConf
-from repro.engine.shuffle import ShuffleManager
+from repro.engine.shuffle import MapOutput, ShuffleManager
 from repro.engine.storage import BlockStore, SpillManager
+from tests.engine.test_shuffle import map_output
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -290,12 +291,62 @@ class TestRemoveAndEvictWithSpilledBlocks:
         assert spill.live_spilled_bytes == 0.0
 
 
+def _spilled_map_output(spill, buckets=64, per_bucket=5):
+    """One registered map output of ``buckets`` buckets, spilled at once."""
+    mgr = ShuffleManager(block_header=0.0, spill=spill)
+    mgr.register(0, num_maps=1, num_reduces=buckets)
+    records = [(f"k{i}", i) for i in range(buckets * per_bucket)]
+    rids = [i % buckets for i in range(len(records))]
+    output = MapOutput(records, rids, np.full(len(records), 30.0))
+    mgr.put_map_output(0, 0, "a", output)  # 9600 virtual bytes > 100
+    assert output.is_spilled and spill.spill_events == 1
+    return mgr, output, records
+
+
 class TestShuffleSpill:
+    def test_reduce_task_reads_back_only_its_bucket(self, spill):
+        """The unit of spill is the map output (one event, one extent);
+        the unit of read-back is the bucket (one frame)."""
+        mgr, output, records = _spilled_map_output(spill)
+        assert mgr.spilled_blocks() == 1
+        assert len(output.frames) == 64 + 1
+        assert (output.frames[0], output.frames[-1] - output.frames[0]) == (
+            output.spill.offset, output.spill.length,
+        )
+        blocks = os.path.join(spill.directory, "blocks.dat")
+        assert spill.spilled_disk_bytes == os.path.getsize(blocks) == output.spill.length
+        fetched, stats = mgr.fetch(0, 17, "a")
+        assert fetched == [r for i, r in enumerate(records) if i % 64 == 17]
+        assert stats.total_bytes == 5 * 30.0  # virtual accounting unchanged
+        frame = int(output.frames[18] - output.frames[17])
+        assert (spill.spill_reads, spill.spill_read_disk_bytes) == (1, frame)
+        assert frame * 32 < output.spill.length
+        # All of it (AQE re-bucketing under a budget): the frames in order.
+        assert output.records == sorted(records, key=lambda r: r[1] % 64)
+        assert spill.spill_read_disk_bytes == frame + output.spill.length
+
+    @pytest.mark.parametrize("at", [0, 1, 3, 8], ids=lambda at: f"byte{at}")
+    def test_damaged_frame_fails_alone(self, spill, at):
+        """Flipped bytes in the third frame of a multi-frame extent: its
+        fetch names that frame, the frames around it still read."""
+        mgr, output, records = _spilled_map_output(spill)
+        start, length = int(output.frames[2]), int(output.frames[3] - output.frames[2])
+        with open(os.path.join(spill.directory, "blocks.dat"), "r+b") as fh:
+            fh.seek(start + at)
+            fh.write(b"\xff" * 4)
+        with pytest.raises(
+            StorageError, match=f"damaged spill block at {start}:{length}:"
+        ):
+            mgr.fetch(0, 2, "a")
+        for reduce_id in (1, 3):
+            fetched, _stats = mgr.fetch(0, reduce_id, "a")
+            assert fetched == [r for i, r in enumerate(records) if i % 64 == reduce_id]
+
     def test_shuffle_blocks_spill_and_fetch_transparently(self, spill):
         mgr = ShuffleManager(block_header=0.0, spill=spill)
         mgr.register(0, num_maps=2, num_reduces=1)
-        mgr.put_map_output(0, 0, "a", {0: ([("k", 1)], 80.0)})
-        mgr.put_map_output(0, 1, "b", {0: ([("k", 2)], 80.0)})
+        mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 1)], 80.0)}))
+        mgr.put_map_output(0, 1, "b", map_output({0: ([("k", 2)], 80.0)}))
         assert spill.spill_events >= 1
         assert mgr.spilled_blocks() >= 1
         records, stats = mgr.fetch(0, 0, "a")
@@ -305,8 +356,8 @@ class TestShuffleSpill:
     def test_invalidate_node_releases_spilled_extents(self, spill):
         mgr = ShuffleManager(block_header=0.0, spill=spill)
         mgr.register(0, num_maps=2, num_reduces=1)
-        mgr.put_map_output(0, 0, "a", {0: ([("k", 1)], 80.0)})
-        mgr.put_map_output(0, 1, "b", {0: ([("k", 2)], 80.0)})
+        mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 1)], 80.0)}))
+        mgr.put_map_output(0, 1, "b", map_output({0: ([("k", 2)], 80.0)}))
         lost = mgr.invalidate_node("a")
         assert lost == {0: [0]}
         # The dead node's blocks (spilled or not) left the spill budget.
@@ -316,8 +367,8 @@ class TestShuffleSpill:
     def test_replaced_map_output_forgets_old_blocks(self, spill):
         mgr = ShuffleManager(block_header=0.0, spill=spill)
         mgr.register(0, num_maps=1, num_reduces=1)
-        mgr.put_map_output(0, 0, "a", {0: ([("k", 1)], 80.0)})
-        mgr.put_map_output(0, 0, "a", {0: ([("k", 9)], 80.0)})  # re-execution
+        mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 1)], 80.0)}))
+        mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 9)], 80.0)}))  # re-execution
         total = spill.resident_bytes + spill.live_spilled_bytes
         assert total == 80.0
         records, _ = mgr.fetch(0, 0, "a")
