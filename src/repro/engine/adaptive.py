@@ -22,23 +22,36 @@ the target partition size — given the same map outputs, a re-derived plan
 is always identical, which is what keeps chaos-recovery runs and the
 threads/procs execution modes bit-identical with AQE on.
 
-Decision logic lives here (unit-testable on synthetic histograms); the
-mechanics (map-range fetches, rebucketting, slice assembly) live in
-``shuffle.py`` / ``executor.py`` / ``dag_scheduler.py``.
+Decision logic lives here (unit-testable on synthetic histograms), and so
+does :func:`replan`, the one entry point the DAG scheduler calls before a
+stage's first full launch. Nothing downstream knows about AQE: a plan is
+a list of :class:`AdaptiveTaskSpec`, the same spec every task carries
+(the static layout is one plain spec per split), and the task builder,
+the executor body and the result filing are driven by the spec alone.
+Map-range fetches live in ``shuffle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from repro.common.sizing import estimate_size, sizes_array
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
+from repro.engine.partitioner import RangePartitioner
+from repro.engine.rdd import MapPartitionsRDD
 from repro.engine.shuffle import MapOutput
+from repro.engine.shuffled import ShuffledRDD
 from repro.engine.stage import RESULT, Stage
+from repro.obs.diagnostics import gini
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.context import AnalyticsContext
 
 # A reduce partition is "hot" (split candidate, and grounds for
 # re-deriving range bounds) when its measured size exceeds this multiple
@@ -52,6 +65,7 @@ __all__ = [
     "AdaptivePlan",
     "hot_partitions",
     "plan_partitions",
+    "replan",
     "should_switch",
     "slice_map_ranges",
     "splittable_shuffle",
@@ -94,7 +108,6 @@ class AdaptivePlan:
     after_sizes: List[float]
     n_coalesced: int  # original partitions packed into multi-split tasks
     n_split: int  # original partitions carved into slices
-    shuffle_ids: Tuple[int, ...] = ()
 
 
 def _median(values: Sequence[float]) -> float:
@@ -240,7 +253,6 @@ def plan_partitions(
         after_sizes=after,
         n_coalesced=n_coalesced,
         n_split=n_split,
-        shuffle_ids=(shuffle_id,) if shuffle_id is not None else (),
     )
 
 
@@ -261,9 +273,6 @@ def splittable_shuffle(stage: Stage) -> Optional[ShuffleDependency]:
     * with nothing cached along the chain (a cached slice would poison
       the block store with partial partitions).
     """
-    from repro.engine.rdd import MapPartitionsRDD
-    from repro.engine.shuffled import ShuffledRDD
-
     if stage.kind != RESULT:
         return None
     node = stage.rdd
@@ -308,3 +317,167 @@ def bucket_records(
     output.payload *= write_scale
     output.order = None
     return output
+
+
+def replan(
+    ctx: "AnalyticsContext", stage: Stage, running: Iterable[Stage]
+) -> Optional[AdaptivePlan]:
+    """Derive a stage's adaptive plan from its measured shuffle inputs.
+
+    Called on a stage's first full launch, once its parents have
+    materialized; ``running`` are the job's running stages (the switch
+    guard). Returns None when the stage has no materialized shuffle
+    inputs or the sizes ask for no change.
+    """
+    deps = stage.incoming_shuffle_deps()
+    if not deps:
+        return None
+    manager = ctx.shuffle_manager
+    for dep in deps:
+        if not manager.is_registered(dep.shuffle_id):
+            return None
+        if manager.missing_map_ids(dep.shuffle_id):
+            # Degraded shuffle (a kill landed between map completion
+            # and this launch): fall back to plain tasks and let the
+            # normal fetch-failure recovery handle it.
+            return None
+        if dep.num_reduce_partitions != stage.num_tasks:
+            # Union-style stages where reduce partitions don't map
+            # 1:1 onto task indices; nothing to re-plan safely.
+            return None
+
+    # (c) switch first: re-deriving range bounds changes the size
+    # histogram the coalesce/split decisions below are based on.
+    for dep in deps:
+        _try_switch(ctx, stage, dep, running)
+
+    sizes = [0.0] * stage.num_tasks
+    for dep in deps:
+        for i, nbytes in enumerate(manager.partition_sizes(dep.shuffle_id)):
+            sizes[i] += nbytes
+    split_dep = splittable_shuffle(stage)
+    plan = plan_partitions(
+        sizes,
+        target_bytes=ctx.conf.aqe_target_partition_bytes,
+        shuffle_id=split_dep.shuffle_id if split_dep is not None else None,
+        map_sizes=(
+            (lambda rid: manager.block_sizes(split_dep.shuffle_id, rid))
+            if split_dep is not None
+            else None
+        ),
+    )
+    if plan is None:
+        return None
+    now = ctx.sim.now
+    ctx.obs.span(
+        "aqe-replan", "aqe", now, now,
+        stage=stage.name,
+        stage_id=stage.stage_id,
+        original_partitions=stage.num_tasks,
+        adapted_partitions=len(plan.specs),
+        coalesced=plan.n_coalesced,
+        split=plan.n_split,
+        **_histograms(plan.before_sizes, plan.after_sizes),
+    )
+    metrics = ctx.obs.metrics
+    metrics.counter("aqe.stages_replanned").inc()
+    if plan.n_coalesced:
+        metrics.counter("aqe.partitions_coalesced").inc(plan.n_coalesced)
+    if plan.n_split:
+        metrics.counter("aqe.partitions_split").inc(plan.n_split)
+    saved = stage.num_tasks - len(plan.specs)
+    if saved > 0:
+        metrics.counter("aqe.tasks_saved").inc(saved)
+    ctx.obs.log_event(
+        "INFO", "aqe", "stage_replanned",
+        stage=stage.name,
+        original_partitions=stage.num_tasks,
+        adapted_partitions=len(plan.specs),
+        coalesced=plan.n_coalesced, split=plan.n_split,
+    )
+    return plan
+
+
+def _histograms(before: Sequence[float], after: Sequence[float]) -> dict:
+    """Span arguments showing what a re-plan did to the partition sizes."""
+    return {
+        "before": [round(b, 1) for b in before],
+        "after": [round(a, 1) for a in after],
+        "gini_before": round(gini(before), 4),
+        "gini_after": round(gini(after), 4),
+    }
+
+
+def _try_switch(
+    ctx: "AnalyticsContext",
+    stage: Stage,
+    dep: ShuffleDependency,
+    running: Iterable[Stage],
+) -> None:
+    """Re-derive an ordered shuffle's range bounds from measured keys.
+
+    The runtime upgrade of ``sortByKey``'s sampled split points: once
+    the map outputs exist, the exact key histogram (with per-record
+    virtual sizes as weights) gives byte-balanced bounds, and the
+    already-written blocks are re-bucketed under them via the
+    vectorized partition kernels.
+
+    Restricted to ordered, non-user-fixed shuffles: the consuming
+    reduce stable-sorts by key, and equal keys always share one old
+    bucket, so re-bucketing preserves their relative order and the
+    reduce output is identical record-for-record — which is exactly
+    why an *unordered* hash shuffle is never switched (its consumers
+    observe raw bucket order). Skipped under speculation (an in-
+    flight duplicate map attempt could later overwrite a re-bucketed
+    output with old-partitioner blocks) and while any *running*
+    stage reads the shuffle (its earlier tasks fetched the old
+    buckets). Idempotent: re-deriving from re-bucketed blocks yields
+    the same bounds and equality short-circuits the rewrite.
+    """
+    manager = ctx.shuffle_manager
+    if not dep.ordered or dep.user_fixed or ctx.conf.speculation:
+        return
+    for other in list(running):
+        if other.stage_id != stage.stage_id and any(
+            d.shuffle_id == dep.shuffle_id for d in other.incoming_shuffle_deps()
+        ):
+            return
+    before = manager.partition_sizes(dep.shuffle_id)
+    if not should_switch(before):
+        return
+    contents = manager.map_contents(dep.shuffle_id)
+    keys: List[Any] = []
+    weights: List[float] = []
+    for map_id in sorted(contents):
+        for record in contents[map_id][1]:
+            keys.append(dep.key_fn(record))
+            weights.append(estimate_size(record))
+    new = RangePartitioner.from_weighted_keys(
+        keys, weights, dep.partitioner.num_partitions
+    )
+    if new == dep.partitioner:
+        return
+    old_kind = dep.partitioner.kind
+    write_scale = dep.parent.size_scale
+    for map_id in sorted(contents):
+        node, records = contents[map_id]
+        output = bucket_records(records, new, dep.key_fn, write_scale)
+        manager.put_map_output(dep.shuffle_id, map_id, node, output)
+    # Future producers (chaos-resubmitted map tasks) bucket straight
+    # into the new space; consumers align against the real scheme.
+    dep.partitioner = new
+    now = ctx.sim.now
+    ctx.obs.span(
+        "aqe-switch", "aqe", now, now,
+        stage=stage.name,
+        shuffle_id=dep.shuffle_id,
+        from_kind=old_kind,
+        to_kind=new.kind,
+        **_histograms(before, manager.partition_sizes(dep.shuffle_id)),
+    )
+    ctx.obs.metrics.counter("aqe.shuffles_switched").inc()
+    ctx.obs.log_event(
+        "INFO", "aqe", "shuffle_switched",
+        stage=stage.name, shuffle=dep.shuffle_id,
+        from_kind=old_kind, to_kind=new.kind,
+    )

@@ -24,14 +24,13 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import FetchFailure, SchedulingError, StageAbortedError
-from repro.engine.dependencies import NarrowDependency, ShuffleDependency
+from repro.engine.adaptive import AdaptivePlan, AdaptiveTaskSpec, replan
+from repro.engine.dependencies import ShuffleDependency
 from repro.engine.listener import JobStats, StageStats
-from repro.engine.shuffled import CogroupRDD, ShuffledRDD
 from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
 from repro.engine.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.adaptive import AdaptivePlan
     from repro.engine.context import AnalyticsContext
     from repro.engine.rdd import RDD
 
@@ -50,25 +49,22 @@ class StageRun:
         self,
         stage: Stage,
         stats: StageStats,
+        tasks: List[Task],
         result_fn: Optional[Callable],
         on_complete: Callable[["StageRun"], None],
     ) -> None:
         self.stage = stage
         self.stats = stats
+        self.tasks = tasks
         self.result_fn = result_fn
-        self.tasks: List[Task] = []
         self.results: Dict[int, Any] = {}
         self.completed_partitions: Set[int] = set()
         # AQE split partitions mid-assembly: original split -> {slice
         # index -> raw slice records}, concatenated in slice order (==
         # map-output order) once every slice has landed.
         self._pending_slices: Dict[int, Dict[int, Any]] = {}
-        self._remaining = 0
-        self._on_complete = on_complete
-
-    def set_tasks(self, tasks: List[Task]) -> None:
-        self.tasks = tasks
         self._remaining = len(tasks)
+        self._on_complete = on_complete
 
     def task_finished(self, task: Task, metrics, result: Any) -> None:
         if task.partition in self.completed_partitions:
@@ -88,46 +84,40 @@ class StageRun:
         if self._remaining == 0:
             self._on_complete(self)
 
-    def _record_result(self, task: Task, result: Any) -> None:
-        """File a physical task's result under its original partition(s).
+    def _record_result(self, task: Task, results: List[Any]) -> None:
+        """File a physical task's results under the splits it covered.
 
-        On AQE-re-planned stages ``task.partition`` is a *physical* index
-        while ``self.results`` is keyed by original split, so the final
-        ``job.results`` assembly is identical with AQE on or off.
+        ``task.partition`` is a *physical* index while ``self.results``
+        is keyed by original split, so the final ``job.results`` assembly
+        is the same whatever layout the stage ran in.
         """
         spec = task.spec
-        if spec is None:
-            self.results[task.partition] = result
-        elif spec.is_slice:
-            split = spec.splits[0]
-            slices = self._pending_slices.setdefault(split, {})
-            slices[spec.slice_index] = result
-            if len(slices) == spec.n_slices:
-                # Slices carry raw records (the executor skips result_fn
-                # for them); concatenating in slice order reproduces the
-                # unsplit partition byte-for-byte, then result_fn runs
-                # once — exactly like the plain task would have.
-                records: List[Any] = []
-                for idx in range(spec.n_slices):
-                    records.extend(slices[idx])
-                del self._pending_slices[split]
-                self.results[split] = (
-                    self.result_fn(split, records)
-                    if self.result_fn
-                    else records
-                )
-        elif spec.is_plain:
-            self.results[spec.splits[0]] = result
-        else:
-            # Coalesced: one result per covered split, in split order.
-            for split, value in zip(spec.splits, result):
-                self.results[split] = value
+        if not spec.is_slice:
+            self.results.update(zip(spec.splits, results))
+            return
+        split = spec.splits[0]
+        slices = self._pending_slices.setdefault(split, {})
+        slices[spec.slice_index] = results[0]
+        if len(slices) == spec.n_slices:
+            # Slices carry raw records (the executor skips result_fn
+            # for them); concatenating in slice order reproduces the
+            # unsplit partition byte-for-byte, then result_fn runs
+            # once — exactly like the plain task would have.
+            records: List[Any] = []
+            for idx in range(spec.n_slices):
+                records.extend(slices[idx])
+            del self._pending_slices[split]
+            self.results[split] = (
+                self.result_fn(split, records) if self.result_fn else records
+            )
 
 
 class _JobState:
-    def __init__(self, job_id: int, final_stage: Stage, submitted_at: float) -> None:
+    def __init__(
+        self, job_id: int, result_fn: Optional[Callable], submitted_at: float
+    ) -> None:
         self.stats = JobStats(job_id=job_id, submitted_at=submitted_at)
-        self.final_stage = final_stage
+        self.result_fn = result_fn
         self.results: Optional[List[Any]] = None
         self.waiting: List[Stage] = []
         # Running stages by id (the AQE switch guard needs the objects:
@@ -186,9 +176,8 @@ class DAGScheduler:
                 wall_ms=round((time.perf_counter() - wall0) * 1e3, 3),
             )
         final_stage = self._build_stages(final_rdd)
-        job = _JobState(self.ctx.next_job_id(), final_stage, self.ctx.sim.now)
+        job = _JobState(self.ctx.next_job_id(), result_fn, self.ctx.sim.now)
         self._job = job
-        self._result_fn = result_fn
         self.ctx.obs.log_event(
             "INFO", "dag_scheduler", "job_started",
             job=job.stats.job_id, final_stage=final_stage.name,
@@ -205,6 +194,16 @@ class DAGScheduler:
         finally:
             self.ctx.task_scheduler.disarm_chaos()
             self._job = None
+            if not job.done:
+                # The job died (a task or stage ran out of attempts, user
+                # code raised): nothing of it may outlive this call, or
+                # the next job's sim.run() would fire its events. One job
+                # runs at a time, so every pending event is the dead
+                # job's. The clock stays where it stopped.
+                self.ctx.task_scheduler.abort_tasks()
+                self._parked.clear()
+                self._resubmitting.clear()
+                self.ctx.sim.clear()
         job.stats.completed_at = self.ctx.sim.now
         self.ctx.job_stats.append(job.stats)
         self.ctx.obs.span(
@@ -250,45 +249,29 @@ class DAGScheduler:
     def _build_stages(self, final_rdd: "RDD") -> Stage:
         stage_by_shuffle: Dict[int, Stage] = {}
 
-        def parent_stages(rdd: "RDD") -> List[Stage]:
-            parents: List[Stage] = []
-            seen: Set[int] = set()
-
-            def visit(node: "RDD") -> None:
-                if node.id in seen:
-                    return
-                seen.add(node.id)
-                for dep in node.deps:
-                    if isinstance(dep, ShuffleDependency):
-                        stage = stage_for(dep)
-                        if stage not in parents:
-                            parents.append(stage)
-                    elif isinstance(dep, NarrowDependency):
-                        visit(dep.parent)
-
-            visit(rdd)
-            return parents
+        def build(rdd: "RDD", kind: str, dep=None) -> Stage:
+            # Numbered before its parents are built (ancestors get the
+            # higher ids), and cut where its own pipeline walk meets a
+            # shuffle: building the graph costs each stage its one walk.
+            stage = Stage(self.ctx.next_stage_id(), rdd, kind, shuffle_dep=dep)
+            for incoming in stage.incoming_shuffle_deps():
+                parent = stage_for(incoming)
+                if parent not in stage.parents:
+                    stage.parents.append(parent)
+            return stage
 
         def stage_for(dep: ShuffleDependency) -> Stage:
             existing = stage_by_shuffle.get(dep.shuffle_id)
             if existing is not None:
                 return existing
-            stage = Stage(
-                self.ctx.next_stage_id(),
-                dep.parent,
-                parent_stages(dep.parent),
-                SHUFFLE_MAP,
-                shuffle_dep=dep,
-            )
+            stage = build(dep.parent, SHUFFLE_MAP, dep)
             if dep.shuffle_id in self._completed_shuffles:
                 stage.completed = True
             stage_by_shuffle[dep.shuffle_id] = stage
             self._shuffle_stages[dep.shuffle_id] = stage
             return stage
 
-        return Stage(
-            self.ctx.next_stage_id(), final_rdd, parent_stages(final_rdd), RESULT
-        )
+        return build(final_rdd, RESULT)
 
     # ------------------------------------------------------------------
     # Stage submission
@@ -310,41 +293,44 @@ class DAGScheduler:
     def _run_stage(
         self,
         stage: Stage,
-        partitions: Optional[List[int]] = None,
+        missing: Optional[List[int]] = None,
         attempt: int = 0,
     ) -> None:
-        """Launch a stage — all partitions, or (on resubmission) a subset."""
+        """Launch a stage: every split, or (lineage recovery) the ``missing``."""
         job = self._job
         assert job is not None
         job.running[stage.stage_id] = stage
 
         delay = 0.0
         dep = stage.shuffle_dep
-        if dep is not None and dep.pending_scheme is not None:
-            partitioner, sampling_delay = dep.pending_scheme.resolve(self.ctx, stage)
-            dep.partitioner = partitioner
-            dep.pending_scheme = None
-            delay += sampling_delay
-
         if dep is not None:
+            if dep.pending_scheme is not None:
+                dep.partitioner, delay = dep.pending_scheme.resolve(self.ctx, stage)
+                dep.pending_scheme = None
             self.ctx.shuffle_manager.register(
                 dep.shuffle_id, stage.num_tasks, dep.num_reduce_partitions
             )
 
-        # AQE: on a stage's first full launch with materialized shuffle
-        # inputs, re-plan the physical task layout from the measured
-        # per-partition sizes. Partial relaunches (lineage recovery of
-        # lost map partitions) always use plain per-split tasks — the
-        # rebuilt outputs must land under their original map ids — and
-        # parked reduce tasks keep their specs, so a recovered run never
-        # re-decides anything.
+        # The launch's (task index, spec) pairs. The static layout is one
+        # plain spec per split, indexed by the split; a relaunch of lost
+        # map partitions is the same over ``missing`` (the rebuilt outputs
+        # must land under their original map ids) and parked reduce tasks
+        # keep their specs, so a recovered run never re-decides anything.
+        # With AQE on, a stage's first full launch asks the planner, which
+        # answers None (keep the static layout) or a layout re-planned
+        # from the measured shuffle inputs, indexed by plan position.
         plan = None
-        if self.ctx.conf.adaptive_execution and partitions is None:
-            if stage.stage_id in self._adaptive_plans:
-                plan = self._adaptive_plans[stage.stage_id]
-            else:
-                plan = self._plan_adaptive(stage)
-                self._adaptive_plans[stage.stage_id] = plan
+        if self.ctx.conf.adaptive_execution and missing is None:
+            if stage.stage_id not in self._adaptive_plans:
+                self._adaptive_plans[stage.stage_id] = replan(
+                    self.ctx, stage, job.running.values()
+                )
+            plan = self._adaptive_plans[stage.stage_id]
+        if plan is not None:
+            specs = list(enumerate(plan.specs))
+        else:
+            splits = range(stage.num_tasks) if missing is None else missing
+            specs = [(i, AdaptiveTaskSpec(splits=(i,))) for i in splits]
 
         stats = StageStats(
             stage_run_id=self.ctx.next_stage_run_id(),
@@ -353,42 +339,25 @@ class DAGScheduler:
             name=stage.name,
             kind=stage.kind,
             num_partitions=stage.num_tasks,
-            partitioner_kind=self._input_partitioner_kind(stage),
             submitted_at=self.ctx.sim.now + delay,
             parent_signatures=[p.signature for p in stage.parents],
-            cogroup_sides=self._cogroup_sides(stage),
-            user_fixed=any(
-                d.user_fixed for d in stage.incoming_shuffle_deps()
-            ),
-            source_signatures=self._source_signatures(stage),
             attempt=attempt,
-            pruned_partitions=self._pruned_partitions(stage),
+            adapted_num_partitions=len(specs) if plan is not None else None,
+            **stage.pipeline_facts(),
         )
-        result_fn = self._result_fn if stage.kind == RESULT else None
-        run = StageRun(stage, stats, result_fn, self._on_stage_complete)
-        if plan is not None:
-            stats.adapted_num_partitions = len(plan.specs)
-            run.set_tasks(
-                [
-                    Task(
-                        stage,
-                        i,
-                        preferred_nodes=self._spec_preferences(stage, spec),
-                        spec=spec,
-                    )
-                    for i, spec in enumerate(plan.specs)
-                ]
-            )
-        else:
-            indices = (
-                partitions if partitions is not None else range(stage.num_tasks)
-            )
-            run.set_tasks(
-                [
-                    Task(stage, i, preferred_nodes=self._task_preferences(stage, i))
-                    for i in indices
-                ]
-            )
+        # Cached pipeline RDDs sharing the stage's partition space: where
+        # their blocks sit is each task's first locality preference.
+        cached = [
+            rdd.id
+            for rdd in stage.cached_rdds()
+            if rdd.num_partitions == stage.num_tasks
+        ]
+        tasks = [
+            Task(stage, i, spec, self._preferences(stage, spec, cached))
+            for i, spec in specs
+        ]
+        result_fn = job.result_fn if stage.kind == RESULT else None
+        run = StageRun(stage, stats, tasks, result_fn, self._on_stage_complete)
         self.ctx.obs.log_event(
             "INFO", "dag_scheduler", "stage_submitted",
             job=job.stats.job_id, stage=stats.name, stage_run=stats.stage_run_id,
@@ -396,9 +365,11 @@ class DAGScheduler:
         )
         self.ctx.listener_bus.stage_submitted(stats)
         if delay > 0:
-            self.ctx.sim.schedule(delay, self.ctx.task_scheduler.submit_stage, run)
+            self.ctx.sim.schedule(
+                delay, self.ctx.task_scheduler.submit_tasks, run, run.tasks
+            )
         else:
-            self.ctx.task_scheduler.submit_stage(run)
+            self.ctx.task_scheduler.submit_tasks(run, run.tasks)
 
     def _on_stage_complete(self, run: StageRun) -> None:
         job = self._job
@@ -526,7 +497,7 @@ class DAGScheduler:
             stage=stage.name, shuffle=shuffle_id,
             missing_maps=len(missing), attempt=stage.attempts,
         )
-        self._run_stage(stage, partitions=missing, attempt=stage.attempts)
+        self._run_stage(stage, missing, attempt=stage.attempts)
 
     def _requeue_parked(self, shuffle_id: int) -> None:
         """Release reduce tasks parked on ``shuffle_id`` back to the queue."""
@@ -553,264 +524,33 @@ class DAGScheduler:
             self._run_stage(stage)
 
     # ------------------------------------------------------------------
-    # Adaptive query execution (runtime reduce-side re-planning)
-    # ------------------------------------------------------------------
-
-    def _plan_adaptive(self, stage: Stage) -> Optional["AdaptivePlan"]:
-        """Derive this stage's adaptive plan from measured shuffle sizes.
-
-        Pure in the map outputs and the conf knobs: a chaos-recovered or
-        re-executed run derives the identical plan. Returns None when the
-        stage has no materialized shuffle inputs or the sizes ask for no
-        change.
-        """
-        from repro.engine import adaptive
-
-        deps = stage.incoming_shuffle_deps()
-        if not deps:
-            return None
-        manager = self.ctx.shuffle_manager
-        conf = self.ctx.conf
-        for dep in deps:
-            if not manager.is_registered(dep.shuffle_id):
-                return None
-            if manager.missing_map_ids(dep.shuffle_id):
-                # Degraded shuffle (a kill landed between map completion
-                # and this launch): fall back to plain tasks and let the
-                # normal fetch-failure recovery handle it.
-                return None
-            if dep.num_reduce_partitions != stage.num_tasks:
-                # Union-style stages where reduce partitions don't map
-                # 1:1 onto task indices; nothing to re-plan safely.
-                return None
-
-        # (c) switch first: re-deriving range bounds changes the size
-        # histogram the coalesce/split decisions below are based on.
-        for dep in deps:
-            self._try_switch(stage, dep)
-
-        sizes = [0.0] * stage.num_tasks
-        for dep in deps:
-            for i, nbytes in enumerate(manager.partition_sizes(dep.shuffle_id)):
-                sizes[i] += nbytes
-        split_dep = adaptive.splittable_shuffle(stage)
-        plan = adaptive.plan_partitions(
-            sizes,
-            target_bytes=conf.aqe_target_partition_bytes,
-            shuffle_id=split_dep.shuffle_id if split_dep is not None else None,
-            map_sizes=(
-                (lambda rid: manager.block_sizes(split_dep.shuffle_id, rid))
-                if split_dep is not None
-                else None
-            ),
-        )
-        if plan is not None:
-            from repro.obs.diagnostics import gini
-
-            now = self.ctx.sim.now
-            self.ctx.obs.span(
-                "aqe-replan", "aqe", now, now,
-                stage=stage.name,
-                stage_id=stage.stage_id,
-                original_partitions=stage.num_tasks,
-                adapted_partitions=len(plan.specs),
-                coalesced=plan.n_coalesced,
-                split=plan.n_split,
-                before=[round(b, 1) for b in plan.before_sizes],
-                after=[round(a, 1) for a in plan.after_sizes],
-                gini_before=round(gini(plan.before_sizes), 4),
-                gini_after=round(gini(plan.after_sizes), 4),
-            )
-            metrics = self.ctx.obs.metrics
-            metrics.counter("aqe.stages_replanned").inc()
-            if plan.n_coalesced:
-                metrics.counter("aqe.partitions_coalesced").inc(plan.n_coalesced)
-            if plan.n_split:
-                metrics.counter("aqe.partitions_split").inc(plan.n_split)
-            saved = stage.num_tasks - len(plan.specs)
-            if saved > 0:
-                metrics.counter("aqe.tasks_saved").inc(saved)
-            self.ctx.obs.log_event(
-                "INFO", "aqe", "stage_replanned",
-                stage=stage.name,
-                original_partitions=stage.num_tasks,
-                adapted_partitions=len(plan.specs),
-                coalesced=plan.n_coalesced, split=plan.n_split,
-            )
-        return plan
-
-    def _try_switch(self, stage: Stage, dep: ShuffleDependency) -> bool:
-        """Re-derive an ordered shuffle's range bounds from measured keys.
-
-        The runtime upgrade of ``sortByKey``'s sampled split points: once
-        the map outputs exist, the exact key histogram (with per-record
-        virtual sizes as weights) gives byte-balanced bounds, and the
-        already-written blocks are re-bucketed under them via the
-        vectorized partition kernels.
-
-        Restricted to ordered, non-user-fixed shuffles: the consuming
-        reduce stable-sorts by key, and equal keys always share one old
-        bucket, so re-bucketing preserves their relative order and the
-        reduce output is identical record-for-record — which is exactly
-        why an *unordered* hash shuffle is never switched (its consumers
-        observe raw bucket order). Skipped under speculation (an in-
-        flight duplicate map attempt could later overwrite a re-bucketed
-        output with old-partitioner blocks) and while any *running*
-        stage reads the shuffle (its earlier tasks fetched the old
-        buckets). Idempotent: re-deriving from re-bucketed blocks yields
-        the same bounds and equality short-circuits the rewrite.
-        """
-        from repro.common.sizing import estimate_size
-        from repro.engine import adaptive
-        from repro.engine.partitioner import RangePartitioner
-
-        conf = self.ctx.conf
-        manager = self.ctx.shuffle_manager
-        if not dep.ordered or dep.user_fixed or conf.speculation:
-            return False
-        job = self._job
-        assert job is not None
-        for other in list(job.running.values()):
-            if other.stage_id == stage.stage_id:
-                continue
-            if any(
-                d.shuffle_id == dep.shuffle_id
-                for d in other.incoming_shuffle_deps()
-            ):
-                return False
-        before = manager.partition_sizes(dep.shuffle_id)
-        if not adaptive.should_switch(before):
-            return False
-        contents = manager.map_contents(dep.shuffle_id)
-        keys: List[Any] = []
-        weights: List[float] = []
-        for map_id in sorted(contents):
-            for record in contents[map_id][1]:
-                keys.append(dep.key_fn(record))
-                weights.append(estimate_size(record))
-        new = RangePartitioner.from_weighted_keys(
-            keys, weights, dep.partitioner.num_partitions
-        )
-        if new == dep.partitioner:
-            return False
-        old_kind = dep.partitioner.kind
-        write_scale = dep.parent.size_scale
-        for map_id in sorted(contents):
-            node, records = contents[map_id]
-            output = adaptive.bucket_records(
-                records, new, dep.key_fn, write_scale
-            )
-            manager.put_map_output(dep.shuffle_id, map_id, node, output)
-        # Future producers (chaos-resubmitted map tasks) bucket straight
-        # into the new space; consumers align against the real scheme.
-        dep.partitioner = new
-        from repro.obs.diagnostics import gini
-
-        after = manager.partition_sizes(dep.shuffle_id)
-        now = self.ctx.sim.now
-        self.ctx.obs.span(
-            "aqe-switch", "aqe", now, now,
-            stage=stage.name,
-            shuffle_id=dep.shuffle_id,
-            from_kind=old_kind,
-            to_kind=new.kind,
-            before=[round(b, 1) for b in before],
-            after=[round(a, 1) for a in after],
-            gini_before=round(gini(before), 4),
-            gini_after=round(gini(after), 4),
-        )
-        self.ctx.obs.metrics.counter("aqe.shuffles_switched").inc()
-        self.ctx.obs.log_event(
-            "INFO", "aqe", "shuffle_switched",
-            stage=stage.name, shuffle=dep.shuffle_id,
-            from_kind=old_kind, to_kind=new.kind,
-        )
-        return True
-
-    # ------------------------------------------------------------------
     # Locality preferences
     # ------------------------------------------------------------------
 
-    def _spec_preferences(self, stage: Stage, spec) -> List[str]:
-        """Locality preferences for an AQE physical task."""
-        if len(spec.splits) == 1:
-            return self._task_preferences(stage, spec.splits[0])
+    def _preferences(
+        self, stage: Stage, spec: AdaptiveTaskSpec, cached: List[int]
+    ) -> List[str]:
+        """Nodes a task would rather run on, for every split it covers."""
         prefs: List[str] = []
         for split in spec.splits:
-            for node in self._task_preferences(stage, split):
-                if node not in prefs:
-                    prefs.append(node)
-        return prefs[:3]
-
-    def _task_preferences(self, stage: Stage, split: int) -> List[str]:
-        prefs: List[str] = []
-        # 1. Cached blocks of pipeline RDDs with the same partition space.
-        for rdd in stage.cached_rdds():
-            if rdd.num_partitions != stage.num_tasks:
-                continue
-            loc = self.ctx.block_store.location(rdd.id, split)
-            if loc is not None and loc not in prefs:
-                prefs.append(loc)
-        # 2. Co-partition-aware placement (CHOPPER mode): rank nodes by
-        # how many incoming shuffle bytes for this partition they host.
-        if self.ctx.conf.copartition_scheduling:
-            by_node: Dict[str, float] = {}
-            for dep in stage.incoming_shuffle_deps():
-                if not self.ctx.shuffle_manager.is_registered(dep.shuffle_id):
-                    continue
-                for node, nbytes in self.ctx.shuffle_manager.map_output_nodes(
-                    dep.shuffle_id, split
-                ).items():
-                    by_node[node] = by_node.get(node, 0.0) + nbytes
-            for node in sorted(by_node, key=lambda n: (-by_node[n], n))[:2]:
-                if node not in prefs:
-                    prefs.append(node)
-        return prefs
-
-    @staticmethod
-    def _source_signatures(stage: Stage) -> List[str]:
-        from repro.engine.rdd import SourceRDD
-
-        return [
-            rdd.signature
-            for rdd in stage.input_rdds()
-            if isinstance(rdd, SourceRDD)
-        ]
-
-    @staticmethod
-    def _pruned_partitions(stage: Stage) -> int:
-        """Source partitions this stage's pipeline skips via pruned scans."""
-        from repro.engine.rdd import PartitionSubsetRDD
-
-        seen: set = set()
-        total = [0]
-
-        def walk(rdd) -> None:
-            if rdd.id in seen:
-                return
-            seen.add(rdd.id)
-            if isinstance(rdd, PartitionSubsetRDD):
-                total[0] += rdd.pruned_count
-            for dep in rdd.narrow_deps():
-                walk(dep.parent)
-
-        walk(stage.rdd)
-        return total[0]
-
-    @staticmethod
-    def _cogroup_sides(stage: Stage) -> int:
-        """Number of sides if the stage's base is a cogroup, else 0."""
-        for rdd in stage.input_rdds():
-            if isinstance(rdd, CogroupRDD):
-                return len(rdd.deps)
-        return 0
-
-    @staticmethod
-    def _input_partitioner_kind(stage: Stage) -> Optional[str]:
-        """Partitioner kind governing this stage's input distribution."""
-        for rdd in stage.input_rdds():
-            if isinstance(rdd, (ShuffledRDD, CogroupRDD)):
-                partitioner = rdd.partitioner
-                if partitioner is not None:
-                    return partitioner.kind
-        return None
+            # 1. Cached blocks of pipeline RDDs with the same partition space.
+            for rdd_id in cached:
+                loc = self.ctx.block_store.location(rdd_id, split)
+                if loc is not None and loc not in prefs:
+                    prefs.append(loc)
+            # 2. Co-partition-aware placement (CHOPPER mode): rank nodes by
+            # how many incoming shuffle bytes for this partition they host.
+            if self.ctx.conf.copartition_scheduling:
+                by_node: Dict[str, float] = {}
+                for dep in stage.incoming_shuffle_deps():
+                    if not self.ctx.shuffle_manager.is_registered(dep.shuffle_id):
+                        continue
+                    for node, nbytes in self.ctx.shuffle_manager.map_output_nodes(
+                        dep.shuffle_id, split
+                    ).items():
+                        by_node[node] = by_node.get(node, 0.0) + nbytes
+                for node in sorted(by_node, key=lambda n: (-by_node[n], n))[:2]:
+                    if node not in prefs:
+                        prefs.append(node)
+        # A task over several splits keeps the first three of their union.
+        return prefs if len(spec.splits) == 1 else prefs[:3]

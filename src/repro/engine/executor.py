@@ -26,7 +26,7 @@ from repro.engine.dependencies import default_key_fn
 from repro.engine.costmodel import CostModel, TaskCostBreakdown
 from repro.engine.effects import TaskEffects
 from repro.engine.shuffle import MapOutput
-from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
+from repro.engine.stage import SHUFFLE_MAP, Stage
 from repro.engine.task import Task, TaskContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +44,10 @@ class TaskRunner:
     def execute(
         self, stage: Stage, task: Task, node: "NodeSpec", result_fn=None
     ) -> Tuple[TaskCostBreakdown, TaskContext, Any]:
-        """Run one task on ``node``; returns (cost breakdown, ctx, result)."""
+        """Run one task on ``node``; returns (cost breakdown, ctx, results).
+
+        ``results`` has one entry per split of ``task.spec``.
+        """
         tctx, result = self._execute_body(stage, task, node, result_fn)
         return self.price(tctx, node), tctx, result
 
@@ -97,26 +100,40 @@ class TaskRunner:
 
     def _execute_body_inner(
         self, stage: Stage, task: Task, node: "NodeSpec", result_fn=None
-    ) -> Tuple[TaskContext, Any]:
+    ) -> Tuple[TaskContext, List[Any]]:
+        """Run the pipeline for every split of the task's spec.
+
+        Returns one value per split, in split order: what the one-split
+        tasks of the static layout would each have produced. Cumulative
+        totals (compute, IO, max partition) keep accumulating, since one
+        physical task pays for all its splits, but the per-RDD byte maps
+        reset between splits: ``note_input_hint`` adds per RDD id, so a
+        stale entry from split A would inflate split B's priced input.
+
+        A *slice* task computes its one split from a restricted range of
+        map outputs and keeps the **raw records**: ``result_fn`` is the
+        driver's to apply, to the assembled partition (see ``StageRun``).
+        """
         tctx = TaskContext(node=node.name, task_index=task.partition)
+        spec = task.spec
+        if spec.is_slice:
+            tctx.map_ranges[spec.shuffle_id] = spec.map_range
+        is_map = stage.kind == SHUFFLE_MAP
+        results: List[Any] = []
         try:
-            if task.spec is not None:
-                result = self._run_adaptive_task(stage, task, tctx, result_fn)
-                name = (
-                    "executor.map_tasks"
-                    if stage.kind == SHUFFLE_MAP
-                    else "executor.result_tasks"
-                )
-                self._inc(name, node=node.name)
-            elif stage.kind == SHUFFLE_MAP:
-                result = self._run_map_task(stage, task.partition, tctx)
-                self._inc("executor.map_tasks", node=node.name)
-            elif stage.kind == RESULT:
-                records = stage.rdd.materialize(task.partition, tctx)
-                result = result_fn(task.partition, records) if result_fn else records
-                self._inc("executor.result_tasks", node=node.name)
-            else:  # pragma: no cover - defensive
-                raise SchedulingError(f"unknown stage kind {stage.kind!r}")
+            for split in spec.splits:
+                if results:
+                    tctx.rdd_bytes = {}
+                    tctx.input_hints = {}
+                if is_map:
+                    results.append(self._run_map_task(stage, split, tctx))
+                else:
+                    records = stage.rdd.materialize(split, tctx)
+                    results.append(
+                        result_fn(split, records)
+                        if result_fn and not spec.is_slice
+                        else records
+                    )
         except FetchFailure as failure:
             # Shuffle inputs lost to a dead node; the task scheduler
             # hands the task to the DAG scheduler for lineage recovery.
@@ -127,6 +144,8 @@ class TaskRunner:
                 shuffle=failure.shuffle_id,
             )
             raise
+        name = "executor.map_tasks" if is_map else "executor.result_tasks"
+        self._inc(name, node=node.name)
         if tctx.cache_read_bytes:
             self._inc("blockcache.hits", node=node.name)
             self._inc(
@@ -139,54 +158,7 @@ class TaskRunner:
             stage=stage.name, partition=task.partition, node=node.name,
             records_out=tctx.records_out,
         )
-        return tctx, result
-
-    def _run_adaptive_task(
-        self, stage: Stage, task: Task, tctx: TaskContext, result_fn=None
-    ) -> Any:
-        """Body of an AQE-re-planned physical task (coalesced or slice).
-
-        A *slice* task computes one original partition from a restricted
-        map-output range and returns the **raw records**; the driver
-        concatenates the slices in map order and applies ``result_fn``
-        once per original partition (see ``StageRun``), so the assembled
-        value is byte-identical to the unsplit task's.
-
-        A *coalesced* task runs each original partition's full pipeline
-        back-to-back and returns one result per split, exactly what the
-        plain per-partition tasks would have produced. Cumulative totals
-        (compute, IO, max partition) keep accumulating — one physical
-        task pays for all its splits — but the per-RDD byte maps reset
-        between splits: ``note_input_hint`` adds per RDD id, so a stale
-        entry from split A would inflate split B's priced input.
-        """
-        spec = task.spec
-        assert spec is not None
-        if spec.is_slice:
-            assert spec.shuffle_id is not None and spec.map_range is not None
-            tctx.map_ranges[spec.shuffle_id] = spec.map_range
-            return stage.rdd.materialize(spec.splits[0], tctx)
-        if spec.is_plain:
-            # Physical task index != original split once earlier specs
-            # were sliced; always compute the split the spec names.
-            split = spec.splits[0]
-            if stage.kind == SHUFFLE_MAP:
-                return self._run_map_task(stage, split, tctx)
-            records = stage.rdd.materialize(split, tctx)
-            return result_fn(split, records) if result_fn else records
-        results: List[Any] = []
-        for i, split in enumerate(spec.splits):
-            if i:
-                tctx.rdd_bytes = {}
-                tctx.input_hints = {}
-            if stage.kind == SHUFFLE_MAP:
-                results.append(self._run_map_task(stage, split, tctx))
-            else:
-                records = stage.rdd.materialize(split, tctx)
-                results.append(
-                    result_fn(split, records) if result_fn else records
-                )
-        return results
+        return tctx, results
 
     def _inc(self, name: str, amount: float = 1.0, **labels: str) -> None:
         """Counter increment that defers (creation included) under a sink."""

@@ -899,19 +899,19 @@ class SourceRDD(RDD):
         records = list(self._generator(split, self._num_partitions))
         nbytes = estimate_partition_size(records) * self._size_scale
         task.note_input(nbytes)
-        spec = self.zone_map_spec
-        if spec is not None:
+        zone_spec = self.zone_map_spec
+        if zone_spec is not None:
             # Record zone maps as a pure observer: a deterministic
             # function of the split's records, deferred through the
             # task-effects sink (replayed in grant order on the driver)
             # and idempotent across retries/speculation, so it never
             # touches simulated time or result identity.
-            key = (spec.table, spec.version, self._num_partitions)
+            key = (zone_spec.table, zone_spec.version, self._num_partitions)
             store = self.ctx.zone_maps
             if not store.has(key, split):
                 from repro.relational.stats import collect_column_stats
 
-                stats = collect_column_stats(records, spec.columns)
+                stats = collect_column_stats(records, zone_spec.columns)
                 sink = effects.active()
                 if sink is not None:
                     sink.ops.append(("zone_map", key, split, stats))

@@ -9,12 +9,12 @@ terminal RDD for one partition.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, List, Optional, Set
+from functools import cached_property
+from typing import List, Optional, Set, Tuple
 
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.rdd import RDD
+from repro.engine.rdd import RDD, PartitionSubsetRDD, SourceRDD
+from repro.engine.shuffled import CogroupRDD, ShuffledRDD
 
 SHUFFLE_MAP = "shuffle_map"
 RESULT = "result"
@@ -27,13 +27,14 @@ class Stage:
         self,
         stage_id: int,
         rdd: "RDD",
-        parents: List["Stage"],
         kind: str,
         shuffle_dep: Optional[ShuffleDependency] = None,
     ) -> None:
         self.stage_id = stage_id
         self.rdd = rdd
-        self.parents = parents
+        # The stages writing the shuffles this one reads, in the order
+        # the pipeline meets them (filled in by the DAG scheduler).
+        self.parents: List["Stage"] = []
         self.kind = kind
         self.shuffle_dep = shuffle_dep  # the dep this stage WRITES (map stages)
         self.completed = False
@@ -62,59 +63,87 @@ class Stage:
     def name(self) -> str:
         return f"{self.kind}:{self.rdd.op_name}#{self.stage_id}"
 
-    def input_rdds(self) -> List["RDD"]:
-        """The stage's base RDDs: shuffle readers and sources in its pipeline."""
-        bases: List["RDD"] = []
+    @cached_property
+    def _pipeline(self) -> Tuple[List["RDD"], List[ShuffleDependency]]:
+        """The stage's narrow pipeline, traversed once per ``Stage`` object.
+
+        Pre-order over narrow dependencies from the terminal RDD, each
+        RDD once; a shuffle dependency (the edge into a parent stage) is
+        recorded where it is met, so a narrow parent is descended into
+        before a *later* shuffle dep of the same RDD is appended (aligned
+        cogroups mix the two). Both orders are behaviour: they pick the
+        "first match" among the bases and fix the order of float folds
+        over the incoming shuffles. Only the traversal is kept: cache
+        flags and partitioners are read when asked for, because the
+        schedulers change them between launches.
+        """
+        pipeline: List["RDD"] = []
+        incoming: List[ShuffleDependency] = []
         seen: Set[int] = set()
 
         def visit(rdd: "RDD") -> None:
             if rdd.id in seen:
                 return
             seen.add(rdd.id)
-            if not rdd.deps or rdd.shuffle_deps():
-                bases.append(rdd)
-            # Keep walking narrow deps only — shuffle deps cross into
-            # parent stages. An RDD can mix the two (aligned cogroup).
-            for dep in rdd.narrow_deps():
-                visit(dep.parent)
-
-        visit(self.rdd)
-        return bases
-
-    def incoming_shuffle_deps(self) -> List[ShuffleDependency]:
-        """Shuffle dependencies whose output this stage's tasks read."""
-        deps: List[ShuffleDependency] = []
-        seen: Set[int] = set()
-
-        def visit(rdd: "RDD") -> None:
-            if rdd.id in seen:
-                return
-            seen.add(rdd.id)
+            pipeline.append(rdd)
             for dep in rdd.deps:
                 if isinstance(dep, ShuffleDependency):
-                    deps.append(dep)
+                    incoming.append(dep)
                 elif isinstance(dep, NarrowDependency):
                     visit(dep.parent)
 
         visit(self.rdd)
-        return deps
+        return pipeline, incoming
+
+    def input_rdds(self) -> List["RDD"]:
+        """The stage's base RDDs: shuffle readers and sources in its pipeline.
+
+        Not only the leaves of the walk: an aligned cogroup reads a
+        shuffle *and* has a narrow parent.
+        """
+        return [
+            rdd for rdd in self._pipeline[0] if not rdd.deps or rdd.shuffle_deps()
+        ]
+
+    def incoming_shuffle_deps(self) -> List[ShuffleDependency]:
+        """Shuffle dependencies whose output this stage's tasks read."""
+        return self._pipeline[1]
 
     def cached_rdds(self) -> List["RDD"]:
         """Cached RDDs inside this stage's pipeline (for locality prefs)."""
-        cached: List["RDD"] = []
-        seen: Set[int] = set()
+        return [rdd for rdd in self._pipeline[0] if rdd.is_cached]
 
-        def visit(rdd: "RDD") -> None:
-            if rdd.id in seen:
-                return
-            seen.add(rdd.id)
-            if rdd.is_cached:
-                cached.append(rdd)
-            for dep in rdd.narrow_deps():
-                visit(dep.parent)
+    def pipeline_facts(self) -> dict:
+        """What a launch records about the pipeline in its ``StageStats``.
 
-        visit(self.rdd)
-        return cached
+        Read off the walk at launch time, not kept: partitioners change
+        until then (the advisor, pending-scheme resolution, AQE's switch).
+        """
+        pipeline, incoming = self._pipeline
+        bases = self.input_rdds()
+        keyed = [
+            rdd.partitioner
+            for rdd in bases
+            if isinstance(rdd, (ShuffledRDD, CogroupRDD))
+        ]
+        partitioners = [p for p in keyed if p is not None]
+        cogroups = [rdd for rdd in bases if isinstance(rdd, CogroupRDD)]
+        return {
+            # The partitioner governing the stage's input distribution.
+            "partitioner_kind": partitioners[0].kind if partitioners else None,
+            # Number of sides if the stage's base is a cogroup, else 0.
+            "cogroup_sides": len(cogroups[0].deps) if cogroups else 0,
+            "user_fixed": any(dep.user_fixed for dep in incoming),
+            "source_signatures": [
+                rdd.signature for rdd in bases if isinstance(rdd, SourceRDD)
+            ],
+            # Source partitions the pipeline skips via pruned scans.
+            "pruned_partitions": sum(
+                rdd.pruned_count
+                for rdd in pipeline
+                if isinstance(rdd, PartitionSubsetRDD)
+            ),
+        }
 
     def __repr__(self) -> str:
         return f"Stage({self.name}, tasks={self.num_tasks})"

@@ -1,7 +1,8 @@
 """Tasks and the per-task measurement context.
 
-A :class:`Task` is one unit of work — one partition of one stage — exactly
-as in Spark. The :class:`TaskContext` rides along while the task's RDD
+A :class:`Task` is one unit of work of one stage: the partitions its spec
+names, which is one partition, as in Spark, unless AQE re-planned the
+stage. The :class:`TaskContext` rides along while the task's RDD
 pipeline materializes, accumulating the quantities the cost model turns
 into a simulated duration: virtual bytes computed, source bytes scanned,
 shuffle bytes read (local/remote, per source node) and written.
@@ -22,7 +23,6 @@ class TaskContext:
     """Accumulates the measurable side effects of one task's execution."""
 
     node: str
-    stage_run_id: int = -1
     task_index: int = -1
     probe: bool = False  # probe contexts (driver-side sampling) skip caching
 
@@ -97,16 +97,17 @@ class TaskContext:
 
 @dataclass
 class Task:
-    """One partition's worth of work for a stage."""
+    """One physical task of a stage."""
 
     stage: "Stage"
+    # Physical task index: the split for static and recovery launches,
+    # the position in the plan for AQE-re-planned ones.
     partition: int
+    # Which original partitions the task computes (and, for slice tasks,
+    # which map-output range): the one thing the task body reads.
+    spec: "AdaptiveTaskSpec"
     preferred_nodes: List[str] = field(default_factory=list)
     attempt: int = 0
-    # AQE re-planned stages: which original partitions this physical
-    # task covers (and, for slice tasks, which map-output range). None
-    # on statically-planned stages, where partition IS the split index.
-    spec: Optional["AdaptiveTaskSpec"] = None
 
     @property
     def label(self) -> str:

@@ -35,7 +35,7 @@ component).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.common.errors import ConfigurationError, FetchFailure, SchedulingError
@@ -71,7 +71,6 @@ NODE_FAILURE_WINDOW = 30.0
 class _ExecutorState:
     spec: "NodeSpec"
     free_cores: int
-    running: int = 0
     alive: bool = True
 
 
@@ -88,8 +87,8 @@ class _Attempt:
     breakdown: object = None
     duration: float = 0.0
     # Network-contention sharers, snapshotted at grant time: serial
-    # reads executor.running right after its own reservation, before any
-    # later grant, so a batched apply must not recompute it.
+    # counts the node's busy cores right after its own reservation, before
+    # any later grant, so a batched apply must not recompute it.
     sharers: int = 1
 
 
@@ -97,14 +96,9 @@ class _Attempt:
 class _QueuedTask:
     stage_run: "StageRun"
     task: Task
-    attempts: list = None
-    done: bool = False
+    attempts: list = field(default_factory=list)
     speculated: bool = False
     enqueued_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.attempts is None:
-            self.attempts = []
 
 
 class TaskScheduler:
@@ -137,8 +131,6 @@ class TaskScheduler:
         self._planned_failures = self._plan_node_failures()
         registry = ctx.obs.metrics
         self._m_tasks_launched = registry.counter("scheduler.tasks_launched")
-        self._m_tasks_completed = registry.counter("scheduler.tasks_completed")
-        self._m_tasks_failed = registry.counter("scheduler.tasks_failed")
         self._m_task_retries = registry.counter("scheduler.task_retries")
         self._m_spec_launches = registry.counter("scheduler.speculative_launches")
         self._m_spec_wins = registry.counter("scheduler.speculative_wins")
@@ -146,35 +138,43 @@ class TaskScheduler:
         self._m_queue_depth = registry.gauge("scheduler.queue_depth")
         self._m_nodes_lost = registry.counter("scheduler.nodes_lost")
         self._m_nodes_recovered = registry.counter("scheduler.nodes_recovered")
-        self._m_node_lost_tasks = registry.counter("scheduler.node_lost_tasks")
+        # What the end of an attempt records, by outcome: the utilization
+        # series its core time lands in, and the counter it bumps. An
+        # attempt that died at launch on a fetch failure, or with its
+        # aborted job, records nothing. ``MetricsRecorder.nodes(series)``
+        # is every node that ever got a sample, so an extra zero-valued
+        # interval would move Figs. 11-14.
+        busy = ("cpu", "mem_working")
+        self._endings = {
+            "ok": (busy, registry.counter("scheduler.tasks_completed")),
+            "cancelled": (busy, None),
+            "node-lost": (busy, registry.counter("scheduler.node_lost_tasks")),
+            "failed": (("cpu",), registry.counter("scheduler.tasks_failed")),
+            "fetch-failed": ((), None),
+            "aborted": ((), None),
+        }
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
 
-    def submit_stage(self, stage_run: "StageRun") -> None:
-        """Queue a stage's tasks, staggered by the driver dispatch rate.
-
-        The driver serializes and launches tasks one at a time; task ``i``
-        becomes runnable ``i * driver_dispatch_interval`` after stage
-        start. With thousands of tasks this serial ramp is a real cost —
-        the paper's 2000-partition pathology.
-        """
-        self.submit_tasks(stage_run, stage_run.tasks)
-
     def submit_tasks(self, stage_run: "StageRun", tasks) -> None:
-        """Queue a subset of a stage's tasks (stage start or recovery).
+        """Queue tasks of a stage, staggered by the driver dispatch rate.
 
-        The DAG scheduler uses this directly to requeue reduce tasks
-        parked on a fetch failure once their parent's lost map outputs
-        have been rebuilt.
+        All of them at stage start; on recovery, the reduce tasks that
+        were parked on a fetch failure, once the lost map outputs of
+        their parent have been rebuilt. The driver serializes and
+        launches tasks one at a time; task ``i`` becomes runnable ``i *
+        driver_dispatch_interval`` after the call. With thousands of
+        tasks this serial ramp is a real cost — the paper's
+        2000-partition pathology.
         """
         interval = self.ctx.conf.cost.driver_dispatch_interval
         if interval <= 0:
-            for task in tasks:
-                queued = _QueuedTask(stage_run=stage_run, task=task)
-                queued.enqueued_at = self.ctx.sim.now
-                self._queue.append(queued)
+            now = self.ctx.sim.now
+            self._queue.extend(
+                _QueuedTask(stage_run, task, enqueued_at=now) for task in tasks
+            )
             self._dispatch()
             return
         for i, task in enumerate(tasks):
@@ -216,11 +216,7 @@ class TaskScheduler:
             queued = self._queue.popleft()
             executor = self._match_preference(queued.task)
             if executor is not None:
-                if batch is None:
-                    self._launch(queued, executor)
-                else:
-                    attempt, fail = self._grant(queued, executor, False)
-                    batch.append(("fail" if fail else "run", queued, attempt))
+                self._launch(queued, executor, batch=batch)
             else:
                 deferred.append(queued)
         self._queue = deferred
@@ -229,12 +225,7 @@ class TaskScheduler:
             executor = self._most_free_executor()
             if executor is None:
                 break
-            queued = self._queue.popleft()
-            if batch is None:
-                self._launch(queued, executor)
-            else:
-                attempt, fail = self._grant(queued, executor, False)
-                batch.append(("fail" if fail else "run", queued, attempt))
+            self._launch(self._queue.popleft(), executor, batch=batch)
         if batch:
             self._run_batch(batch)
         self._m_queue_depth.set(len(self._queue))
@@ -307,12 +298,16 @@ class TaskScheduler:
         queued: _QueuedTask,
         executor: _ExecutorState,
         speculative: bool = False,
+        batch: Optional[list] = None,
     ) -> None:
+        """Grant a core; run the attempt now, or enter it in ``batch``."""
         attempt, fail = self._grant(queued, executor, speculative)
-        if fail:
+        if batch is not None:
+            batch.append(("fail" if fail else "run", queued, attempt))
+        elif fail:
             self._schedule_failure(queued, attempt)
-            return
-        self._finish_launch(queued, attempt, None)
+        else:
+            self._finish_launch(queued, attempt, None)
 
     def _grant(
         self,
@@ -322,23 +317,50 @@ class TaskScheduler:
     ) -> "tuple[_Attempt, bool]":
         """Reserve a core and do the launch bookkeeping (serial order)."""
         executor.free_cores -= 1
-        executor.running += 1
         start = self.ctx.sim.now
         attempt = _Attempt(executor=executor, start=start, speculative=speculative)
-        attempt.sharers = min(executor.running, executor.spec.cores)
+        attempt.sharers = executor.spec.cores - executor.free_cores
         queued.attempts.append(attempt)
         if queued not in self._running_tasks:
             self._running_tasks.append(queued)
         self._m_tasks_launched.inc()
         if not speculative:
             self._m_queue_wait.observe(max(0.0, start - queued.enqueued_at))
-        return attempt, self._should_fail(queued.stage_run, queued.task, speculative)
+        # Failure injection: a seeded per-attempt coin.
+        rate = self.ctx.conf.task_failure_rate
+        fail = rate > 0.0 and bool(
+            self._draw("task-failure", queued, attempt).random() < rate
+        )
+        return attempt, fail
+
+    def _draw(
+        self, tag: str, queued: _QueuedTask, attempt: Optional[_Attempt] = None
+    ):
+        """The seeded generator behind one random draw about a task.
+
+        Keyed by what identifies the draw across runs: stage run, task
+        index, attempt number and, given the ``attempt``, which of two
+        racing attempts is drawing.
+        """
+        lane = () if attempt is None else ("spec" if attempt.speculative else "main",)
+        return seeded_rng(
+            derive_seed(
+                self.ctx.conf.seed,
+                tag,
+                queued.stage_run.stats.stage_run_id,
+                queued.task.partition,
+                queued.task.attempt,
+                *lane,
+            )
+        )
 
     def _schedule_failure(self, queued: _QueuedTask, attempt: _Attempt) -> None:
-        # The attempt dies partway through: burn some simulated time
-        # on the core, produce no side effects, then retry (unless a
-        # sibling attempt is still running).
-        fail_after = self._failure_delay(queued.stage_run, queued.task)
+        # The attempt dies partway through, somewhere in its first few
+        # seconds: burn some simulated time on the core, produce no side
+        # effects, then retry (unless a sibling attempt is still running).
+        fail_after = float(
+            0.1 + self._draw("task-failure-delay", queued).random() * 2.0
+        )
         attempt.event = self.ctx.sim.schedule(
             fail_after, self._on_attempt_failed, queued, attempt
         )
@@ -368,21 +390,23 @@ class TaskScheduler:
             # then hand the task to the DAG scheduler: it resubmits the
             # parent map stage for the lost partitions and requeues this
             # task once they are rebuilt.
-            self._release(attempt)
-            queued.attempts.remove(attempt)
-            self._emit_task_span(queued, attempt, "fetch-failed")
+            self._end_attempt(queued, attempt, "fetch-failed")
             if queued.attempts:
                 # A sibling attempt launched before the loss already has
                 # its data; let it win.
                 return
-            self._running_tasks.remove(queued)
             self.ctx.dag_scheduler.handle_fetch_failure(stage_run, task, failure)
             return
         if self.ctx.conf.cost.network_contention:
             # The NIC is shared: remote fetch slows with the node's
             # concurrency at launch (a coarse fair-share model).
             breakdown.shuffle_fetch *= max(1, attempt.sharers)
-        duration = breakdown.total * self._jitter(stage_run, task, attempt.speculative)
+        duration = breakdown.total
+        sigma = self.ctx.conf.cost.jitter_sigma
+        if sigma > 0:
+            # Deterministic lognormal duration noise (stragglers).
+            rng = self._draw("jitter", queued, attempt)
+            duration *= float(rng.lognormal(mean=0.0, sigma=sigma))
         attempt.working_bytes = tctx.max_partition_bytes
         attempt.breakdown = breakdown
         attempt.duration = duration
@@ -407,9 +431,35 @@ class TaskScheduler:
             duration, self._on_attempt_done, queued, attempt, metrics, result
         )
 
-    def _release(self, attempt: _Attempt) -> None:
+    def _end_attempt(
+        self,
+        queued: _QueuedTask,
+        attempt: _Attempt,
+        outcome: str,
+        metrics: Optional[TaskMetrics] = None,
+    ) -> None:
+        """The one way an attempt stops: free its core, detach it from its
+        task (and the task from the running list with its last attempt),
+        account for it. What happens to the *task* next (complete, retry,
+        requeue, park) is the caller's business.
+        """
+        if attempt.event is not None:
+            attempt.event.cancel()  # a no-op for the event firing right now
         attempt.executor.free_cores += 1
-        attempt.executor.running -= 1
+        queued.attempts.remove(attempt)
+        if not queued.attempts:
+            self._running_tasks.remove(queued)
+        series, counter = self._endings[outcome]
+        node = attempt.executor.spec.name
+        for name in series:
+            # Actual busy span: a winner's full run, a loser's partial one.
+            self.ctx.metrics.record_interval(
+                name, node, attempt.start, self.ctx.sim.now,
+                1.0 if name == "cpu" else attempt.working_bytes,
+            )
+        if counter is not None:
+            counter.inc()
+        self._emit_task_span(queued, attempt, outcome, metrics)
 
     def _on_attempt_done(
         self,
@@ -418,28 +468,14 @@ class TaskScheduler:
         metrics: TaskMetrics,
         result: object,
     ) -> None:
-        self._release(attempt)
-        queued.attempts.remove(attempt)
-        if queued.done:  # pragma: no cover - losers are cancelled, not run
-            self._dispatch()
-            return
-        queued.done = True
-        self._m_tasks_completed.inc()
         if attempt.speculative:
             self.speculative_wins += 1
             self._m_spec_wins.inc()
-        self._record_busy_span(attempt)
-        self._emit_task_span(queued, attempt, "ok", metrics)
-        # Kill the losing sibling attempt(s): cancel their completion and
-        # free their cores now; their partial busy time is recorded.
+        self._end_attempt(queued, attempt, "ok", metrics)
+        # Kill the losing sibling attempt(s): their completion is
+        # cancelled and their cores free now.
         for loser in list(queued.attempts):
-            if loser.event is not None:
-                loser.event.cancel()
-            self._release(loser)
-            self._record_busy_span(loser)
-            self._emit_task_span(queued, loser, "cancelled")
-        queued.attempts.clear()
-        self._running_tasks.remove(queued)
+            self._end_attempt(queued, loser, "cancelled")
         self.ctx.obs.log_event(
             "DEBUG", "task_scheduler", "task_finished",
             stage=queued.stage_run.stats.name,
@@ -455,19 +491,12 @@ class TaskScheduler:
         self._dispatch()
 
     def _on_attempt_failed(self, queued: _QueuedTask, attempt: _Attempt) -> None:
-        self._release(attempt)
-        queued.attempts.remove(attempt)
+        self._end_attempt(queued, attempt, "failed")
         task = queued.task
-        self.ctx.metrics.record_interval(
-            "cpu", attempt.executor.spec.name, attempt.start, self.ctx.sim.now, 1.0
-        )
-        self._m_tasks_failed.inc()
-        self._emit_task_span(queued, attempt, "failed")
         if queued.attempts:
             # A sibling (speculative) attempt is still running; let it win.
             self._dispatch()
             return
-        self._running_tasks.remove(queued)
         task.attempt += 1
         if task.attempt >= self.ctx.conf.max_task_attempts:
             raise SchedulingError(
@@ -484,6 +513,14 @@ class TaskScheduler:
         queued.speculated = False
         self._queue.append(queued)
         self._dispatch()
+
+    def abort_tasks(self) -> None:
+        """Forget a job that died: end its attempts, drop its queue."""
+        for queued in list(self._running_tasks):
+            for attempt in list(queued.attempts):
+                self._end_attempt(queued, attempt, "aborted")
+        self._queue.clear()
+        self._m_queue_depth.set(0)
 
     # ------------------------------------------------------------------
     # Speculative execution
@@ -508,7 +545,7 @@ class TaskScheduler:
         threshold = SPECULATION_MULTIPLIER * max(median, 1e-9)
         now = self.ctx.sim.now
         for queued in list(self._running_tasks):
-            if queued.stage_run is not stage_run or queued.done:
+            if queued.stage_run is not stage_run:
                 continue
             if queued.speculated or not queued.attempts:
                 continue
@@ -529,60 +566,6 @@ class TaskScheduler:
                 node=executor.spec.name,
             )
             self._launch(queued, executor, speculative=True)
-
-    def _jitter(
-        self, stage_run: "StageRun", task: Task, speculative: bool = False
-    ) -> float:
-        """Deterministic lognormal duration noise (stragglers)."""
-        sigma = self.ctx.conf.cost.jitter_sigma
-        if sigma <= 0:
-            return 1.0
-        rng = seeded_rng(
-            derive_seed(
-                self.ctx.conf.seed,
-                "jitter",
-                stage_run.stats.stage_run_id,
-                task.partition,
-                task.attempt,
-                "spec" if speculative else "main",
-            )
-        )
-        return float(rng.lognormal(mean=0.0, sigma=sigma))
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-
-    def _should_fail(
-        self, stage_run: "StageRun", task: Task, speculative: bool = False
-    ) -> bool:
-        rate = self.ctx.conf.task_failure_rate
-        if rate <= 0.0:
-            return False
-        rng = seeded_rng(
-            derive_seed(
-                self.ctx.conf.seed,
-                "task-failure",
-                stage_run.stats.stage_run_id,
-                task.partition,
-                task.attempt,
-                "spec" if speculative else "main",
-            )
-        )
-        return bool(rng.random() < rate)
-
-    def _failure_delay(self, stage_run: "StageRun", task: Task) -> float:
-        rng = seeded_rng(
-            derive_seed(
-                self.ctx.conf.seed,
-                "task-failure-delay",
-                stage_run.stats.stage_run_id,
-                task.partition,
-                task.attempt,
-            )
-        )
-        # Die somewhere in the first few seconds of the attempt.
-        return float(0.1 + rng.random() * 2.0)
 
     # ------------------------------------------------------------------
     # Node-loss chaos
@@ -672,21 +655,13 @@ class TaskScheduler:
         for queued in list(self._running_tasks):
             victims = [a for a in queued.attempts if a.executor is executor]
             for attempt in victims:
-                if attempt.event is not None:
-                    attempt.event.cancel()
-                queued.attempts.remove(attempt)
-                self._release(attempt)
-                self._record_busy_span(attempt)
-                self._emit_task_span(queued, attempt, "node-lost")
-                self._m_node_lost_tasks.inc()
+                self._end_attempt(queued, attempt, "node-lost")
             if victims and not queued.attempts:
-                self._running_tasks.remove(queued)
                 queued.task.attempt += 1
                 queued.speculated = False
                 queued.enqueued_at = now
                 self._queue.append(queued)
         executor.free_cores = 0
-        executor.running = 0
         lost = self.ctx.shuffle_manager.invalidate_node(name)
         evicted = self.ctx.block_store.evict_node(name)
         self.ctx.obs.span(
@@ -713,7 +688,6 @@ class TaskScheduler:
             return
         executor.alive = True
         executor.free_cores = executor.spec.cores
-        executor.running = 0
         self._node_recover_at.pop(name, None)
         self._m_nodes_recovered.inc()
         now = self.ctx.sim.now
@@ -789,16 +763,6 @@ class TaskScheduler:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-
-    def _record_busy_span(self, attempt: _Attempt) -> None:
-        """Record an attempt's actual busy span (winner full, loser partial)."""
-        metrics = self.ctx.metrics
-        name = attempt.executor.spec.name
-        end = self.ctx.sim.now
-        metrics.record_interval("cpu", name, attempt.start, end, 1.0)
-        metrics.record_interval(
-            "mem_working", name, attempt.start, end, attempt.working_bytes
-        )
 
     def _record_io_events(self, tctx, node: "NodeSpec", start: float) -> None:
         metrics = self.ctx.metrics

@@ -75,10 +75,14 @@ class SimEngine:
         """Number of not-yet-fired, not-cancelled events."""
         return sum(1 for e in self._heap if not e.cancelled)
 
+    def clear(self) -> None:
+        """Drop all pending events; the clock stays where it is."""
+        if self._running:
+            raise SchedulingError("cannot clear a running SimEngine")
+        self._heap.clear()
+
     def reset(self) -> None:
         """Clear the clock and all pending events (e.g. between jobs)."""
-        if self._running:
-            raise SchedulingError("cannot reset a running SimEngine")
+        self.clear()
         self._now = 0.0
         self._seq = 0
-        self._heap.clear()

@@ -12,8 +12,12 @@ import collections
 
 import pytest
 
-from repro.cluster import uniform_cluster
-from repro.common.errors import ConfigurationError, StageAbortedError
+from repro.cluster import paper_cluster, uniform_cluster
+from repro.common.errors import (
+    ConfigurationError,
+    SchedulingError,
+    StageAbortedError,
+)
 from repro.engine import AnalyticsContext, EngineConf, dag_scheduler
 from repro.engine.costmodel import CostModelConfig
 from repro.engine.task_scheduler import NODE_FAILURE_WINDOW
@@ -58,6 +62,18 @@ def mid_reduce_kill_time() -> float:
     start, first_end = reduce_window(baseline)
     assert first_end > start
     return (start + first_end) / 2.0
+
+
+def assert_context_usable(ctx) -> None:
+    """A job that died left nothing behind; the next job just runs."""
+    scheduler = ctx.task_scheduler
+    for worker in ctx.cluster.workers:
+        if scheduler.node_alive(worker.name):
+            assert scheduler.free_cores(worker.name) == worker.cores
+    assert ctx.sim.pending() == 0
+    assert scheduler.queued_tasks == 0
+    out = ctx.parallelize(range(100), 4).map(lambda x: x + 2).collect()
+    assert sum(out) == 5150
 
 
 class TestConfigValidation:
@@ -171,8 +187,10 @@ class TestNodeLossRecovery:
 
     def test_stage_abort_when_attempts_exhausted(self, monkeypatch):
         monkeypatch.setattr(dag_scheduler, "MAX_STAGE_ATTEMPTS", 1)
+        ctx = make_ctx(node_failure_times={"w0": mid_reduce_kill_time()})
         with pytest.raises(StageAbortedError, match="MAX_STAGE_ATTEMPTS"):
-            self.run_chaos(mid_reduce_kill_time())
+            shuffle_job(ctx)
+        assert_context_usable(ctx)
 
     def test_partial_reruns_excluded_from_collector(self):
         from repro.chopper.stats import StatisticsCollector
@@ -185,6 +203,82 @@ class TestNodeLossRecovery:
         # Clean observations only: one map + one result stage.
         kinds = [o.kind for o in collector.record.observations]
         assert sorted(kinds) == ["result", "shuffle_map"]
+
+
+class TestTaskAbort:
+    """``failed N times; aborting stage``: the job dies, the context lives."""
+
+    @staticmethod
+    def failing_ctx(**conf) -> AnalyticsContext:
+        return AnalyticsContext(
+            paper_cluster(),
+            EngineConf(
+                default_parallelism=40, task_failure_rate=0.6,
+                max_task_attempts=1, **conf,
+            ),
+        )
+
+    @staticmethod
+    def doomed_job(ctx):
+        pairs = ctx.parallelize(range(4000), 40).map(lambda x: (x % 7, 1))
+        return pairs.reduce_by_key(lambda a, b: a + b, num_partitions=8).collect()
+
+    @pytest.mark.parametrize("conf", [{}, {"speculation": True}], ids=["plain", "speculation"])
+    def test_failed_job_does_not_poison_its_context(self, conf):
+        """The dead job's attempts held 34 cores and 34 completion events,
+        and the next job's event loop fired them (raising *this* job's
+        abort again)."""
+        ctx = self.failing_ctx(**conf)
+        with pytest.raises(SchedulingError, match="failed 1 times; aborting stage"):
+            self.doomed_job(ctx)
+        clock = ctx.now
+        assert clock > 0
+        ctx.conf.task_failure_rate = 0.0
+        assert_context_usable(ctx)
+        assert ctx.now > clock  # the clock was left where the job died
+
+    def test_aborted_attempts_record_nothing(self, monkeypatch):
+        ctx = self.failing_ctx()
+        tracer = Tracer()
+        ctx.obs.set_tracer(tracer)
+        recorded = collections.Counter()
+        record_interval = ctx.metrics.record_interval
+
+        def counting(series, *args):
+            recorded[series] += 1
+            record_interval(series, *args)
+
+        monkeypatch.setattr(ctx.metrics, "record_interval", counting)
+        with pytest.raises(SchedulingError):
+            self.doomed_job(ctx)
+        outcomes = collections.Counter(
+            e.args["outcome"] for e in tracer.events if e.cat == "task"
+        )
+        assert outcomes["aborted"] > 0 and outcomes["failed"] == 1
+        registry = ctx.obs.metrics
+        launched = registry.counter_value("scheduler.tasks_launched")
+        assert launched == outcomes["aborted"] + outcomes["failed"] + outcomes["ok"]
+        # Core time is recorded for attempts that ran to an end (cpu and
+        # memory for a finished one, cpu only for the failed one), never
+        # for the ones the abort dropped.
+        assert recorded == {
+            "cpu": outcomes["ok"] + 1,
+            **({"mem_working": outcomes["ok"]} if outcomes["ok"] else {}),
+        }
+        assert registry.counter_value("scheduler.tasks_failed") == 1
+        assert registry.counter_value("scheduler.tasks_completed") == outcomes["ok"]
+
+    def test_user_exception_also_cleans_up(self):
+        ctx = make_ctx()
+
+        def boom(x):
+            if x == 777:
+                raise ZeroDivisionError("user code")
+            return x
+
+        with pytest.raises(ZeroDivisionError):
+            ctx.parallelize(range(1000), 8).map(boom).collect()
+        assert_context_usable(ctx)
 
 
 class TestNodeRecovery:

@@ -100,3 +100,21 @@ class TestReset:
         engine.reset()
         assert engine.now == 0.0
         assert engine.pending() == 0
+
+    def test_clear_drops_events_and_keeps_the_clock(self):
+        engine = SimEngine()
+        fired = []
+        engine.schedule(1.0, fired.append, "a")
+        engine.run()
+        engine.schedule(1.0, fired.append, "b")
+        engine.clear()
+        assert engine.pending() == 0
+        assert engine.run() == 1.0 and fired == ["a"]
+        # Event order stays deterministic: seq keeps counting.
+        assert engine.schedule(0.0, fired.append, "c").seq == 2
+
+    def test_clear_refused_while_running(self):
+        engine = SimEngine()
+        engine.schedule(1.0, engine.clear)
+        with pytest.raises(SchedulingError, match="running"):
+            engine.run()
