@@ -146,7 +146,7 @@ def measured_run(spec: RunSpec) -> Tuple[RunOutcome, dict]:
         stack.callback(ctx.close)
         if log is not None:
             log.bind(run=label)
-            log.emit("INFO", "chopper", "measured_run", label=label, scale=scale)
+        ctx.obs.event("measured_run", label=label, scale=scale)
         if advisor is not None:
             ctx.set_advisor(advisor)
         if tracer is not None:

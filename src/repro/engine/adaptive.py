@@ -368,9 +368,8 @@ def replan(
     )
     if plan is None:
         return None
-    now = ctx.sim.now
-    ctx.obs.span(
-        "aqe-replan", "aqe", now, now,
+    ctx.obs.event(
+        "stage_replanned",
         stage=stage.name,
         stage_id=stage.stage_id,
         original_partitions=stage.num_tasks,
@@ -379,27 +378,11 @@ def replan(
         split=plan.n_split,
         **_histograms(plan.before_sizes, plan.after_sizes),
     )
-    metrics = ctx.obs.metrics
-    metrics.counter("aqe.stages_replanned").inc()
-    if plan.n_coalesced:
-        metrics.counter("aqe.partitions_coalesced").inc(plan.n_coalesced)
-    if plan.n_split:
-        metrics.counter("aqe.partitions_split").inc(plan.n_split)
-    saved = stage.num_tasks - len(plan.specs)
-    if saved > 0:
-        metrics.counter("aqe.tasks_saved").inc(saved)
-    ctx.obs.log_event(
-        "INFO", "aqe", "stage_replanned",
-        stage=stage.name,
-        original_partitions=stage.num_tasks,
-        adapted_partitions=len(plan.specs),
-        coalesced=plan.n_coalesced, split=plan.n_split,
-    )
     return plan
 
 
 def _histograms(before: Sequence[float], after: Sequence[float]) -> dict:
-    """Span arguments showing what a re-plan did to the partition sizes."""
+    """What a re-plan did to the partition sizes (shown on its span)."""
     return {
         "before": [round(b, 1) for b in before],
         "after": [round(a, 1) for a in after],
@@ -466,18 +449,11 @@ def _try_switch(
     # Future producers (chaos-resubmitted map tasks) bucket straight
     # into the new space; consumers align against the real scheme.
     dep.partitioner = new
-    now = ctx.sim.now
-    ctx.obs.span(
-        "aqe-switch", "aqe", now, now,
+    ctx.obs.event(
+        "shuffle_switched",
         stage=stage.name,
-        shuffle_id=dep.shuffle_id,
+        shuffle=dep.shuffle_id,
         from_kind=old_kind,
         to_kind=new.kind,
         **_histograms(before, manager.partition_sizes(dep.shuffle_id)),
-    )
-    ctx.obs.metrics.counter("aqe.shuffles_switched").inc()
-    ctx.obs.log_event(
-        "INFO", "aqe", "shuffle_switched",
-        stage=stage.name, shuffle=dep.shuffle_id,
-        from_kind=old_kind, to_kind=new.kind,
     )

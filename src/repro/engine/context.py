@@ -16,7 +16,7 @@ from repro.cluster.cluster import Cluster, paper_cluster
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DEFAULT_SEED
 from repro.common.sizing import estimate_size
-from repro.engine import dependencies
+from repro.engine import dependencies, effects
 from repro.engine.costmodel import CostModelConfig
 from repro.engine.dag_scheduler import DAGScheduler
 from repro.engine.listener import JobStats, ListenerBus, StageStats
@@ -194,32 +194,28 @@ class AnalyticsContext:
         # Observability hub: always-on metrics registry + optional tracer,
         # structured event log, and real-resource profiler. A registry
         # (and log / profiler) may be injected so multi-run drivers
-        # aggregate one; the log's clock is rebound to this context's
-        # simulated time, so its timestamps stay deterministic.
+        # aggregate one. The hub stamps this context's simulated time and
+        # buffers what a task body reports from a worker thread.
+        sim = self.sim  # all the clock captures: a log may outlive its context
         self.obs = Observability(
             self.listener_bus,
             metrics=metrics_registry,
             nodes={w.name: w.cores for w in self.cluster.workers},
+            clock=lambda: sim.now,
+            deferred=effects.active,
         )
-        if event_log is not None:
-            event_log.bind_clock(lambda: self.sim.now)
-            self.obs.set_log(event_log)
-        if profiler is not None:
-            self.obs.set_profiler(profiler)
-        self.obs.metrics.gauge("cluster.total_cores").set(self.cluster.total_cores)
+        self.obs.set_log(event_log)
+        self.obs.set_profiler(profiler)
+        self.obs.event("cluster_sized", cores=self.cluster.total_cores)
         # One spill manager spans cached partitions and shuffle blocks:
         # the memory budget is over every payload the engine holds.
         self.spill: Optional[SpillManager] = None
         if self.conf.memory_budget is not None:
             self.spill = SpillManager(
-                self.conf.memory_budget,
-                directory=self.conf.spill_dir,
-                obs=self.obs,
-                clock=lambda: self.sim.now,
+                self.conf.memory_budget, directory=self.conf.spill_dir, obs=self.obs
             )
         self.shuffle_manager = ShuffleManager(
             block_header=self.conf.cost.shuffle_block_header,
-            metrics=self.obs.metrics,
             spill=self.spill,
             obs=self.obs,
         )
@@ -255,8 +251,7 @@ class AnalyticsContext:
             )
 
             self.query_cache = ResultCacheManager(
-                SQLiteCacheBackend(self.conf.result_cache_path),
-                metrics=self.obs.metrics,
+                SQLiteCacheBackend(self.conf.result_cache_path), obs=self.obs
             )
 
         self._rdd_counter = 0
@@ -397,11 +392,6 @@ class AnalyticsContext:
     def now(self) -> float:
         """Total simulated time elapsed in this context."""
         return self.sim.now
-
-    def reset_stats(self) -> None:
-        self.stage_stats.clear()
-        self.job_stats.clear()
-        self.plan_events.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle

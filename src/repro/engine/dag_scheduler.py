@@ -147,13 +147,10 @@ class DAGScheduler:
         # stage id so any later full launch of the same stage object
         # reuses the derived plan rather than re-deciding.
         self._adaptive_plans: Dict[int, Optional["AdaptivePlan"]] = {}
-        # Diagnostics, mirrored into the metrics registry (tests assert
-        # attribute and counter never drift).
+        # This context's own tallies (a metrics registry may be shared
+        # between contexts).
         self.fetch_failures = 0
         self.stage_resubmissions = 0
-        registry = ctx.obs.metrics
-        self._m_fetch_failures = registry.counter("scheduler.fetch_failures")
-        self._m_resubmissions = registry.counter("scheduler.stage_resubmissions")
 
     # ------------------------------------------------------------------
     # Job entry point
@@ -168,19 +165,15 @@ class DAGScheduler:
         if self.ctx.advisor is not None:
             wall0 = time.perf_counter()
             self.ctx.advisor.rewrite(final_rdd, self.ctx)
-            # The rewrite is driver-side and free in simulated time; its
-            # real cost is recorded as wall-clock milliseconds.
-            self.ctx.obs.span(
-                f"rewrite:{type(self.ctx.advisor).__name__}", "chopper",
-                self.ctx.sim.now, self.ctx.sim.now,
+            self.ctx.obs.event(
+                "advisor_rewrite", advisor=type(self.ctx.advisor).__name__,
                 wall_ms=round((time.perf_counter() - wall0) * 1e3, 3),
             )
         final_stage = self._build_stages(final_rdd)
         job = _JobState(self.ctx.next_job_id(), result_fn, self.ctx.sim.now)
         self._job = job
-        self.ctx.obs.log_event(
-            "INFO", "dag_scheduler", "job_started",
-            job=job.stats.job_id, final_stage=final_stage.name,
+        self.ctx.obs.event(
+            "job_started", job=job.stats.job_id, final_stage=final_stage.name
         )
         try:
             self.ctx.task_scheduler.arm_chaos()
@@ -206,16 +199,6 @@ class DAGScheduler:
                 self.ctx.sim.clear()
         job.stats.completed_at = self.ctx.sim.now
         self.ctx.job_stats.append(job.stats)
-        self.ctx.obs.span(
-            f"job-{job.stats.job_id}", "job",
-            job.stats.submitted_at, job.stats.completed_at,
-            job_id=job.stats.job_id, stages=len(job.stats.stages),
-        )
-        self.ctx.obs.log_event(
-            "INFO", "dag_scheduler", "job_finished",
-            job=job.stats.job_id, stages=len(job.stats.stages),
-            duration=job.stats.completed_at - job.stats.submitted_at,
-        )
         self.ctx.listener_bus.job_end(job.stats)
         assert job.results is not None
         return job.results
@@ -358,12 +341,11 @@ class DAGScheduler:
         ]
         result_fn = job.result_fn if stage.kind == RESULT else None
         run = StageRun(stage, stats, tasks, result_fn, self._on_stage_complete)
-        self.ctx.obs.log_event(
-            "INFO", "dag_scheduler", "stage_submitted",
+        self.ctx.obs.event(
+            "stage_submitted",
             job=job.stats.job_id, stage=stats.name, stage_run=stats.stage_run_id,
             kind=stats.kind, tasks=len(run.tasks), attempt=attempt,
         )
-        self.ctx.listener_bus.stage_submitted(stats)
         if delay > 0:
             self.ctx.sim.schedule(
                 delay, self.ctx.task_scheduler.submit_tasks, run, run.tasks
@@ -389,26 +371,6 @@ class DAGScheduler:
             )
         self.ctx.stage_stats.append(run.stats)
         job.stats.stages.append(run.stats)
-        self.ctx.obs.span(
-            run.stats.name, "stage",
-            run.stats.submitted_at, run.stats.completed_at,
-            stage_run_id=run.stats.stage_run_id,
-            kind=run.stats.kind,
-            P=run.stats.num_partitions,
-            partitioner=run.stats.partitioner_kind,
-            tasks=len(run.stats.tasks),
-            attempt=run.stats.attempt,
-            shuffle_read_bytes=run.stats.shuffle_read_bytes,
-            shuffle_write_bytes=run.stats.shuffle_write_bytes,
-        )
-        self.ctx.obs.log_event(
-            "INFO", "dag_scheduler", "stage_completed",
-            job=job.stats.job_id, stage=run.stats.name,
-            stage_run=run.stats.stage_run_id, kind=run.stats.kind,
-            tasks=len(run.stats.tasks),
-            duration=run.stats.completed_at - run.stats.submitted_at,
-            shuffle_write_bytes=run.stats.shuffle_write_bytes,
-        )
         self.ctx.listener_bus.stage_completed(run.stats)
 
         if stage.kind == SHUFFLE_MAP:
@@ -440,20 +402,10 @@ class DAGScheduler:
         into one resubmission after ``STAGE_RESUBMIT_DELAY``.
         """
         self.fetch_failures += 1
-        self._m_fetch_failures.inc()
-        now = self.ctx.sim.now
-        self.ctx.obs.span(
-            "fetch-failure", "chaos", now, now,
-            shuffle_id=failure.shuffle_id,
-            stage=stage_run.stats.name,
-            partition=task.partition,
-            lost_node=failure.node,
-            lost_maps=len(failure.map_ids),
-        )
-        self.ctx.obs.log_event(
-            "WARNING", "dag_scheduler", "fetch_failure",
-            stage=stage_run.stats.name, partition=task.partition,
-            shuffle=failure.shuffle_id, lost_node=failure.node,
+        self.ctx.obs.event(
+            "fetch_failure",
+            shuffle=failure.shuffle_id, stage=stage_run.stats.name,
+            partition=task.partition, lost_node=failure.node,
             lost_maps=len(failure.map_ids),
         )
         task.attempt += 1
@@ -483,18 +435,8 @@ class DAGScheduler:
         stage.completed = False
         self._completed_shuffles.discard(shuffle_id)
         self.stage_resubmissions += 1
-        self._m_resubmissions.inc()
-        now = self.ctx.sim.now
-        self.ctx.obs.span(
-            "stage-resubmit", "chaos", now, now,
-            shuffle_id=shuffle_id,
-            stage=stage.name,
-            missing_maps=len(missing),
-            attempt=stage.attempts,
-        )
-        self.ctx.obs.log_event(
-            "WARNING", "dag_scheduler", "stage_resubmitted",
-            stage=stage.name, shuffle=shuffle_id,
+        self.ctx.obs.event(
+            "stage_resubmitted", shuffle=shuffle_id, stage=stage.name,
             missing_maps=len(missing), attempt=stage.attempts,
         )
         self._run_stage(stage, missing, attempt=stage.attempts)

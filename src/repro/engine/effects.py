@@ -4,7 +4,7 @@ With ``EngineConf.physical_parallelism > 1`` the task scheduler executes
 the bodies of concurrently-granted attempts on a thread pool. Running
 task code concurrently is only sound if it cannot race on shared engine
 state — so while a worker thread runs, every touch of shared state
-(block-store reads/writes, shuffle fetches/puts, metric counters,
+(block-store reads/writes, shuffle fetches/puts, reported facts,
 accumulator adds) is *recorded* into the attempt's :class:`TaskEffects`
 instead of being performed. The scheduler then **applies** each
 attempt's effects on the driver thread in grant order — the exact order
@@ -38,20 +38,15 @@ from typing import Any, Dict, List, Optional, Tuple
 #                                    - replayed via put_map_output; the
 #                                      returned byte count feeds the
 #                                      task's shuffle-write note.
-#   ("counter", counter, value)      - a pre-bound Counter object.
-#   ("metric", name, labels, value)  - a lazily-created labeled counter.
 #   ("acc", accumulator, value)      - an accumulator fold.
 #   ("zone_map", key, split, stats)  - zone-map statistics of one scanned
 #                                      partition; replayed as a put into
 #                                      ctx.zone_maps (idempotent: stats
 #                                      are a pure function of the split).
-#   ("log", level, logger, event, fields)
-#                                    - a structured log record; emitted
-#                                      through ctx.obs.log_event at the
-#                                      attempt's serial position, so the
-#                                      event log stays byte-identical to
-#                                      serial execution (fields is a
-#                                      tuple of (key, value) pairs).
+#   ("event", name, fields)          - a fact the body reported through
+#                                      ctx.obs.event; replayed as that
+#                                      call, so series, spans and records
+#                                      are touched in serial order.
 
 
 class TaskEffects:
@@ -66,12 +61,19 @@ class TaskEffects:
         self.exception: Optional[BaseException] = None
 
 
-_local = threading.local()
+class _Local(threading.local):
+    # A class-level default: a thread that never activated a sink reads it
+    # at attribute speed (a missing attribute costs a raised exception,
+    # and every reported fact and store access asks).
+    sink: Optional[TaskEffects] = None
+
+
+_local = _Local()
 
 
 def active() -> Optional[TaskEffects]:
     """The sink of the current thread, or None on the driver thread."""
-    return getattr(_local, "sink", None)
+    return _local.sink
 
 
 def activate(effects: TaskEffects) -> None:

@@ -119,6 +119,7 @@ class TaskRunner:
         if spec.is_slice:
             tctx.map_ranges[spec.shuffle_id] = spec.map_range
         is_map = stage.kind == SHUFFLE_MAP
+        obs = self.ctx.obs  # on a worker thread it buffers, like the stores
         results: List[Any] = []
         try:
             for split in spec.splits:
@@ -137,52 +138,22 @@ class TaskRunner:
         except FetchFailure as failure:
             # Shuffle inputs lost to a dead node; the task scheduler
             # hands the task to the DAG scheduler for lineage recovery.
-            self._inc("executor.fetch_failures", node=node.name)
-            self._log(
-                "WARNING", "fetch_failure",
+            obs.event(
+                "task_fetch_failed",
                 stage=stage.name, partition=task.partition, node=node.name,
                 shuffle=failure.shuffle_id,
             )
             raise
-        name = "executor.map_tasks" if is_map else "executor.result_tasks"
-        self._inc(name, node=node.name)
         if tctx.cache_read_bytes:
-            self._inc("blockcache.hits", node=node.name)
-            self._inc(
-                "blockcache.read_bytes", tctx.cache_read_bytes, node=node.name
-            )
+            obs.event("cache_read", node=node.name, bytes=tctx.cache_read_bytes)
         for src, nbytes in tctx.cache_remote_by_src.items():
-            self._inc("blockcache.remote_read_bytes", nbytes, src=src)
-        self._log(
-            "DEBUG", "task_executed",
+            obs.event("cache_remote_read", src=src, bytes=nbytes)
+        obs.event(
+            "map_task_executed" if is_map else "result_task_executed",
             stage=stage.name, partition=task.partition, node=node.name,
             records_out=tctx.records_out,
         )
         return tctx, results
-
-    def _inc(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        """Counter increment that defers (creation included) under a sink."""
-        sink = effects.active()
-        if sink is not None:
-            sink.ops.append(("metric", name, tuple(labels.items()), amount))
-        else:
-            self.ctx.obs.metrics.counter(name, **labels).inc(amount)
-
-    def _log(self, level: str, event: str, **fields: Any) -> None:
-        """Structured log emit that defers under a sink (worker thread).
-
-        Deferred records replay at the attempt's serial position — the
-        same sim timestamp serial execution would have stamped — so the
-        event log stays byte-identical across physical parallelism.
-        """
-        obs = self.ctx.obs
-        if obs.log is None:
-            return
-        sink = effects.active()
-        if sink is not None:
-            sink.ops.append(("log", level, "executor", event, tuple(fields.items())))
-        else:
-            obs.log_event(level, "executor", event, **fields)
 
     def _effects_valid(self, eff: TaskEffects) -> bool:
         block_store = self.ctx.block_store
@@ -201,14 +172,10 @@ class TaskRunner:
 
     def _replay(self, eff: TaskEffects) -> None:
         ctx = self.ctx
-        metrics = ctx.obs.metrics
         for op in eff.ops:
             tag = op[0]
-            if tag == "metric":
-                _, name, labels, amount = op
-                metrics.counter(name, **dict(labels)).inc(amount)
-            elif tag == "counter":
-                op[1].inc(op[2])
+            if tag == "event":
+                ctx.obs.event(op[1], **op[2])
             elif tag == "cache_get":
                 if op[2] is not None:
                     ctx.block_store.touch(*op[1])
@@ -225,9 +192,6 @@ class TaskRunner:
                 eff.tctx.note_shuffle_write(written)
             elif tag == "shuffle_read":
                 pass  # validation-only
-            elif tag == "log":
-                _, level, logger, event, fields = op
-                ctx.obs.log_event(level, logger, event, **dict(fields))
             elif tag == "acc":
                 op[1]._fold(op[2])
             elif tag == "zone_map":

@@ -129,9 +129,6 @@ class JobStats:
 class Listener:
     """Subscriber interface; override the callbacks you care about."""
 
-    def on_stage_submitted(self, stage_stats: StageStats) -> None:
-        pass
-
     def on_task_end(self, task_metrics: TaskMetrics) -> None:
         pass
 
@@ -139,10 +136,6 @@ class Listener:
         pass
 
     def on_job_end(self, job_stats: JobStats) -> None:
-        pass
-
-    def on_span(self, event) -> None:
-        """A :class:`repro.obs.TraceEvent` span finished (tracing only)."""
         pass
 
 
@@ -158,10 +151,6 @@ class ListenerBus:
     def remove(self, listener: Listener) -> None:
         self._listeners.remove(listener)
 
-    def stage_submitted(self, stats: StageStats) -> None:
-        for listener in self._listeners:
-            listener.on_stage_submitted(stats)
-
     def task_end(self, metrics: TaskMetrics) -> None:
         for listener in self._listeners:
             listener.on_task_end(metrics)
@@ -173,7 +162,3 @@ class ListenerBus:
     def job_end(self, stats: JobStats) -> None:
         for listener in self._listeners:
             listener.on_job_end(stats)
-
-    def span(self, event) -> None:
-        for listener in self._listeners:
-            listener.on_span(event)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,9 +30,7 @@ from repro.common.errors import FetchFailure, ShuffleError
 from repro.engine import effects
 from repro.engine.batch import RecordBatch, as_record_list
 from repro.engine.storage import SpillableBlock, SpillManager, SpillRef
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import MetricsRegistry
+from repro.obs import Observability
 
 # A records container: a list of (k, v) tuples or a columnar RecordBatch.
 Records = Union[List, RecordBatch]
@@ -203,27 +201,17 @@ class ShuffleManager:
     def __init__(
         self,
         block_header: float = 64.0,
-        metrics: Optional["MetricsRegistry"] = None,
         spill: Optional[SpillManager] = None,
-        obs: Optional[Any] = None,
+        obs: Optional[Observability] = None,
     ) -> None:
         self._shuffles: Dict[int, _ShuffleState] = {}
         self.block_header = block_header
-        self._metrics = metrics
         self._spill = spill
-        # Observability hub for structured logging; register() and
-        # invalidate_node() are driver-serial call sites, so their log
-        # records are deterministic.
-        self._obs = obs
+        # The context's hub; on its own, a manager reports to a bare one.
+        self._obs = obs if obs is not None else Observability()
         # Running count of lost map outputs across all shuffles, so the
         # task scheduler's "is any shuffle degraded?" gate is O(1).
         self._lost_blocks = 0
-        if metrics is not None:
-            # Unlabeled totals, pre-registered so a snapshot always shows
-            # them; per-node/per-source series appear alongside as moved.
-            self._local_total = metrics.counter("shuffle.local_bytes")
-            self._remote_total = metrics.counter("shuffle.remote_bytes")
-            self._write_total = metrics.counter("shuffle.write_bytes")
 
     def register(self, shuffle_id: int, num_maps: int, num_reduces: int) -> None:
         """Declare a shuffle's dimensions before its map stage runs.
@@ -242,11 +230,9 @@ class ShuffleManager:
                 f" {state.num_maps}x{state.num_reduces} -> {num_maps}x{num_reduces}"
             )
         self._shuffles[shuffle_id] = _ShuffleState(num_maps, num_reduces)
-        if self._obs is not None:
-            self._obs.log_event(
-                "DEBUG", "shuffle", "shuffle_registered",
-                shuffle=shuffle_id, maps=num_maps, reduces=num_reduces,
-            )
+        self._obs.event(
+            "shuffle_registered", shuffle=shuffle_id, maps=num_maps, reduces=num_reduces
+        )
 
     def is_registered(self, shuffle_id: int) -> bool:
         return shuffle_id in self._shuffles
@@ -299,12 +285,11 @@ class ShuffleManager:
             self._lost_blocks -= 1
         state.version += 1
         state.index = None
-        if self._metrics is not None and written:
+        if written:
             # Re-executed (retried / speculative) maps physically write
             # again, so the counter honestly includes the duplicate I/O
             # even though the registry replaces the output.
-            self._write_total.inc(written)
-            self._metrics.counter("shuffle.write_bytes", node=node).inc(written)
+            self._obs.event("map_output_written", node=node, bytes=written)
         return written
 
     def _index(self, state: _ShuffleState) -> _ReduceIndex:
@@ -379,27 +364,16 @@ class ShuffleManager:
                 )
         stats.n_blocks = len(contributing)
         records = _gather(contributing)
-        if self._metrics is not None:
-            moved = [
-                (self._remote_total, "shuffle.remote_bytes", "src", src, size)
-                for src, size in stats.remote_bytes_by_src.items()
-            ]
-            if stats.local_bytes:
-                moved.insert(0, (
-                    self._local_total, "shuffle.local_bytes", "node", dst_node,
-                    stats.local_bytes,
-                ))
-            for total, name, label, value, size in moved:
-                if sink is None:
-                    total.inc(size)
-                    self._metrics.counter(name, **{label: value}).inc(size)
-                else:
-                    # Buffered in the serial order, the lazy creation of
-                    # the labeled counter included: it must not happen
-                    # before the task's apply turn (creation order is
-                    # visible in metric snapshots).
-                    sink.ops.append(("counter", total, size))
-                    sink.ops.append(("metric", name, ((label, value),), size))
+        # From a worker thread these are buffered, the creation of the
+        # labeled series included: it must not exist before the task's
+        # apply turn (an invalidated attempt re-executes, and which series
+        # a snapshot holds is visible).
+        if stats.local_bytes:
+            self._obs.event(
+                "shuffle_read_local", node=dst_node, bytes=stats.local_bytes
+            )
+        for src, size in stats.remote_bytes_by_src.items():
+            self._obs.event("shuffle_read_remote", src=src, bytes=size)
         return records, stats
 
     def map_output_nodes(self, shuffle_id: int, reduce_id: int) -> Dict[str, float]:
@@ -437,12 +411,11 @@ class ShuffleManager:
                 state.version += 1
                 state.index = None
                 lost[shuffle_id] = gone
-        if lost and self._obs is not None:
-            for shuffle_id in sorted(lost):
-                self._obs.log_event(
-                    "WARNING", "shuffle", "map_outputs_lost",
-                    shuffle=shuffle_id, node=node, maps=len(lost[shuffle_id]),
-                )
+        for shuffle_id in sorted(lost):
+            self._obs.event(
+                "map_outputs_lost",
+                shuffle=shuffle_id, node=node, maps=len(lost[shuffle_id]),
+            )
         return lost
 
     def has_lost_blocks(self) -> bool:

@@ -21,9 +21,10 @@ Two tenants share this module:
   is the step from "in-memory toy" to "survives inputs bigger than
   RAM" (cf. hybrid-hash operators that presume graceful spill).
 
-Spill events are observable: a ``spill`` trace lane span per spilled
-block, ``shuffle.spilled_bytes`` / ``spill.events`` metrics counters,
-and the run ledger's ``shuffle.spilled_bytes`` total.
+Spill events are observable: every spilled block is reported as a
+``block_spilled`` fact (see :mod:`repro.obs.catalogue`), which becomes a
+span in the trace's spill lane, a byte and an event counter, a log
+record, and the run ledger's spilled-bytes total.
 
 Virtual byte totals per node feed the memory-utilization metric
 (paper Fig. 12).
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, StorageError
 from repro.engine import effects
+from repro.obs import Observability
 
 # The one block codec. A spilled block is one frame: a tag byte, then
 # either the rows of an ndarray-row block (what KMeans/PCA cache) stacked
@@ -182,8 +184,7 @@ class SpillManager:
         self,
         budget_bytes: float,
         directory: Optional[str] = None,
-        obs: Any = None,
-        clock: Optional[Callable[[], float]] = None,
+        obs: Optional[Observability] = None,
     ) -> None:
         if budget_bytes <= 0:
             raise ConfigurationError(
@@ -204,8 +205,8 @@ class SpillManager:
         # key its spill label is built from (blocks hash by identity).
         self._resident: "OrderedDict[SpillableBlock, tuple]" = OrderedDict()
         self._resident_bytes = 0.0
-        self._obs = obs
-        self._clock = clock or (lambda: 0.0)
+        # The context's hub; on its own, a manager reports to a bare one.
+        self._obs = obs if obs is not None else Observability()
         # Physical/virtual spill accounting (virtual side is
         # deterministic; disk-read counters are diagnostics).
         self.spill_events = 0
@@ -285,25 +286,14 @@ class SpillManager:
         self.spilled_bytes += block.nbytes
         self.spilled_disk_bytes += len(blob)
         self.live_spilled_bytes += block.nbytes
-        if self._obs is not None:
-            now = self._clock()
-            label = ":".join(map(str, key))
-            # Driver-side span (node travels in args): spills land in the
-            # trace's dedicated "spill" lane, not on a worker core lane.
-            self._obs.span(
-                "spill", "spill", now, now,
-                src=block.node, bytes=block.nbytes, disk_bytes=len(blob),
-                label=label,
-            )
-            self._obs.metrics.counter("shuffle.spilled_bytes").inc(block.nbytes)
-            self._obs.metrics.counter("spill.events").inc(1.0)
-            # Spills only happen at effect-replay time (driver-serial), so
-            # this record's position and timestamp are deterministic.
-            self._obs.log_event(
-                "INFO", "spill", "block_spilled",
-                src=block.node, bytes=block.nbytes,
-                disk_bytes=len(blob), label=label,
-            )
+        # Spills only happen at effect-replay time (driver-serial), so the
+        # report's position and timestamp are deterministic. The node
+        # travels as ``src``: the span belongs to the trace's spill lane,
+        # not to a worker core lane.
+        self._obs.event(
+            "block_spilled", src=block.node, bytes=block.nbytes,
+            disk_bytes=len(blob), label=":".join(map(str, key)),
+        )
 
     def fetch(self, ref: SpillRef) -> Any:
         """Deserialize one spilled payload (thread-safe positional read)."""

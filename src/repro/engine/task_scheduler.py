@@ -114,9 +114,9 @@ class TaskScheduler:
         self._queue: Deque[_QueuedTask] = deque()
         # Tasks with at least one running attempt (speculation scans this).
         self._running_tasks: list = []
-        # Diagnostics: speculative attempts launched / that won their race,
-        # and failed attempts that were requeued. Mirrored into the metrics
-        # registry below; tests assert the two never drift.
+        # This context's own tallies (a metrics registry may be shared
+        # between contexts): speculative attempts launched / that won
+        # their race, failed attempts that were requeued, nodes killed.
         self.speculative_launches = 0
         self.speculative_wins = 0
         self.task_retries = 0
@@ -129,29 +129,15 @@ class TaskScheduler:
         self._killed_nodes: set = set()
         self._node_recover_at: Dict[str, float] = {}
         self._planned_failures = self._plan_node_failures()
-        registry = ctx.obs.metrics
-        self._m_tasks_launched = registry.counter("scheduler.tasks_launched")
-        self._m_task_retries = registry.counter("scheduler.task_retries")
-        self._m_spec_launches = registry.counter("scheduler.speculative_launches")
-        self._m_spec_wins = registry.counter("scheduler.speculative_wins")
-        self._m_queue_wait = registry.histogram("scheduler.queue_wait_seconds")
-        self._m_queue_depth = registry.gauge("scheduler.queue_depth")
-        self._m_nodes_lost = registry.counter("scheduler.nodes_lost")
-        self._m_nodes_recovered = registry.counter("scheduler.nodes_recovered")
-        # What the end of an attempt records, by outcome: the utilization
-        # series its core time lands in, and the counter it bumps. An
-        # attempt that died at launch on a fetch failure, or with its
-        # aborted job, records nothing. ``MetricsRecorder.nodes(series)``
-        # is every node that ever got a sample, so an extra zero-valued
-        # interval would move Figs. 11-14.
+        # The utilization series an attempt's core time lands in, by how
+        # it ended. An attempt that died at launch on a fetch failure, or
+        # with its aborted job, records nothing. ``MetricsRecorder.nodes(
+        # series)`` is every node that ever got a sample, so an extra
+        # zero-valued interval would move Figs. 11-14.
         busy = ("cpu", "mem_working")
         self._endings = {
-            "ok": (busy, registry.counter("scheduler.tasks_completed")),
-            "cancelled": (busy, None),
-            "node-lost": (busy, registry.counter("scheduler.node_lost_tasks")),
-            "failed": (("cpu",), registry.counter("scheduler.tasks_failed")),
-            "fetch-failed": ((), None),
-            "aborted": ((), None),
+            "ok": busy, "cancelled": busy, "node-lost": busy,
+            "failed": ("cpu",), "fetch-failed": (), "aborted": (),
         }
 
     # ------------------------------------------------------------------
@@ -201,7 +187,7 @@ class TaskScheduler:
         if not any(
             e.alive and e.free_cores > 0 for e in self._executors.values()
         ):
-            self._m_queue_depth.set(len(self._queue))
+            self.ctx.obs.event("queue_depth", depth=len(self._queue))
             return
         # Batched (threaded) dispatch: grant decisions happen serially in
         # this scan; granted bodies run on the worker pool; effects apply
@@ -228,7 +214,7 @@ class TaskScheduler:
             self._launch(self._queue.popleft(), executor, batch=batch)
         if batch:
             self._run_batch(batch)
-        self._m_queue_depth.set(len(self._queue))
+        self.ctx.obs.event("queue_depth", depth=len(self._queue))
 
     def _batching_allowed(self) -> bool:
         """Thread granted task bodies this dispatch round?
@@ -323,9 +309,10 @@ class TaskScheduler:
         queued.attempts.append(attempt)
         if queued not in self._running_tasks:
             self._running_tasks.append(queued)
-        self._m_tasks_launched.inc()
-        if not speculative:
-            self._m_queue_wait.observe(max(0.0, start - queued.enqueued_at))
+        self.ctx.obs.event(
+            "task_launched",
+            queue_wait=None if speculative else max(0.0, start - queued.enqueued_at),
+        )
         # Failure injection: a seeded per-attempt coin.
         rate = self.ctx.conf.task_failure_rate
         fail = rate > 0.0 and bool(
@@ -449,17 +436,21 @@ class TaskScheduler:
         queued.attempts.remove(attempt)
         if not queued.attempts:
             self._running_tasks.remove(queued)
-        series, counter = self._endings[outcome]
         node = attempt.executor.spec.name
-        for name in series:
+        for name in self._endings[outcome]:
             # Actual busy span: a winner's full run, a loser's partial one.
             self.ctx.metrics.record_interval(
                 name, node, attempt.start, self.ctx.sim.now,
                 1.0 if name == "cpu" else attempt.working_bytes,
             )
-        if counter is not None:
-            counter.inc()
-        self._emit_task_span(queued, attempt, outcome, metrics)
+        stats = queued.stage_run.stats
+        self.ctx.obs.event(
+            "attempt_ended", outcome=outcome,
+            stage=stats.name, stage_run=stats.stage_run_id,
+            partition=queued.task.partition, attempt=queued.task.attempt,
+            node=node, speculative=attempt.speculative, start=attempt.start,
+            duration=attempt.duration, breakdown=attempt.breakdown, metrics=metrics,
+        )
 
     def _on_attempt_done(
         self,
@@ -470,14 +461,14 @@ class TaskScheduler:
     ) -> None:
         if attempt.speculative:
             self.speculative_wins += 1
-            self._m_spec_wins.inc()
+            self.ctx.obs.event("speculative_win")
         self._end_attempt(queued, attempt, "ok", metrics)
         # Kill the losing sibling attempt(s): their completion is
         # cancelled and their cores free now.
         for loser in list(queued.attempts):
             self._end_attempt(queued, loser, "cancelled")
-        self.ctx.obs.log_event(
-            "DEBUG", "task_scheduler", "task_finished",
+        self.ctx.obs.event(
+            "task_finished",
             stage=queued.stage_run.stats.name,
             stage_run=queued.stage_run.stats.stage_run_id,
             partition=queued.task.partition, attempt=queued.task.attempt,
@@ -504,13 +495,13 @@ class TaskScheduler:
                 f"{queued.stage_run.stage.name}"
             )
         self.task_retries += 1
-        self._m_task_retries.inc()
-        self.ctx.obs.log_event(
-            "WARNING", "task_scheduler", "task_retry",
+        self.ctx.obs.event(
+            "task_retry",
             stage=queued.stage_run.stats.name, partition=task.partition,
             attempt=task.attempt, node=attempt.executor.spec.name,
         )
         queued.speculated = False
+        queued.enqueued_at = self.ctx.sim.now
         self._queue.append(queued)
         self._dispatch()
 
@@ -520,7 +511,7 @@ class TaskScheduler:
             for attempt in list(queued.attempts):
                 self._end_attempt(queued, attempt, "aborted")
         self._queue.clear()
-        self._m_queue_depth.set(0)
+        self.ctx.obs.event("queue_depth", depth=0)
 
     # ------------------------------------------------------------------
     # Speculative execution
@@ -558,9 +549,8 @@ class TaskScheduler:
                 continue
             queued.speculated = True
             self.speculative_launches += 1
-            self._m_spec_launches.inc()
-            self.ctx.obs.log_event(
-                "INFO", "task_scheduler", "speculative_launch",
+            self.ctx.obs.event(
+                "speculative_launch",
                 stage=stage_run.stats.name,
                 partition=queued.task.partition,
                 node=executor.spec.name,
@@ -647,7 +637,6 @@ class TaskScheduler:
         executor.alive = False
         self._killed_nodes.add(name)
         self.nodes_lost += 1
-        self._m_nodes_lost.inc()
         now = self.ctx.sim.now
         # Every attempt running on the dead node dies with it. The task
         # is requeued without charging its failure budget — Spark's
@@ -664,14 +653,8 @@ class TaskScheduler:
         executor.free_cores = 0
         lost = self.ctx.shuffle_manager.invalidate_node(name)
         evicted = self.ctx.block_store.evict_node(name)
-        self.ctx.obs.span(
-            "node-lost", "chaos", now, now,
-            node=None, victim=name,
-            shuffles_hit=len(lost), cached_blocks_lost=evicted,
-        )
-        self.ctx.obs.log_event(
-            "ERROR", "task_scheduler", "node_lost",
-            node=name, shuffles_hit=len(lost), cached_blocks_lost=evicted,
+        self.ctx.obs.event(
+            "node_lost", node=name, shuffles_hit=len(lost), cached_blocks_lost=evicted
         )
         if self.ctx.conf.node_recovery_delay > 0:
             recover_at = now + self.ctx.conf.node_recovery_delay
@@ -689,76 +672,11 @@ class TaskScheduler:
         executor.alive = True
         executor.free_cores = executor.spec.cores
         self._node_recover_at.pop(name, None)
-        self._m_nodes_recovered.inc()
-        now = self.ctx.sim.now
-        self.ctx.obs.span("node-recovered", "chaos", now, now, node=None, victim=name)
-        self.ctx.obs.log_event("INFO", "task_scheduler", "node_recovered", node=name)
+        self.ctx.obs.event("node_recovered", node=name)
         self._dispatch()
 
     def node_alive(self, name: str) -> bool:
         return self._executors[name].alive
-
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-
-    # Completion order of the priced components within a task's span.
-    _PHASES = (
-        ("overhead", "overhead"),
-        ("shuffle-fetch", "shuffle_fetch"),
-        ("input-io", "input_io"),
-        ("compute", "compute"),
-        ("shuffle-write", "shuffle_write"),
-    )
-
-    def _emit_task_span(
-        self,
-        queued: _QueuedTask,
-        attempt: _Attempt,
-        outcome: str,
-        metrics: Optional[TaskMetrics] = None,
-    ) -> None:
-        """Emit one task-attempt span (plus phase sub-spans for winners)."""
-        obs = self.ctx.obs
-        if not obs.emitting:
-            return
-        task = queued.task
-        stats = queued.stage_run.stats
-        node = attempt.executor.spec.name
-        end = self.ctx.sim.now
-        key = (stats.stage_run_id, task.partition, task.attempt, attempt.speculative)
-        args = {
-            "stage_run_id": stats.stage_run_id,
-            "stage": stats.name,
-            "partition": task.partition,
-            "attempt": task.attempt,
-            "speculative": attempt.speculative,
-            "outcome": outcome,
-        }
-        if metrics is not None:
-            args.update(
-                input_bytes=metrics.input_bytes,
-                shuffle_read_local=metrics.shuffle_read_local,
-                shuffle_read_remote=metrics.shuffle_read_remote,
-                shuffle_write=metrics.shuffle_write,
-            )
-        obs.span(
-            f"{stats.name}[{task.partition}]", "task",
-            attempt.start, end, node=node, key=key, **args,
-        )
-        breakdown = attempt.breakdown
-        if outcome != "ok" or breakdown is None or breakdown.total <= 0:
-            return
-        # Phase sub-spans share the task's lane (same key) and nest under
-        # it; jitter scales every component proportionally.
-        factor = attempt.duration / breakdown.total
-        t = attempt.start
-        for name, attr in self._PHASES:
-            seconds = getattr(breakdown, attr) * factor
-            if seconds <= 0:
-                continue
-            obs.span(name, "task.phase", t, t + seconds, node=node, key=key)
-            t += seconds
 
     # ------------------------------------------------------------------
     # Metrics

@@ -1,27 +1,27 @@
 """``repro.obs`` — first-class observability for the simulated engine.
 
-Two complementary instruments, both fed by the engine rather than
-ad-hoc state scattered across schedulers:
-
-* :class:`Tracer` + :class:`TraceEvent` — a span model (job / stage /
-  task / task-phase / CHOPPER spans) with a Chrome-trace JSON exporter
-  keyed on simulated time; open the output in ``chrome://tracing`` or
-  Perfetto. See ``docs/observability.md``.
-* :class:`MetricsRegistry` — counters, gauges, and histograms (shuffle
-  local/remote bytes, speculation launches/wins, task retries, cache
-  hits, queue waits) with JSON snapshot export.
+Four sinks, fed by the engine through one hub rather than by ad-hoc
+state scattered across schedulers: :class:`Tracer` (a span model with a
+Chrome-trace exporter keyed on simulated time), :class:`MetricsRegistry`
+(counters, gauges, histograms; JSON / Prometheus / OTLP export),
+:class:`EventLog` (structured JSONL records) and :class:`LedgerCollector`
+(one run's :class:`RunLedger` entry). :class:`ResourceProfiler` measures
+the host, not the simulation.
 
 Every :class:`~repro.engine.context.AnalyticsContext` owns an
-:class:`Observability` hub. The metrics registry is always on (an
-increment is a float add); tracing costs nothing until a tracer is
-attached via ``ctx.obs.set_tracer(Tracer())``, because spans are only
-constructed when one is listening.
+:class:`Observability` hub, and the engine has two ways to tell it
+something happened: ``ctx.obs.event(name, **fields)`` for every fact in
+:mod:`repro.obs.catalogue`, and the listener bus's typed endings, which
+the hub hears like any other listener. The registry is always on; a span
+or a record is only built when a sink that wants it is attached. See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs import catalogue
 from repro.obs.diagnostics import (
     RunDiff,
     detect_stragglers,
@@ -37,106 +37,137 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import ResourceProfiler
 from repro.obs.trace import TraceEvent, Tracer, save_chrome_trace, to_chrome
 
+# How an amount lands in each kind of instrument.
+_VERBS = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
 
 class Observability:
-    """Per-context hub bundling the metrics registry and the tracer.
+    """Per-context hub: routes what the engine reports to the attached sinks.
 
-    ``bus`` is the context's listener bus; an attached tracer is
-    registered there, so spans fan out exactly like every other
-    execution event. A shared registry (and tracer) may be injected so
-    multi-run pipelines (``ChopperRunner``) aggregate across contexts.
+    ``bus`` is the context's listener bus (the hub joins it for the stage
+    and job endings), ``clock`` its simulated clock, and ``deferred``
+    returns the effects sink of a worker thread running a task body, or
+    None on the driver thread. A shared registry (and tracer, log) may be
+    injected so multi-run pipelines (``ChopperRunner``) aggregate across
+    contexts. A bare ``Observability()`` meters into its own registry.
     """
 
     def __init__(
         self,
-        bus: Any,
+        bus: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         nodes: Optional[Dict[str, int]] = None,
+        clock: Callable[[], float] = lambda: 0.0,
+        deferred: Callable[[], Any] = lambda: None,
     ) -> None:
-        self._bus = bus
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.nodes = dict(nodes or {})
+        self._clock = clock
+        self._deferred = deferred
         self.tracer: Optional[Tracer] = None
-        self._span_listeners: List[Any] = []
         self.log: Optional[EventLog] = None
         self.profiler: Optional[ResourceProfiler] = None
+        self._collectors: List[Any] = []
+        # (instrument name, label value) -> how an amount lands in that
+        # series: one dict probe per feed, the registry asked on first use.
+        self._bumps: Dict[Tuple[str, Any], Callable[[float], None]] = {}
+        for fact in catalogue.FACTS.values():
+            for feed in fact.feeds:
+                if feed.eager:
+                    self._bind(feed)
+        if bus is not None:
+            bus.add(self)
 
-    @property
-    def tracing(self) -> bool:
-        return self.tracer is not None
-
-    @property
-    def emitting(self) -> bool:
-        """Is anyone listening for spans (tracer or e.g. a ledger collector)?
-
-        Span construction is skipped entirely when nothing listens, so
-        the engine's hot paths stay free when unobserved.
-        """
-        return self.tracer is not None or bool(self._span_listeners)
+    def _bind(self, feed: catalogue.Feed, label: Any = None):
+        """Get or create the series a feed lands in; remember its verb."""
+        labels = {feed.label: label} if feed.label else {}
+        series = getattr(self.metrics, feed.kind)(feed.name, **labels)
+        bump = self._bumps[feed.name, label] = getattr(series, _VERBS[feed.kind])
+        return bump
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Attach (or detach, with None) a tracer to the listener bus."""
-        if self.tracer is not None:
-            self._bus.remove(self.tracer)
+        """Attach (or detach, with None) a tracer."""
         self.tracer = tracer
         if tracer is not None:
             tracer.declare_nodes(self.nodes)
-            self._bus.add(tracer)
 
     def set_log(self, log: Optional[EventLog]) -> None:
-        """Attach (or detach, with None) a structured event log."""
+        """Attach (or detach, with None) an event log, stamped in simulated time."""
         self.log = log
+        if log is not None:
+            log.bind_clock(self._clock)
 
     def set_profiler(self, profiler: Optional["ResourceProfiler"]) -> None:
         """Attach (or detach, with None) a real-resource profiler."""
         self.profiler = profiler
 
-    @property
-    def logging(self) -> bool:
-        return self.log is not None
+    def subscribe(self, collector: Any) -> None:
+        """Deliver to ``collector`` the instant spans (``on_span``) and the
+        tallied outcomes (``on_attempt_ended``) of the facts reported."""
+        self._collectors.append(collector)
 
-    def log_event(self, level: str, logger: str, event: str, **fields: Any) -> None:
-        """Emit one structured log record; no-op when no log is attached.
+    def unsubscribe(self, collector: Any) -> None:
+        self._collectors.remove(collector)
 
-        Every call site sits on the driver's serial event path (or is
-        replayed there by the task-effects sink), so attaching a log
-        never perturbs — and is never perturbed by — execution order.
+    def event(self, name: str, **fields: Any) -> None:
+        """Report one fact; its catalogue row says what it feeds.
+
+        From a task body on a worker thread the fact is buffered in the
+        attempt's effects and reported when they replay, so instruments,
+        spans and records are only ever touched on the driver's serial
+        event path, in serial order at any physical parallelism.
         """
-        if self.log is not None:
-            self.log.emit(level, logger, event, **fields)
-
-    def add_span_listener(self, listener: Any) -> None:
-        """Register a listener that wants spans even with no tracer.
-
-        The listener joins the bus like any other (all callbacks fire);
-        additionally its presence turns span emission on.
-        """
-        self._bus.add(listener)
-        self._span_listeners.append(listener)
-
-    def remove_span_listener(self, listener: Any) -> None:
-        self._bus.remove(listener)
-        self._span_listeners.remove(listener)
-
-    def span(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        end: float,
-        node: Optional[str] = None,
-        key: Optional[Tuple] = None,
-        **args: Any,
-    ) -> None:
-        """Emit one span through the listener bus; no-op when unobserved."""
-        if not self.emitting:
+        sink = self._deferred()
+        if sink is not None:
+            sink.ops.append(("event", name, fields))
             return
-        self._bus.span(
-            TraceEvent(
-                name=name, cat=cat, start=start, end=end,
-                node=node, key=key, args=args,
+        fact = catalogue.FACTS[name]
+        for feed in fact.feeds:
+            amount = feed.amount
+            if amount is None:
+                amount = 1.0
+            else:
+                amount = fields[amount] if type(amount) is str else amount(fields)
+                if amount is None:
+                    continue
+            label = fields[feed.label] if feed.label else None
+            bump = self._bumps.get((feed.name, label)) or self._bind(feed, label)
+            bump(amount)
+        if fact.tally is not None:
+            for collector in self._collectors:
+                collector.on_attempt_ended(fields[fact.tally])
+        if callable(fact.span):
+            if self.tracer is not None:
+                for span in fact.span(fields, self._clock()):
+                    self.tracer.on_span(span)
+        elif fact.span is not None and (self.tracer is not None or self._collectors):
+            span = catalogue.instant(fact, fields, self._clock())
+            if self.tracer is not None:
+                self.tracer.on_span(span)
+            for collector in self._collectors:
+                collector.on_span(span)
+        if fact.log is not None and self.log is not None:
+            self.log.emit(
+                *fact.log,
+                **{k: v for k, v in fields.items() if k not in fact.span_only},
             )
-        )
+
+    # -- listener-bus callbacks (duck-typed Listener) --------------------
+
+    def on_task_end(self, task_metrics) -> None:
+        """Nothing to render: ``attempt_ended`` and ``task_finished`` said it."""
+
+    def on_stage_completed(self, stats) -> None:
+        if self.tracer is not None:
+            self.tracer.on_span(catalogue.stage_span(stats))
+        if self.log is not None:
+            self.log.emit(*catalogue.STAGE_COMPLETED, **catalogue.stage_record(stats))
+
+    def on_job_end(self, stats) -> None:
+        if self.tracer is not None:
+            self.tracer.on_span(catalogue.job_span(stats))
+        if self.log is not None:
+            self.log.emit(*catalogue.JOB_FINISHED, **catalogue.job_record(stats))
 
 
 __all__ = [

@@ -15,7 +15,6 @@ snapshot are real quantiles, not bucket interpolations).
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -189,12 +188,6 @@ def to_otlp(snapshot: dict, time_unix_nano: int = 0) -> dict:
             }
         ]
     }
-
-
-def save_otlp(snapshot: dict, path: str, time_unix_nano: int = 0) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_otlp(snapshot, time_unix_nano), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.errors import LedgerError
@@ -274,11 +275,13 @@ def plan_summary(events) -> Optional[Dict[str, Any]]:
 class LedgerCollector:
     """Listener that assembles one run's ledger entry body.
 
-    Attach around a workload run (it registers as a span listener, so
-    task/chaos spans flow even with no tracer); :meth:`body` afterwards
-    returns the per-run portion of the entry — the caller adds identity
-    (workload/label), the config snapshot, and any CHOPPER extras before
-    handing it to :meth:`RunLedger.append`.
+    Attach around a workload run: it joins the listener bus for the task
+    / stage / job endings and subscribes to the context's hub for attempt
+    outcomes and the chaos / spill / AQE instants (no tracer needed, no
+    task span built). :meth:`body` afterwards returns the per-run portion
+    of the entry — the caller adds identity (workload/label), the config
+    snapshot, and any CHOPPER extras before handing it to
+    :meth:`RunLedger.append`.
     """
 
     MAX_SPILL_EVENTS = 200  # per-event detail kept in the entry (head)
@@ -299,9 +302,6 @@ class LedgerCollector:
         self._started_at = 0.0
 
     # -- Listener callbacks (duck-typed) --------------------------------
-
-    def on_stage_submitted(self, stage_stats) -> None:
-        pass
 
     def on_task_end(self, task_metrics) -> None:
         self._shuffle["local_bytes"] += task_metrics.shuffle_read_local
@@ -371,10 +371,10 @@ class LedgerCollector:
         )
 
     def on_span(self, event) -> None:
+        """An instant, as the hub renders it for a tracer too."""
+        row = {"t": event.start, "event": event.name, **event.args}
         if event.cat == "chaos":
-            self.chaos_events.append(
-                {"t": event.start, "event": event.name, **event.args}
-            )
+            self.chaos_events.append(row)
         elif event.cat == "spill":
             self._shuffle["spilled_bytes"] += event.args.get("bytes", 0.0)
             self._spill_count += 1
@@ -382,33 +382,35 @@ class LedgerCollector:
             # thousands of blocks; the full stream lives in the trace
             # lane, the ledger keeps the head plus exact totals.
             if len(self.spill_events) < self.MAX_SPILL_EVENTS:
-                self.spill_events.append(
-                    {"t": event.start, "event": event.name, **event.args}
-                )
+                self.spill_events.append(row)
         elif event.cat == "aqe":
             self._aqe_count += 1
             if len(self.aqe_events) < self.MAX_AQE_EVENTS:
-                self.aqe_events.append(
-                    {"t": event.start, "event": event.name, **event.args}
-                )
-        elif event.cat == "task":
-            outcome = event.args.get("outcome", "ok")
-            self.task_attempts[outcome] = self.task_attempts.get(outcome, 0) + 1
+                self.aqe_events.append(row)
+
+    def on_attempt_ended(self, outcome: str) -> None:
+        self.task_attempts[outcome] = self.task_attempts.get(outcome, 0) + 1
 
     # -- lifecycle -------------------------------------------------------
 
     def attach(self, ctx) -> "LedgerCollector":
-        ctx.obs.add_span_listener(self)
+        ctx.listener_bus.add(self)
+        ctx.obs.subscribe(self)
         self._ctx = ctx
         self._started_at = ctx.now
         return self
 
     def detach(self) -> None:
         if self._ctx is not None:
-            self._ctx.obs.remove_span_listener(self)
+            self._ctx.listener_bus.remove(self)
+            self._ctx.obs.unsubscribe(self)
 
-    def attached(self, ctx) -> "_LedgerScope":
-        return _LedgerScope(self, ctx)
+    @contextmanager
+    def attached(self, ctx) -> Iterator["LedgerCollector"]:
+        try:
+            yield self.attach(ctx)
+        finally:
+            self.detach()
 
     def body(self) -> Dict[str, Any]:
         """The run-record portion of a ledger entry."""
@@ -443,15 +445,3 @@ class LedgerCollector:
             "cache": cache.stats() if cache is not None else None,
             "zone_maps": zone_summary,
         }
-
-
-class _LedgerScope:
-    def __init__(self, collector: LedgerCollector, ctx) -> None:
-        self.collector = collector
-        self.ctx = ctx
-
-    def __enter__(self) -> LedgerCollector:
-        return self.collector.attach(self.ctx)
-
-    def __exit__(self, *exc) -> None:
-        self.collector.detach()

@@ -43,12 +43,10 @@ class EventLog:
     ledger run id) carried by every subsequent record.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self) -> None:
         self.records: List[dict] = []
         self._seq = 0
-        self._clock: Callable[[], float] = clock if clock is not None else (
-            lambda: 0.0
-        )
+        self._clock: Callable[[], float] = lambda: 0.0  # until a hub binds its own
         self._bound: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------

@@ -72,10 +72,6 @@ class Gauge:
         _check_finite("gauge increments", amount)
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        _check_finite("gauge decrements", amount)
-        self.value -= amount
-
 
 class Histogram:
     """Summary statistics of observed samples (queue waits, durations).
@@ -336,12 +332,6 @@ class MetricsRegistry:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def to_prometheus(self) -> str:
-        """Render the registry in Prometheus text exposition format."""
-        from repro.obs.export import to_prometheus
-
-        return to_prometheus(self.snapshot())
-
     # ------------------------------------------------------------------
     # Cross-registry aggregation
     # ------------------------------------------------------------------
@@ -419,8 +409,3 @@ class MetricsRegistry:
                     dumped["max"],
                     dumped["samples"],
                 )
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

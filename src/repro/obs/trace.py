@@ -1,9 +1,10 @@
 """Span tracer and Chrome-trace (Perfetto) exporter, keyed on simulated time.
 
-The engine emits :class:`TraceEvent` spans through the listener bus — one
-per job, stage, task attempt, and task phase (shuffle fetch, compute, …),
-plus driver-side CHOPPER spans (advisor rewrite, profile/train/optimize
-phases). A :class:`Tracer` collects them and :func:`to_chrome` renders the
+A context's hub renders what the engine reports as :class:`TraceEvent`
+spans — one per job, stage, task attempt, and task phase (shuffle fetch,
+compute, …), instants for chaos / AQE / spill events — and the CHOPPER
+runner adds driver-side ones (profile/train/optimize phases). A
+:class:`Tracer` collects them and :func:`to_chrome` renders the
 set in the Chrome trace-event JSON format, so a run opens directly in
 ``chrome://tracing`` or https://ui.perfetto.dev:
 
@@ -67,11 +68,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects spans from the listener bus and driver-side phases.
-
-    Implements the :class:`~repro.engine.listener.Listener` callbacks it
-    cares about (``on_span``) by duck typing, so this module has no
-    engine dependency and the engine none on it.
+    """Collects spans from a context's hub and driver-side phases.
 
     A tracer can outlive one context: :meth:`scope` shifts the simulated
     times of everything observed inside it past the current horizon, so a
@@ -94,15 +91,11 @@ class Tracer:
         """Declare node -> core-count so every core gets a named lane."""
         self._nodes.update(nodes)
 
-    # ------------------------------------------------------------------
-    # Listener-bus callbacks (duck-typed Listener)
-    # ------------------------------------------------------------------
-
     def on_span(self, event: TraceEvent) -> None:
         if self._offset:
-            # Copy before shifting: the bus hands the same event object to
-            # every span listener (e.g. a ledger collector records the
-            # run-local times), so the shift must stay private.
+            # Copy before shifting: the hub hands the same event object to
+            # every sink (e.g. a ledger collector records the run-local
+            # times), so the shift must stay private.
             event = replace(
                 event,
                 start=event.start + self._offset,
@@ -110,42 +103,13 @@ class Tracer:
             )
         self._append(event)
 
-    def on_stage_submitted(self, stage_stats) -> None:
-        pass
-
-    def on_task_end(self, task_metrics) -> None:
-        pass
-
-    def on_stage_completed(self, stage_stats) -> None:
-        pass
-
-    def on_job_end(self, job_stats) -> None:
-        pass
-
     # ------------------------------------------------------------------
-    # Direct emission (driver-side spans, absolute times)
+    # Driver-side spans (absolute times)
     # ------------------------------------------------------------------
-
-    def emit(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        end: float,
-        node: Optional[str] = None,
-        key: Optional[Tuple] = None,
-        **args: Any,
-    ) -> None:
-        self._append(
-            TraceEvent(
-                name=name, cat=cat, start=start, end=end,
-                node=node, key=key, args=args,
-            )
-        )
 
     def instant(self, name: str, cat: str, **args: Any) -> None:
         """A zero-duration marker at the current horizon."""
-        self.emit(name, cat, self._horizon, self._horizon, **args)
+        self._append(TraceEvent(name, cat, self._horizon, self._horizon, args=args))
 
     @contextmanager
     def scope(self, label: str, **args: Any) -> Iterator["Tracer"]:

@@ -34,6 +34,7 @@ from hashlib import blake2b
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.obs import Observability
 from repro.relational.expr import Expr
 from repro.relational.stats import can_match
 
@@ -242,17 +243,16 @@ class ResultCacheManager:
     (zero zone-map coverage, e.g. `repro explain`) write nothing.
     """
 
-    def __init__(self, backend: SQLiteCacheBackend, metrics=None) -> None:
+    def __init__(
+        self, backend: SQLiteCacheBackend, obs: Optional[Observability] = None
+    ) -> None:
         self.backend = backend
-        self._metrics = metrics
+        # The context's hub; on its own, a manager reports to a bare one.
+        self._obs = obs if obs is not None else Observability()
         self._pending: Dict[str, _PendingLookup] = {}
         self.hits = 0
         self.misses = 0
         self._closed = False
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
 
     def lookup(
         self,
@@ -270,10 +270,10 @@ class ResultCacheManager:
             and entry.num_partitions == num_partitions
         ):
             self.hits += 1
-            self._count("cache.hits")
+            self._obs.event("result_cache_hit")
             return set(entry.partitions)
         self.misses += 1
-        self._count("cache.misses")
+        self._obs.event("result_cache_miss")
         if key not in self._pending:
             self._pending[key] = _PendingLookup(
                 key=key, table=table, version=version,

@@ -481,9 +481,8 @@ class PrunePartitions(Rule):
         pruned = n - len(kept)
         self._hits += 1
         if not self.dry_run:
-            ctx.obs.metrics.counter("scan.partitions_pruned").inc(pruned)
-            ctx.obs.log_event(
-                "INFO", "optimizer", "partitions_pruned",
+            ctx.obs.event(
+                "partitions_pruned",
                 table=table or "rdd", total=n, scanned=len(kept),
                 pruned=pruned, via=",".join(evidence),
             )

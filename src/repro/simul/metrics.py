@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,20 +148,3 @@ class MetricsRecorder:
             if overlap > 0:
                 values[idx] += sample.value * overlap / bucket_width
 
-    def reset(self) -> None:
-        self._intervals.clear()
-        self._points.clear()
-        self._horizon = 0.0
-
-
-def merge_series(series: Iterable[TimeSeries]) -> TimeSeries:
-    """Element-wise sum of equally-bucketed series (pads to the longest)."""
-    series = list(series)
-    if not series:
-        return TimeSeries(times=np.zeros(0), values=np.zeros(0))
-    n = max(s.values.size for s in series)
-    times = max(series, key=lambda s: s.times.size).times
-    acc = np.zeros(n)
-    for s in series:
-        acc[: s.values.size] += s.values
-    return TimeSeries(times=times, values=acc)

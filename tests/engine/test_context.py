@@ -55,12 +55,6 @@ class TestContext:
         assert set(keys) <= set(range(100))
         assert len(ctx.job_stats) == 1  # the sampling pass was a real job
 
-    def test_reset_stats(self, ctx):
-        ctx.parallelize(range(10), 2).count()
-        assert ctx.stage_stats
-        ctx.reset_stats()
-        assert not ctx.stage_stats and not ctx.job_stats
-
     def test_now_tracks_simulated_time(self, ctx):
         before = ctx.now
         ctx.parallelize(range(10), 2).count()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import NodeSpec, Cluster, uniform_cluster
+from repro.cluster import NodeSpec, Cluster, paper_cluster, uniform_cluster
 from repro.cluster.cluster import GBPS
 from repro.common.units import GB
 from repro.engine import AnalyticsContext, EngineConf
@@ -119,6 +119,27 @@ class TestFailureInjection:
             return ctx.now
 
         assert run(0.3) > run(0.0)
+
+    def test_retry_does_not_count_its_failed_attempt_as_queue_wait(self):
+        # 48 tasks on 112 cores: none ever waits for a core, retried or
+        # not. The failed attempt's run time is not time spent queued.
+        ctx = AnalyticsContext(
+            paper_cluster(),
+            EngineConf(default_parallelism=40, task_failure_rate=0.3,
+                       max_task_attempts=8),
+        )
+        ctx.parallelize(range(4000), 40).map(lambda x: (x % 7, 1)).reduce_by_key(
+            lambda a, b: a + b, num_partitions=8
+        ).collect()
+        scheduler, registry = ctx.task_scheduler, ctx.obs.metrics
+        assert scheduler.task_retries > 0
+        waits = registry.histogram("scheduler.queue_wait_seconds")
+        assert waits.max == 0.0
+        # One sample per non-speculative grant, first attempt or retry.
+        assert waits.count == (
+            registry.counter_total("scheduler.tasks_launched")
+            - scheduler.speculative_launches
+        )
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(Exception):

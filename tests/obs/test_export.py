@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cluster import uniform_cluster
+from repro.engine import AnalyticsContext, EngineConf
 from repro.obs import MetricsRegistry
 from repro.obs.export import (
     sanitize_name,
@@ -111,3 +113,19 @@ class TestOtlp:
             for p in labeled
             for a in p["attributes"]
         } == {"A", "B"}
+
+
+class TestRealRunSnapshot:
+    def test_a_runs_snapshot_exports_in_both_formats(self):
+        # Not a synthetic registry: the series a context really creates
+        # (eager zeros, labeled per-node counters, the wait histogram).
+        ctx = AnalyticsContext(
+            uniform_cluster(n_workers=2, cores=2), EngineConf(default_parallelism=4)
+        )
+        pairs = ctx.parallelize(range(200), 4).map(lambda x: (x % 3, 1))
+        pairs.reduce_by_key(lambda a, b: a + b, 2).collect()
+        snapshot = ctx.obs.metrics.snapshot()
+        assert validate_prometheus(to_prometheus(snapshot)) > 5
+        (resource,) = to_otlp(snapshot)["resourceMetrics"]
+        names = {m["name"] for m in resource["scopeMetrics"][0]["metrics"]}
+        assert "scheduler.tasks_completed" in names

@@ -10,7 +10,7 @@ from repro.cluster import uniform_cluster
 from repro.common.errors import LedgerError
 from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.costmodel import CostModelConfig
-from repro.obs import LEDGER_VERSION, LedgerCollector, RunLedger, Tracer
+from repro.obs import LEDGER_VERSION, LedgerCollector, RunLedger, TraceEvent, Tracer
 
 
 def quiet_conf(**kwargs) -> EngineConf:
@@ -195,8 +195,8 @@ class TestLedgerCollector:
         )
 
     def test_task_attempt_outcomes_counted_without_tracer(self):
-        # Span emission must flow to the collector even when no tracer is
-        # attached (obs.emitting, not obs.tracing, gates the spans).
+        # The collector is told each attempt's outcome directly; it needs
+        # no tracer, and no task span, to count them.
         body = collected_run()
         assert body["task_attempts"]["ok"] == 8 + 6
         assert body["chaos_events"] == []
@@ -205,14 +205,57 @@ class TestLedgerCollector:
         ctx = make_ctx()
         collector = LedgerCollector()
         with collector.attached(ctx):
-            assert ctx.obs.emitting
-        assert not ctx.obs.emitting
+            shuffle_job(ctx)
+        body = json.dumps(collector.body()["task_attempts"])
+        shuffle_job(ctx)  # unobserved: the detached collector hears nothing
+        assert json.dumps(collector.body()["task_attempts"]) == body
+        assert len(collector.body()["jobs"]) == 1
+
+    def test_ledger_only_run_builds_no_lifecycle_span(self, monkeypatch):
+        # A ledger entry is a fold over facts, not over a trace: with only
+        # a collector attached no task / phase / stage / job span is even
+        # constructed (18,551 of them in a default KMeans run, when the
+        # collector still learned outcomes from task spans), and the body
+        # is the one a traced run collects.
+        from repro.obs import catalogue
+        from repro.workloads import KMeansWorkload
+
+        built = []
+
+        class CountingEvent(TraceEvent):
+            def __init__(self, name, cat, *args, **kwargs):
+                built.append(cat)
+                super().__init__(name, cat, *args, **kwargs)
+
+        monkeypatch.setattr(catalogue, "TraceEvent", CountingEvent)
+
+        def run(traced: bool) -> dict:
+            ctx = AnalyticsContext(
+                uniform_cluster(n_workers=3, cores=2), quiet_conf(memory_budget=6e7)
+            )
+            if traced:
+                ctx.obs.set_tracer(Tracer())
+            collector = LedgerCollector()
+            with collector.attached(ctx):
+                KMeansWorkload(
+                    virtual_gb=1.0, physical_records=600,
+                    lloyd_iterations=1, init_rounds=1,
+                ).run(ctx)
+            ctx.close()
+            return collector.body()
+
+        ledger_only = run(traced=False)
+        assert set(built) == {"spill"}  # the one kind of span its rows are
+        assert ledger_only["task_attempts"] == {"ok": 64}
+        assert ledger_only["spill_event_count"] == built.count("spill") > 0
+        assert json.dumps(run(traced=True)) == json.dumps(ledger_only)
+        assert {"task", "task.phase", "stage", "job"} <= set(built)
 
     def test_coexists_with_tracer_without_double_shifting(self):
         # The tracer shifts span times by its horizon offset; the ledger
         # collector registered alongside must still see run-local times.
         tracer = Tracer()
-        tracer.emit("earlier-run", "run", 0.0, 100.0)
+        tracer.on_span(TraceEvent("earlier-run", "run", 0.0, 100.0))
         ctx = make_ctx()
         ctx.obs.set_tracer(tracer)
         collector = LedgerCollector()

@@ -30,7 +30,8 @@ class TestEmit:
 
     def test_clock_stamps_timestamps(self):
         now = [0.0]
-        log = EventLog(clock=lambda: now[0])
+        log = EventLog()
+        log.bind_clock(lambda: now[0])
         log.emit(INFO, "t", "a")
         now[0] = 2.5
         log.emit(INFO, "t", "b")

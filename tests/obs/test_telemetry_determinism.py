@@ -25,6 +25,7 @@ from repro.obs import (
     ResourceProfiler,
     RunLedger,
     Tracer,
+    diff_runs,
 )
 from repro.workloads import ShuffleWordCountWorkload, WordCountWorkload
 
@@ -197,6 +198,8 @@ class TestLedgerIdentity:
             assert json.dumps(a, sort_keys=True) == json.dumps(
                 b, sort_keys=True
             )
+            # What CI's `diff-runs --threshold 0.001` gated on.
+            assert diff_runs(a, b, time_threshold=0.001).ok
 
 
 class TestProfileTelemetryExclusion:

@@ -16,14 +16,14 @@ def meta_of(doc):
 class TestTracer:
     def test_emit_and_horizon(self):
         tr = Tracer()
-        tr.emit("a", "stage", 0.0, 2.0)
-        tr.emit("b", "stage", 1.0, 5.0)
+        tr.on_span(TraceEvent("a", "stage", 0.0, 2.0))
+        tr.on_span(TraceEvent("b", "stage", 1.0, 5.0))
         assert tr.horizon == 5.0
         assert [e.name for e in tr.events] == ["a", "b"]
 
     def test_instant_lands_at_horizon(self):
         tr = Tracer()
-        tr.emit("a", "stage", 0.0, 3.0)
+        tr.on_span(TraceEvent("a", "stage", 0.0, 3.0))
         tr.instant("marker", "chopper.optimizer", P=64)
         last = tr.events[-1]
         assert last.start == last.end == 3.0
@@ -55,7 +55,7 @@ class TestTracer:
 class TestChromeExport:
     def test_span_fields_valid(self):
         tr = Tracer()
-        tr.emit("job-0", "job", 0.0, 1.5)
+        tr.on_span(TraceEvent("job-0", "job", 0.0, 1.5))
         tr.on_span(TraceEvent("map[0]", "task", 0.25, 1.0, node="n1"))
         doc = tr.to_chrome()
         assert doc["displayTimeUnit"] == "ms"
@@ -68,7 +68,7 @@ class TestChromeExport:
 
     def test_driver_and_nodes_get_distinct_pids(self):
         tr = Tracer()
-        tr.emit("job-0", "job", 0.0, 1.0)
+        tr.on_span(TraceEvent("job-0", "job", 0.0, 1.0))
         tr.on_span(TraceEvent("t", "task", 0.0, 1.0, node="n1"))
         tr.on_span(TraceEvent("t", "task", 0.0, 1.0, node="n2"))
         doc = tr.to_chrome()
@@ -118,7 +118,7 @@ class TestChromeExport:
 
     def test_save_writes_valid_json(self, tmp_path):
         tr = Tracer()
-        tr.emit("job-0", "job", 0.0, 1.0)
+        tr.on_span(TraceEvent("job-0", "job", 0.0, 1.0))
         path = tmp_path / "trace.json"
         tr.save(str(path))
         doc = json.loads(path.read_text())

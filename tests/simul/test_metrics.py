@@ -5,7 +5,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.simul import MetricsRecorder
-from repro.simul.metrics import merge_series
 
 
 class TestIntervals:
@@ -88,28 +87,3 @@ class TestSeriesStats:
     def test_bad_bucket_width(self):
         with pytest.raises(ConfigurationError):
             MetricsRecorder().bucketize("cpu", 0.0)
-
-    def test_reset(self):
-        rec = MetricsRecorder()
-        rec.record_event("net", "a", 1.0, 5.0)
-        rec.reset()
-        assert rec.horizon == 0.0
-        assert rec.bucketize("net", 1.0).values.sum() == 0.0
-
-
-class TestMergeSeries:
-    def test_merge_pads_to_longest(self):
-        rec = MetricsRecorder()
-        rec.record_interval("cpu", "a", 0.0, 3.0, 1.0)
-        long = rec.bucketize("cpu", 1.0, node="a")
-        rec2 = MetricsRecorder()
-        rec2.record_interval("cpu", "a", 0.0, 1.0, 1.0)
-        short = rec2.bucketize("cpu", 1.0, node="a")
-        merged = merge_series([long, short])
-        assert merged.values.shape[0] == 3
-        assert merged.values[0] == pytest.approx(2.0)
-        assert merged.values[2] == pytest.approx(1.0)
-
-    def test_merge_empty(self):
-        merged = merge_series([])
-        assert merged.values.size == 0

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.log import LEVELS
 
 
 def run_cli(*argv):
@@ -559,7 +560,14 @@ class TestTelemetryCli:
             records = [json.loads(line) for line in fh]
         assert records
         assert [r["seq"] for r in records] == list(range(len(records)))
-        assert all("event" in r and "logger" in r for r in records)
+        assert all(r["event"] and r["level"] in LEVELS for r in records)
+        assert {"dag_scheduler", "task_scheduler", "executor"} <= {
+            r["logger"] for r in records
+        }
+        finished = [r for r in records if r["event"] == "task_finished"]
+        assert finished and all(
+            {"stage", "partition", "node"} <= set(r) for r in finished
+        )
 
     def test_logs_command_formats_and_tails(self, tmp_path):
         _, _, log, _ = self.run_with_telemetry(tmp_path)
