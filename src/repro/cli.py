@@ -527,8 +527,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     # and the ConfigurationError surfaces as the standard one-line
     # `error: ...` diagnostic (exit 2).
     parser.add_argument("--record-format", default=None,
-                        help="shuffle block format: 'list' (default) or "
-                             "'columnar' (numpy-backed batches; "
+                        help="map-side pipeline: 'list' (default) or "
+                             "'columnar' (vec kernels over numpy columns; "
                              "bit-identical results)")
     parser.add_argument("--fuse", action="store_true",
                         help="fuse narrow map/filter/mapValues chains into "

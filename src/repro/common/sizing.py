@@ -152,18 +152,19 @@ def sizes_array(records: Sequence[Any]) -> Optional[np.ndarray]:
         # 0 + x == x for the positive sizes produced here, so folding the
         # column arrays left-to-right reproduces the identical sequence
         # of additions element-wise.
-        acc = _column_sizes([r[0] for r in records])
+        acc = exact_sizes([r[0] for r in records])
         for j in range(1, width):
-            acc = acc + _column_sizes([r[j] for r in records])
+            acc = acc + exact_sizes([r[j] for r in records])
         return base + acc
     # dicts and unknown objects: rare as bulk records; keep the exact loop.
     return None
 
 
-def _column_sizes(column: List[Any]) -> np.ndarray:
-    arr = sizes_array(column)
-    if arr is None:  # mixed column: exact scalar loop, then lift to array
-        arr = np.array([estimate_size(v) for v in column], dtype=np.float64)
+def exact_sizes(records: Sequence[Any]) -> np.ndarray:
+    """:func:`sizes_array` for any batch (a mixed one: the scalar loop)."""
+    arr = sizes_array(records)
+    if arr is None:
+        arr = np.array([estimate_size(r) for r in records], dtype=np.float64)
     return arr
 
 

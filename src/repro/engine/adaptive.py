@@ -39,9 +39,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-import numpy as np
-
-from repro.common.sizing import estimate_size, sizes_array
+from repro.common.sizing import estimate_size, exact_sizes
 from repro.engine.dependencies import OneToOneDependency, ShuffleDependency
 from repro.engine.partitioner import RangePartitioner
 from repro.engine.rdd import MapPartitionsRDD
@@ -310,10 +308,7 @@ def bucket_records(
     if not records:
         return MapOutput(records, (), ())
     rids = partitioner.partition_many([key_fn(r) for r in records])
-    sizes = sizes_array(records)
-    if sizes is None:
-        sizes = np.array([estimate_size(r) for r in records], dtype=np.float64)
-    output = MapOutput(records, rids, sizes)
+    output = MapOutput(records, rids, exact_sizes(records))
     output.payload *= write_scale
     output.order = None
     return output

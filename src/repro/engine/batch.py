@@ -33,7 +33,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.common.sizing import estimate_size, sizes_array
+from repro.common.sizing import exact_sizes
 
 # One column: a numpy array (U / int64 / float64) or a plain Python list.
 Column = Union[np.ndarray, List[Any]]
@@ -87,11 +87,12 @@ def _normalize(col: Column) -> Column:
 class RecordBatch:
     """A partition of key-value records stored as two columns."""
 
-    __slots__ = ("keys", "values")
+    __slots__ = ("keys", "values", "_raw")
 
     def __init__(self, keys: Column, values: Column) -> None:
         self.keys = _normalize(keys)
         self.values = _normalize(values)
+        self._raw: Optional[Tuple[memoryview, memoryview]] = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -121,25 +122,24 @@ class RecordBatch:
 
         Only exact 2-tuples qualify (subclasses like namedtuples carry
         behaviour a column cannot represent). The caller keeps the list
-        on ``None`` — the scalar path is always correct.
+        on ``None`` — the scalar path is always correct. Both checks run
+        in C (``map`` over builtins), not a per-record generator.
         """
-        if not records or type(records[0]) is not tuple:
+        if not records or set(map(type, records)) != {tuple}:
             return None
-        if any(type(r) is not tuple or len(r) != 2 for r in records):
+        if set(map(len, records)) != {2}:
             return None
         return cls(
             _lift([r[0] for r in records]),
             _lift([r[1] for r in records]),
         )
 
-    def to_records(self) -> List[Tuple]:
-        """A fresh list of ``(key, value)`` tuples (caller owns it)."""
-        keys = self.keys.tolist() if isinstance(self.keys, np.ndarray) else self.keys
-        values = (
-            self.values.tolist()
-            if isinstance(self.values, np.ndarray)
-            else self.values
-        )
+    def to_records(self, start: int = 0, stop: Optional[int] = None) -> List[Tuple]:
+        """A fresh list of the ``(key, value)`` tuples of records
+        ``[start, stop)``, all by default (caller owns it)."""
+        keys, values = self.keys[start:stop], self.values[start:stop]
+        keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+        values = values.tolist() if isinstance(values, np.ndarray) else values
         return list(zip(keys, values))
 
     def to_shared(self, name: Optional[str] = None):
@@ -179,7 +179,7 @@ class RecordBatch:
         def _take(col: Column) -> Column:
             if isinstance(col, np.ndarray):
                 return col[indices]
-            return [col[i] for i in indices]
+            return [col[i] for i in indices.tolist()]
 
         return RecordBatch(_take(self.keys), _take(self.values))
 
@@ -187,23 +187,16 @@ class RecordBatch:
         """Records ``[start, stop)`` — array columns slice as views."""
         return RecordBatch(self.keys[start:stop], self.values[start:stop])
 
-    @classmethod
-    def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
-        """Concatenate batches column-wise, preserving record order."""
-
-        def _cat(cols: List[Column]) -> Column:
-            if all(isinstance(c, np.ndarray) for c in cols):
-                if len({c.dtype.kind for c in cols}) == 1:
-                    return np.concatenate(cols)
-            out: List[Any] = []
-            for c in cols:
-                out.extend(c.tolist() if isinstance(c, np.ndarray) else c)
-            return out
-
-        return cls(
-            _cat([b.keys for b in batches]),
-            _cat([b.values for b in batches]),
-        )
+    def raw(self) -> Tuple[memoryview, memoryview]:
+        """Both array columns as flat byte views, kept once built: a stored
+        map output is cut into many spans, and a memoryview slices far
+        cheaper than an ndarray."""
+        if self._raw is None:
+            self._raw = (
+                memoryview(np.ascontiguousarray(self.keys)).cast("B"),
+                memoryview(np.ascontiguousarray(self.values)).cast("B"),
+            )
+        return self._raw
 
     # ------------------------------------------------------------------
     # Byte accounting
@@ -228,10 +221,7 @@ def _column_sizes(col: Column) -> np.ndarray:
             # float(len(s)) + container overhead, same as estimate_size.
             return np.char.str_len(col).astype(np.float64) + _CONTAINER_OVERHEAD
         return np.full(len(col), _PRIMITIVE_BYTES)
-    arr = sizes_array(col)
-    if arr is None:  # mixed column: exact scalar loop, then lift
-        arr = np.array([estimate_size(v) for v in col], dtype=np.float64)
-    return arr
+    return exact_sizes(col)
 
 
 def as_record_list(records: Union[List, RecordBatch]) -> List:

@@ -152,12 +152,11 @@ def _fold_values(col, gids: np.ndarray, n_groups: int) -> Optional[Any]:
 def group_ids(keys: List) -> Tuple[np.ndarray, np.ndarray]:
     """Group ids (first-occurrence order) and first index per group.
 
-    A plain dict loop: hashing n keys is O(n) and measures 2-3x faster
-    than sort-based ``np.unique`` grouping for string keys (string
-    comparisons dominate the sort), roughly even for ints — and it is
-    exact for every hashable key type, with no fixed-width-string or
-    int64-overflow caveats. Group ids follow first-appearance order,
-    mirroring dict insertion order.
+    A dict loop for keys held as a Python list, where it beats building
+    an array for ``np.unique`` (~1.8x on wordcount's reduce partitions)
+    and is exact for every hashable key type. Array key columns group
+    faster through ``np.unique`` (``_group_column``, ~1.4-1.6x over
+    ``tolist`` + this loop). Ids follow first-appearance order.
     """
     index: Dict[Any, int] = {}
     gids = np.empty(len(keys), dtype=np.intp)

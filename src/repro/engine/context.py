@@ -71,10 +71,10 @@ class EngineConf:
     # scheduler applies their effects in grant order, keeping the
     # simulated clock, metrics, and results bit-identical to serial.
     physical_parallelism: int = 1
-    # Shuffle block container: "list" stores per-reduce record lists,
-    # "columnar" stores numpy-backed RecordBatch column slices (bucketed,
-    # concatenated and folded as arrays). Outputs are bit-identical
-    # either way; columnar is the fast path for large shuffles.
+    # Map-side pipeline: "columnar" runs fused vec kernels over
+    # RecordBatch columns (materialize_batch), "list" runs the record
+    # loop. Storage does not depend on it: a map output is a RecordBatch
+    # whenever its records allow one. Outputs are bit-identical either way.
     record_format: str = "list"
     # Fuse chains of narrow record ops (map / filter / mapValues) into
     # one per-partition kernel instead of materializing each step's list.

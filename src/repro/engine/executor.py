@@ -205,27 +205,25 @@ class TaskRunner:
         assert dep is not None, "map task on a stage without a shuffle dep"
         key_fn = dep.key_fn
         fast_key = None if key_fn is default_key_fn else key_fn
-        # Columnar blocks require the default record[0] key: the key IS
-        # the batch's key column. Custom key functions see whole records.
-        columnar = self.ctx.conf.record_format == "columnar" and fast_key is None
-        if columnar:
+        # record_format picks the map-side pipeline only: vec kernels over
+        # columns need the default record[0] key, since the key IS the
+        # batch's key column. Custom key functions see whole records.
+        if self.ctx.conf.record_format == "columnar" and fast_key is None:
             records = stage.rdd.materialize_batch(split, tctx)
         else:
             records = stage.rdd.materialize(split, tctx)
 
-        out_keys: Optional[List] = None
         batch: Optional[RecordBatch] = None
+        out_records: List = []
+        write_scale = 1.0 if dep.map_side_combine else stage.rdd.size_scale
         if dep.map_side_combine:
             assert dep.aggregator is not None
             agg = dep.aggregator
-            if columnar and agg.numeric_add:
-                # Fold on columns only when the input already *is* a batch
-                # (a fused vec chain produced it). Columnarizing a list
-                # input just to fold it costs more than the dict-grouped
-                # fold below — instead the (much smaller) combined output
-                # is columnarized on the way out.
-                if isinstance(records, RecordBatch):
-                    batch = fold_batch(records)
+            # Fold on columns only when the input already *is* a batch (a
+            # fused vec chain produced it). Columnarizing a list input just
+            # to fold it costs more than the dict-grouped fold below.
+            if isinstance(records, RecordBatch) and agg.numeric_add:
+                batch = fold_batch(records)
             if batch is None:
                 plain = as_record_list(records)
                 combined: Optional[Dict[Any, Any]] = None
@@ -240,40 +238,31 @@ class TaskRunner:
                             combined[k] = agg.merge_value(combined[k], v)
                         else:
                             combined[k] = agg.create_combiner(v)
-                out_records: List = list(combined.items())
-                if fast_key is None:
-                    out_keys = list(combined)  # items() order, zero extraction
-                if columnar and out_records:
-                    batch = RecordBatch.from_records(out_records)
-            write_scale = 1.0
+                out_records = list(combined.items())
+        elif isinstance(records, RecordBatch):
+            batch = records if len(records) else None
         else:
-            if columnar:
-                if isinstance(records, RecordBatch):
-                    batch = records if len(records) else None
-                elif records:
-                    batch = RecordBatch.from_records(records)
-            if batch is None:
-                out_records = as_record_list(records)
-            write_scale = stage.rdd.size_scale
+            out_records = records
 
-        # One partition_many / sizes call per task, then one bucketing
-        # kernel (MapOutput) for both formats.
-        partitioner = dep.partitioner
-        if batch is not None:
-            rids = partitioner.partition_many(batch.keys)
-            output = MapOutput(batch, rids, batch.sizes_array() * write_scale)
-        elif out_records:
-            if out_keys is None:
-                if fast_key is None:
-                    out_keys = [r[0] for r in out_records]
-                else:
-                    out_keys = [fast_key(r) for r in out_records]
-            rids = partitioner.partition_many(out_keys)
+        # The container is a batch whenever the records allow it, in both
+        # formats. A list is sized before it is columnarized, so sizing and
+        # every byte total stay those of the list.
+        if batch is None and out_records:
             sizes = sizes_array(out_records)
             if sizes is None:  # heterogeneous batch: exact scalar sizing
                 sizes = np.array(
                     [estimate_size(r) for r in out_records], dtype=np.float64
                 )
+            if fast_key is None:
+                batch = RecordBatch.from_records(out_records)
+        elif batch is not None:
+            sizes = batch.sizes_array()
+        if batch is not None:
+            rids = dep.partitioner.partition_many(batch.keys)
+            output = MapOutput(batch, rids, sizes * write_scale)
+        elif out_records:
+            keys = [fast_key(r) if fast_key else r[0] for r in out_records]
+            rids = dep.partitioner.partition_many(keys)
             output = MapOutput(out_records, rids, sizes * write_scale)
         else:
             output = MapOutput([], (), ())

@@ -104,8 +104,7 @@ def stable_hash_many(keys: Sequence[Any]) -> List[int]:
     arbitrary-precision ints, mixed batches) falls back to the scalar
     function — the contract is equality, never approximation.
     """
-    n = len(keys)
-    if n == 0:
+    if len(keys) == 0:
         return []
     if isinstance(keys, np.ndarray):
         hashed = _stable_hash_array(keys)
@@ -124,58 +123,46 @@ def stable_hash_many(keys: Sequence[Any]) -> List[int]:
             values = np.array([int(k) for k in keys], dtype=np.int64)
         except OverflowError:
             return [stable_hash(k) for k in keys]
-        # Width per key, replicating max((bit_length + 8) // 8, 1) on the
-        # magnitude; -(v + 1) + 1 sidesteps the |int64 min| overflow.
-        mag = np.where(
-            values >= 0,
-            values.astype(np.uint64),
-            (-(values + 1)).astype(np.uint64) + np.uint64(1),
-        )
-        widths = 1 + np.searchsorted(_INT_WIDTH_THRESHOLDS, mag, side="right")
-        # Little-endian two's-complement bytes; a 9th sign byte covers
-        # width-9 keys (int64 min, whose magnitude has 64 bits).
-        le = values.astype("<i8").view(np.uint8).reshape(n, 8)
-        sign = np.where(values < 0, 0xFF, 0x00).astype(np.uint8).reshape(n, 1)
-        buf = np.concatenate([le, sign], axis=1)
-        return _crc32_rows(buf, widths).tolist()
+        return _crc32_int64(values)
     return [stable_hash(k) for k in keys]
+
+
+def _crc32_int64(values: np.ndarray) -> List[int]:
+    """CRC32 of int64 keys in :func:`stable_hash`'s variable-width encoding."""
+    # Width per key, replicating max((bit_length + 8) // 8, 1) on the
+    # magnitude; -(v + 1) + 1 sidesteps the |int64 min| overflow.
+    mag = np.where(
+        values >= 0,
+        values.astype(np.uint64),
+        (-(values + 1)).astype(np.uint64) + np.uint64(1),
+    )
+    widths = 1 + np.searchsorted(_INT_WIDTH_THRESHOLDS, mag, side="right")
+    # Little-endian two's-complement bytes; a 9th sign byte covers
+    # width-9 keys (int64 min, whose magnitude has 64 bits).
+    le = values.astype("<i8").view(np.uint8).reshape(len(values), 8)
+    sign = np.where(values < 0, 0xFF, 0x00).astype(np.uint8).reshape(len(values), 1)
+    return _crc32_rows(np.concatenate([le, sign], axis=1), widths).tolist()
 
 
 def _stable_hash_array(keys: np.ndarray) -> Optional[List[int]]:
     """CRC32 of an ndarray key column without per-element Python objects.
 
-    Unicode columns encode to a zero-padded UTF-8 byte matrix in one
-    ``np.char.encode`` call; integer columns reuse the vectorized
-    variable-width encoding. Reading an element of a fixed-width U array
-    always strips the NUL padding, so the byte lengths below match
-    ``len(key.encode("utf-8"))`` exactly — multi-byte UTF-8 sequences
-    never contain a 0x00 byte, only U+0000 itself does, and a key whose
-    *last* character is U+0000 cannot exist in an array element.
+    An all-ASCII unicode column is its own UTF-8 byte matrix: each code
+    point of the zero-padded UCS4 buffer is one byte, and ``str_len``
+    (which stops at the NUL padding; a key whose *last* character is
+    U+0000 cannot exist in an array element) is ``len(key.encode())``.
+    Other unicode columns return None: the caller's list path encodes
+    them faster than ``np.char.encode`` does. Integer columns reuse the
+    vectorized variable-width encoding.
     """
     if keys.dtype.kind == "U":
-        encoded = np.char.encode(keys, "utf-8")
-        lens = np.char.str_len(encoded).astype(np.int64)
-        width = encoded.dtype.itemsize
-        if width == 0:  # all-empty-string column
-            buf = np.zeros((len(keys), 1), dtype=np.uint8)
-        else:
-            buf = (
-                np.frombuffer(encoded.tobytes(), dtype=np.uint8)
-                .reshape(len(keys), width)
-            )
-        return _crc32_rows(buf, lens).tolist()
+        codes = np.ascontiguousarray(keys).view(keys.dtype.str[0] + "u4")
+        codes = codes.reshape(len(keys), -1)
+        if int(codes.max()) >= 0x80:
+            return None
+        return _crc32_rows(codes.astype(np.uint8), np.char.str_len(keys)).tolist()
     if keys.dtype.kind == "i" and keys.dtype.itemsize <= 8:
-        values = keys.astype("<i8")
-        mag = np.where(
-            values >= 0,
-            values.astype(np.uint64),
-            (-(values + 1)).astype(np.uint64) + np.uint64(1),
-        )
-        widths = 1 + np.searchsorted(_INT_WIDTH_THRESHOLDS, mag, side="right")
-        le = values.view(np.uint8).reshape(len(keys), 8)
-        sign = np.where(values < 0, 0xFF, 0x00).astype(np.uint8).reshape(len(keys), 1)
-        buf = np.concatenate([le, sign], axis=1)
-        return _crc32_rows(buf, widths).tolist()
+        return _crc32_int64(keys.astype(np.int64))
     return None
 
 

@@ -55,7 +55,7 @@ class MapOutput(SpillableBlock):
     reduce task reads back only its own bucket.
     """
 
-    __slots__ = ("rids", "offsets", "payload", "order")
+    __slots__ = ("rids", "offsets", "payload", "order", "dtypes")
 
     def __init__(
         self, container: Records, rids: Sequence[int], weights: np.ndarray
@@ -80,47 +80,77 @@ class MapOutput(SpillableBlock):
         # positions[start] is where a bucket's first record sat in the
         # task's output: ranking those recovers first-occurrence order.
         self.order = None if positions is None else np.argsort(positions[starts])
+        self.dtypes = None  # a batch's two column dtypes, when both are arrays
+        if isinstance(container, RecordBatch):
+            columns = (container.keys, container.values)
+            if all(isinstance(c, np.ndarray) for c in columns):
+                self.dtypes = tuple(c.dtype for c in columns)
 
     def __len__(self) -> int:  # the number of non-empty buckets
         return len(self.rids)
 
-    def bucket(self, start: int, stop: int) -> Records:
-        """One bucket, records ``[start, stop)``: the container itself when
-        it spans the whole output, else a fresh list or column views."""
+    def span(self, start: int, stop: int) -> Tuple[Records, int, int]:
+        """Where bucket ``[start, stop)`` lives: the resident container and
+        the span itself, or a spilled bucket's frame, read back whole."""
         container = self._records
         if container is None:
             slot = np.searchsorted(self.offsets, start)
             at, end = self.frames[slot : slot + 2].tolist()
-            return self.spill_source.fetch(SpillRef(at, end - at))
-        if stop - start == len(container):
-            return container
-        if isinstance(container, RecordBatch):
-            return container.slice(start, stop)
-        return container[start:stop]
+            frame = self.spill_source.fetch(SpillRef(at, end - at))
+            return frame, 0, len(frame)
+        return container, start, stop
+
+    def _spans(self) -> List[Tuple[Records, int, int]]:
+        offsets = self.offsets.tolist()
+        return [self.span(*bounds) for bounds in zip(offsets, offsets[1:])]
 
     def _payloads(self) -> List[Records]:
-        offsets = self.offsets.tolist()
-        return [self.bucket(*span) for span in zip(offsets, offsets[1:])]
+        return [_cut(*span) for span in self._spans()]
 
     @property
     def records(self) -> Records:
         """Every record in bucket order: the container, or all its frames."""
         container = self._records
-        return _gather(self._payloads()) if container is None else container
+        if container is None:
+            return _gather(self._spans(), self.dtypes)
+        return container
 
 
-def _gather(contributing: List[Records]) -> Records:
-    """Merge the non-empty buckets of one reduce partition, in map order.
+def _cut(container: Records, start: int, stop: int) -> Records:
+    """Records ``[start, stop)``: the container itself when it spans it
+    whole, else a fresh list or column views."""
+    if stop - start == len(container):
+        return container
+    if isinstance(container, RecordBatch):
+        return container.slice(start, stop)
+    return container[start:stop]
 
-    One bucket is returned as served (zero copy). A mix of batches and
-    lists (one map task's output resisted columnarization) degrades to a
-    concatenated list, in the exact record order of the all-list path.
-    """
-    if len(contributing) == 1:
-        return contributing[0]
-    if contributing and all(isinstance(c, RecordBatch) for c in contributing):
-        return RecordBatch.concat(contributing)
-    return list(chain.from_iterable(map(as_record_list, contributing)))
+
+def _gather(spans: List[Tuple[Records, int, int]], dtypes: Optional[Tuple]) -> Records:
+    """Merge one reduce partition's ``(container, start, stop)`` spans in
+    map order (one span is served as :func:`_cut` serves it). ``dtypes``
+    (see ``_ReduceIndex``): each column joins the spans' raw bytes (the
+    speed path: ``np.concatenate`` of slices raised wordcount_shuffle's
+    fetch_s from 0.146 to 0.249 s on 2 vCPUs), or concatenates slices
+    where widths differ. Without it: one list of tuples, same order."""
+    if len(spans) == 1:
+        return _cut(*spans[0])
+    if dtypes is None or not spans:
+        return list(chain.from_iterable(
+            c.to_records(a, b) if isinstance(c, RecordBatch) else c[a:b]
+            for c, a, b in spans
+        ))
+    raws = [(batch.raw(), start, stop) for batch, start, stop in spans]
+    columns = []
+    for j, dtype in enumerate(dtypes):
+        if dtype is None:
+            cuts = [(c.keys, c.values)[j][a:b] for c, a, b in spans]
+            columns.append(np.concatenate(cuts))
+        else:
+            w = dtype.itemsize
+            joined = bytearray().join([raw[j][a * w : b * w] for raw, a, b in raws])
+            columns.append(np.frombuffer(joined, dtype))
+    return RecordBatch(*columns)
 
 
 @dataclass
@@ -149,7 +179,7 @@ class _ReduceIndex:
     ``partition_sizes`` and ``map_output_nodes`` have always folded in.
     """
 
-    __slots__ = ("indptr", "columns", "sizes")
+    __slots__ = ("indptr", "columns", "sizes", "dtypes")
 
     def __init__(
         self, outputs: Dict[int, MapOutput], num_reduces: int, header: float
@@ -166,6 +196,15 @@ class _ReduceIndex:
         by_rid = np.argsort(rids, kind="stable")
         self.indptr = np.searchsorted(rids[by_rid], np.arange(num_reduces + 1))
         self.columns = (maps[by_rid], starts[by_rid], stops[by_rid], nbytes[by_rid])
+        # Per column, the dtype every bucket shares (None: widths differ)
+        # if all are array batches of one kind. Once per shuffle: a check
+        # per fetch (hashing ~249 dtypes) costs what the byte join saves.
+        self.dtypes: Optional[Tuple] = None
+        found = {o.dtypes for o in stored if len(o)}
+        if found and None not in found:
+            columns = [set(c) for c in zip(*found)]
+            if all(len({d.kind for d in c}) == 1 for c in columns):
+                self.dtypes = tuple(c.pop() if len(c) == 1 else None for c in columns)
 
     def rows(self, reduce_id: int) -> Tuple[np.ndarray, ...]:
         """``(maps, starts, stops, nbytes)`` of one reduce partition's
@@ -320,8 +359,7 @@ class ShuffleManager:
         bucket spanning its whole map output is the stored container
         **itself, uncopied** — callers must treat fetched records as
         read-only and copy before mutating (``ShuffledRDD`` does for its
-        sorting mode). Several buckets concatenate (columnar
-        :class:`RecordBatch` slices column-wise).
+        sorting mode). Several buckets are merged by :func:`_gather`.
 
         Raises :class:`FetchFailure` when any of the shuffle's map
         outputs were discarded by a node loss — never silently serves a
@@ -342,28 +380,29 @@ class ShuffleManager:
                 f"shuffle {shuffle_id}: fetch before all map outputs ready "
                 f"({len(state.outputs)}/{state.num_maps})"
             )
-        maps, starts, stops, nbytes = self._index(state).rows(reduce_id)
+        index = self._index(state)
+        maps, starts, stops, nbytes = index.rows(reduce_id)
         # Serve (and account) in ascending map id, whatever order the map
         # tasks registered in.
         rows = np.argsort(maps)
         if map_range is not None:
             ordered = maps[rows]
             rows = rows[(ordered >= map_range[0]) & (ordered < map_range[1])]
-        contributing: List[Records] = []
+        spans: List[Tuple[Records, int, int]] = []
         stats = FetchStats()
         for map_id, start, stop, size in zip(
             *(column[rows].tolist() for column in (maps, starts, stops, nbytes))
         ):
             output = state.outputs[map_id]
-            contributing.append(output.bucket(start, stop))
+            spans.append(output.span(start, stop))
             if output.node == dst_node:
                 stats.local_bytes += size
             else:
                 stats.remote_bytes_by_src[output.node] = (
                     stats.remote_bytes_by_src.get(output.node, 0.0) + size
                 )
-        stats.n_blocks = len(contributing)
-        records = _gather(contributing)
+        stats.n_blocks = len(spans)
+        records = _gather(spans, index.dtypes)
         # From a worker thread these are buffered, the creation of the
         # labeled series included: it must not exist before the task's
         # apply turn (an invalidated attempt re-executes, and which series
@@ -475,11 +514,6 @@ class ShuffleManager:
             map_id: (output.node, as_record_list(output.records))
             for map_id, output in sorted(state.outputs.items())
         }
-
-    def spilled_blocks(self) -> int:
-        """How many registered map outputs currently live on disk."""
-        outputs = (o for s in self._shuffles.values() for o in s.outputs.values())
-        return sum(1 for output in outputs if output.is_spilled)
 
     def clear(self) -> None:
         if self._spill is not None:

@@ -107,6 +107,30 @@ class TestRoundTrip:
 
         assert RecordBatch.from_records([Point(("a", 1))]) is None
 
+    @pytest.mark.parametrize("odd", [
+        "subclass", "one-tuple", "three-tuple", "list-pair", "empty-tuple",
+    ])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_one_odd_record_anywhere_rejects_the_batch(self, odd, at):
+        """Admission looks at every record, not only the first: a single
+        tuple subclass, 1-, 3- or 0-tuple, or length-2 list anywhere keeps
+        the whole output a list."""
+
+        class Pair(tuple):
+            pass
+
+        bad = {
+            "subclass": Pair(("x", 9)),
+            "one-tuple": ("x",),
+            "three-tuple": ("x", 9, 9),
+            "list-pair": ["x", 9],
+            "empty-tuple": (),
+        }[odd]
+        records = [("a", 1), ("b", 2)]
+        records.insert(at, bad)
+        assert RecordBatch.from_records(records) is None
+        assert RecordBatch.from_records(records[:at] + records[at + 1:]) is not None
+
 
 class TestSizing:
     @given(st.lists(st.tuples(TEXT, st.one_of(st.integers(), TEXT)),
@@ -137,20 +161,6 @@ class TestOps:
         batch = RecordBatch.from_records([(None, 1), ("b", 2)])
         taken = batch.take(np.array([1]))
         assert taken.to_records() == [("b", 2)]
-
-    def test_concat_in_order(self):
-        a = RecordBatch.from_records([("a", 1)])
-        b = RecordBatch.from_records([("b", 2), ("c", 3)])
-        assert RecordBatch.concat([a, b]).to_records() == [
-            ("a", 1), ("b", 2), ("c", 3)
-        ]
-
-    def test_concat_mixed_column_kinds(self):
-        a = RecordBatch.from_records([("a", 1)])
-        b = RecordBatch.from_records([("b", None)])
-        assert RecordBatch.concat([a, b]).to_records() == [
-            ("a", 1), ("b", None)
-        ]
 
     def test_pickle_round_trip_protocol5(self):
         records = [("a", 1), ("b", 2)]

@@ -27,7 +27,8 @@ def map_output(buckets):
     for rid, (records, payload) in live.items():
         rids += [rid] * len(records)
         weights += [payload] + [0.0] * (len(records) - 1)
-    return MapOutput(_gather([recs for recs, _ in live.values()]), rids, np.array(weights))
+    spans = [(recs, 0, len(recs)) for recs, _ in live.values()]
+    return MapOutput(_gather(spans, None), rids, np.array(weights))
 
 
 def buckets_of(output):
@@ -219,6 +220,26 @@ class TestZeroCopyFetch:
         assert records.to_records() == [("x", 1.5), ("y", 2.5), ("z", 3.5)]
         assert batch_a.to_records() == [("x", 1.5), ("y", 2.5)]
         assert batch_b.to_records() == [("z", 3.5)]
+
+    def test_gather_keeps_span_order(self):
+        a = RecordBatch.from_records([("a", 1), ("q", 9)])
+        b = RecordBatch.from_records([("b", 2), ("c", 3)])
+        got = _gather([(a, 0, 1), (b, 0, 2)], (a.keys.dtype, a.values.dtype))
+        assert isinstance(got, RecordBatch)
+        assert got.to_records() == [("a", 1), ("b", 2), ("c", 3)]
+        assert got.keys.flags.writeable and got.values.flags.writeable
+
+    def test_gather_widens_a_column_whose_width_varies(self):
+        a = RecordBatch.from_records([("a", 1.5)])
+        b = RecordBatch.from_records([("été", 2.5), ("bb", 0.5)])
+        got = _gather([(a, 0, 1), (b, 1, 2), (b, 0, 1)], (None, a.values.dtype))
+        assert got.keys.dtype == b.keys.dtype
+        assert got.to_records() == [("a", 1.5), ("bb", 0.5), ("été", 2.5)]
+
+    def test_gather_mixed_column_kinds(self):
+        a = RecordBatch.from_records([("a", 1)])
+        b = RecordBatch.from_records([("b", None)])
+        assert _gather([(a, 0, 1), (b, 0, 1)], None) == [("a", 1), ("b", None)]
 
     def test_mixed_block_types_flatten_to_records(self, mgr):
         mgr.register(1, 2, 1)
@@ -501,3 +522,175 @@ class TestObjectsAtRest:
         many, many_buckets = self._tracked_by_gc(512)
         assert many_buckets > 40 * few_buckets
         assert abs(many - few) <= 0.05 * few
+
+
+# ----------------------------------------------------------------------
+# Map tasks store a batch whenever the records allow it
+# ----------------------------------------------------------------------
+
+_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=5
+)
+_SCALARS = {
+    "str": _TEXT | _TEXT.map(lambda s: s + "\x00") | st.sampled_from(["été", "日本"]),
+    "int": st.integers(-(2**70), 2**70) | st.sampled_from([2**63, -(2**63) - 1]),
+    "bool-int": st.integers(-3, 3) | st.booleans(),
+    "float": st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0]),
+}
+_SCALARS["mixed"] = st.one_of(*_SCALARS.values())
+# Families a batch always holds as arrays: words (whose column width
+# varies between map tasks), int64 and NaN-free floats.
+_ARRAYS = {
+    "word": st.text(alphabet="abé日", max_size=4),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "finite": st.floats(allow_nan=False),
+}
+_SCALARS.update(_ARRAYS)
+
+
+@st.composite
+def _list_format_shuffle(draw):
+    """Per-map pair lists whose key and value columns each draw from one
+    scalar family (homogeneous families exercise the array columns,
+    ``mixed`` and the exactness guards the list fallbacks), shared by
+    every map or drawn per map (array columns whose kinds disagree).
+    Half the cases draw array families only, so reduce partitions
+    gather column-wise, with equal and with differing widths."""
+    names = sorted(_ARRAYS if draw(st.booleans()) else _SCALARS)
+    family = st.sampled_from(names).map(_SCALARS.__getitem__)
+
+    def pairs():
+        return st.lists(st.tuples(draw(family), draw(family)), max_size=10)
+
+    shared = pairs()
+    num_maps = draw(st.integers(1, 4))
+    per_map = draw(st.booleans())
+    lo = draw(st.integers(0, num_maps))
+    return {
+        "splits": [draw(pairs() if per_map else shared) for _ in range(num_maps)],
+        "num_reduces": draw(st.integers(1, 5)),
+        "map_range": (lo, draw(st.integers(lo, num_maps))),
+    }
+
+
+def _typed(records):
+    """Records as comparable text: ``repr`` tells -0.0 from 0.0, keeps NaN
+    equal to NaN and bool apart from int; the type names say the rest."""
+    return [
+        (type(k).__name__, repr(k), type(v).__name__, repr(v)) for k, v in records
+    ]
+
+
+def _shuffled_context():
+    from repro.cluster import uniform_cluster
+    from repro.engine import AnalyticsContext, EngineConf
+    from repro.engine.costmodel import CostModelConfig
+
+    cost = CostModelConfig(jitter_sigma=0.0, driver_dispatch_interval=0.0)
+    return AnalyticsContext(
+        uniform_cluster(n_workers=2, cores=2),
+        EngineConf(default_parallelism=2, cost=cost, record_format="list"),
+    )
+
+
+class TestListFormatMapTasksAgainstDictModel:
+    @settings(max_examples=150, deadline=None)
+    @given(_list_format_shuffle())
+    def test_fetch_and_bytes_match_the_dict_of_lists(self, case):
+        from repro.common.sizing import estimate_size
+        from repro.engine.partitioner import HashPartitioner
+
+        splits, num_reduces = case["splits"], case["num_reduces"]
+        partitioner = HashPartitioner(num_reduces)
+        ctx = _shuffled_context()
+        try:
+            shuffled = ctx.source(
+                lambda split, _splits: list(splits[split]), len(splits),
+                op_name="pairs",
+            ).partition_by(partitioner)
+            collected = shuffled.collect()
+            mgr = ctx.shuffle_manager
+            state = mgr._state(shuffled.deps[0].shuffle_id)
+
+            model = []  # per map: {reduce id: records}, first-occurrence order
+            for map_id, records in enumerate(splits):
+                buckets = {}
+                for record in records:
+                    buckets.setdefault(partitioner.partition(record[0]), []).append(record)
+                model.append(buckets)
+
+                output = state.outputs[map_id]
+                columnar = records and RecordBatch.from_records(records) is not None
+                assert isinstance(output.records, RecordBatch) == bool(columnar)
+                payloads = {}
+                for rid, recs in buckets.items():
+                    payload = 0.0
+                    for record in recs:
+                        payload += estimate_size(record)
+                    payloads[rid] = payload
+                assert output.rids.tolist() == sorted(payloads)
+                assert output.payload.tolist() == [payloads[r] for r in sorted(payloads)]
+                written = 0.0
+                for payload in payloads.values():
+                    written += payload + mgr.block_header
+                assert output.nbytes == written
+
+            for rid in range(num_reduces):
+                for lo, hi in ((0, len(splits)), case["map_range"]):
+                    want = [r for b in model[lo:hi] for r in b.get(rid, [])]
+                    got, stats = mgr.fetch(
+                        shuffled.deps[0].shuffle_id, rid, "A", map_range=(lo, hi)
+                    )
+                    assert _typed(as_record_list(got)) == _typed(want)
+                    assert stats.n_blocks == sum(rid in b for b in model[lo:hi])
+            assert _typed(collected) == _typed(
+                [r for rid in range(num_reduces) for b in model for r in b.get(rid, [])]
+            )
+        finally:
+            ctx.close()
+
+
+class TestWordCountStoresColumns:
+    """A list-format wordcount stores two arrays per map task, and a
+    reduce partition gathers them into one batch, not one per bucket."""
+
+    def test_containers_are_array_batches_and_fetch_builds_one(self, monkeypatch):
+        from repro.workloads import ShuffleWordCountWorkload
+
+        ctx = _shuffled_context()
+        try:
+            ShuffleWordCountWorkload(
+                virtual_gb=1.0, physical_records=400, vocabulary=200
+            ).run(ctx)
+            mgr = ctx.shuffle_manager
+            (shuffle_id,) = mgr._shuffles
+            outputs = list(mgr._state(shuffle_id).outputs.values())
+            assert outputs
+            for output in outputs:
+                batch = output.records
+                assert isinstance(batch, RecordBatch)
+                assert isinstance(batch.keys, np.ndarray)
+                assert isinstance(batch.values, np.ndarray)
+
+            built = []
+            original = RecordBatch.__init__
+
+            def counting_init(self, keys, values):
+                built.append(len(keys))
+                original(self, keys, values)
+
+            monkeypatch.setattr(RecordBatch, "__init__", counting_init)
+            fetched = {
+                rid: mgr.fetch(shuffle_id, rid, "A")
+                for rid in range(mgr.num_reduces(shuffle_id))
+            }
+            rid, (records, stats) = max(
+                fetched.items(), key=lambda item: item[1][1].n_blocks
+            )
+            assert stats.n_blocks > 1
+            built.clear()
+            records, stats = mgr.fetch(shuffle_id, rid, "A")
+            assert built == [len(records)]
+        finally:
+            ctx.close()

@@ -46,6 +46,21 @@ class TestStableHashMany:
         bkeys = [b"", b"\x00\xff", b"y" * 300]
         assert stable_hash_many(bkeys) == [stable_hash(k) for k in bkeys]
 
+    @given(st.lists(st.text(max_size=8), min_size=1, max_size=30))
+    def test_unicode_array_column_matches_scalar(self, keys):
+        """Array key columns (batch storage) hash like their elements, in
+        either byte order, ASCII-only or not."""
+        column = np.array(keys)
+        expected = [stable_hash(k) for k in column.tolist()]
+        assert stable_hash_many(column) == expected
+        swapped = column.astype(column.dtype.newbyteorder())
+        assert stable_hash_many(swapped) == expected
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30))
+    def test_int64_array_column_matches_scalar(self, keys):
+        column = np.array(keys, dtype=np.int64)
+        assert stable_hash_many(column) == [stable_hash(k) for k in keys]
+
     def test_numpy_scalars(self):
         keys = [np.int64(5), np.int64(-3), np.int32(7)]
         assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
