@@ -1,16 +1,19 @@
 """Sequence guard: what the engine reports, in what order, pinned as literals.
 
-Six runs that between them reach every fact the engine emits (node loss
-with recovery, an AQE re-plan plus a range switch, spill under a memory
-budget, speculation under task failures, threaded task bodies, a pruned
-and cached SQL query), each with a tracer, an event log, a registry and
-a ledger collector attached. Pinned per run: the ``(logger, event)``
-sequence of the log and the ``(cat, name)`` sequence of the trace (as
-per-kind counts plus a digest of the order), digests of the full records
-and spans, every instrument series with its value, and the ledger body's
-outcome / chaos / AQE / spill rows. The literals were recorded from the
-commit before the engine's reporting moved behind ``ctx.obs.event``, so
-a change to how a fact is routed shows here as a changed artifact.
+Seven runs that between them reach every fact the engine emits (node loss
+with recovery, without and with locality preferences, an AQE re-plan
+plus a range switch, spill under a memory budget, speculation under task
+failures, threaded task bodies, a pruned and cached SQL query), each
+with a tracer, an event log, a registry and a ledger collector attached.
+Pinned per run: the ``(logger, event)`` sequence of the log and the
+``(cat, name)`` sequence of the trace (as per-kind counts plus a digest
+of the order), digests of the full records and spans, every instrument
+series with its value, and the ledger body's outcome / chaos / AQE /
+spill rows. The literals were recorded from the commit before the
+engine's reporting moved behind ``ctx.obs.event`` (``chaos_local``: from
+the commit before dispatch read a per-node index of queued tasks), so a
+change to how a fact is routed or a task placed shows here as a changed
+artifact.
 
 ``scheduler.queue_wait_seconds`` is pinned by sample count only: its
 values are what ``tests/engine/test_scheduling.py`` pins.
@@ -145,6 +148,17 @@ SCENARIOS = {
         shuffle_job, cluster=lambda: uniform_cluster(n_workers=3, cores=2),
         default_parallelism=8, cost=QUIET,
         node_failure_times={"w0": 0.6}, node_recovery_delay=0.05,
+    ),
+    "chaos_local": lambda tmp: observe(
+        # The same job with co-partition-aware placement, so reduce tasks
+        # prefer the nodes holding their map outputs and dispatch honours
+        # preferences first. The kill lands in the map stage and the
+        # recovery frees both of w0's cores at once; at 0.555 six reduce
+        # tasks preferring w1 launch there in one scan, each failing its
+        # fetch (w0's outputs are gone) and freeing the core for the next.
+        shuffle_job, cluster=lambda: uniform_cluster(n_workers=3, cores=2),
+        default_parallelism=8, cost=QUIET, copartition_scheduling=True,
+        node_failure_times={"w0": 0.3}, node_recovery_delay=0.05,
     ),
     "aqe": lambda tmp: observe(
         aqe_jobs, default_parallelism=16, cost=QUIET,
@@ -299,6 +313,118 @@ EXPECTED = {'aqe': {'log': {'counts': [('aqe.shuffle_switched', 1), ('aqe.stage_
                        'aqe_event_count': 0,
                        'spill_event_count': 0,
                        'spill_events': '4f53cda18c2baa0c'}]},
+ 'chaos_local': {'log': {'counts': [('dag_scheduler.fetch_failure', 6),
+                                    ('dag_scheduler.job_finished', 1),
+                                    ('dag_scheduler.job_started', 1),
+                                    ('dag_scheduler.stage_completed', 3),
+                                    ('dag_scheduler.stage_resubmitted', 1),
+                                    ('dag_scheduler.stage_submitted', 3),
+                                    ('executor.fetch_failure', 6), ('executor.task_executed', 17),
+                                    ('shuffle.map_outputs_lost', 1),
+                                    ('shuffle.shuffle_registered', 1),
+                                    ('task_scheduler.node_lost', 1),
+                                    ('task_scheduler.node_recovered', 1),
+                                    ('task_scheduler.task_finished', 16)],
+                         'order': '47e725d1ce07fa11'},
+                 'records': '4c0942149015acbd',
+                 'trace': {'counts': [('chaos:fetch-failure', 6), ('chaos:node-lost', 1),
+                                      ('chaos:node-recovered', 1), ('chaos:stage-resubmit', 1),
+                                      ('job:job-1', 1), ('stage:result:reduceByKey#1', 1),
+                                      ('stage:shuffle_map:parallelize#2', 2),
+                                      ('task.phase:compute', 16), ('task.phase:input-io', 10),
+                                      ('task.phase:overhead', 16), ('task.phase:shuffle-fetch', 6),
+                                      ('task.phase:shuffle-write', 10),
+                                      ('task:result:reduceByKey#1', 12),
+                                      ('task:shuffle_map:parallelize#2', 11)],
+                           'order': '338891ffd4f77daf'},
+                 'spans': '0bc6e5ca785e93e9',
+                 'series': [('cluster.total_cores', 6.0), ('executor.fetch_failures{node=w1}', 6.0),
+                            ('executor.map_tasks{node=w0}', 4.0),
+                            ('executor.map_tasks{node=w1}', 4.0),
+                            ('executor.map_tasks{node=w2}', 3.0),
+                            ('executor.result_tasks{node=w0}', 2.0),
+                            ('executor.result_tasks{node=w1}', 2.0),
+                            ('executor.result_tasks{node=w2}', 2.0),
+                            ('scheduler.fetch_failures', 6.0), ('scheduler.node_lost_tasks', 1.0),
+                            ('scheduler.nodes_lost', 1.0), ('scheduler.nodes_recovered', 1.0),
+                            ('scheduler.queue_depth', 0.0), ('scheduler.queue_wait_seconds', 23),
+                            ('scheduler.speculative_launches', 0.0),
+                            ('scheduler.speculative_wins', 0.0),
+                            ('scheduler.stage_resubmissions', 1.0), ('scheduler.task_retries', 0.0),
+                            ('scheduler.tasks_completed', 16.0), ('scheduler.tasks_failed', 0.0),
+                            ('scheduler.tasks_launched', 23.0), ('shuffle.local_bytes', 2424.0),
+                            ('shuffle.local_bytes{node=w0}', 288.0),
+                            ('shuffle.local_bytes{node=w1}', 1152.0),
+                            ('shuffle.local_bytes{node=w2}', 984.0),
+                            ('shuffle.remote_bytes', 4808.0),
+                            ('shuffle.remote_bytes{src=w0}', 616.0),
+                            ('shuffle.remote_bytes{src=w1}', 2464.0),
+                            ('shuffle.remote_bytes{src=w2}', 1728.0),
+                            ('shuffle.write_bytes', 9944.0),
+                            ('shuffle.write_bytes{node=w0}', 3616.0),
+                            ('shuffle.write_bytes{node=w1}', 3616.0),
+                            ('shuffle.write_bytes{node=w2}', 2712.0)],
+                 'bodies': [{'task_attempts': {'fetch-failed': 6, 'node-lost': 1, 'ok': 16},
+                             'chaos_events': [{'t': 0.3,
+                                               'event': 'node-lost',
+                                               'victim': 'w0',
+                                               'shuffles_hit': 1,
+                                               'cached_blocks_lost': 0},
+                                              {'t': 0.35,
+                                               'event': 'node-recovered',
+                                               'victim': 'w0'},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 0,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 1,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 2,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 3,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 4,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.5551950454711914,
+                                               'event': 'fetch-failure',
+                                               'shuffle_id': 0,
+                                               'stage': 'result:reduceByKey#1',
+                                               'partition': 5,
+                                               'lost_node': 'w0',
+                                               'lost_maps': 2},
+                                              {'t': 0.6051950454711914,
+                                               'event': 'stage-resubmit',
+                                               'shuffle_id': 0,
+                                               'stage': 'shuffle_map:parallelize#2',
+                                               'missing_maps': 2,
+                                               'attempt': 1}],
+                             'aqe_events': '4f53cda18c2baa0c',
+                             'aqe_event_count': 0,
+                             'spill_event_count': 0,
+                             'spill_events': '4f53cda18c2baa0c'}]},
  'speculation': {'log': {'counts': [('dag_scheduler.job_finished', 1),
                                     ('dag_scheduler.job_started', 1),
                                     ('dag_scheduler.stage_completed', 2),
