@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,17 @@ from repro.common.rng import seeded_rng
 
 # Keys sampled per partition when building range partitioners.
 RANGE_SAMPLE_PER_PARTITION = 20
+
+# Batches shorter than these take the per-key path (zlib.crc32 / bisect,
+# each a C call per key) instead of a numpy kernel, whose fixed cost is
+# 60-120 us. Measured on a 2-vCPU x86 host: the CRC32 kernel draws even
+# with per-key zlib at about 128 keys for an int64 or ASCII unicode
+# column and about 190 for a list of ints; searchsorted draws even with
+# bisect at about 250 keys for an array column. A list of keys always
+# bisects: searchsorted (with its conversion) was 2-10x slower below 1,000
+# keys and within 30 % either way at 20,000-100,000.
+SCALAR_HASH_BELOW = 128
+SCALAR_RANGE_BELOW = 256
 
 
 def stable_hash(key: Any) -> int:
@@ -83,47 +94,34 @@ def _crc32_rows(buf: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return crc ^ np.uint32(0xFFFFFFFF)
 
 
-def _pack_ragged(chunks: List[bytes]) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length byte strings into a zero-padded matrix."""
-    lens = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-    width = int(lens.max()) if len(chunks) else 0
-    buf = np.zeros((len(chunks), max(width, 1)), dtype=np.uint8)
-    flat = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-    rows = np.repeat(np.arange(len(chunks)), lens)
-    cols = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
-    buf[rows, cols] = flat
-    return buf, lens
-
-
 def stable_hash_many(keys: Sequence[Any]) -> List[int]:
     """Batched :func:`stable_hash`, identical per key.
 
-    Homogeneous int batches hash via a table-driven CRC32 over the
-    vectorized variable-width encoding; str/bytes batches via the same
-    kernel over a padded byte matrix. Anything else (floats, tuples,
-    arbitrary-precision ints, mixed batches) falls back to the scalar
-    function — the contract is equality, never approximation.
+    Integer keys (a list, or an integer array column) hash via a
+    table-driven CRC32 over the vectorized variable-width encoding, and
+    an all-ASCII unicode array column via the same kernel over its own
+    code points. Everything else (floats, tuples, str/bytes lists,
+    arbitrary-precision ints, mixed batches), and any batch of fewer than
+    :data:`SCALAR_HASH_BELOW` keys, takes the scalar function per key:
+    the contract is equality, never approximation.
     """
-    if len(keys) == 0:
-        return []
+    if len(keys) < SCALAR_HASH_BELOW:
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        return [stable_hash(k) for k in keys]
     if isinstance(keys, np.ndarray):
         hashed = _stable_hash_array(keys)
         if hashed is not None:
             return hashed
         keys = keys.tolist()  # exact scalar equivalence for odd dtypes
     first = type(keys[0])
-    if any(type(k) is not first for k in keys):
-        return [stable_hash(k) for k in keys]
-    if first is str or first is bytes:
-        chunks = [k.encode("utf-8") for k in keys] if first is str else list(keys)
-        buf, lens = _pack_ragged(chunks)
-        return _crc32_rows(buf, lens).tolist()
     if first is int or first is bool or issubclass(first, np.integer):
-        try:
-            values = np.array([int(k) for k in keys], dtype=np.int64)
-        except OverflowError:
-            return [stable_hash(k) for k in keys]
-        return _crc32_int64(values)
+        if all(type(k) is first for k in keys):
+            try:
+                values = np.array([int(k) for k in keys], dtype=np.int64)
+            except OverflowError:
+                return [stable_hash(k) for k in keys]
+            return _crc32_int64(values)
     return [stable_hash(k) for k in keys]
 
 
@@ -151,7 +149,7 @@ def _stable_hash_array(keys: np.ndarray) -> Optional[List[int]]:
     point of the zero-padded UCS4 buffer is one byte, and ``str_len``
     (which stops at the NUL padding; a key whose *last* character is
     U+0000 cannot exist in an array element) is ``len(key.encode())``.
-    Other unicode columns return None: the caller's list path encodes
+    Other unicode columns return None: per-key ``zlib.crc32`` encodes
     them faster than ``np.char.encode`` does. Integer columns reuse the
     vectorized variable-width encoding.
     """
@@ -271,73 +269,21 @@ class RangePartitioner(Partitioner):
     def partition_many(self, keys: Sequence[Any]) -> List[int]:
         if not self.bounds:
             return [0] * len(keys)
-        if len(keys) == 0:
-            return []
-        vectorized = self._searchsorted_many(keys)
-        if vectorized is not None:
-            return vectorized
         if isinstance(keys, np.ndarray):
+            if len(keys) >= SCALAR_RANGE_BELOW:
+                vectorized = self._searchsorted_array(keys)
+                if vectorized is not None:
+                    return vectorized
             # Exact scalar equivalence: the per-key path must see Python
             # scalars (stable_hash of a numpy float reprs differently).
             keys = keys.tolist()
         return [self.partition(k) for k in keys]
 
-    def _searchsorted_many(self, keys: Sequence[Any]) -> Optional[List[int]]:
-        """``np.searchsorted`` fast path, or None when it can't match bisect.
-
-        Only homogeneous batches whose comparisons numpy reproduces
-        exactly qualify: str-vs-str, bytes-vs-bytes, or numbers small
-        enough that float64 conversion is exact. NaNs fall back (bisect
-        and searchsorted order them differently), as do arbitrary-
-        precision ints.
-        """
-        if isinstance(keys, np.ndarray):
-            return self._searchsorted_array(keys)
-        str_types = (str,)
-        bytes_types = (bytes,)
-        num_types = (bool, int, float)
-        for probe, exact in ((str_types, True), (bytes_types, True)):
-            if isinstance(keys[0], probe):
-                if not all(type(k) in probe for k in keys):
-                    return None
-                if not all(type(b) in probe for b in self.bounds):
-                    return None
-                karr = np.array(keys)
-                barr = np.array(self.bounds)
-                # Fixed-width string buffers pad with NULs, and a *trailing*
-                # NUL is indistinguishable from padding: numpy compares
-                # "\x00" equal to "" where Python orders them. If any key
-                # or bound lost length in the round trip, keep bisect.
-                if int(np.char.str_len(karr).sum()) != sum(map(len, keys)):
-                    return None
-                if int(np.char.str_len(barr).sum()) != sum(
-                    map(len, self.bounds)
-                ):
-                    return None
-                return np.searchsorted(barr, karr, side="left").tolist()
-        if isinstance(keys[0], num_types):
-            if not all(type(k) in num_types for k in keys):
-                return None
-            if not all(type(b) in num_types for b in self.bounds):
-                return None
-            limit = float(1 << 53)  # beyond this, int -> float64 rounds
-            try:
-                kv = np.asarray(keys, dtype=np.float64)
-                bv = np.asarray(self.bounds, dtype=np.float64)
-            except (OverflowError, ValueError):
-                return None
-            if np.isnan(kv).any() or np.isnan(bv).any():
-                return None
-            ints = [k for k in keys if type(k) is int] + [
-                b for b in self.bounds if type(b) is int
-            ]
-            if any(k > limit or k < -limit for k in ints):
-                return None
-            return np.searchsorted(bv, kv, side="left").tolist()
-        return None
-
     def _searchsorted_array(self, keys: np.ndarray) -> Optional[List[int]]:
-        """Array-column fast path (columnar shuffle blocks).
+        """``np.searchsorted`` over an array key column, or None when it
+        cannot match bisect: only str-vs-str and numbers small enough that
+        float64 conversion is exact qualify, and NaNs (which bisect and
+        searchsorted order differently) fall back.
 
         Array elements never carry trailing NULs (reading a fixed-width
         U element strips the padding), so only the *bounds* need the

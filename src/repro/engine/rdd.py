@@ -131,6 +131,10 @@ def _run_chain_vec(
 class RDD:
     """Base class: lineage node with lazy transformations and actions."""
 
+    # A computed partition is read from storage (a source scan): its
+    # virtual bytes are the task's input bytes too.
+    scans_input = False
+
     def __init__(
         self,
         ctx: "AnalyticsContext",
@@ -214,6 +218,8 @@ class RDD:
                 return block.records
         records = self.compute(split, task)
         raw_bytes = estimate_partition_size(records) * self.size_scale
+        if self.scans_input:
+            task.note_input(raw_bytes)
         input_bytes = task.input_hints.get(self.id, 0.0)
         for dep in self.narrow_deps():
             input_bytes = max(input_bytes, task.rdd_bytes.get(dep.parent.id, 0.0))
@@ -847,6 +853,8 @@ class SourceRDD(RDD):
     the engine-side hook for tuning stage-0 granularity.
     """
 
+    scans_input = True
+
     def __init__(
         self,
         ctx: "AnalyticsContext",
@@ -897,8 +905,6 @@ class SourceRDD(RDD):
 
     def compute(self, split: int, task: TaskContext) -> List:
         records = list(self._generator(split, self._num_partitions))
-        nbytes = estimate_partition_size(records) * self._size_scale
-        task.note_input(nbytes)
         zone_spec = self.zone_map_spec
         if zone_spec is not None:
             # Record zone maps as a pure observer: a deterministic

@@ -34,8 +34,9 @@ component).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.common.errors import ConfigurationError, FetchFailure, SchedulingError
@@ -61,10 +62,10 @@ SPECULATION_MULTIPLIER = 1.5
 NODE_FAILURE_WINDOW = 30.0
 
 
-# eq=False throughout: these are identity objects. Value equality made
-# every `in` / `.remove` on the running-task list an O(fields) deep
-# compare per element — and could remove the *wrong* equal-valued
-# instance.
+# eq=False throughout: these are identity objects. Value equality would
+# make a queued task unhashable (the running-task dict keys them) and an
+# attempt's `.remove` an O(fields) deep compare per element that could
+# remove the *wrong* equal-valued instance.
 
 
 @dataclass(eq=False)
@@ -111,9 +112,20 @@ class TaskScheduler:
             worker.name: _ExecutorState(spec=worker, free_cores=worker.cores)
             for worker in ctx.cluster.workers
         }
-        self._queue: Deque[_QueuedTask] = deque()
-        # Tasks with at least one running attempt (speculation scans this).
-        self._running_tasks: list = []
+        # Executors in name order: _most_free_executor's tie-break order.
+        self._by_name = [self._executors[name] for name in sorted(self._executors)]
+        # The queue in arrival order, keyed by an enqueue sequence number;
+        # per executor, the ascending numbers of queued tasks that prefer
+        # it (an entry whose task has left the queue is dropped once it
+        # reaches the front).
+        self._queue: "OrderedDict[int, _QueuedTask]" = OrderedDict()
+        self._preferring: Dict[str, Deque[int]] = {
+            name: deque() for name in self._executors
+        }
+        self._enqueues = count()
+        # Tasks with at least one running attempt, in the order they
+        # started running (speculation scans this); values unused.
+        self._running_tasks: Dict[_QueuedTask, None] = {}
         # This context's own tallies (a metrics registry may be shared
         # between contexts): speculative attempts launched / that won
         # their race, failed attempts that were requeued, nodes killed.
@@ -158,9 +170,8 @@ class TaskScheduler:
         interval = self.ctx.conf.cost.driver_dispatch_interval
         if interval <= 0:
             now = self.ctx.sim.now
-            self._queue.extend(
-                _QueuedTask(stage_run, task, enqueued_at=now) for task in tasks
-            )
+            for task in tasks:
+                self._push(_QueuedTask(stage_run, task, enqueued_at=now))
             self._dispatch()
             return
         for i, task in enumerate(tasks):
@@ -170,8 +181,17 @@ class TaskScheduler:
 
     def _enqueue(self, queued: "_QueuedTask") -> None:
         queued.enqueued_at = self.ctx.sim.now
-        self._queue.append(queued)
+        self._push(queued)
         self._dispatch()
+
+    def _push(self, queued: "_QueuedTask") -> None:
+        """Append a task to the queue and to its preferred nodes' lists."""
+        seq = next(self._enqueues)
+        self._queue[seq] = queued
+        for name in queued.task.preferred_nodes:
+            preferring = self._preferring.get(name)
+            if preferring is not None:
+                preferring.append(seq)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -180,13 +200,8 @@ class TaskScheduler:
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        # Fast path: with no free core anywhere, pass 1 would defer every
-        # task unchanged and pass 2 would break immediately — skip the
-        # O(queue) scan (a real cost: _dispatch runs after every task
-        # completion, and busy phases keep thousands of tasks queued).
-        if not any(
-            e.alive and e.free_cores > 0 for e in self._executors.values()
-        ):
+        # Fast path: with no free core anywhere neither pass can launch.
+        if not any(e.alive and e.free_cores > 0 for e in self._by_name):
             self.ctx.obs.event("queue_depth", depth=len(self._queue))
             return
         # Batched (threaded) dispatch: grant decisions happen serially in
@@ -196,22 +211,27 @@ class TaskScheduler:
         # serial event order so every sim.schedule lands with the same
         # (time, seq) as serial.
         batch: Optional[list] = [] if self._batching_allowed() else None
-        # Pass 1: honor locality preferences where a core is free.
-        deferred: Deque[_QueuedTask] = deque()
-        while self._queue:
-            queued = self._queue.popleft()
-            executor = self._match_preference(queued.task)
-            if executor is not None:
-                self._launch(queued, executor, batch=batch)
-            else:
-                deferred.append(queued)
-        self._queue = deferred
+        # Pass 1: honor locality preferences where a core is free. This is
+        # one scan of the queue in order that launches each task with a
+        # free preferred node on the first such node, without visiting
+        # the tasks that have none: the next launch is the earliest queued
+        # task preferring a node with a free core, read off those nodes'
+        # lists. No task the scan passed can be picked up again: a node's
+        # free cores never grow during a scan (a launch that fails its
+        # fetch only hands back the core it just took), so a node that
+        # was full when the scan passed a task is still full.
+        while True:
+            seq = self._next_preferring()
+            if seq is None:
+                break
+            queued = self._queue.pop(seq)
+            self._launch(queued, self._match_preference(queued.task), batch=batch)
         # Pass 2: FIFO spread onto the executor with the most free cores.
         while self._queue:
             executor = self._most_free_executor()
             if executor is None:
                 break
-            self._launch(self._queue.popleft(), executor, batch=batch)
+            self._launch(self._queue.popitem(last=False)[1], executor, batch=batch)
         if batch:
             self._run_batch(batch)
         self.ctx.obs.event("queue_depth", depth=len(self._queue))
@@ -254,6 +274,21 @@ class TaskScheduler:
                 eff = future.result() if future is not None else None
                 self._finish_launch(queued, entry[2], eff)
 
+    def _next_preferring(self) -> Optional[int]:
+        """The earliest queued task that prefers a node with a free core,
+        as its enqueue number, or None."""
+        queue = self._queue
+        best: Optional[int] = None
+        for executor in self._by_name:
+            if not executor.alive or executor.free_cores <= 0:
+                continue
+            preferring = self._preferring[executor.spec.name]
+            while preferring and preferring[0] not in queue:
+                preferring.popleft()
+            if preferring and (best is None or preferring[0] < best):
+                best = preferring[0]
+        return best
+
     def _match_preference(self, task: Task) -> Optional[_ExecutorState]:
         for pref in task.preferred_nodes:
             executor = self._executors.get(pref)
@@ -265,10 +300,9 @@ class TaskScheduler:
         self, exclude: Optional[str] = None
     ) -> Optional[_ExecutorState]:
         best: Optional[_ExecutorState] = None
-        for name in sorted(self._executors):
-            if name == exclude:
+        for executor in self._by_name:
+            if executor.spec.name == exclude:
                 continue
-            executor = self._executors[name]
             if not executor.alive or executor.free_cores <= 0:
                 continue
             if best is None or executor.free_cores > best.free_cores:
@@ -307,8 +341,7 @@ class TaskScheduler:
         attempt = _Attempt(executor=executor, start=start, speculative=speculative)
         attempt.sharers = executor.spec.cores - executor.free_cores
         queued.attempts.append(attempt)
-        if queued not in self._running_tasks:
-            self._running_tasks.append(queued)
+        self._running_tasks[queued] = None
         self.ctx.obs.event(
             "task_launched",
             queue_wait=None if speculative else max(0.0, start - queued.enqueued_at),
@@ -432,10 +465,13 @@ class TaskScheduler:
         """
         if attempt.event is not None:
             attempt.event.cancel()  # a no-op for the event firing right now
+            # The event's args hold the attempt: dropping the link lets a
+            # finished attempt die by refcount, not by the cyclic gc.
+            attempt.event = None
         attempt.executor.free_cores += 1
         queued.attempts.remove(attempt)
         if not queued.attempts:
-            self._running_tasks.remove(queued)
+            del self._running_tasks[queued]
         node = attempt.executor.spec.name
         for name in self._endings[outcome]:
             # Actual busy span: a winner's full run, a loser's partial one.
@@ -502,7 +538,7 @@ class TaskScheduler:
         )
         queued.speculated = False
         queued.enqueued_at = self.ctx.sim.now
-        self._queue.append(queued)
+        self._push(queued)
         self._dispatch()
 
     def abort_tasks(self) -> None:
@@ -511,6 +547,8 @@ class TaskScheduler:
             for attempt in list(queued.attempts):
                 self._end_attempt(queued, attempt, "aborted")
         self._queue.clear()
+        for preferring in self._preferring.values():
+            preferring.clear()
         self.ctx.obs.event("queue_depth", depth=0)
 
     # ------------------------------------------------------------------
@@ -649,7 +687,7 @@ class TaskScheduler:
                 queued.task.attempt += 1
                 queued.speculated = False
                 queued.enqueued_at = now
-                self._queue.append(queued)
+                self._push(queued)
         executor.free_cores = 0
         lost = self.ctx.shuffle_manager.invalidate_node(name)
         evicted = self.ctx.block_store.evict_node(name)

@@ -19,6 +19,8 @@ or a record is only built when a sink that wants it is attached. See
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import catalogue
@@ -39,6 +41,8 @@ from repro.obs.trace import TraceEvent, Tracer, save_chrome_trace, to_chrome
 
 # How an amount lands in each kind of instrument.
 _VERBS = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
+Fields = Dict[str, Any]
 
 
 class Observability:
@@ -71,6 +75,10 @@ class Observability:
         # (instrument name, label value) -> how an amount lands in that
         # series: one dict probe per feed, the registry asked on first use.
         self._bumps: Dict[Tuple[str, Any], Callable[[float], None]] = {}
+        # Fact name -> the steps that report it to what is attached now,
+        # resolved from its catalogue row at first use; attaching or
+        # detaching a sink forgets them.
+        self._steps: Dict[str, Tuple[Callable[[Fields], None], ...]] = {}
         for fact in catalogue.FACTS.values():
             for feed in fact.feeds:
                 if feed.eager:
@@ -88,12 +96,14 @@ class Observability:
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach (or detach, with None) a tracer."""
         self.tracer = tracer
+        self._steps.clear()
         if tracer is not None:
             tracer.declare_nodes(self.nodes)
 
     def set_log(self, log: Optional[EventLog]) -> None:
         """Attach (or detach, with None) an event log, stamped in simulated time."""
         self.log = log
+        self._steps.clear()
         if log is not None:
             log.bind_clock(self._clock)
 
@@ -105,9 +115,11 @@ class Observability:
         """Deliver to ``collector`` the instant spans (``on_span``) and the
         tallied outcomes (``on_attempt_ended``) of the facts reported."""
         self._collectors.append(collector)
+        self._steps.clear()
 
     def unsubscribe(self, collector: Any) -> None:
         self._collectors.remove(collector)
+        self._steps.clear()
 
     def event(self, name: str, **fields: Any) -> None:
         """Report one fact; its catalogue row says what it feeds.
@@ -121,18 +133,22 @@ class Observability:
         if sink is not None:
             sink.ops.append(("event", name, fields))
             return
-        fact = catalogue.FACTS[name]
-        for feed in fact.feeds:
-            amount = feed.amount
-            if amount is None:
-                amount = 1.0
-            else:
-                amount = fields[amount] if type(amount) is str else amount(fields)
-                if amount is None:
-                    continue
-            label = fields[feed.label] if feed.label else None
-            bump = self._bumps.get((feed.name, label)) or self._bind(feed, label)
-            bump(amount)
+        steps = self._steps.get(name)
+        if steps is None:
+            steps = self._steps[name] = self._resolve(catalogue.FACTS[name])
+        for step in steps:
+            step(fields)
+
+    def _resolve(self, fact: catalogue.Fact) -> Tuple[Callable[[Fields], None], ...]:
+        """A fact's feeds, one step each, then its rendering if any sink
+        is attached: a fact nothing observes costs its bumps alone."""
+        steps = [self._feeder(feed) for feed in fact.feeds]
+        if self.tracer is not None or self.log is not None or self._collectors:
+            steps.append(functools.partial(self._render, fact))
+        return tuple(steps)
+
+    def _render(self, fact: catalogue.Fact, fields: Fields) -> None:
+        """A fact's tally, span(s) and log record, to the sinks attached."""
         if fact.tally is not None:
             for collector in self._collectors:
                 collector.on_attempt_ended(fields[fact.tally])
@@ -151,6 +167,35 @@ class Observability:
                 *fact.log,
                 **{k: v for k, v in fields.items() if k not in fact.span_only},
             )
+
+    def _feeder(self, feed: catalogue.Feed) -> Callable[[Fields], None]:
+        """How one feed lands: its amount (None: nothing) into its series.
+        A series is created at its first amount, never earlier (the
+        registry's series order is an artifact); an eager one exists from
+        the hub's construction on, so it is bound here."""
+        amount = feed.amount
+        if type(amount) is str:
+            amount = operator.itemgetter(amount)
+        if feed.eager and feed.label is None:
+            bump = self._bumps[feed.name, None]
+            if amount is None:
+                return lambda fields: bump(1.0)
+
+            def feed_eager(fields: Fields) -> None:
+                value = amount(fields)
+                if value is not None:
+                    bump(value)
+
+            return feed_eager
+        bumps, bind, label = self._bumps, self._bind, feed.label
+
+        def feed_series(fields: Fields) -> None:
+            value = 1.0 if amount is None else amount(fields)
+            if value is not None:
+                at = fields[label] if label else None
+                (bumps.get((feed.name, at)) or bind(feed, at))(value)
+
+        return feed_series
 
     # -- listener-bus callbacks (duck-typed Listener) --------------------
 

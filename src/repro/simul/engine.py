@@ -22,7 +22,8 @@ class SimEngine:
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        self._heap: list[Event] = []
+        # (time, seq, event) entries: they order in C, seq unique.
+        self._heap: list[tuple[float, int, Event]] = []
         self._running: bool = False
 
     @property
@@ -42,9 +43,10 @@ class SimEngine:
             raise SchedulingError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time=time, seq=self._seq, fn=fn, args=args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, seq, fn, args)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def run(self, until: Optional[float] = None) -> float:
@@ -57,15 +59,16 @@ class SimEngine:
             raise SchedulingError("SimEngine.run re-entered")
         self._running = True
         try:
-            while self._heap:
-                event = self._heap[0]
-                if until is not None and event.time > until:
+            heap = self._heap
+            while heap:
+                time, _, event = heap[0]
+                if until is not None and time > until:
                     self._now = until
                     break
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 if event.cancelled:
                     continue
-                self._now = event.time
+                self._now = time
                 event.fire()
         finally:
             self._running = False
@@ -73,7 +76,7 @@ class SimEngine:
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     def clear(self) -> None:
         """Drop all pending events; the clock stays where it is."""

@@ -1,17 +1,17 @@
 """Event objects for the discrete-event simulator.
 
-Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
-tie-breaker assigned by the engine, which makes simulation runs fully
-deterministic even when many events share a timestamp.
+The engine fires events in ``(time, seq)`` order; ``seq`` is a
+monotonically increasing tie-breaker it assigns, which makes simulation
+runs fully deterministic even when many events share a timestamp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
     """A scheduled callback in simulated time.
 
@@ -19,7 +19,7 @@ class Event:
         time: absolute simulated time at which the event fires.
         seq: engine-assigned tie-breaker; earlier-scheduled events with the
             same timestamp fire first.
-        fn: the callback to invoke; compared fields exclude it.
+        fn: the callback to invoke.
         args: positional arguments passed to ``fn``.
         cancelled: set via :meth:`cancel`; cancelled events are skipped by
             the engine without invoking ``fn``.
@@ -27,9 +27,9 @@ class Event:
 
     time: float
     seq: int
-    fn: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    fn: Callable[..., Any]
+    args: tuple = ()
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the engine drops it instead of firing it."""

@@ -1,12 +1,17 @@
 """Tests for task scheduling: waves, heterogeneity, locality, failures."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import NodeSpec, Cluster, paper_cluster, uniform_cluster
 from repro.cluster.cluster import GBPS
 from repro.common.units import GB
 from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.costmodel import CostModelConfig
+from repro.engine.task_scheduler import _QueuedTask
 
 
 def make_ctx(cluster, **conf_kwargs):
@@ -96,6 +101,93 @@ class TestLocality:
         stage = ctx.job_stats[-1].stages[0]
         hits = sum(1 for t in stage.tasks if t.node == locations[t.task_index])
         assert hits == 6  # free cores everywhere: all tasks go home
+
+
+NODES = ("w0", "w1", "w2")
+
+
+def scan_dispatch(queue, free, alive, launch):
+    """The reference dispatch: scan the whole queue for tasks with a free
+    preferred node, then spread the rest FIFO onto the most-free node."""
+    deferred = []
+    for queued in queue:
+        node = next(
+            (n for n in queued.prefs if alive.get(n) and free[n] > 0), None
+        )
+        if node is None:
+            deferred.append(queued)
+        else:
+            launch(queued, node)
+    queue[:] = deferred
+    while queue:
+        best = None
+        for n in sorted(free):
+            if alive[n] and free[n] > 0 and (best is None or free[n] > free[best]):
+                best = n
+        if best is None:
+            break
+        launch(queue.pop(0), best)
+
+
+operation = st.one_of(
+    # A task: preferred nodes (an unknown name included), and whether its
+    # launch fails its fetch and hands the core straight back.
+    st.tuples(
+        st.just("push"),
+        st.lists(st.sampled_from(NODES + ("gone",)), max_size=3, unique=True),
+        st.booleans(),
+    ),
+    st.tuples(st.just("cores"), st.sampled_from(NODES), st.integers(0, 3)),
+    st.tuples(st.just("alive"), st.sampled_from(NODES), st.booleans()),
+    st.tuples(st.just("dispatch")),
+)
+
+
+class TestDispatchOrder:
+    @settings(max_examples=200)
+    @given(st.lists(operation, max_size=40))
+    def test_index_launches_what_the_queue_scan_launches(self, ops):
+        """The per-node index picks the same tasks, onto the same nodes, in
+        the same order as a scan of the whole queue: across stale index
+        entries, dead nodes, several free nodes at once, and launches that
+        hand their core back mid-scan."""
+        ctx = make_ctx(uniform_cluster(n_workers=len(NODES), cores=2))
+        sched = ctx.task_scheduler
+        executors = sched._executors
+        launched, expected = [], []
+
+        def launch(queued, executor, speculative=False, batch=None):
+            task = queued.task
+            launched.append((task.id, executor.spec.name))
+            if not task.hands_back:
+                executor.free_cores -= 1
+
+        sched._launch = launch
+        queue = []
+        free = {n: 2 for n in NODES}
+        alive = {n: True for n in NODES}
+
+        def model_launch(task, node):
+            expected.append((task.id, node))
+            if not task.hands_back:
+                free[node] -= 1
+
+        for i, op in enumerate(ops):
+            if op[0] == "push":
+                task = SimpleNamespace(
+                    id=i, prefs=op[1], preferred_nodes=op[1], hands_back=op[2]
+                )
+                sched._push(_QueuedTask(stage_run=None, task=task))
+                queue.append(task)
+            elif op[0] == "cores":
+                executors[op[1]].free_cores = free[op[1]] = op[2]
+            elif op[0] == "alive":
+                executors[op[1]].alive = alive[op[1]] = op[2]
+            else:
+                sched._dispatch()
+                scan_dispatch(queue, free, alive, model_launch)
+                assert launched == expected
+                assert sched.queued_tasks == len(queue)
 
 
 class TestFailureInjection:

@@ -1,21 +1,53 @@
 """Vectorized kernels must be bit-identical to the scalar hot paths.
 
-``stable_hash_many`` / ``partition_many`` / ``estimate_sizes`` are pure
-speedups: every test here pins them against the per-record scalar
-functions, including the ugly corners (int64 edges, overflow fallback,
-NaN, ragged tuples, unicode) where a numpy reimplementation could
-silently diverge.
+``stable_hash_many`` / ``partition_many`` / ``estimate_sizes`` /
+``estimate_partition_size`` are pure speedups: every test here pins them
+against the per-record scalar functions, including the ugly corners
+(int64 edges, overflow fallback, NaN, ragged tuples, unicode, totals
+past 2**53) where a numpy or integer reimplementation could silently
+diverge, and on both sides of each batch-size crossover below which the
+batched form hands over to the scalar one.
 """
 
 import math
+import struct
+from collections import namedtuple
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.sizing import estimate_partition_size, estimate_size, estimate_sizes
+from repro.common.sizing import (
+    SCALAR_SIZES_BELOW,
+    SCALAR_TOTAL_BELOW,
+    Sized,
+    estimate_partition_size,
+    estimate_size,
+    estimate_sizes,
+)
 from repro.engine import HashPartitioner, RangePartitioner
-from repro.engine.partitioner import stable_hash, stable_hash_many
+from repro.engine.partitioner import (
+    SCALAR_HASH_BELOW,
+    SCALAR_RANGE_BELOW,
+    stable_hash,
+    stable_hash_many,
+)
+
+
+def around(*crossovers):
+    """Batch sizes on both sides of each crossover, plus the edges."""
+    sizes = {0, 1, 2}
+    for c in crossovers:
+        sizes |= {c - 1, c, c + 1, 3 * c}
+    return st.sampled_from(sorted(sizes))
+
+
+def cycled(pools, sizes):
+    """A batch of ``n`` keys drawn from a small pool (cheap to generate at
+    any size, and duplicate keys are the common case anyway)."""
+    return st.tuples(pools, sizes).map(
+        lambda pn: [pn[0][i % len(pn[0])] for i in range(pn[1])] if pn[0] else []
+    )
 
 any_key = st.one_of(
     st.integers(),
@@ -106,6 +138,93 @@ class TestPartitionMany:
         assert p.partition_many([]) == []
 
 
+# Keys whose per-key hash or comparison a kernel could get wrong.
+edge_key = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),  # beyond int64 too
+    st.booleans(),
+    st.text(max_size=6),  # non-ASCII included
+    st.binary(max_size=6),
+    st.floats(),  # NaN, -0.0, inf
+    st.sampled_from([-0.0, 0.0, math.nan]),
+    st.tuples(st.integers(-3, 3), st.text(max_size=3)),
+)
+
+
+ascii_text = st.text(st.characters(max_codepoint=127), max_size=6)
+
+
+class TestPartitionManyAcrossCrossovers:
+    """Both sides of SCALAR_HASH_BELOW / SCALAR_RANGE_BELOW, lists and
+    array columns, homogeneous and mixed."""
+
+    @settings(max_examples=60)
+    @given(
+        cycled(st.lists(edge_key, max_size=8), around(SCALAR_HASH_BELOW)),
+        st.integers(1, 16),
+    )
+    def test_hash_list(self, keys, n):
+        p = HashPartitioner(n)
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+
+    @settings(max_examples=60)
+    @given(
+        cycled(
+            st.one_of(
+                st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+                st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8),
+                st.lists(st.booleans(), min_size=1, max_size=4),
+            ),
+            around(SCALAR_HASH_BELOW),
+        ),
+    )
+    def test_hash_homogeneous_int_list(self, keys):
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    @settings(max_examples=80)
+    @given(
+        st.one_of(
+            cycled(st.lists(ascii_text, min_size=1, max_size=8),
+                   around(SCALAR_HASH_BELOW)).map(np.array),
+            cycled(st.lists(st.text(max_size=6), min_size=1, max_size=8),
+                   around(SCALAR_HASH_BELOW)).map(np.array),
+            cycled(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+                   around(SCALAR_HASH_BELOW)).map(lambda ks: np.array(ks, np.int64)),
+            cycled(st.lists(st.floats(), min_size=1, max_size=8),
+                   around(SCALAR_HASH_BELOW)).map(lambda ks: np.array(ks, np.float64)),
+        ),
+        st.integers(1, 16),
+    )
+    def test_hash_array_column(self, column, n):
+        p = HashPartitioner(n)
+        expected = [p.partition(k) for k in column.tolist()]
+        assert stable_hash_many(column) == [stable_hash(k) for k in column.tolist()]
+        assert p.partition_many(column) == expected
+
+    @settings(max_examples=80)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=12),
+            st.lists(st.floats(), min_size=1, max_size=12),
+            st.lists(ascii_text, min_size=1, max_size=12),
+            st.lists(st.text(max_size=4), min_size=1, max_size=12),
+        ),
+        around(SCALAR_RANGE_BELOW),
+        st.booleans(),
+    )
+    def test_range(self, pool, n, as_array):
+        # Keys come from the pool the bounds are sampled from, so many
+        # keys sit exactly on a bound.
+        keys = [pool[i % len(pool)] for i in range(n)]
+        p = RangePartitioner.from_sample(sorted(k for k in pool if k == k), 5)
+        if as_array and keys:
+            keys = np.array(keys)
+            expected = [p.partition(k) for k in keys.tolist()]
+        else:
+            expected = [p.partition(k) for k in keys]
+        assert p.partition_many(keys) == expected
+
+
 records = st.one_of(
     st.integers(),
     st.floats(allow_nan=False),
@@ -140,3 +259,118 @@ class TestEstimateSizes:
         assert estimate_partition_size(recs) == float(
             sum(estimate_size(r) for r in recs)
         )
+
+
+Pair = namedtuple("Pair", "key value")
+
+
+class Virtual(Sized):
+    """A record that reports its own (fractional) virtual size."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def nbytes_virtual(self):
+        return self.size
+
+
+def huge_array(nbytes_per_row, rows):
+    """An ndarray with an enormous ``nbytes`` and one real element."""
+    return np.lib.stride_tricks.as_strided(
+        np.zeros(1, dtype=np.uint8), shape=(rows, nbytes_per_row), strides=(0, 0)
+    )
+
+
+leaf = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([0, 1, 3, (2, 2)]).map(np.zeros),
+    st.floats(0, 1e6).map(Virtual),
+)
+record = st.recursive(
+    leaf,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.tuples(inner, inner, inner),
+        st.lists(inner, max_size=3),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    ),
+    max_leaves=8,
+)
+
+
+SIZE_BATCHES = around(SCALAR_TOTAL_BELOW, SCALAR_SIZES_BELOW)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestEstimatePartitionSize:
+    """``estimate_partition_size`` is the scalar left fold, bit for bit."""
+
+    def check(self, recs):
+        reference = float(sum(estimate_size(r) for r in recs))
+        assert bits(estimate_partition_size(recs)) == bits(reference)
+        assert estimate_sizes(recs) == [estimate_size(r) for r in recs]
+
+    @settings(max_examples=150)
+    @given(cycled(st.lists(record, max_size=6), SIZE_BATCHES))
+    def test_mixed_batches(self, recs):
+        self.check(recs)
+
+    @settings(max_examples=150)
+    @given(cycled(record.map(lambda r: [r]), SIZE_BATCHES))
+    def test_homogeneous_batches(self, recs):
+        # One record shape repeated: the integer column path's input.
+        self.check(recs)
+
+    @settings(max_examples=80)
+    @given(
+        cycled(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.floats(), st.tuples(*[st.floats()] * 3)),
+                    st.tuples(st.integers(), st.floats()).map(lambda kv: Pair(*kv)),
+                    st.tuples(st.floats(), st.floats()).map(list),
+                    st.tuples(st.integers(), st.integers(), st.integers()),
+                ),
+                min_size=1, max_size=8,
+            ),
+            SIZE_BATCHES,
+        )
+    )
+    def test_tuple_columns_with_ragged_and_mixed_containers(self, recs):
+        self.check(recs)
+
+    def test_numpy_scalars_next_to_python_ones(self):
+        n = SCALAR_SIZES_BELOW + 1
+        for recs in (
+            [np.float32(1.0)] * n + [1.0],
+            [np.float64(1.0)] * n + [1.0],
+            [np.bool_(True)] * n + [True],
+            [(np.float32(1.0), 1.0)] * n + [(1.0, np.float32(1.0))],
+        ):
+            self.check(recs)
+
+    def test_fractional_sized_records(self):
+        self.check([Virtual(0.1)] * (2 * SCALAR_SIZES_BELOW))
+        self.check([(1, Virtual(0.1))] * (2 * SCALAR_SIZES_BELOW))
+
+    def test_total_beyond_2_53_keeps_the_left_fold(self):
+        # Each record is 2**52 + 18 bytes: past 2**54 partial sums of the
+        # left fold round, so the exact integer total is a different float
+        # and the batch must take the fold.
+        recs = [huge_array(2**51 + 1, 2)] * (SCALAR_SIZES_BELOW + 4)
+        exact = sum(int(estimate_size(r)) for r in recs)
+        reference = float(sum(estimate_size(r) for r in recs))
+        assert float(exact) != reference
+        self.check(recs)

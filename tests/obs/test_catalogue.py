@@ -11,8 +11,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.engine import AnalyticsContext
-from repro.obs import Observability, catalogue
+from repro.obs import EventLog, Observability, Tracer, catalogue
 from repro.obs.log import LEVELS
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -123,3 +125,46 @@ class TestVocabulary:
             row["labels"] == {}
             for family in snapshot.values() for rows in family.values() for row in rows
         )
+
+
+class Collector:
+    def __init__(self):
+        self.spans, self.outcomes = [], []
+
+    def on_span(self, span):
+        self.spans.append(span)
+
+    def on_attempt_ended(self, outcome):
+        self.outcomes.append(outcome)
+
+
+def attach_log(hub):
+    log = EventLog()
+    hub.set_log(log)
+    return lambda: len(log.records)
+
+
+def attach_tracer(hub):
+    tracer = Tracer()
+    hub.set_tracer(tracer)
+    return lambda: len(tracer.events)
+
+
+def attach_collector(hub):
+    collector = Collector()
+    hub.subscribe(collector)
+    return lambda: len(collector.spans)
+
+
+class TestHub:
+    @pytest.mark.parametrize("attach", [attach_log, attach_tracer, attach_collector])
+    def test_a_sink_attached_after_a_fact_was_reported_hears_it(self, attach):
+        """A hub resolves each fact once, for the sinks attached at the
+        time: attaching one must reach facts already reported unobserved."""
+        hub = Observability()
+        hub.event("node_recovered", node="w0")
+        heard = attach(hub)
+        hub.event("node_recovered", node="w0")
+        assert heard() == 1
+        counter = hub.metrics.snapshot()["counters"]["scheduler.nodes_recovered"]
+        assert counter[0]["value"] == 2.0
