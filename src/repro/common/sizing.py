@@ -17,11 +17,10 @@ The batched forms are exact, never approximate: :func:`sizes_array` /
 :func:`estimate_partition_size` their left-fold sum, bit for bit. Every
 built-in size is an integer-valued float (8, ``16 + 4 * width``,
 ``nbytes + 16``, ``len + 16``, 64), which is what lets a partition total
-be taken in Python ints. The engine sizes each materialized partition
-once; sizing is bookkeeping for the simulator, so on tiny tasks it is a
-fixed per-task cost, and both batched forms hand short batches
-(:data:`SCALAR_SIZES_BELOW`, :data:`SCALAR_TOTAL_BELOW`) to the scalar
-recursion.
+below 2**53 be summed in any order. The engine sizes each materialized
+partition once; sizing is bookkeeping for the simulator, so on tiny
+tasks it is a fixed per-task cost, and the batched forms hand batches
+shorter than :data:`SCALAR_SIZES_BELOW` to the scalar recursion.
 """
 
 from __future__ import annotations
@@ -42,15 +41,13 @@ _PER_ELEMENT_OVERHEAD = 4.0
 _UNKNOWN_BYTES = 64.0
 _PRIMITIVE_TYPES = frozenset({int, float, bool, complex, type(None)})
 
-# Batches shorter than these are sized by the scalar recursion, record
-# by record, because the batched forms have a fixed cost the records do
+# Batches shorter than this are sized by the scalar recursion, record by
+# record, because the numpy column kernel has a fixed cost the records do
 # not pay back. Measured on a 2-vCPU x86 host over the engine's record
 # shapes (a KMeans (float, 10-tuple) point, a (key, ndarray) pair, a
-# (word, count) pair, SQL rows and (key, row) pairs): per-record sizes
-# from the numpy column kernel draw even at 16-40 records; a partition
-# total in ints (one set and one sum per column) at 8-12.
+# (word, count) pair, SQL rows and (key, row) pairs): the kernel draws
+# even with the scalar recursion at 16-40 records.
 SCALAR_SIZES_BELOW = 32
-SCALAR_TOTAL_BELOW = 12
 
 
 class Sized:
@@ -208,81 +205,25 @@ def estimate_partition_size(records: Sequence[Any]) -> float:
     """Sum of :func:`estimate_size` over a partition's records.
 
     Bit-identical to the left fold ``float(sum(estimate_size(r) for r in
-    records))``. Every built-in size is an integer-valued float, so below
-    2**53 any summation order gives that same float: the total is taken
-    in Python ints, one C-level ``sum(map(...))`` per column
-    (:func:`_int_total`). ``Sized`` records (whose sizes may be
-    fractional), dicts, mixed or ragged columns and totals of 2**53 or
-    more keep the left fold over :func:`estimate_sizes`, as does a batch
-    of fewer than :data:`SCALAR_TOTAL_BELOW` records, which folds the
-    scalar sizes directly.
+    records))``. Every built-in size is a non-negative integer-valued
+    float, so below 2**53 any summation order gives that same float:
+    numpy's pairwise ``sum`` of :func:`sizes_array` is the total. A batch
+    with a fractional, negative or non-finite size (only ``Sized``
+    records report those) or a total of 2**53 or more keeps the left
+    fold, and so does a mixed batch or one shorter than
+    :data:`SCALAR_SIZES_BELOW`, over the scalar sizes.
     """
-    if len(records) < SCALAR_TOTAL_BELOW:
+    if len(records) < SCALAR_SIZES_BELOW:
         return float(sum(map(estimate_size, records)))
-    total = _int_total(records)
-    if total is not None and total < _EXACT_INT_TOTAL:
-        return float(total)
-    return float(sum(estimate_sizes(records)))
+    arr = sizes_array(records)
+    if arr is None:
+        return float(sum(map(estimate_size, records)))
+    total = float(arr.sum())
+    if total < _EXACT_TOTAL and arr.min() >= 0 and (np.trunc(arr) == arr).all():
+        return total
+    return float(sum(arr.tolist()))
 
 
-# How each record type is sized by estimate_size, tested in its order.
-_LEAVES = (
-    (Sized, None),  # nbytes_virtual() may be fractional: no integer total
-    (np.ndarray, "array"),
-    (np.generic, "scalar"),
-    ((int, float, complex, type(None)), "primitive"),
-    ((str, bytes), "len"),
-    ((tuple, list), "sequence"),
-    (dict, None),
-)
-# Below this, a sum of integer-valued floats is exact in any order.
-_EXACT_INT_TOTAL = 1 << 53
-_PRIMITIVE = int(_PRIMITIVE_BYTES)
-_OVERHEAD = int(_CONTAINER_OVERHEAD)
-_PER_ELEMENT = int(_PER_ELEMENT_OVERHEAD)
-
-
-def _kind(cls: type) -> Optional[str]:
-    for bases, kind in _LEAVES:
-        if issubclass(cls, bases):
-            return kind
-    return "other"
-
-
-def _int_total(column: Sequence[Any]) -> Optional[int]:
-    """``sum(estimate_size(v) for v in column)`` as an exact int, or None.
-
-    None when some value's size need not be an integer (a ``Sized``
-    record), or the column needs the per-value recursion (a dict, a mix
-    of differently sized kinds, tuples of differing lengths).
-    """
-    n = len(column)  # never 0: a partition's, or one of its columns
-    kinds = {_kind(cls) for cls in set(map(type, column))}
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind == "primitive":
-        return _PRIMITIVE * n
-    if kind == "len":
-        return sum(map(len, column)) + _OVERHEAD * n
-    if kind == "array":
-        return sum(map(_NBYTES, column)) + _OVERHEAD * n
-    if kind == "scalar":
-        return sum(map(_NBYTES, column))
-    if kind == "other":
-        return int(_UNKNOWN_BYTES) * n
-    if kind != "sequence":
-        return None
-    widths = set(map(len, column))
-    if len(widths) != 1:
-        return None
-    width = widths.pop()
-    total = (_OVERHEAD + _PER_ELEMENT * width) * n
-    for j in range(width):
-        # One list per column: zip(*column) would build an iterator per
-        # record, enough gc-tracked objects to trigger collections.
-        sub = _int_total([r[j] for r in column])
-        if sub is None:
-            return None
-        total += sub
-    return total
+# Below this, a sum of non-negative integer-valued floats is exact in any
+# order.
+_EXACT_TOTAL = float(1 << 53)

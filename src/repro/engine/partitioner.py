@@ -29,16 +29,12 @@ from repro.common.rng import seeded_rng
 # Keys sampled per partition when building range partitioners.
 RANGE_SAMPLE_PER_PARTITION = 20
 
-# Batches shorter than these take the per-key path (zlib.crc32 / bisect,
-# each a C call per key) instead of a numpy kernel, whose fixed cost is
-# 60-120 us. Measured on a 2-vCPU x86 host: the CRC32 kernel draws even
-# with per-key zlib at about 128 keys for an int64 or ASCII unicode
-# column and about 190 for a list of ints; searchsorted draws even with
-# bisect at about 250 keys for an array column. A list of keys always
-# bisects: searchsorted (with its conversion) was 2-10x slower below 1,000
-# keys and within 30 % either way at 20,000-100,000.
+# Batches shorter than this hash per key (zlib.crc32, a C call per key)
+# instead of in the numpy CRC32 kernel, whose fixed cost is 60-120 us.
+# Measured on a 2-vCPU x86 host: the kernel draws even with per-key zlib
+# at about 128 keys for an int64 or ASCII unicode column and about 190
+# for a list of ints.
 SCALAR_HASH_BELOW = 128
-SCALAR_RANGE_BELOW = 256
 
 
 def stable_hash(key: Any) -> int:
@@ -267,57 +263,17 @@ class RangePartitioner(Partitioner):
             return stable_hash(key) % self.num_partitions
 
     def partition_many(self, keys: Sequence[Any]) -> List[int]:
+        """Per-key bisect, one C call per key. Range key batches are
+        small (under 64 keys on every benchmark workload), where a numpy
+        ``searchsorted`` with its dtype and NaN guards costs more than it
+        saves."""
         if not self.bounds:
             return [0] * len(keys)
         if isinstance(keys, np.ndarray):
-            if len(keys) >= SCALAR_RANGE_BELOW:
-                vectorized = self._searchsorted_array(keys)
-                if vectorized is not None:
-                    return vectorized
             # Exact scalar equivalence: the per-key path must see Python
             # scalars (stable_hash of a numpy float reprs differently).
             keys = keys.tolist()
         return [self.partition(k) for k in keys]
-
-    def _searchsorted_array(self, keys: np.ndarray) -> Optional[List[int]]:
-        """``np.searchsorted`` over an array key column, or None when it
-        cannot match bisect: only str-vs-str and numbers small enough that
-        float64 conversion is exact qualify, and NaNs (which bisect and
-        searchsorted order differently) fall back.
-
-        Array elements never carry trailing NULs (reading a fixed-width
-        U element strips the padding), so only the *bounds* need the
-        round-trip length guard. Integer keys beyond 2**53 would round in
-        the float64 comparison; those columns fall back to the exact
-        per-key bisect.
-        """
-        num_types = (bool, int, float)
-        if keys.dtype.kind == "U":
-            if not all(type(b) is str for b in self.bounds):
-                return None
-            barr = np.array(self.bounds)
-            if int(np.char.str_len(barr).sum()) != sum(map(len, self.bounds)):
-                return None
-            return np.searchsorted(barr, keys, side="left").tolist()
-        if keys.dtype.kind in "if":
-            if not all(type(b) in num_types for b in self.bounds):
-                return None
-            if keys.dtype.kind == "i":
-                limit = 1 << 53
-                if int(keys.max()) > limit or int(keys.min()) < -limit:
-                    return None
-            kv = keys.astype(np.float64)
-            try:
-                bv = np.asarray(self.bounds, dtype=np.float64)
-            except (OverflowError, ValueError):
-                return None
-            if np.isnan(kv).any() or np.isnan(bv).any():
-                return None
-            ints = [b for b in self.bounds if type(b) is int]
-            if any(b > (1 << 53) or b < -(1 << 53) for b in ints):
-                return None
-            return np.searchsorted(bv, kv, side="left").tolist()
-        return None
 
     @classmethod
     def from_sample(

@@ -171,22 +171,10 @@ class Observability:
     def _feeder(self, feed: catalogue.Feed) -> Callable[[Fields], None]:
         """How one feed lands: its amount (None: nothing) into its series.
         A series is created at its first amount, never earlier (the
-        registry's series order is an artifact); an eager one exists from
-        the hub's construction on, so it is bound here."""
+        registry's series order is an artifact)."""
         amount = feed.amount
         if type(amount) is str:
             amount = operator.itemgetter(amount)
-        if feed.eager and feed.label is None:
-            bump = self._bumps[feed.name, None]
-            if amount is None:
-                return lambda fields: bump(1.0)
-
-            def feed_eager(fields: Fields) -> None:
-                value = amount(fields)
-                if value is not None:
-                    bump(value)
-
-            return feed_eager
         bumps, bind, label = self._bumps, self._bind, feed.label
 
         def feed_series(fields: Fields) -> None:
