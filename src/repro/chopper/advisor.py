@@ -41,21 +41,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import AnalyticsContext
 
 
+# The lineage walks are module functions with their state passed in, not
+# nested closures: a recursive closure is a function <-> cell cycle that
+# only the cyclic collector frees, once per job.
+
+
 def _walk_rdds(final_rdd: RDD) -> List[RDD]:
     """Every RDD in the lineage graph, parents before children."""
     ordered: List[RDD] = []
-    seen: Set[int] = set()
-
-    def visit(rdd: RDD) -> None:
-        if rdd.id in seen:
-            return
-        seen.add(rdd.id)
-        for dep in rdd.deps:
-            visit(dep.parent)
-        ordered.append(rdd)
-
-    visit(final_rdd)
+    _post_order(final_rdd, set(), ordered)
     return ordered
+
+
+def _post_order(rdd: RDD, seen: Set[int], ordered: List[RDD]) -> None:
+    if rdd.id in seen:
+        return
+    seen.add(rdd.id)
+    for dep in rdd.deps:
+        _post_order(dep.parent, seen, ordered)
+    ordered.append(rdd)
 
 
 def _fixed_parent_partitioner(dep: ShuffleDependency):
@@ -86,34 +90,38 @@ def _stage_inputs(stage_rdd: RDD):
     """
     sources: List[SourceRDD] = []
     deps: List[ShuffleDependency] = []
-    seen: Set[int] = set()
-
-    def visit(rdd: RDD) -> None:
-        if rdd.id in seen:
-            return
-        seen.add(rdd.id)
-        if isinstance(rdd, ShuffledRDD):
-            deps.append(rdd._shadow)
-            # A currently-narrow (fused) aggregation is part of this
-            # stage: its own input dependency must follow the same scheme
-            # or the fusion would break after retuning.
-            if not isinstance(rdd.deps[0], ShuffleDependency):
-                visit(rdd.deps[0].parent)
-            return
-        if isinstance(rdd, CogroupRDD):
-            for dep, shadow in zip(rdd.deps, rdd._shadows):
-                deps.append(shadow)
-                if not isinstance(dep, ShuffleDependency):
-                    visit(dep.parent)
-            return
-        if isinstance(rdd, SourceRDD):
-            sources.append(rdd)
-            return
-        for dep in rdd.deps:
-            visit(dep.parent)
-
-    visit(stage_rdd)
+    _visit_inputs(stage_rdd, set(), sources, deps)
     return sources, deps
+
+
+def _visit_inputs(
+    rdd: RDD,
+    seen: Set[int],
+    sources: List[SourceRDD],
+    deps: List[ShuffleDependency],
+) -> None:
+    if rdd.id in seen:
+        return
+    seen.add(rdd.id)
+    if isinstance(rdd, ShuffledRDD):
+        deps.append(rdd._shadow)
+        # A currently-narrow (fused) aggregation is part of this stage:
+        # its own input dependency must follow the same scheme or the
+        # fusion would break after retuning.
+        if not isinstance(rdd.deps[0], ShuffleDependency):
+            _visit_inputs(rdd.deps[0].parent, seen, sources, deps)
+        return
+    if isinstance(rdd, CogroupRDD):
+        for dep, shadow in zip(rdd.deps, rdd._shadows):
+            deps.append(shadow)
+            if not isinstance(dep, ShuffleDependency):
+                _visit_inputs(dep.parent, seen, sources, deps)
+        return
+    if isinstance(rdd, SourceRDD):
+        sources.append(rdd)
+        return
+    for dep in rdd.deps:
+        _visit_inputs(dep.parent, seen, sources, deps)
 
 
 class ChopperAdvisor:

@@ -398,11 +398,22 @@ class AnalyticsContext:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release physical resources (spill files). Idempotent.
+        """End the run: release its resources and its object graph. Idempotent.
 
-        In-memory state stays readable — stats, metrics and cached
-        results survive close() — but spilled payloads do not; close a
-        context only once its results are collected.
+        Released: the result cache's pending misses are flushed and its
+        backend closed, cached and shuffle blocks are dropped, spill
+        files removed, pending simulator events discarded, and the
+        schedulers let go of this context and of the stages (hence RDDs)
+        they cached — so nothing the context owns points back at it, and
+        a closed context is freed by refcount alone once the caller drops
+        it. Close a context only once its results are collected.
+
+        Stays readable: ``now``, ``stage_stats``, ``job_stats``,
+        ``plan_events``, the metrics recorder and registry, the query
+        cache's hit and miss counts, the spill manager's and the
+        schedulers' tallies. A job submitted afterwards raises
+        :class:`~repro.common.errors.SchedulingError` ("context is
+        closed").
         """
         try:
             if self.query_cache is not None:
@@ -418,3 +429,6 @@ class AnalyticsContext:
             self.shuffle_manager.clear()
             if self.spill is not None:
                 self.spill.close()
+            self.sim.clear()
+            self.dag_scheduler.close()
+            self.task_scheduler.close()

@@ -42,6 +42,16 @@ MAX_STAGE_ATTEMPTS = 4
 STAGE_RESUBMIT_DELAY = 0.05
 
 
+def _post_order(stage: Stage, seen: Set[int], ordered: List[Stage]) -> None:
+    """Append ``stage`` and its ancestors to ``ordered``, parents first."""
+    if stage.stage_id in seen:
+        return
+    seen.add(stage.stage_id)
+    for parent in stage.parents:
+        _post_order(parent, seen, ordered)
+    ordered.append(stage)
+
+
 class StageRun:
     """Execution state of one stage within one job."""
 
@@ -160,6 +170,7 @@ class DAGScheduler:
         self, final_rdd: "RDD", result_fn: Optional[Callable] = None
     ) -> List[Any]:
         """Execute an action: returns the per-partition results in order."""
+        self._check_open()
         if self._job is not None:
             raise SchedulingError("nested run_job is not supported")
         if self.ctx.advisor is not None:
@@ -203,6 +214,22 @@ class DAGScheduler:
         assert job.results is not None
         return job.results
 
+    def close(self) -> None:
+        """Drop the context and every stage cached for lineage recovery.
+
+        A stage holds its RDDs and an RDD its context, so the cache would
+        keep a closed context alive in a cycle. The tallies stay readable.
+        """
+        self.ctx = None
+        self._shuffle_stages.clear()
+        self._parked.clear()
+        self._resubmitting.clear()
+        self._adaptive_plans.clear()
+
+    def _check_open(self) -> None:
+        if self.ctx is None:
+            raise SchedulingError("context is closed")
+
     # ------------------------------------------------------------------
     # Stage graph construction
     # ------------------------------------------------------------------
@@ -214,47 +241,47 @@ class DAGScheduler:
         (parents before children), final stage last. Stages already
         satisfied by completed shuffles are included (marked completed).
         """
-        final_stage = self._build_stages(final_rdd)
+        self._check_open()
         ordered: List[Stage] = []
-        seen: Set[int] = set()
-
-        def visit(stage: Stage) -> None:
-            if stage.stage_id in seen:
-                return
-            seen.add(stage.stage_id)
-            for parent in stage.parents:
-                visit(parent)
-            ordered.append(stage)
-
-        visit(final_stage)
+        _post_order(self._build_stages(final_rdd), set(), ordered)
         return ordered
 
+    # The graph is built by two mutually recursive methods over an
+    # explicit per-job map, not by nested closures: a recursive closure is
+    # a function <-> cell cycle that only the cyclic collector frees.
+
     def _build_stages(self, final_rdd: "RDD") -> Stage:
-        stage_by_shuffle: Dict[int, Stage] = {}
+        return self._build(final_rdd, RESULT, None, {})
 
-        def build(rdd: "RDD", kind: str, dep=None) -> Stage:
-            # Numbered before its parents are built (ancestors get the
-            # higher ids), and cut where its own pipeline walk meets a
-            # shuffle: building the graph costs each stage its one walk.
-            stage = Stage(self.ctx.next_stage_id(), rdd, kind, shuffle_dep=dep)
-            for incoming in stage.incoming_shuffle_deps():
-                parent = stage_for(incoming)
-                if parent not in stage.parents:
-                    stage.parents.append(parent)
-            return stage
+    def _build(
+        self,
+        rdd: "RDD",
+        kind: str,
+        dep: Optional[ShuffleDependency],
+        stage_by_shuffle: Dict[int, Stage],
+    ) -> Stage:
+        # Numbered before its parents are built (ancestors get the higher
+        # ids), and cut where its own pipeline walk meets a shuffle:
+        # building the graph costs each stage its one walk.
+        stage = Stage(self.ctx.next_stage_id(), rdd, kind, shuffle_dep=dep)
+        for incoming in stage.incoming_shuffle_deps():
+            parent = self._stage_for(incoming, stage_by_shuffle)
+            if parent not in stage.parents:
+                stage.parents.append(parent)
+        return stage
 
-        def stage_for(dep: ShuffleDependency) -> Stage:
-            existing = stage_by_shuffle.get(dep.shuffle_id)
-            if existing is not None:
-                return existing
-            stage = build(dep.parent, SHUFFLE_MAP, dep)
-            if dep.shuffle_id in self._completed_shuffles:
-                stage.completed = True
-            stage_by_shuffle[dep.shuffle_id] = stage
-            self._shuffle_stages[dep.shuffle_id] = stage
-            return stage
-
-        return build(final_rdd, RESULT)
+    def _stage_for(
+        self, dep: ShuffleDependency, stage_by_shuffle: Dict[int, Stage]
+    ) -> Stage:
+        existing = stage_by_shuffle.get(dep.shuffle_id)
+        if existing is not None:
+            return existing
+        stage = self._build(dep.parent, SHUFFLE_MAP, dep, stage_by_shuffle)
+        if dep.shuffle_id in self._completed_shuffles:
+            stage.completed = True
+        stage_by_shuffle[dep.shuffle_id] = stage
+        self._shuffle_stages[dep.shuffle_id] = stage
+        return stage
 
     # ------------------------------------------------------------------
     # Stage submission

@@ -41,6 +41,10 @@ class TaskRunner:
         self.ctx = ctx
         self.cost_model = CostModel(ctx.conf.cost)
 
+    def close(self) -> None:
+        """Drop the context; the cost model stays usable."""
+        self.ctx = None
+
     def execute(
         self, stage: Stage, task: Task, node: "NodeSpec", result_fn=None
     ) -> Tuple[TaskCostBreakdown, TaskContext, Any]:

@@ -20,6 +20,29 @@ SHUFFLE_MAP = "shuffle_map"
 RESULT = "result"
 
 
+def _walk_pipeline(
+    rdd: "RDD",
+    seen: Set[int],
+    pipeline: List["RDD"],
+    incoming: List[ShuffleDependency],
+) -> None:
+    """Pre-order walk of one stage's narrow pipeline (``Stage._pipeline``).
+
+    A module function with its state passed in, not a closure over it: a
+    recursive closure is a function <-> cell cycle that only the cyclic
+    collector frees.
+    """
+    if rdd.id in seen:
+        return
+    seen.add(rdd.id)
+    pipeline.append(rdd)
+    for dep in rdd.deps:
+        if isinstance(dep, ShuffleDependency):
+            incoming.append(dep)
+        elif isinstance(dep, NarrowDependency):
+            _walk_pipeline(dep.parent, seen, pipeline, incoming)
+
+
 class Stage:
     """One schedulable stage of a job."""
 
@@ -79,20 +102,7 @@ class Stage:
         """
         pipeline: List["RDD"] = []
         incoming: List[ShuffleDependency] = []
-        seen: Set[int] = set()
-
-        def visit(rdd: "RDD") -> None:
-            if rdd.id in seen:
-                return
-            seen.add(rdd.id)
-            pipeline.append(rdd)
-            for dep in rdd.deps:
-                if isinstance(dep, ShuffleDependency):
-                    incoming.append(dep)
-                elif isinstance(dep, NarrowDependency):
-                    visit(dep.parent)
-
-        visit(self.rdd)
+        _walk_pipeline(self.rdd, set(), pipeline, incoming)
         return pipeline, incoming
 
     def input_rdds(self) -> List["RDD"]:

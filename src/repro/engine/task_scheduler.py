@@ -152,6 +152,11 @@ class TaskScheduler:
             "failed": ("cpu",), "fetch-failed": (), "aborted": (),
         }
 
+    def close(self) -> None:
+        """Drop the context (its tallies and executor states stay readable)."""
+        self.ctx = None
+        self.runner.close()
+
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------

@@ -82,16 +82,9 @@ class Observability:
         for fact in catalogue.FACTS.values():
             for feed in fact.feeds:
                 if feed.eager:
-                    self._bind(feed)
+                    _bind(self.metrics, self._bumps, feed)
         if bus is not None:
             bus.add(self)
-
-    def _bind(self, feed: catalogue.Feed, label: Any = None):
-        """Get or create the series a feed lands in; remember its verb."""
-        labels = {feed.label: label} if feed.label else {}
-        series = getattr(self.metrics, feed.kind)(feed.name, **labels)
-        bump = self._bumps[feed.name, label] = getattr(series, _VERBS[feed.kind])
-        return bump
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach (or detach, with None) a tracer."""
@@ -141,49 +134,21 @@ class Observability:
 
     def _resolve(self, fact: catalogue.Fact) -> Tuple[Callable[[Fields], None], ...]:
         """A fact's feeds, one step each, then its rendering if any sink
-        is attached: a fact nothing observes costs its bumps alone."""
-        steps = [self._feeder(feed) for feed in fact.feeds]
+        is attached: a fact nothing observes costs its bumps alone.
+
+        The steps hold the registry and the sinks, never the hub: the hub
+        keeps them, so a step bound to the hub would be a cycle that
+        leaves every closed context's hub to the cyclic collector.
+        """
+        steps = [_feeder(feed, self.metrics, self._bumps) for feed in fact.feeds]
         if self.tracer is not None or self.log is not None or self._collectors:
-            steps.append(functools.partial(self._render, fact))
-        return tuple(steps)
-
-    def _render(self, fact: catalogue.Fact, fields: Fields) -> None:
-        """A fact's tally, span(s) and log record, to the sinks attached."""
-        if fact.tally is not None:
-            for collector in self._collectors:
-                collector.on_attempt_ended(fields[fact.tally])
-        if callable(fact.span):
-            if self.tracer is not None:
-                for span in fact.span(fields, self._clock()):
-                    self.tracer.on_span(span)
-        elif fact.span is not None and (self.tracer is not None or self._collectors):
-            span = catalogue.instant(fact, fields, self._clock())
-            if self.tracer is not None:
-                self.tracer.on_span(span)
-            for collector in self._collectors:
-                collector.on_span(span)
-        if fact.log is not None and self.log is not None:
-            self.log.emit(
-                *fact.log,
-                **{k: v for k, v in fields.items() if k not in fact.span_only},
+            steps.append(
+                functools.partial(
+                    _render, fact, self.tracer, self.log, self._collectors,
+                    self._clock,
+                )
             )
-
-    def _feeder(self, feed: catalogue.Feed) -> Callable[[Fields], None]:
-        """How one feed lands: its amount (None: nothing) into its series.
-        A series is created at its first amount, never earlier (the
-        registry's series order is an artifact)."""
-        amount = feed.amount
-        if type(amount) is str:
-            amount = operator.itemgetter(amount)
-        bumps, bind, label = self._bumps, self._bind, feed.label
-
-        def feed_series(fields: Fields) -> None:
-            value = 1.0 if amount is None else amount(fields)
-            if value is not None:
-                at = fields[label] if label else None
-                (bumps.get((feed.name, at)) or bind(feed, at))(value)
-
-        return feed_series
+        return tuple(steps)
 
     # -- listener-bus callbacks (duck-typed Listener) --------------------
 
@@ -201,6 +166,70 @@ class Observability:
             self.tracer.on_span(catalogue.job_span(stats))
         if self.log is not None:
             self.log.emit(*catalogue.JOB_FINISHED, **catalogue.job_record(stats))
+
+
+def _bind(
+    metrics: MetricsRegistry,
+    bumps: Dict[Tuple[str, Any], Callable[[float], None]],
+    feed: catalogue.Feed,
+    label: Any = None,
+) -> Callable[[float], None]:
+    """Get or create the series a feed lands in; remember its verb."""
+    labels = {feed.label: label} if feed.label else {}
+    series = getattr(metrics, feed.kind)(feed.name, **labels)
+    bump = bumps[feed.name, label] = getattr(series, _VERBS[feed.kind])
+    return bump
+
+
+def _feeder(
+    feed: catalogue.Feed,
+    metrics: MetricsRegistry,
+    bumps: Dict[Tuple[str, Any], Callable[[float], None]],
+) -> Callable[[Fields], None]:
+    """How one feed lands: its amount (None: nothing) into its series.
+    A series is created at its first amount, never earlier (the
+    registry's series order is an artifact)."""
+    amount = feed.amount
+    if type(amount) is str:
+        amount = operator.itemgetter(amount)
+    label = feed.label
+
+    def feed_series(fields: Fields) -> None:
+        value = 1.0 if amount is None else amount(fields)
+        if value is not None:
+            at = fields[label] if label else None
+            (bumps.get((feed.name, at)) or _bind(metrics, bumps, feed, at))(value)
+
+    return feed_series
+
+
+def _render(
+    fact: catalogue.Fact,
+    tracer: Optional[Tracer],
+    log: Optional[EventLog],
+    collectors: List[Any],
+    clock: Callable[[], float],
+    fields: Fields,
+) -> None:
+    """A fact's tally, span(s) and log record, to the sinks attached."""
+    if fact.tally is not None:
+        for collector in collectors:
+            collector.on_attempt_ended(fields[fact.tally])
+    if callable(fact.span):
+        if tracer is not None:
+            for span in fact.span(fields, clock()):
+                tracer.on_span(span)
+    elif fact.span is not None and (tracer is not None or collectors):
+        span = catalogue.instant(fact, fields, clock())
+        if tracer is not None:
+            tracer.on_span(span)
+        for collector in collectors:
+            collector.on_span(span)
+    if fact.log is not None and log is not None:
+        log.emit(
+            *fact.log,
+            **{k: v for k, v in fields.items() if k not in fact.span_only},
+        )
 
 
 __all__ = [

@@ -15,7 +15,7 @@ and CHOPPER runs compute identical answers.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from hashlib import blake2b
 from typing import Callable, Dict, List, Tuple
 
@@ -89,14 +89,7 @@ class _GenBase:
         if end <= start:
             return []
         out: List = []
-        # Key on the fields records actually depend on: virtual_bytes and
-        # parse_cost only rescale accounting, so e.g. a benchmark's tiny
-        # and full variants of the same stream share cached blocks.
-        key_base = (
-            (type(self).__name__, self.physical_records, self.seed)
-            + tuple(astuple(self)[4:])
-            + (label,)
-        )
+        key_base = self._content_key(label)
         first, last = start // BLOCK, (end - 1) // BLOCK
         for block in range(first, last + 1):
             key = key_base + (block,)
@@ -112,19 +105,29 @@ class _GenBase:
         per_record = estimate_size(sample_record)
         return self.virtual_bytes / (per_record * self.physical_records)
 
+    def _content_key(self, label: str) -> tuple:
+        """The fields one stream's records depend on, plus its label.
+
+        virtual_bytes and parse_cost only rescale accounting, so e.g. a
+        benchmark's tiny and full variants of the same stream share
+        cached blocks. Read straight off the fields: every generator
+        field is a scalar, so this equals ``astuple(self)[4:]`` without
+        its deep copy.
+        """
+        return (
+            (type(self).__name__, self.physical_records, self.seed)
+            + tuple(getattr(self, f.name) for f in fields(self)[4:])
+            + (label,)
+        )
+
     def dataset_version(self, label: str) -> str:
         """Content version of one generated stream.
 
         Hashes exactly the fields record content depends on — the same
-        ones the block cache keys on (virtual_bytes and parse_cost only
-        rescale accounting) — so the partition-pruning result cache is
-        invalidated iff the data actually changes.
+        key the block cache uses — so the partition-pruning result cache
+        is invalidated iff the data actually changes.
         """
-        key = (
-            (type(self).__name__, self.physical_records, self.seed)
-            + tuple(astuple(self)[4:])
-            + (label,)
-        )
+        key = self._content_key(label)
         return blake2b(repr(key).encode("utf-8"), digest_size=8).hexdigest()
 
 

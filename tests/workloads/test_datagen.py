@@ -1,5 +1,8 @@
 """Tests for the synthetic data generators."""
 
+import dataclasses
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from repro.workloads.datagen import (
     BLOCK,
     EdgeDataGen,
     KMeansDataGen,
+    LabeledDataGen,
     PCADataGen,
     SQLTableGen,
     TextDataGen,
@@ -163,3 +167,37 @@ class TestOtherGens:
         gen = EdgeDataGen(virtual_bytes=1e9, physical_records=500, n_vertices=50)
         edges = gen.rdd(ctx, 4).collect()
         assert all(0 <= s < 50 and 0 <= d < 50 and s != d for s, d in edges)
+
+
+class TestContentKey:
+    """One helper builds the block-cache key and the dataset version."""
+
+    GENERATORS = [
+        EdgeDataGen, KMeansDataGen, LabeledDataGen, PCADataGen, SQLTableGen,
+        TextDataGen,
+    ]
+
+    def test_every_generator_is_covered(self):
+        assert set(datagen._GenBase.__subclasses__()) == set(self.GENERATORS)
+
+    @pytest.mark.parametrize("cls", GENERATORS, ids=lambda c: c.__name__)
+    def test_key_unchanged(self, cls):
+        """Equal to the deep-copying ``astuple`` key it replaced, for the
+        defaults and with every content field moved off its default."""
+        gens = [cls(virtual_bytes=1e9, physical_records=300, seed=3)]
+        moved = {
+            f.name: f.default * 2 if not isinstance(f.default, str) else "hash"
+            for f in dataclasses.fields(cls)[4:]
+        }
+        gens.append(cls(virtual_bytes=2e9, physical_records=300, seed=3, **moved))
+        for gen in gens:
+            old = (
+                (cls.__name__, gen.physical_records, gen.seed)
+                + tuple(dataclasses.astuple(gen)[4:])
+                + ("stream",)
+            )
+            assert gen._content_key("stream") == old
+            assert gen.dataset_version("stream") == blake2b(
+                repr(old).encode("utf-8"), digest_size=8
+            ).hexdigest()
+        assert gens[0]._content_key("s") != gens[1]._content_key("s")
