@@ -19,7 +19,6 @@ from pathlib import Path
 from repro.chopper import (
     ChopperRunner,
     OnlineChopper,
-    RunRecord,
     validate_config,
 )
 from repro.cluster import paper_cluster
@@ -51,8 +50,7 @@ def main() -> None:
     # --- 2. profile + fold the ledger back into the DB -------------------
     print("\nprofiling test runs...")
     runner.profile(p_grid=(100, 300, 600, 1000), scales=(1.0,))
-    for entry in RunLedger(str(ledger_path)).entries():
-        runner.db.add_run(RunRecord.from_ledger_entry(entry))
+    runner.db.add_ledger(RunLedger(str(ledger_path)), workload.name)
     runner.train()
     config = runner.optimize()
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.chopper.optimizer import StageScheme
 from repro.chopper.schemes import PartitionScheme
+from repro.common.errors import ConfigurationError
 
 
 @dataclass
@@ -100,9 +101,15 @@ class WorkloadConfig:
     @classmethod
     def from_json(cls, text: str) -> "WorkloadConfig":
         payload = json.loads(text)
-        config = cls(workload=payload["workload"])
-        for entry in payload["entries"]:
-            config.add(ConfigEntry.from_dict(entry))
+        try:
+            config = cls(workload=payload["workload"])
+            for entry in payload["entries"]:
+                config.add(ConfigEntry.from_dict(entry))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # Valid JSON, wrong shape: `[]`, `{}`, an entry without a scheme.
+            raise ConfigurationError(
+                f"not a workload config ({type(exc).__name__}: {exc})"
+            ) from None
         return config
 
     def save(self, path: str | Path) -> None:

@@ -187,31 +187,6 @@ class StagePerfModel:
         resid = self.time_residuals(observations)
         return float(np.median(np.abs(resid) / np.maximum(t, 1e-9)))
 
-    # -- persistence -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "coef_time": self.coef_time.tolist(),
-            "coef_shuffle": self.coef_shuffle.tolist(),
-            "d_ref": self.d_ref,
-            "p_ref": self.p_ref,
-            "d_range": list(self.d_range),
-            "p_range": list(self.p_range),
-            "n_samples": self.n_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StagePerfModel":
-        return cls(
-            coef_time=np.array(payload["coef_time"]),
-            coef_shuffle=np.array(payload["coef_shuffle"]),
-            d_ref=payload["d_ref"],
-            p_ref=payload["p_ref"],
-            d_range=(payload["d_range"][0], payload["d_range"][1]),
-            p_range=(payload["p_range"][0], payload["p_range"][1]),
-            n_samples=payload["n_samples"],
-        )
-
 
 def _ridge_lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least squares with a tiny ridge term for conditioning."""

@@ -31,7 +31,6 @@ from repro.chopper.advisor import ChopperAdvisor
 from repro.chopper.config_gen import WorkloadConfig
 from repro.chopper.cost import CostWeights
 from repro.chopper.global_opt import GAMMA_DEFAULT, get_global_par
-from repro.chopper.model import fit_models_by_partitioner
 from repro.chopper.stats import RunRecord
 from repro.chopper.workload_db import WorkloadDB
 from repro.common.errors import ModelError
@@ -99,15 +98,7 @@ class OnlineChopper(Listener):
     def refresh(self) -> None:
         """Refit models on all data (offline + production) and regenerate
         the config in place — the paper's "dynamic update" step."""
-        known = self.db.dag(self.workload).signatures()
-        for signature in known:
-            observations = self.db.observations(self.workload, signature=signature)
-            try:
-                models = fit_models_by_partitioner(observations)
-            except ModelError:
-                continue
-            for kind, model in models.items():
-                self.db.set_model(self.workload, signature, kind, model)
+        self.db.train(self.workload)
         new_config = self._generate()
         # In-place swap: the installed advisor reads self.config.entries
         # at every job submission.

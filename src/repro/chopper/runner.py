@@ -37,7 +37,6 @@ from repro.chopper.advisor import ChopperAdvisor, ProfilingAdvisor
 from repro.chopper.config_gen import WorkloadConfig
 from repro.chopper.cost import CostWeights
 from repro.chopper.global_opt import GAMMA_DEFAULT, get_global_par
-from repro.chopper.model import fit_models_by_partitioner
 from repro.chopper.optimizer import get_workload_par
 from repro.chopper.stats import RunRecord, StatisticsCollector
 from repro.chopper.workload_db import WorkloadDB, WorkloadDag
@@ -288,21 +287,8 @@ class ChopperRunner:
 
     def train(self) -> int:
         """Fit Eq. 1-2 models for every stage; returns models trained."""
-        if not self.db.has_dag(self.workload.name):
-            raise ModelError("profile() must run before train()")
-        trained = 0
         with self._phase("train"):
-            for stage in self.db.dag(self.workload.name).stages:
-                observations = self.db.observations(
-                    self.workload.name, signature=stage.signature
-                )
-                try:
-                    models = fit_models_by_partitioner(observations)
-                except ModelError:
-                    continue
-                for kind, model in models.items():
-                    self.db.set_model(self.workload.name, stage.signature, kind, model)
-                    trained += 1
+            trained = self.db.train(self.workload.name)
         if trained == 0:
             raise ModelError("training produced no models; profile more")
         return trained

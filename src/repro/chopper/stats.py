@@ -54,29 +54,6 @@ class StageObservation:
             source_signatures=tuple(stats.source_signatures),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "kind": self.kind,
-            "partitioner_kind": self.partitioner_kind,
-            "input_bytes": self.input_bytes,
-            "num_partitions": self.num_partitions,
-            "duration": self.duration,
-            "shuffle_bytes": self.shuffle_bytes,
-            "order": self.order,
-            "parent_signatures": list(self.parent_signatures),
-            "cogroup_sides": self.cogroup_sides,
-            "user_fixed": self.user_fixed,
-            "source_signatures": list(self.source_signatures),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StageObservation":
-        payload = dict(payload)
-        payload["parent_signatures"] = tuple(payload.get("parent_signatures", ()))
-        payload["source_signatures"] = tuple(payload.get("source_signatures", ()))
-        return cls(**payload)
-
 
 @dataclass
 class RunRecord:
@@ -120,8 +97,8 @@ class RunRecord:
 
         §III-B: "CHOPPER also remembers the statistics from the user
         workload execution in a production environment" — the ledger is
-        that memory; ``db.add_run(RunRecord.from_ledger_entry(e))``
-        trains from runs that happened in other processes. Exact: the
+        that memory; :meth:`WorkloadDB.add_ledger` folds these records
+        in to train from runs of other processes. Exact: the
         rebuilt record equals the one a live collector produced. Entries
         written before the DAG keys existed load with their defaults.
         """

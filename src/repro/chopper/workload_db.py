@@ -1,4 +1,4 @@
-"""Workload DB: CHOPPER's persistent store of observations, models, DAGs.
+"""Workload DB: CHOPPER's store of observations, models, DAGs.
 
 Per the paper (§III): "Workload DB stores the observed information
 including the input and intermediate data size, the number of stages, the
@@ -13,21 +13,23 @@ Layout: per workload name,
   per-stage structure Algorithm 3 walks (order, parents, join grouping,
   fixed flags, input-size fractions);
 * trained :class:`StagePerfModel` pairs, keyed by
-  ``(stage signature, partitioner kind)`` — filled by the runner.
+  ``(stage signature, partitioner kind)`` — fitted by :meth:`train`.
 
-The DB round-trips to JSON so benchmarks can profile once and reuse.
+The DB lives in memory; its persisted form is the run ledger
+(:mod:`repro.obs.ledger`), which :meth:`WorkloadDB.add_ledger` folds
+back in. Models are never stored: they are a deterministic function of
+the observations and the DAG, so a rebuilt DB retrains them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ModelError
-from repro.chopper.model import StagePerfModel
+from repro.common.errors import LedgerError, ModelError
+from repro.chopper.model import StagePerfModel, fit_models_by_partitioner
 from repro.chopper.stats import RunRecord, StageObservation
+from repro.obs.ledger import RunLedger
 
 
 @dataclass
@@ -50,28 +52,6 @@ class DagStage:
     observed_num_partitions: int = 0
     # Sources whose granularity this stage inherits (Algorithm 3 groups).
     source_signatures: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "kind": self.kind,
-            "order": self.order,
-            "parent_signatures": list(self.parent_signatures),
-            "cogroup_sides": self.cogroup_sides,
-            "user_fixed": self.user_fixed,
-            "input_fraction": self.input_fraction,
-            "repeats": self.repeats,
-            "observed_partitioner_kind": self.observed_partitioner_kind,
-            "observed_num_partitions": self.observed_num_partitions,
-            "source_signatures": list(self.source_signatures),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DagStage":
-        payload = dict(payload)
-        payload["parent_signatures"] = tuple(payload["parent_signatures"])
-        payload["source_signatures"] = tuple(payload.get("source_signatures", ()))
-        return cls(**payload)
 
 
 @dataclass
@@ -125,13 +105,6 @@ class WorkloadDag:
                 existing.repeats += 1
         return dag
 
-    def to_dict(self) -> dict:
-        return {"stages": [s.to_dict() for s in self.stages]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WorkloadDag":
-        return cls(stages=[DagStage.from_dict(s) for s in payload["stages"]])
-
 
 class WorkloadDB:
     """Observations + DAGs + trained models, per workload name."""
@@ -147,6 +120,38 @@ class WorkloadDB:
         self._observations.setdefault(record.workload, []).extend(
             record.observations
         )
+
+    def add_ledger(self, ledger: RunLedger, workload: str) -> int:
+        """Fold a run ledger's runs of ``workload`` in; returns runs folded.
+
+        The ledger is the DB's persisted form (§III-B: CHOPPER
+        "remembers the statistics from the user workload execution").
+        Every entry of ``workload`` adds its observations in append
+        order, and the reference run with the largest input (the latest
+        among equals) sets the DAG, as in :meth:`ChopperRunner.profile`:
+        a sweep's ledger rebuilds the sweep's DB. Raises LedgerError,
+        naming the ledger and the workload, when the ledger is
+        unreadable or the DB is left without a DAG for ``workload``.
+        """
+        try:
+            entries = [e for e in ledger.entries() if e["workload"] == workload]
+        except LedgerError as exc:
+            raise LedgerError(f"cannot replay {workload!r} runs: {exc}") from None
+        references = []
+        for entry in entries:
+            record = RunRecord.from_ledger_entry(entry)
+            self.add_run(record)
+            if entry["label"].startswith("reference@"):
+                references.append(record)
+        if references:
+            largest = max(reversed(references), key=lambda r: r.input_bytes)
+            self.set_dag(workload, WorkloadDag.from_run(largest))
+        if not self.has_dag(workload):
+            raise LedgerError(
+                f"{ledger.path} holds no reference run of {workload!r} "
+                f"(`repro profile` writes one)"
+            )
+        return len(entries)
 
     def add_observation(self, workload: str, observation: StageObservation) -> None:
         """Append a single production observation (online adaptation)."""
@@ -212,47 +217,22 @@ class WorkloadDB:
     ) -> bool:
         return (workload, signature, partitioner_kind) in self._models
 
-    def models(self, workload: str) -> Dict[Tuple[str, str], StagePerfModel]:
-        """All trained models of one workload: (signature, kind) -> model."""
-        return {
-            (signature, kind): model
-            for (w, signature, kind), model in sorted(self._models.items())
-            if w == workload
-        }
+    def train(self, workload: str) -> int:
+        """Fit Eq. 1-2 models for every DAG stage; returns models stored.
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "observations": {
-                w: [o.to_dict() for o in rows]
-                for w, rows in self._observations.items()
-            },
-            "dags": {w: d.to_dict() for w, d in self._dags.items()},
-            "models": [
-                {
-                    "workload": w,
-                    "signature": sig,
-                    "partitioner_kind": kind,
-                    "model": model.to_dict(),
-                }
-                for (w, sig, kind), model in self._models.items()
-            ],
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "WorkloadDB":
-        payload = json.loads(Path(path).read_text())
-        db = cls()
-        for workload, rows in payload["observations"].items():
-            db._observations[workload] = [
-                StageObservation.from_dict(r) for r in rows
-            ]
-        for workload, dag in payload["dags"].items():
-            db._dags[workload] = WorkloadDag.from_dict(dag)
-        for entry in payload["models"]:
-            db._models[
-                (entry["workload"], entry["signature"], entry["partitioner_kind"])
-            ] = StagePerfModel.from_dict(entry["model"])
-        return db
+        The one training fold, offline (:meth:`ChopperRunner.train`)
+        and online (:meth:`OnlineChopper.refresh`): per stage signature,
+        a model for every partitioner kind with enough observations.
+        """
+        trained = 0
+        for signature in self.dag(workload).signatures():
+            try:
+                models = fit_models_by_partitioner(
+                    self.observations(workload, signature=signature)
+                )
+            except ModelError:
+                continue
+            for kind, model in models.items():
+                self.set_model(workload, signature, kind, model)
+                trained += 1
+        return trained

@@ -6,8 +6,10 @@ Sub-commands:
   per-stage table;
 * ``compare`` — the full profile → train → optimize → vanilla-vs-CHOPPER
   loop, printing the Fig. 7-style summary;
-* ``profile`` — run the test-run sweep and save the workload DB to JSON;
-* ``optimize`` — load a workload DB and emit the workload config file;
+* ``profile`` — run the test-run sweep into a run ledger (the workload
+  DB's persisted form);
+* ``optimize`` — rebuild the workload DB from a ledger, train, and emit
+  the workload config file;
 * ``workloads`` — list the available workloads and their defaults.
 """
 
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional, Type
 from dataclasses import replace
 
 from repro.chopper import ChopperRunner, WorkloadConfig, improvement
-from repro.chopper.workload_db import WorkloadDB
 from repro.cluster import paper_cluster
 from repro.common.errors import (
     ConfigurationError,
@@ -437,9 +438,8 @@ def cmd_profile(args: argparse.Namespace, out) -> int:
         p_grid=tuple(args.grid), scales=tuple(args.scales), jobs=args.jobs
     )
     trained = runner.train()
-    runner.db.save(args.db)
     out.write(
-        f"profiled {runs} runs, trained {trained} models -> {args.db}\n"
+        f"profiled {runs} runs, trained {trained} models -> {args.ledger}\n"
     )
     _write_artifacts(runner, args, out)
     return 0
@@ -447,7 +447,8 @@ def cmd_profile(args: argparse.Namespace, out) -> int:
 
 def cmd_optimize(args: argparse.Namespace, out) -> int:
     runner = make_runner(args)
-    runner.db = WorkloadDB.load(args.db)
+    runner.db.add_ledger(runner.ledger, runner.workload.name)
+    runner.train()
     config = runner.optimize(mode=args.mode)
     if args.output:
         config.save(args.output)
@@ -619,15 +620,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", default=None, metavar="PATH",
                           help="write the HTML report here instead of stdout")
 
-    p_profile = add_parser("profile", help="test-run sweep -> workload DB")
+    p_profile = add_parser("profile", help="test-run sweep -> run ledger")
     _add_workload_args(p_profile)
-    p_profile.add_argument("--db", required=True, help="output DB path (JSON)")
     p_profile.add_argument("--grid", type=int, nargs="+",
                            default=[100, 200, 300, 500, 800])
     p_profile.add_argument("--scales", type=float, nargs="+", default=[0.33, 1.0])
-    p_profile.add_argument("--ledger", default=None, metavar="PATH",
+    p_profile.add_argument("--ledger", required=True, metavar="PATH",
                            help="append every profiling run to this run "
-                                "ledger")
+                                "ledger (what `repro optimize` reads)")
     p_profile.add_argument("--log", default=None, metavar="PATH",
                            help="write a structured JSONL event log of the "
                                 "sweep; read it back with `repro logs`")
@@ -636,9 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "task/stage")
     _add_jobs_arg(p_profile)
 
-    p_opt = add_parser("optimize", help="workload DB -> config file")
+    p_opt = add_parser("optimize", help="run ledger -> config file")
     _add_workload_args(p_opt)
-    p_opt.add_argument("--db", required=True, help="workload DB path (JSON)")
+    p_opt.add_argument("--ledger", required=True, metavar="PATH",
+                       help="run ledger to train from (written by "
+                            "`repro profile --ledger`)")
     p_opt.add_argument("--output", default=None, help="config output path")
     p_opt.add_argument("--mode", choices=("global", "per-stage"), default="global")
 
@@ -732,8 +734,8 @@ def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     try:
         return COMMANDS[args.command](args, out)
     except (ReproError, OSError, json.JSONDecodeError) as exc:
-        # Operator mistakes (unknown workload, unreadable DB/config path,
-        # malformed JSON) get a one-line diagnostic, not a traceback.
+        # Operator mistakes (unknown workload, unreadable ledger/config
+        # path, malformed JSON) get a one-line diagnostic, not a traceback.
         err.write(f"error: {exc}\n")
         return 2
 

@@ -96,15 +96,6 @@ class TestFit:
         assert model.r2_time(rows) > 0.95
         assert model.mape_time(rows) < 0.05
 
-    def test_roundtrip(self):
-        rows = synth_obs([1e9, 2e9], [100, 200], lambda d, p: d * 1e-9, lambda d, p: p)
-        model = StagePerfModel.fit(rows)
-        clone = StagePerfModel.from_dict(model.to_dict())
-        assert clone.predict_time(1.5e9, 150) == pytest.approx(
-            model.predict_time(1.5e9, 150)
-        )
-        assert clone.p_range == model.p_range
-
     @settings(max_examples=25)
     @given(st.floats(min_value=1e6, max_value=1e12),
            st.integers(min_value=1, max_value=5000))

@@ -2,11 +2,10 @@
 
 The procs4 regression fix: ``run_specs`` must refuse to pay fork +
 segment overhead when the pool cannot win, and every fallback path must
-produce a workload DB byte-identical to the serial loop (it *is* the
+produce a workload DB equal to the serial loop's (it *is* the
 serial loop).
 """
 
-import filecmp
 import os
 
 import pytest
@@ -36,7 +35,7 @@ class CrashyKMeans(KMeansWorkload):
 
 
 def _sweep(workload, jobs):
-    """One tiny profiling sweep; returns the saved DB path's bytes."""
+    """One tiny profiling sweep; returns its runner."""
     conf = EngineConf(default_parallelism=16)
     runner = ChopperRunner(workload, base_conf=conf, db=WorkloadDB())
     clear_block_cache()
@@ -44,11 +43,11 @@ def _sweep(workload, jobs):
     return runner
 
 
-def _db_files_match(tmp_path, runner_a, runner_b):
-    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    runner_a.db.save(str(path_a))
-    runner_b.db.save(str(path_b))
-    return filecmp.cmp(str(path_a), str(path_b), shallow=False)
+def _dbs_match(runner_a, runner_b):
+    name = runner_a.workload.name
+    return (runner_a.db.observations(name), runner_a.db.dag(name)) == (
+        runner_b.db.observations(name), runner_b.db.dag(name)
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -57,23 +56,23 @@ def clean_dispatch():
 
 
 class TestInlineFallback:
-    def test_small_sweep_runs_inline(self, tmp_path, monkeypatch):
+    def test_small_sweep_runs_inline(self, monkeypatch):
         # Pretend we have cores so only the size guard can trigger.
         monkeypatch.setattr(par, "_usable_cores", lambda: 4)
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
         assert par.last_dispatch == "serial"  # one worker: run_specs' loop
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "inline-small"
-        assert _db_files_match(tmp_path, serial, pooled)
+        assert _dbs_match(serial, pooled)
 
-    def test_single_core_runs_inline(self, monkeypatch, tmp_path):
+    def test_single_core_runs_inline(self, monkeypatch):
         monkeypatch.setattr(par, "_usable_cores", lambda: 1)
         # Size guard off: the core count alone must force the fallback.
         monkeypatch.setattr(par, "SMALL_RUN_RECORDS", 0)
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "inline-cores"
-        assert _db_files_match(tmp_path, serial, pooled)
+        assert _dbs_match(serial, pooled)
 
     def test_size_floor_is_on_the_largest_run(self, monkeypatch):
         monkeypatch.setattr(par, "_usable_cores", lambda: 4)
@@ -90,21 +89,19 @@ class TestInlineFallback:
 
 
 class TestForcedPool:
-    def test_forced_pool_matches_serial(self, tmp_path, force_pool):
+    def test_forced_pool_matches_serial(self, force_pool):
         serial = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=1)
         pooled = _sweep(KMeansWorkload(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "pool"
-        assert _db_files_match(tmp_path, serial, pooled)
+        assert _dbs_match(serial, pooled)
         assert shm.cleanup_segments() == 0  # run_specs swept its segments
 
 
 class TestBrokenPoolRecovery:
-    def test_killed_worker_recovers_inline(
-        self, tmp_path, monkeypatch, force_pool
-    ):
+    def test_killed_worker_recovers_inline(self, monkeypatch, force_pool):
         monkeypatch.setenv("REPRO_TEST_DRIVER_PID", str(os.getpid()))
         serial = _sweep(CrashyKMeans(physical_records=SMALL_RECORDS), jobs=1)
         pooled = _sweep(CrashyKMeans(physical_records=SMALL_RECORDS), jobs=2)
         assert par.last_dispatch == "pool+recovered"
-        assert _db_files_match(tmp_path, serial, pooled)
+        assert _dbs_match(serial, pooled)
         assert shm.cleanup_segments() == 0  # crash left nothing behind

@@ -1,18 +1,16 @@
 """Tests for the statistics collector."""
 
-import filecmp
-
 import pytest
 
-from repro.chopper import ChopperRunner, WorkloadDag
+from repro.chopper import ChopperRunner, WorkloadDB
 from repro.chopper.stats import RunRecord, StageObservation, StatisticsCollector
 from repro.engine import EngineConf
 from repro.obs import RunLedger
-from repro.workloads import ShuffleWordCountWorkload, WordCountWorkload
-
-# Node A dies during the reduce: the map stage's lost partitions re-run
-# as one partial stage (attempt=1) among the run's four stage events.
-NODE_LOSS = dict(node_failure_times={"A": 1230.0}, node_recovery_delay=5.0)
+from repro.workloads import (
+    ShuffleWordCountWorkload,
+    SQLWorkload,
+    WordCountWorkload,
+)
 
 
 class TestStatisticsCollector:
@@ -51,15 +49,6 @@ class TestStatisticsCollector:
             ctx.parallelize(range(1000), 4).collect()
         assert collector.record.total_time == pytest.approx(ctx.now - before)
 
-    def test_observation_roundtrip(self):
-        obs = StageObservation(
-            signature="s", kind="result", partitioner_kind="range",
-            input_bytes=1e9, num_partitions=100, duration=5.0,
-            shuffle_bytes=42.0, order=3, parent_signatures=("p",),
-            cogroup_sides=2, user_fixed=True, source_signatures=("src",),
-        )
-        assert StageObservation.from_dict(obs.to_dict()) == obs
-
     def test_by_signature_grouping(self):
         record = RunRecord(workload="w", input_bytes=1.0)
         for i, sig in enumerate(["a", "b", "a"]):
@@ -78,16 +67,35 @@ class TestStatisticsCollector:
 class TestLedgerReplay:
     """The ledger is CHOPPER's memory of past runs (§III-B)."""
 
-    def test_record_rebuilt_from_disk_equals_live_record(self, tmp_path):
+    # Node A dies mid-run: lost map partitions re-run as one partial
+    # stage (attempt=1) per affected shuffle. The sql join carries every
+    # DAG key (cogroup_sides == 2, parent and source signatures).
+    @pytest.mark.parametrize(
+        "workload, dies_at, attempts, cogroup_sides",
+        [
+            (ShuffleWordCountWorkload(virtual_gb=1.0, physical_records=400),
+             1230.0, [0, 0, 0, 1], 0),
+            (SQLWorkload(virtual_gb=1.0, physical_records=2000),
+             60.0, [0] * 6 + [1], 2),
+        ],
+        ids=["shuffle", "sql"],
+    )
+    def test_record_rebuilt_from_disk_equals_live_record(
+        self, tmp_path, workload, dies_at, attempts, cogroup_sides
+    ):
         runner = ChopperRunner(
-            ShuffleWordCountWorkload(virtual_gb=1.0, physical_records=400),
-            base_conf=EngineConf(default_parallelism=16, **NODE_LOSS),
+            workload,
+            base_conf=EngineConf(
+                default_parallelism=16, node_failure_times={"A": dies_at},
+                node_recovery_delay=5.0,
+            ),
         )
         runner.ledger = RunLedger(str(tmp_path / "runs.jsonl"))
         live = runner.run_vanilla().record
         (entry,) = runner.ledger.entries()
-        assert sorted(s["attempt"] for s in entry["stages"]) == [0, 0, 0, 1]
-        assert live.stage_count == 3
+        assert sorted(s["attempt"] for s in entry["stages"]) == attempts
+        assert live.stage_count == len(attempts) - 1
+        assert max(o.cogroup_sides for o in live.observations) == cogroup_sides
         # Dataclass equality: every float survives JSON exactly.
         assert RunRecord.from_ledger_entry(entry) == live
 
@@ -98,16 +106,9 @@ class TestLedgerReplay:
         )
         live.ledger = RunLedger(str(tmp_path / "runs.jsonl"))
         live.profile(p_grid=(8, 16, 32, 64), kinds=("hash",), scales=(1.0,))
-        replayed = ChopperRunner(live.workload, base_conf=live.base_conf)
-        records = [
-            RunRecord.from_ledger_entry(e) for e in live.ledger.entries()
-        ]
-        for record in records:
-            replayed.db.add_run(record)
-        replayed.db.set_dag(live.workload.name, WorkloadDag.from_run(records[0]))
-        assert replayed.train() == live.train() > 0
-        live.db.save(tmp_path / "live.json")
-        replayed.db.save(tmp_path / "replayed.json")
-        assert filecmp.cmp(
-            tmp_path / "live.json", tmp_path / "replayed.json", shallow=False
-        )
+        replayed = WorkloadDB()
+        assert replayed.add_ledger(live.ledger, live.workload.name) == 5
+        name = live.workload.name
+        assert replayed.observations(name) == live.db.observations(name)
+        assert replayed.dag(name) == live.db.dag(name)
+        assert replayed.train(name) == live.train() > 0

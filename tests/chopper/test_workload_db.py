@@ -1,4 +1,4 @@
-"""Tests for the workload DB: observations, DAG summaries, persistence."""
+"""Tests for the workload DB: observations, DAG summaries, models."""
 
 import pytest
 
@@ -102,29 +102,3 @@ class TestModels:
         with pytest.raises(ModelError):
             WorkloadDB().model("wl", "a", "hash")
 
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        db = WorkloadDB()
-        record = make_run(obs=[
-            make_obs("a", 0, source_signatures=("src1",)),
-            make_obs("b", 1, parent_signatures=("a",), cogroup_sides=2),
-        ])
-        db.add_run(record)
-        db.set_dag("wl", WorkloadDag.from_run(record))
-        db.set_model(
-            "wl", "a", "hash",
-            StagePerfModel.fit(
-                synth_obs([1e9, 2e9], [100, 300], lambda d, p: d * 1e-9,
-                          lambda d, p: p)
-            ),
-        )
-        path = tmp_path / "db.json"
-        db.save(path)
-        clone = WorkloadDB.load(path)
-        assert len(clone.observations("wl")) == 2
-        assert clone.dag("wl").stage("b").cogroup_sides == 2
-        assert clone.dag("wl").stage("a").source_signatures == ("src1",)
-        assert clone.model("wl", "a", "hash").predict_time(1e9, 200) == (
-            pytest.approx(db.model("wl", "a", "hash").predict_time(1e9, 200))
-        )

@@ -9,8 +9,6 @@ here runs a skew-provoking pipeline twice and compares raw outputs.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.chopper import ChopperRunner
@@ -191,10 +189,8 @@ class TestAqeProcessPool:
         runner.profile(
             p_grid=[4, 8], kinds=["hash"], scales=[0.04, 0.08], jobs=jobs
         )
-        name = WordCountWorkload().name
-        return json.dumps(
-            [vars(o) for o in runner.db.observations(name)], default=str
-        )
+        name = runner.workload.name
+        return runner.db.observations(name), runner.db.dag(name)
 
     def test_pooled_sweep_db_identical(self):
         assert self._sweep(jobs=1) == self._sweep(jobs=2)

@@ -93,15 +93,8 @@ def sweep_db_and_config(**conf_kwargs):
     runner.profile(p_grid=[4, 8], kinds=["hash"], scales=[0.04, 0.08], jobs=1)
     runner.train()
     config = runner.optimize(scale=0.08)
-    db_json = json.dumps(
-        {
-            "observations": [
-                vars(o) for o in runner.db.observations(WordCountWorkload().name)
-            ]
-        },
-        default=str,
-    )
-    return db_json, config.to_json()
+    name = runner.workload.name
+    return runner.db.observations(name), runner.db.dag(name), config.to_json()
 
 
 class TestColumnarChopperPipeline:

@@ -78,33 +78,26 @@ class TestThreadedTaskParallelism:
         )
 
 
-def sweep_db_json(par=1, jobs=1):
+def sweep_db(par=1, jobs=1):
     runner = ChopperRunner(
         WordCountWorkload(),
         base_conf=EngineConf(physical_parallelism=par, default_parallelism=16),
         db=WorkloadDB(),
     )
     runner.profile(p_grid=[4, 8], kinds=["hash"], scales=[0.04, 0.08], jobs=jobs)
-    return json.dumps(
-        {
-            "observations": {
-                w: [vars(o) for o in runner.db.observations(w)]
-                for w in [WordCountWorkload().name]
-            }
-        },
-        default=str,
-    ), runner
+    name = runner.workload.name
+    return (runner.db.observations(name), runner.db.dag(name)), runner
 
 
 class TestSweepParallelism:
     def test_threaded_sweep_db_identical(self):
-        serial, _ = sweep_db_json(par=1)
-        threaded, _ = sweep_db_json(par=4)
+        serial, _ = sweep_db(par=1)
+        threaded, _ = sweep_db(par=4)
         assert serial == threaded
 
     def test_process_pool_sweep_db_identical(self):
-        serial, runner_s = sweep_db_json(jobs=1)
-        pooled, runner_p = sweep_db_json(jobs=2)
+        serial, runner_s = sweep_db(jobs=1)
+        pooled, runner_p = sweep_db(jobs=2)
         assert serial == pooled
         # The chosen configs downstream of the DB must agree too.
         runner_s.train()

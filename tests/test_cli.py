@@ -5,8 +5,12 @@ import json
 
 import pytest
 
+from repro.chopper import ChopperRunner
 from repro.cli import build_parser, main
+from repro.engine import EngineConf
+from repro.obs import RunLedger
 from repro.obs.log import LEVELS
+from repro.workloads import WordCountWorkload
 
 
 def run_cli(*argv):
@@ -22,6 +26,9 @@ class TestParser:
             build_parser().parse_args([])
 
 
+RUN_LINE = '{"run_id": "0000-sql-run", "workload": "sql", "label": "run"}\n'
+
+
 class TestErrorHandling:
     def test_unknown_workload_one_line_error(self):
         code, text, err = run_cli("run", "tensor-train")
@@ -33,19 +40,35 @@ class TestErrorHandling:
         assert err.count("\n") == 1  # one line, no traceback
 
     def test_unreadable_db_one_line_error(self, tmp_path):
-        code, text, err = run_cli(
-            "optimize", "wordcount", "--db", str(tmp_path / "missing.json")
-        )
+        missing = str(tmp_path / "missing.jsonl")
+        code, text, err = run_cli("optimize", "wordcount", "--ledger", missing)
         assert code == 2
         assert err.startswith("error: ")
+        assert missing in err and "'wordcount'" in err
         assert err.count("\n") == 1
 
     def test_malformed_db_one_line_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, text, err = run_cli("optimize", "wordcount", "--db", str(bad))
+        bad = tmp_path / "bad.jsonl"
+        for lines in (
+            "{not json\n" + RUN_LINE,  # garbage before a good entry
+            '{"run_id": "0000-wordc',  # torn final line: skipped, no runs
+            RUN_LINE,  # another workload's run only
+        ):
+            bad.write_text(lines)
+            code, _, err = run_cli("optimize", "wordcount", "--ledger", str(bad))
+            assert code == 2
+            assert err.startswith("error: ")
+            assert str(bad) in err and "'wordcount'" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", ['{"workload": "wordcount"}', "[]"])
+    def test_config_of_wrong_shape_one_line_error(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        code, text, err = run_cli("run", *WC_FAST, "--config", str(path))
         assert code == 2
         assert err.startswith("error: ")
+        assert "not a workload config" in err
         assert err.count("\n") == 1
 
     def test_unreadable_config_one_line_error(self, tmp_path):
@@ -187,7 +210,7 @@ class TestChaosFlags:
 
 class TestPipelineCommands:
     def test_profile_optimize_run_roundtrip(self, tmp_path):
-        db_path = str(tmp_path / "db.json")
+        ledger = str(tmp_path / "runs.jsonl")
         config_path = str(tmp_path / "config.json")
         common = [
             "wordcount",
@@ -196,14 +219,14 @@ class TestPipelineCommands:
             "--parallelism", "32",
         ]
         code, text, _ = run_cli(
-            "profile", *common, "--db", db_path,
+            "profile", *common, "--ledger", ledger,
             "--grid", "8", "32", "96", "--scales", "1.0",
         )
         assert code == 0
         assert "trained" in text
 
         code, text, _ = run_cli(
-            "optimize", *common, "--db", db_path, "--output", config_path
+            "optimize", *common, "--ledger", ledger, "--output", config_path
         )
         assert code == 0
         assert "entries" in text
@@ -213,16 +236,23 @@ class TestPipelineCommands:
         assert "total:" in text
 
     def test_optimize_prints_json_without_output(self, tmp_path):
-        db_path = str(tmp_path / "db.json")
-        common = [
-            "wordcount", "--virtual-gb", "1.0",
-            "--physical-records", "400", "--parallelism", "16",
-        ]
-        run_cli("profile", *common, "--db", db_path,
-                "--grid", "8", "32", "--scales", "1.0")
-        code, text, _ = run_cli("optimize", *common, "--db", db_path)
-        assert code == 0
-        assert '"signature"' in text
+        # The ledger is the whole persisted DB: optimize in a fresh
+        # runner gives the sweep's own in-process configs, byte for byte.
+        runner = ChopperRunner(
+            WordCountWorkload(virtual_gb=2.0, physical_records=600),
+            base_conf=EngineConf(default_parallelism=32),
+        )
+        runner.ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        runner.profile(p_grid=(8, 32, 96), scales=(0.5, 1.0))
+        runner.train()
+        for mode in ("global", "per-stage"):
+            code, text, _ = run_cli(
+                "optimize", "wordcount", "--virtual-gb", "2.0",
+                "--physical-records", "600", "--parallelism", "32",
+                "--ledger", runner.ledger.path, "--mode", mode,
+            )
+            assert code == 0
+            assert text == runner.optimize(mode=mode).to_json() + "\n"
 
     def test_compare_reports_improvement(self):
         code, text, _ = run_cli(
@@ -461,10 +491,9 @@ class TestLedgerCommands:
 
     def test_profile_ledger_records_every_sweep_run(self, tmp_path):
         ledger = str(tmp_path / "runs.jsonl")
-        db = str(tmp_path / "db.json")
         code, _, _ = run_cli(
-            "profile", *WC_FAST, "--db", db,
-            "--grid", "8", "16", "--scales", "1.0", "--ledger", ledger,
+            "profile", *WC_FAST, "--grid", "8", "16", "--scales", "1.0",
+            "--ledger", ledger,
         )
         assert code == 0
         with open(ledger) as fh:
