@@ -17,7 +17,6 @@
 from repro.chopper.advisor import ChopperAdvisor, FixedSchemeAdvisor, ProfilingAdvisor
 from repro.chopper.config_gen import ConfigEntry, WorkloadConfig
 from repro.chopper.cost import CostWeights, get_min_par, repartition_cost, stage_cost
-from repro.chopper.crossval import CvReport, StageCvResult, cross_validate, cross_validate_stage
 from repro.chopper.global_opt import (
     GAMMA_DEFAULT,
     RegroupedNode,
@@ -33,7 +32,7 @@ from repro.chopper.optimizer import (
     get_stage_par,
     get_workload_par,
 )
-from repro.chopper.runner import ChopperRunner, RunOutcome, improvement, stage_table
+from repro.chopper.runner import ChopperRunner, RunOutcome, improvement
 from repro.chopper.schemes import HASH, RANGE, PartitionScheme, SchemeRef
 from repro.chopper.stats import RunRecord, StageObservation, StatisticsCollector
 from repro.chopper.validate import ValidationReport, validate_config
@@ -60,15 +59,10 @@ __all__ = [
     "get_stage_input",
     "get_stage_par",
     "get_workload_par",
-    "CvReport",
-    "StageCvResult",
-    "cross_validate",
-    "cross_validate_stage",
     "OnlineChopper",
     "ChopperRunner",
     "RunOutcome",
     "improvement",
-    "stage_table",
     "PartitionScheme",
     "SchemeRef",
     "HASH",

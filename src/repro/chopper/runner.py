@@ -503,10 +503,3 @@ def improvement(vanilla: RunOutcome, chopper: RunOutcome) -> float:
         return 0.0
     return 1.0 - chopper.total_time / vanilla.total_time
 
-
-def stage_table(outcome: RunOutcome) -> List[Tuple[int, str, float, float, int]]:
-    """(stage idx, name-ish signature, duration, shuffle bytes, partitions)."""
-    return [
-        (o.order, o.signature, o.duration, o.shuffle_bytes, o.num_partitions)
-        for o in outcome.record.observations
-    ]

@@ -11,7 +11,7 @@ kind, execution time, and shuffle volume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.engine.context import AnalyticsContext
 from repro.engine.listener import Listener, StageStats
@@ -63,16 +63,6 @@ class RunRecord:
     input_bytes: float
     observations: List[StageObservation] = field(default_factory=list)
     total_time: float = 0.0
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.observations)
-
-    def by_signature(self) -> Dict[str, List[StageObservation]]:
-        grouped: Dict[str, List[StageObservation]] = {}
-        for obs in self.observations:
-            grouped.setdefault(obs.signature, []).append(obs)
-        return grouped
 
     def observe(self, stats: StageStats) -> Optional[StageObservation]:
         """Append one completed stage; the only stats -> observation path.

@@ -1,16 +1,18 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Sub-commands:
+The paper's user journey is ``profile`` -> ``optimize`` -> ``run --config``.
+Each sub-command, and the journey step or paper figure it serves:
 
-* ``run`` — execute one workload (vanilla or CHOPPER) and print the
-  per-stage table;
-* ``compare`` — the full profile → train → optimize → vanilla-vs-CHOPPER
-  loop, printing the Fig. 7-style summary;
-* ``profile`` — run the test-run sweep into a run ledger (the workload
-  DB's persisted form);
-* ``optimize`` — rebuild the workload DB from a ledger, train, and emit
-  the workload config file;
-* ``workloads`` — list the available workloads and their defaults.
+* ``workloads`` — list the workloads and their defaults (what to profile);
+* ``profile`` — journey 1: the test-run sweep into a run ledger (§III-A);
+* ``optimize`` — journey 2: ledger -> Eq. 1-2 models -> Algorithms 1-3;
+* ``run`` — journey 3 with ``--config``: per-stage table (Figs. 8, 10);
+* ``compare`` — vanilla vs CHOPPER end to end (Fig. 7);
+* ``explain`` — the SQL plan before and after the optimizer (Figs. 9-10);
+* ``report`` — one ledger run as a self-contained HTML report;
+* ``diff-runs`` — two ledger runs compared, exit 1 on a regression (CI);
+* ``logs`` — tail and filter the event log written by ``--log``;
+* ``cache`` — inspect or clear the partition-pruning result cache.
 """
 
 from __future__ import annotations
@@ -292,32 +294,6 @@ def cmd_logs(args: argparse.Namespace, out) -> int:
     )
     for record in records:
         out.write(format_record(record) + "\n")
-    return 0
-
-
-def cmd_export_metrics(args: argparse.Namespace, out) -> int:
-    """Export a saved metrics snapshot as Prometheus text or OTLP JSON."""
-    from repro.obs.export import to_otlp, to_prometheus
-
-    with open(args.snapshot, "r", encoding="utf-8") as fh:
-        snap = json.load(fh)
-    if not isinstance(snap, dict) or not (
-        {"counters", "gauges", "histograms"} <= set(snap)
-    ):
-        raise ConfigurationError(
-            f"{args.snapshot} is not a metrics snapshot "
-            f"(write one with --metrics)"
-        )
-    if args.otlp:
-        text = json.dumps(to_otlp(snap), indent=2, sort_keys=True) + "\n"
-    else:
-        text = to_prometheus(snap)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.write(f"metrics export -> {args.out}\n")
-    else:
-        out.write(text)
     return 0
 
 
@@ -669,19 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_logs.add_argument("--tail", type=int, default=None, metavar="N",
                         help="only the last N matching records")
 
-    p_export = add_parser(
-        "export-metrics",
-        help="metrics snapshot (run --metrics) -> Prometheus text or "
-             "OTLP JSON",
-    )
-    p_export.add_argument("snapshot",
-                          help="metrics snapshot JSON written by --metrics")
-    p_export.add_argument("--otlp", action="store_true",
-                          help="emit an OTLP-style JSON dump instead of "
-                               "Prometheus text exposition")
-    p_export.add_argument("--out", default=None, metavar="PATH",
-                          help="write here instead of stdout")
-
     p_cache = add_parser(
         "cache",
         help="inspect/manage an on-disk result cache (run --cache-path)",
@@ -723,7 +686,6 @@ COMMANDS = {
     "cache": cmd_cache,
     "diff-runs": cmd_diff_runs,
     "logs": cmd_logs,
-    "export-metrics": cmd_export_metrics,
 }
 
 

@@ -37,25 +37,14 @@ class Cluster:
         self.topology = Topology(self.workers + [self.master])
 
     @property
-    def worker_names(self) -> List[str]:
-        return [node.name for node in self.workers]
-
-    @property
     def total_cores(self) -> int:
         return sum(node.cores for node in self.workers)
-
-    @property
-    def total_executor_memory(self) -> float:
-        return sum(node.executor_memory for node in self.workers)
 
     def worker(self, name: str) -> NodeSpec:
         for node in self.workers:
             if node.name == name:
                 return node
         raise ConfigurationError(f"no worker named {name!r}")
-
-    def has_worker(self, name: str) -> bool:
-        return any(node.name == name for node in self.workers)
 
 
 def paper_cluster(executor_memory: float = 40.0 * GB) -> Cluster:

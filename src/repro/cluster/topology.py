@@ -9,7 +9,7 @@ treated as effectively free relative to the network (a large constant).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable
 
 from repro.cluster.node import NodeSpec
 from repro.common.errors import ConfigurationError
@@ -26,7 +26,6 @@ class Topology:
             if node.name in self._nodes:
                 raise ConfigurationError(f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
-        self._overrides: Dict[Tuple[str, str], float] = {}
 
     def node(self, name: str) -> NodeSpec:
         try:
@@ -34,31 +33,8 @@ class Topology:
         except KeyError:
             raise ConfigurationError(f"unknown node {name!r}") from None
 
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def set_link(self, a: str, b: str, bandwidth: float) -> None:
-        """Override the bandwidth of one (undirected) link."""
-        if bandwidth <= 0:
-            raise ConfigurationError("link bandwidth must be positive")
-        self.node(a), self.node(b)
-        self._overrides[self._key(a, b)] = bandwidth
-
     def bandwidth(self, src: str, dst: str) -> float:
         """Bytes/second achievable from ``src`` to ``dst``."""
         if src == dst:
             return LOOPBACK_BW
-        override = self._overrides.get(self._key(src, dst))
-        if override is not None:
-            return override
         return min(self.node(src).net_bw, self.node(dst).net_bw)
-
-    def transfer_time(self, src: str, dst: str, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` from ``src`` to ``dst``."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.bandwidth(src, dst)
-
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)

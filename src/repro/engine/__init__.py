@@ -7,12 +7,10 @@ locality-aware task scheduler over a heterogeneous simulated cluster, and
 per-stage statistics — everything CHOPPER observes and controls.
 """
 
-from repro.engine.accumulators import Accumulator
 from repro.engine.context import AnalyticsContext, Broadcast, EngineConf
 from repro.engine.costmodel import CostModel, CostModelConfig
 from repro.engine.dependencies import (
     Aggregator,
-    CoalesceDependency,
     Dependency,
     NarrowDependency,
     OneToOneDependency,
@@ -30,12 +28,10 @@ from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
     RangePartitioner,
-    make_partitioner,
     stable_hash,
 )
 from repro.engine.rdd import (
     RDD,
-    CoalescedRDD,
     MapPartitionsRDD,
     SourceRDD,
     UnionRDD,
@@ -44,7 +40,6 @@ from repro.engine.shuffled import CogroupRDD, ShuffledRDD
 from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
 
 __all__ = [
-    "Accumulator",
     "AnalyticsContext",
     "Broadcast",
     "EngineConf",
@@ -55,7 +50,6 @@ __all__ = [
     "NarrowDependency",
     "OneToOneDependency",
     "RangeNarrowDependency",
-    "CoalesceDependency",
     "ShuffleDependency",
     "JobStats",
     "Listener",
@@ -65,13 +59,11 @@ __all__ = [
     "HashPartitioner",
     "RangePartitioner",
     "Partitioner",
-    "make_partitioner",
     "stable_hash",
     "RDD",
     "SourceRDD",
     "MapPartitionsRDD",
     "UnionRDD",
-    "CoalescedRDD",
     "ShuffledRDD",
     "CogroupRDD",
     "Stage",

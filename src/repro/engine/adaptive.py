@@ -92,10 +92,6 @@ class AdaptiveTaskSpec:
     def is_slice(self) -> bool:
         return self.map_range is not None
 
-    @property
-    def is_plain(self) -> bool:
-        return len(self.splits) == 1 and self.map_range is None
-
 
 @dataclass
 class AdaptivePlan:

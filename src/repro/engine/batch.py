@@ -142,33 +142,6 @@ class RecordBatch:
         values = values.tolist() if isinstance(values, np.ndarray) else values
         return list(zip(keys, values))
 
-    def to_shared(self, name: Optional[str] = None):
-        """Park this batch in a shared-memory segment (registered once).
-
-        Returns the tiny picklable :class:`~repro.engine.shm.SharedPayload`
-        handle — segment name plus dtype/shape metadata and byte spans —
-        that any pool worker can :meth:`from_shared` without copying the
-        column bytes. The *caller's* process owns the segment (see
-        :mod:`repro.engine.shm` lifecycle).
-        """
-        from repro.engine import shm
-
-        return shm.encode_shared(self, name=name)
-
-    @staticmethod
-    def from_shared(payload, copy: bool = False):
-        """Rebuild a batch from a :func:`to_shared` handle.
-
-        ``copy=False`` returns column arrays viewing the shared segment
-        directly (zero-copy; close the returned
-        :class:`~repro.engine.shm.DecodedPayload` when done); ``copy=True``
-        materializes private columns. ``_normalize`` keeps int64/float64/
-        str arrays as-is, so the zero-copy view survives reconstruction.
-        """
-        from repro.engine import shm
-
-        return shm.decode_shared(payload, copy=copy)
-
     # ------------------------------------------------------------------
     # Bulk operations
     # ------------------------------------------------------------------

@@ -125,7 +125,9 @@ class EngineConf:
                 f"record_format must be 'list' or 'columnar',"
                 f" got {self.record_format!r}"
             )
-        if self.aqe_target_partition_bytes <= 0:
+        # Each check states what is legal, so NaN (every comparison False)
+        # is rejected; inf stays legal (a node that never fails).
+        if not self.aqe_target_partition_bytes > 0:
             raise ConfigurationError(
                 f"aqe_target_partition_bytes must be > 0,"
                 f" got {self.aqe_target_partition_bytes}"
@@ -141,13 +143,13 @@ class EngineConf:
         if not 0.0 <= self.node_failure_rate <= 1.0:
             raise ConfigurationError("node_failure_rate must be in [0, 1]")
         for name, when in (self.node_failure_times or {}).items():
-            if when < 0:
+            if not when >= 0:
                 raise ConfigurationError(
                     f"node_failure_times[{name!r}] must be >= 0 (got {when})"
                 )
-        if self.node_recovery_delay < 0:
+        if not self.node_recovery_delay >= 0:
             raise ConfigurationError("node_recovery_delay must be >= 0")
-        if self.memory_budget is not None and self.memory_budget <= 0:
+        if self.memory_budget is not None and not self.memory_budget > 0:
             raise ConfigurationError(
                 f"memory_budget must be > 0 bytes, got {self.memory_budget}"
             )
@@ -331,12 +333,6 @@ class AnalyticsContext:
         from repro.engine.rdd import UnionRDD
 
         return UnionRDD(self, list(rdds))
-
-    def accumulator(self, zero: Any = 0, add_op=None, name: str = "acc"):
-        """Create a write-only shared counter (see engine.accumulators)."""
-        from repro.engine.accumulators import make_accumulator
-
-        return make_accumulator(zero, add_op, name)
 
     def broadcast(self, value: Any) -> Broadcast:
         """Ship a value to every worker, recording the network traffic."""

@@ -1,6 +1,6 @@
 """RDD dependencies: narrow vs shuffle.
 
-Narrow dependencies (map, filter, union, coalesce) let a child partition
+Narrow dependencies (map, filter, union) let a child partition
 be computed from a bounded set of parent partitions on one machine, so
 chains of them fuse into a single stage. Shuffle (wide) dependencies
 (reduceByKey, join, sortByKey) need an all-to-all exchange and therefore
@@ -99,25 +99,6 @@ class SubsetDependency(NarrowDependency):
         return [self.kept[split]]
 
 
-class CoalesceDependency(NarrowDependency):
-    """Child partition *i* merges a contiguous slice of parent partitions.
-
-    Used by ``coalesce(n)`` without shuffle: parent partitions are divided
-    into ``n`` contiguous groups.
-    """
-
-    def __init__(self, parent: "RDD", num_child_partitions: int) -> None:
-        super().__init__(parent)
-        self.num_child_partitions = num_child_partitions
-
-    def parent_partitions(self, split: int) -> List[int]:
-        n_parent = self.parent.num_partitions
-        n_child = self.num_child_partitions
-        start = (split * n_parent) // n_child
-        end = ((split + 1) * n_parent) // n_child
-        return list(range(start, end))
-
-
 class Aggregator:
     """Combine functions for an aggregating shuffle (Spark's Aggregator).
 
@@ -147,11 +128,6 @@ class Aggregator:
         self.merge_value = merge_value
         self.merge_combiners = merge_combiners
         self.numeric_add = numeric_add
-
-    @classmethod
-    def from_reduce_fn(cls, fn: Callable, numeric_add: bool = False) -> "Aggregator":
-        """Aggregator for ``reduceByKey(fn)`` semantics."""
-        return cls(lambda v: v, fn, fn, numeric_add=numeric_add)
 
 
 class ShuffleDependency(Dependency):

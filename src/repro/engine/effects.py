@@ -4,9 +4,9 @@ With ``EngineConf.physical_parallelism > 1`` the task scheduler executes
 the bodies of concurrently-granted attempts on a thread pool. Running
 task code concurrently is only sound if it cannot race on shared engine
 state — so while a worker thread runs, every touch of shared state
-(block-store reads/writes, shuffle fetches/puts, reported facts,
-accumulator adds) is *recorded* into the attempt's :class:`TaskEffects`
-instead of being performed. The scheduler then **applies** each
+(block-store reads/writes, shuffle fetches/puts, reported facts) is
+*recorded* into the attempt's :class:`TaskEffects` instead of being
+performed. The scheduler then **applies** each
 attempt's effects on the driver thread in grant order — the exact order
 serial execution would have produced — after validating that nothing
 the thread read has changed underneath it. Invalid (or failed) attempts
@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 #                                    - replayed via put_map_output; the
 #                                      returned byte count feeds the
 #                                      task's shuffle-write note.
-#   ("acc", accumulator, value)      - an accumulator fold.
 #   ("zone_map", key, split, stats)  - zone-map statistics of one scanned
 #                                      partition; replayed as a put into
 #                                      ctx.zone_maps (idempotent: stats

@@ -196,8 +196,6 @@ class TaskRunner:
                 eff.tctx.note_shuffle_write(written)
             elif tag == "shuffle_read":
                 pass  # validation-only
-            elif tag == "acc":
-                op[1]._fold(op[2])
             elif tag == "zone_map":
                 _, key, split, stats = op
                 ctx.zone_maps.put(key, split, stats)

@@ -352,22 +352,3 @@ class RangePartitioner(Partitioner):
                 bounds.append(key)
         return cls(num_partitions, bounds)
 
-
-def make_partitioner(
-    kind: str,
-    num_partitions: int,
-    sample_keys: Optional[Iterable[Any]] = None,
-    seed: int = 0,
-) -> Partitioner:
-    """Factory used when applying a CHOPPER config tuple.
-
-    ``kind`` is ``"hash"`` or ``"range"``; range construction requires
-    ``sample_keys`` to estimate split points from.
-    """
-    if kind == "hash":
-        return HashPartitioner(num_partitions)
-    if kind == "range":
-        if sample_keys is None:
-            raise ConfigurationError("range partitioner requires sample keys")
-        return RangePartitioner.from_sample(sample_keys, num_partitions, seed=seed)
-    raise ConfigurationError(f"unknown partitioner kind {kind!r}")

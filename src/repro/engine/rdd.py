@@ -29,7 +29,6 @@ from repro.common.sizing import estimate_partition_size, estimate_size
 from repro.engine.batch import RecordBatch
 from repro.engine.dependencies import (
     Aggregator,
-    CoalesceDependency,
     Dependency,
     NarrowDependency,
     OneToOneDependency,
@@ -252,11 +251,6 @@ class RDD:
 
     persist = cache
 
-    def unpersist(self) -> "RDD":
-        self._cached = False
-        self.ctx.block_store.evict_rdd(self.id)
-        return self
-
     @property
     def is_cached(self) -> bool:
         return self._cached
@@ -364,80 +358,8 @@ class RDD:
             cost=cost,
         )
 
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Bernoulli sample of each partition (deterministic per split)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise WorkloadError(f"sample fraction must be in [0, 1], got {fraction}")
-
-        def _sample(split: int, recs: List) -> List:
-            rng = seeded_rng(derive_seed(seed, "sample", split))
-            mask = rng.random(len(recs)) < fraction
-            return [r for r, keep in zip(recs, mask) if keep]
-
-        return self.map_partitions(_sample, op_name="sample", preserves_partitioning=True)
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.ctx, [self, other])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with its global index (Spark's zipWithIndex).
-
-        Like Spark, this runs a lightweight counting job first to learn
-        the per-partition offsets.
-        """
-        counts = self.ctx.run_job(self, lambda _s, recs: len(recs))
-        offsets = [0]
-        for count in counts[:-1]:
-            offsets.append(offsets[-1] + count)
-
-        return self.map_partitions(
-            lambda s, recs: [
-                (r, offsets[s] + i) for i, r in enumerate(recs)
-            ],
-            op_name="zipWithIndex",
-        )
-
-    def subtract(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Records of self that do not appear in ``other``."""
-        left = self.map_partitions(
-            lambda _s, recs: [(r, True) for r in recs], op_name="subtractLeft"
-        )
-        right = other.map_partitions(
-            lambda _s, recs: [(r, False) for r in recs], op_name="subtractRight"
-        )
-        grouped = left.cogroup(right, num_partitions=num_partitions)
-        return grouped.map_partitions(
-            lambda _s, recs: [
-                k for k, (mine, theirs) in recs for _ in mine if not theirs
-            ],
-            op_name="subtract",
-        )
-
-    def intersection(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        """Distinct records present in both RDDs."""
-        left = self.map_partitions(
-            lambda _s, recs: [(r, True) for r in recs], op_name="intersectLeft"
-        )
-        right = other.map_partitions(
-            lambda _s, recs: [(r, True) for r in recs], op_name="intersectRight"
-        )
-        grouped = left.cogroup(right, num_partitions=num_partitions)
-        return grouped.map_partitions(
-            lambda _s, recs: [
-                k for k, (mine, theirs) in recs if mine and theirs
-            ],
-            op_name="intersection",
-        )
-
-    def coalesce(self, num_partitions: int, shuffle: bool = False) -> "RDD":
-        """Reduce the partition count, without (default) or with a shuffle."""
-        if shuffle:
-            return self.repartition(num_partitions)
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
 
     def repartition(self, num_partitions: int) -> "RDD":
         """Round-robin reshuffle into ``num_partitions`` partitions."""
@@ -518,24 +440,6 @@ class RDD:
             map_side_combine=map_side_combine,
             op_name="reduceByKey",
             numeric_add=numeric_add,
-        )
-
-    def aggregate_by_key(
-        self,
-        zero: Any,
-        seq_op: Callable,
-        comb_op: Callable,
-        num_partitions: Optional[int] = None,
-        partitioner: Optional[Partitioner] = None,
-    ) -> "RDD":
-        def _create(v: Any) -> Any:
-            return seq_op(_copy_zero(zero), v)
-
-        return self.combine_by_key(
-            _create, seq_op, comb_op,
-            num_partitions=num_partitions,
-            partitioner=partitioner,
-            op_name="aggregateByKey",
         )
 
     def group_by_key(
@@ -625,28 +529,6 @@ class RDD:
             preserves_partitioning=True,
         )
 
-    def left_outer_join(
-        self,
-        other: "RDD",
-        num_partitions: Optional[int] = None,
-        partitioner: Optional[Partitioner] = None,
-    ) -> "RDD":
-        grouped = self.cogroup(other, num_partitions, partitioner)
-
-        def _expand(_s: int, recs: List) -> List:
-            out = []
-            for k, (left, right) in recs:
-                for a in left:
-                    if right:
-                        out.extend((k, (a, b)) for b in right)
-                    else:
-                        out.append((k, (a, None)))
-            return out
-
-        return grouped.map_partitions(
-            _expand, op_name="leftOuterJoin", preserves_partitioning=True
-        )
-
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
@@ -657,12 +539,6 @@ class RDD:
 
     def count(self) -> int:
         return sum(self.ctx.run_job(self, lambda _s, recs: len(recs)))
-
-    def first(self) -> Any:
-        for part in self.ctx.run_job(self, lambda _s, recs: recs[:1]):
-            if part:
-                return part[0]
-        raise WorkloadError("first() on an empty RDD")
 
     def take(self, n: int) -> List:
         out: List = []
@@ -700,58 +576,6 @@ class RDD:
         for p in self.ctx.run_job(self, _part):
             acc = comb_op(acc, p)
         return acc
-
-    def tree_aggregate(
-        self, zero: Any, seq_op: Callable, comb_op: Callable, scale: int = 8
-    ) -> Any:
-        """Aggregate with an intermediate shuffle level (Spark's treeAggregate).
-
-        Partials are combined into ``scale`` groups by a shuffle before the
-        driver merge — the pattern PCA uses, and a shuffle CHOPPER can tune.
-        """
-        if scale < 1:
-            raise WorkloadError("tree_aggregate scale must be >= 1")
-
-        def _part(split: int, recs: List) -> List:
-            acc = _copy_zero(zero)
-            for r in recs:
-                acc = seq_op(acc, r)
-            return [(split % scale, acc)]
-
-        partials = self.map_partitions(_part, op_name="treeAggregatePartials")
-        combined = partials.reduce_by_key(comb_op, num_partitions=scale)
-        acc = _copy_zero(zero)
-        for _k, v in combined.collect():
-            acc = comb_op(acc, v)
-        return acc
-
-    def fold(self, zero: Any, fn: Callable) -> Any:
-        """Aggregate with a zero value and one associative function."""
-        return self.aggregate(zero, fn, fn)
-
-    def take_ordered(self, n: int, key: Optional[Callable] = None) -> List:
-        """The ``n`` smallest records (by ``key``), globally ordered."""
-        key = key or (lambda r: r)
-
-        def _part(_s: int, recs: List) -> List:
-            return sorted(recs, key=key)[: max(n, 0)]
-
-        candidates: List = []
-        for part in self.ctx.run_job(self, _part):
-            candidates.extend(part)
-        return sorted(candidates, key=key)[:n]
-
-    def top(self, n: int, key: Optional[Callable] = None) -> List:
-        """The ``n`` largest records (by ``key``), descending."""
-        key = key or (lambda r: r)
-
-        def _part(_s: int, recs: List) -> List:
-            return sorted(recs, key=key, reverse=True)[: max(n, 0)]
-
-        candidates: List = []
-        for part in self.ctx.run_job(self, _part):
-            candidates.extend(part)
-        return sorted(candidates, key=key, reverse=True)[:n]
 
     def max(self) -> Any:
         return self.reduce(lambda a, b: a if a >= b else b)
@@ -810,15 +634,6 @@ class RDD:
         if count == 0:
             raise WorkloadError("mean() on an empty RDD")
         return total / count
-
-    def count_by_key(self) -> Dict:
-        counts: Dict = {}
-        for part in self.ctx.run_job(
-            self, lambda _s, recs: [(k, 1) for k, _v in recs]
-        ):
-            for k, n in part:
-                counts[k] = counts.get(k, 0) + n
-        return counts
 
     def collect_as_map(self) -> Dict:
         return dict(self.collect())
@@ -1086,27 +901,6 @@ class UnionRDD(RDD):
             if locals_:
                 return dep.parent.materialize(locals_[0], task)
         raise ConfigurationError(f"union split {split} out of range")
-
-
-class CoalescedRDD(RDD):
-    """Merge contiguous groups of parent partitions without a shuffle."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(
-            parent.ctx, [CoalesceDependency(parent, num_partitions)], "coalesce"
-        )
-        self._num_partitions = num_partitions
-
-    @property
-    def num_partitions(self) -> int:
-        return self._num_partitions
-
-    def compute(self, split: int, task: TaskContext) -> List:
-        dep = self.deps[0]
-        records: List = []
-        for parent_split in dep.parent_partitions(split):
-            records.extend(dep.parent.materialize(parent_split, task))
-        return records
 
 
 class PartitionSubsetRDD(RDD):

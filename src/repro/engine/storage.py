@@ -223,10 +223,6 @@ class SpillManager:
     # Budget / admission
     # ------------------------------------------------------------------
 
-    @property
-    def resident_bytes(self) -> float:
-        return self._resident_bytes
-
     def admit(self, block: SpillableBlock, key: tuple) -> None:
         """Track a new resident payload; spill LRU past the budget.
 
@@ -452,9 +448,6 @@ class BlockStore:
         block = self._index.get((rdd_id, split))
         return block.node if block else None
 
-    def contains(self, rdd_id: int, split: int) -> bool:
-        return (rdd_id, split) in self._index
-
     def evict_rdd(self, rdd_id: int) -> int:
         """Drop all partitions of one RDD; returns the number evicted."""
         keys = [k for k in self._index if k[0] == rdd_id]
@@ -487,9 +480,6 @@ class BlockStore:
                 keys.append(key)
         self._node_bytes.pop(node, None)
         return len(keys)
-
-    def bytes_on_node(self, node: str) -> float:
-        return self._node_bytes.get(node, 0.0)
 
     def total_bytes(self) -> float:
         return sum(self._node_bytes.values())

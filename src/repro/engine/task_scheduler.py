@@ -718,9 +718,6 @@ class TaskScheduler:
         self.ctx.obs.event("node_recovered", node=name)
         self._dispatch()
 
-    def node_alive(self, name: str) -> bool:
-        return self._executors[name].alive
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
@@ -751,10 +748,6 @@ class TaskScheduler:
     # ------------------------------------------------------------------
     # Introspection (tests, utilization accounting)
     # ------------------------------------------------------------------
-
-    @property
-    def queued_tasks(self) -> int:
-        return len(self._queue)
 
     def free_cores(self, node: str) -> int:
         return self._executors[node].free_cores

@@ -3,7 +3,7 @@
 Four sinks, fed by the engine through one hub rather than by ad-hoc
 state scattered across schedulers: :class:`Tracer` (a span model with a
 Chrome-trace exporter keyed on simulated time), :class:`MetricsRegistry`
-(counters, gauges, histograms; JSON / Prometheus / OTLP export),
+(counters, gauges, histograms; a JSON snapshot),
 :class:`EventLog` (structured JSONL records) and :class:`LedgerCollector`
 (one run's :class:`RunLedger` entry). :class:`ResourceProfiler` measures
 the host, not the simulation.
@@ -29,10 +29,8 @@ from repro.obs.diagnostics import (
     detect_stragglers,
     diff_runs,
     gini,
-    model_drift,
     partition_skew,
 )
-from repro.obs.export import to_otlp, to_prometheus, validate_prometheus
 from repro.obs.ledger import LEDGER_VERSION, LedgerCollector, RunLedger
 from repro.obs.log import DEBUG, ERROR, INFO, WARNING, EventLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -253,11 +251,7 @@ __all__ = [
     "detect_stragglers",
     "diff_runs",
     "gini",
-    "model_drift",
     "partition_skew",
     "save_chrome_trace",
     "to_chrome",
-    "to_otlp",
-    "to_prometheus",
-    "validate_prometheus",
 ]

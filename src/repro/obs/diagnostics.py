@@ -1,6 +1,6 @@
 """Analysis passes over run-ledger entries.
 
-Three detectors plus a run-to-run regression check, all operating on the
+Two detectors plus a run-to-run regression check, all operating on the
 plain-dict entries :class:`~repro.obs.ledger.RunLedger` stores — no live
 context needed, so a run can be diagnosed long after it finished:
 
@@ -10,10 +10,6 @@ context needed, so a run can be diagnosed long after it finished:
 * :func:`detect_stragglers` — per stage, task-duration outliers against
   a quantile-derived threshold (default: tasks slower than 2x the
   median, provided they also clear the stage's p95);
-* :func:`model_drift` — per (stage signature, partitioner kind), the
-  trend of the cost model's relative time residuals across successive
-  ledger entries: a fit that keeps getting worse signals the workload
-  drifted away from its training data;
 * :func:`diff_runs` — wall-clock and shuffle-volume comparison of two
   entries with a regression threshold, for CI gating.
 """
@@ -234,88 +230,6 @@ def detect_stragglers(
                     ),
                 )
             )
-    return findings
-
-
-@dataclass
-class DriftFinding:
-    """Residual trend of one (signature, partitioner kind) model."""
-
-    signature: str
-    partitioner: str
-    n_runs: int
-    mean_abs_rel_residual: float
-    slope: float  # per-run change of the relative residual
-    flagged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "partitioner": self.partitioner,
-            "n_runs": self.n_runs,
-            "mean_abs_rel_residual": self.mean_abs_rel_residual,
-            "slope": self.slope,
-            "flagged": self.flagged,
-        }
-
-
-def model_drift(
-    entries: Sequence[Dict[str, Any]],
-    min_runs: int = 3,
-    slope_threshold: float = 0.05,
-    residual_threshold: float = 0.5,
-) -> List[DriftFinding]:
-    """Residual trends across the ledger, per stage-model.
-
-    For every (stage signature, partitioner kind) with a ``model_eval``
-    block in at least ``min_runs`` entries, fit a line to the relative
-    time residual ``(actual − predicted) / actual`` over the entry
-    sequence. ``flagged`` when the residual grows faster than
-    ``slope_threshold`` per run, or its mean magnitude already exceeds
-    ``residual_threshold`` — either way the fitted model no longer
-    describes what the engine does, and retraining is due.
-    """
-    series: Dict[tuple, List[float]] = {}
-    for entry in entries:
-        eval_block = entry.get("model_eval")
-        if not eval_block:
-            continue
-        for row in eval_block.get("per_stage", []):
-            actual = row.get("actual_time", 0.0)
-            if actual <= 0:
-                continue
-            rel = (actual - row.get("predicted_time", 0.0)) / actual
-            series.setdefault(
-                (row["signature"], row.get("partitioner", "hash")), []
-            ).append(rel)
-
-    findings: List[DriftFinding] = []
-    for (signature, kind), residuals in sorted(series.items()):
-        if len(residuals) < min_runs:
-            continue
-        n = len(residuals)
-        xs = range(n)
-        x_mean = (n - 1) / 2.0
-        y_mean = sum(residuals) / n
-        var = sum((x - x_mean) ** 2 for x in xs)
-        slope = (
-            sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, residuals))
-            / var
-            if var > 0
-            else 0.0
-        )
-        mean_abs = sum(abs(r) for r in residuals) / n
-        findings.append(
-            DriftFinding(
-                signature=signature,
-                partitioner=kind,
-                n_runs=n,
-                mean_abs_rel_residual=mean_abs,
-                slope=slope,
-                flagged=abs(slope) > slope_threshold
-                or mean_abs > residual_threshold,
-            )
-        )
     return findings
 
 

@@ -109,11 +109,6 @@ class Histogram:
         self._cap: int = cap
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
 
-    @property
-    def capped(self) -> bool:
-        """Has the reservoir kicked in (quantiles now approximate)?"""
-        return self.count > self._cap
-
     def observe(self, value: float) -> None:
         _check_finite("histogram observations", value)
         self.count += 1
@@ -282,11 +277,6 @@ class MetricsRegistry:
         for _key, instrument in sorted(series.items()):
             total += instrument.value
         return total
-
-    def gauge_value(self, name: str, **labels: Any) -> float:
-        series = self._gauges.get(name, {})
-        instrument = series.get(_label_key(labels))
-        return instrument.value if instrument is not None else 0.0
 
     def counter_labels(self, name: str) -> Dict[LabelKey, float]:
         """All (label set -> value) series of one counter name.

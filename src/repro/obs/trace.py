@@ -82,11 +82,6 @@ class Tracer:
         self._horizon = 0.0
         self._nodes: Dict[str, int] = {}
 
-    @property
-    def horizon(self) -> float:
-        """Largest (shifted) end time seen so far."""
-        return self._horizon
-
     def declare_nodes(self, nodes: Dict[str, int]) -> None:
         """Declare node -> core-count so every core gets a named lane."""
         self._nodes.update(nodes)

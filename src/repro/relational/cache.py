@@ -203,12 +203,6 @@ class SQLiteCacheBackend:
                 (MAX_ENTRIES,),
             )
 
-    def delete(self, key: str) -> bool:
-        with self._transaction() as conn:
-            return conn.execute(
-                "DELETE FROM cache_entries WHERE key = ?", (key,)
-            ).rowcount > 0
-
     def clear(self) -> int:
         with self._transaction() as conn:
             return conn.execute("DELETE FROM cache_entries").rowcount

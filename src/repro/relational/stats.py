@@ -260,11 +260,6 @@ class RangeLayout:
     def num_partitions(self) -> int:
         return len(self.bounds) + 1
 
-    @classmethod
-    def from_partitioner(cls, column: str, partitioner) -> "RangeLayout":
-        """Layout matching a RangePartitioner's (deduplicated) bounds."""
-        return cls(column=column, bounds=tuple(partitioner.bounds))
-
     def _interval_stats(self, split: int) -> ColumnStats:
         """The split's key interval as a (conservative) zone-map entry.
 

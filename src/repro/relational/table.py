@@ -494,23 +494,11 @@ class Table:
     # Actions
     # ------------------------------------------------------------------
 
-    def limit(self, n: int) -> List[Tuple]:
-        limited = self._with_plan(Limit(self.plan, n))
-        return limited.rdd.take(n)
-
     def collect(self) -> List[Tuple]:
         return self.rdd.collect()
 
     def count(self) -> int:
         return self.rdd.count()
-
-    def show(self, n: int = 10) -> str:
-        """A small formatted preview (returned, not printed)."""
-        rows = self.limit(n)
-        header = " | ".join(self.schema)
-        lines = [header, "-" * len(header)]
-        lines.extend(" | ".join(str(v) for v in row) for row in rows)
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Table(schema={list(self.schema)})"

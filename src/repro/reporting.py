@@ -1,4 +1,4 @@
-"""Plain-text run reports: stage tables, task Gantt charts, comparisons.
+"""Plain-text run reports: stage tables and task Gantt charts.
 
 Everything renders to monospace text (no plotting dependencies), which
 is what the benchmark harness saves and what a terminal user reads:
@@ -8,9 +8,7 @@ is what the benchmark harness saves and what a terminal user reads:
 * :func:`gantt` — an ASCII timeline of task execution per node, the
   quickest way to *see* wave quantization, stragglers, and idle cores;
 * :func:`utilization_report` — the Figs. 11-14 series summarized per
-  node;
-* :func:`comparison_report` — vanilla-vs-CHOPPER side by side, the
-  Fig. 7/8 view.
+  node.
 """
 
 from __future__ import annotations
@@ -121,40 +119,6 @@ def utilization_report(ctx: AnalyticsContext, buckets: int = 40) -> str:
         ])
     return _table(
         ["node", "cores", "cpu", "mem (avg)", "net MB/s", "disk tx/s"], rows
-    )
-
-
-def comparison_report(
-    vanilla_stages: Sequence[StageStats],
-    chopper_stages: Sequence[StageStats],
-) -> str:
-    """Side-by-side per-stage comparison (the Fig. 8 / Fig. 10 view)."""
-    rows: List[List[str]] = []
-    n = max(len(vanilla_stages), len(chopper_stages))
-    for i in range(n):
-        v = vanilla_stages[i] if i < len(vanilla_stages) else None
-        c = chopper_stages[i] if i < len(chopper_stages) else None
-        delta = ""
-        if v and c and v.duration > 0:
-            delta = f"{(1 - c.duration / v.duration) * 100:+.1f}%"
-        rows.append([
-            i,
-            fmt_duration(v.duration) if v else "-",
-            v.num_partitions if v else "-",
-            fmt_duration(c.duration) if c else "-",
-            c.num_partitions if c else "-",
-            delta,
-        ])
-    v_total = sum(s.duration for s in vanilla_stages)
-    c_total = sum(s.duration for s in chopper_stages)
-    table = _table(
-        ["stage", "vanilla", "P", "chopper", "P", "delta"], rows
-    )
-    overall = (1 - c_total / v_total) * 100 if v_total > 0 else 0.0
-    return (
-        f"{table}\n"
-        f"totals: vanilla {fmt_duration(v_total)}, "
-        f"chopper {fmt_duration(c_total)} ({overall:+.1f}%)"
     )
 
 

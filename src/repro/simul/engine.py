@@ -83,9 +83,3 @@ class SimEngine:
         if self._running:
             raise SchedulingError("cannot clear a running SimEngine")
         self._heap.clear()
-
-    def reset(self) -> None:
-        """Clear the clock and all pending events (e.g. between jobs)."""
-        self.clear()
-        self._now = 0.0
-        self._seq = 0

@@ -82,11 +82,6 @@ class MetricsRecorder:
         self._points[(series, node)].append((time, value))
         self._horizon = max(self._horizon, time)
 
-    @property
-    def horizon(self) -> float:
-        """Latest timestamp seen across all samples."""
-        return self._horizon
-
     def nodes(self, series: str) -> List[str]:
         found = {node for (s, node) in self._intervals if s == series}
         found |= {node for (s, node) in self._points if s == series}

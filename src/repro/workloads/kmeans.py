@@ -54,9 +54,6 @@ class KMeansWorkload(Workload):
         records = self.check_physical_records(physical_records)
         self.physical_records = max(64, int(records * physical_scale))
 
-    def expected_stage_count(self) -> int:
-        return 2 + 2 * self.init_rounds + 2 * self.lloyd_iterations + 2
-
     def run(self, ctx: AnalyticsContext, scale: float = 1.0) -> WorkloadResult:
         gen = KMeansDataGen(
             virtual_bytes=self.virtual_bytes(scale),

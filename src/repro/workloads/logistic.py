@@ -44,9 +44,6 @@ class LogisticRegressionWorkload(Workload):
         records = self.check_physical_records(physical_records)
         self.physical_records = max(128, int(records * physical_scale))
 
-    def expected_stage_count(self) -> int:
-        return 1 + 2 * self.iterations + 1
-
     def run(self, ctx: AnalyticsContext, scale: float = 1.0) -> WorkloadResult:
         gen = LabeledDataGen(
             virtual_bytes=self.virtual_bytes(scale),

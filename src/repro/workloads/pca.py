@@ -6,9 +6,10 @@ uncorrelated set of vectors from a set of possibly correlated ones"
 (§IV). Stage layout at the defaults (12 stage executions):
 
 * stage 0 — load, parse, cache (count);
-* stages 1-2 — column means via ``tree_aggregate`` (shuffle + result);
-* stages 3-4 — covariance accumulation via ``tree_aggregate`` of
-  centered outer products (the compute-heavy pass);
+* stages 1-2 — column means via a shuffled sum of per-partition partials
+  (shuffle + result);
+* stages 3-4 — covariance accumulation, the same way, of centered outer
+  products (the compute-heavy pass);
 * stages 5-10 — three distributed power-method iterations for the
   leading principal components (each a shuffled aggregate of x (x . v));
 * stage 11 — final explained-variance pass (narrow).
@@ -50,9 +51,6 @@ class PCAWorkload(Workload):
         self.agg_scale = agg_scale
         records = self.check_physical_records(physical_records)
         self.physical_records = max(64, int(records * physical_scale))
-
-    def expected_stage_count(self) -> int:
-        return 1 + 2 + 2 + 2 * self.power_iterations + 1
 
     def run(self, ctx: AnalyticsContext, scale: float = 1.0) -> WorkloadResult:
         gen = PCADataGen(
@@ -121,9 +119,8 @@ class PCAWorkload(Workload):
     ):
         """Shuffled aggregation of a per-partition numpy reduction.
 
-        Built on map_partitions + reduceByKey rather than tree_aggregate
-        so the partials are computed blockwise (vectorized) and the
-        compute weight can be declared.
+        Built on map_partitions + reduceByKey so the partials are computed
+        blockwise (vectorized) and the compute weight can be declared.
         """
         scale = self.agg_scale
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chopper import ChopperRunner, WorkloadDB
-from repro.chopper.stats import RunRecord, StageObservation, StatisticsCollector
+from repro.chopper.stats import RunRecord, StatisticsCollector
 from repro.engine import EngineConf
 from repro.obs import RunLedger
 from repro.workloads import (
@@ -20,7 +20,7 @@ class TestStatisticsCollector:
             pairs = ctx.parallelize([(i % 3, 1) for i in range(60)], 4)
             pairs.reduce_by_key(lambda a, b: a + b, 2).collect()
         record = collector.record
-        assert record.stage_count == 2
+        assert len(record.observations) == 2
         assert [o.kind for o in record.observations] == ["shuffle_map", "result"]
         assert record.total_time == ctx.now
 
@@ -38,7 +38,7 @@ class TestStatisticsCollector:
         ctx.parallelize(range(10), 2).collect()
         collector.finish(ctx)
         ctx.parallelize(range(10), 2).collect()
-        assert collector.record.stage_count == 1
+        assert len(collector.record.observations) == 1
 
     def test_total_time_excludes_prior_work(self, ctx):
         ctx.parallelize(range(1000), 4).collect()
@@ -48,21 +48,6 @@ class TestStatisticsCollector:
         with collector.attached(ctx):
             ctx.parallelize(range(1000), 4).collect()
         assert collector.record.total_time == pytest.approx(ctx.now - before)
-
-    def test_by_signature_grouping(self):
-        record = RunRecord(workload="w", input_bytes=1.0)
-        for i, sig in enumerate(["a", "b", "a"]):
-            record.observations.append(
-                StageObservation(
-                    signature=sig, kind="result", partitioner_kind=None,
-                    input_bytes=1.0, num_partitions=1, duration=1.0,
-                    shuffle_bytes=0.0, order=i,
-                )
-            )
-        grouped = record.by_signature()
-        assert len(grouped["a"]) == 2
-        assert len(grouped["b"]) == 1
-
 
 class TestLedgerReplay:
     """The ledger is CHOPPER's memory of past runs (§III-B)."""
@@ -94,7 +79,7 @@ class TestLedgerReplay:
         live = runner.run_vanilla().record
         (entry,) = runner.ledger.entries()
         assert sorted(s["attempt"] for s in entry["stages"]) == attempts
-        assert live.stage_count == len(attempts) - 1
+        assert len(live.observations) == len(attempts) - 1
         assert max(o.cogroup_sides for o in live.observations) == cogroup_sides
         # Dataclass equality: every float survives JSON exactly.
         assert RunRecord.from_ledger_entry(entry) == live

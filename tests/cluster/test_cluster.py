@@ -52,16 +52,6 @@ class TestTopology:
         topo = Topology(self._nodes())
         assert topo.bandwidth("fast", "fast") > 10 * GBPS
 
-    def test_link_override(self):
-        topo = Topology(self._nodes())
-        topo.set_link("fast", "slow", 5.0)
-        assert topo.bandwidth("slow", "fast") == 5.0
-
-    def test_transfer_time(self):
-        topo = Topology(self._nodes())
-        assert topo.transfer_time("fast", "slow", 1 * GBPS) == pytest.approx(1.0)
-        assert topo.transfer_time("fast", "slow", 0) == 0.0
-
     def test_duplicate_names_rejected(self):
         nodes = self._nodes() + [
             NodeSpec("fast", cores=1, speed=1.0, memory=GB, net_bw=GBPS,
@@ -79,7 +69,7 @@ class TestTopology:
 class TestPaperCluster:
     def test_six_nodes_section_2b(self):
         cluster = paper_cluster()
-        assert cluster.worker_names == ["A", "B", "C", "D", "E"]
+        assert [w.name for w in cluster.workers] == ["A", "B", "C", "D", "E"]
         assert cluster.master.name == "F"
 
     def test_core_inventory(self):

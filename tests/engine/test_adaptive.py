@@ -215,17 +215,17 @@ class TestPlanPartitions:
 class TestAdaptiveTaskSpec:
     def test_plain(self):
         spec = AdaptiveTaskSpec(splits=(3,))
-        assert spec.is_plain and not spec.is_slice
+        assert not spec.is_slice
 
     def test_slice(self):
         spec = AdaptiveTaskSpec(
             splits=(3,), map_range=(0, 2), shuffle_id=1, n_slices=2
         )
-        assert spec.is_slice and not spec.is_plain
+        assert spec.is_slice
 
     def test_coalesced(self):
         spec = AdaptiveTaskSpec(splits=(3, 4, 5))
-        assert not spec.is_plain and not spec.is_slice
+        assert not spec.is_slice
 
 
 class TestSplittableShuffle:

@@ -68,10 +68,10 @@ def assert_context_usable(ctx) -> None:
     """A job that died left nothing behind; the next job just runs."""
     scheduler = ctx.task_scheduler
     for worker in ctx.cluster.workers:
-        if scheduler.node_alive(worker.name):
+        if scheduler._executors[worker.name].alive:
             assert scheduler.free_cores(worker.name) == worker.cores
     assert ctx.sim.pending() == 0
-    assert scheduler.queued_tasks == 0
+    assert len(scheduler._queue) == 0
     out = ctx.parallelize(range(100), 4).map(lambda x: x + 2).collect()
     assert sum(out) == 5150
 
@@ -183,7 +183,7 @@ class TestNodeLossRecovery:
             for task in stats.tasks:
                 if task.node == "w0":
                     assert task.start < kill_time
-        assert not ctx.task_scheduler.node_alive("w0")
+        assert not ctx.task_scheduler._executors["w0"].alive
 
     def test_stage_abort_when_attempts_exhausted(self, monkeypatch):
         monkeypatch.setattr(dag_scheduler, "MAX_STAGE_ATTEMPTS", 1)
@@ -288,7 +288,7 @@ class TestNodeRecovery:
         )
         assert shuffle_job(ctx) == EXPECTED
         assert ctx.task_scheduler.nodes_lost == 1
-        assert ctx.task_scheduler.node_alive("w0")
+        assert ctx.task_scheduler._executors["w0"].alive
         assert ctx.obs.metrics.counter_value("scheduler.nodes_recovered") == 1
 
     def test_recovery_after_job_end_happens_at_next_job(self):
@@ -300,10 +300,10 @@ class TestNodeRecovery:
         )
         assert shuffle_job(ctx) == EXPECTED
         assert ctx.now < 1.5  # the deadline lies beyond this job
-        assert not ctx.task_scheduler.node_alive("w0")
+        assert not ctx.task_scheduler._executors["w0"].alive
         assert shuffle_job(ctx) == EXPECTED
         assert ctx.now > 1.5
-        assert ctx.task_scheduler.node_alive("w0")
+        assert ctx.task_scheduler._executors["w0"].alive
 
     def test_recovered_node_takes_new_work(self):
         ctx = make_ctx(

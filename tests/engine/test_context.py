@@ -20,11 +20,23 @@ class TestEngineConf:
         with pytest.raises(ConfigurationError):
             EngineConf(task_failure_rate=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("node_failure_times", {"B": float("nan")}),
+        ("node_recovery_delay", float("nan")),
+        ("aqe_target_partition_bytes", float("nan")),
+        ("memory_budget", float("nan")),
+    ])
+    def test_nan_is_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConf(**{field: value})
+        # inf stays legal: a node that never fails.
+        EngineConf(node_failure_times={"B": float("inf")})
+
 
 class TestContext:
     def test_default_cluster_is_paper_testbed(self):
         ctx = AnalyticsContext()
-        assert ctx.cluster.worker_names == ["A", "B", "C", "D", "E"]
+        assert [w.name for w in ctx.cluster.workers] == ["A", "B", "C", "D", "E"]
 
     def test_counters_are_unique(self, ctx):
         ids = {ctx.next_rdd_id() for _ in range(10)}

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.engine import HashPartitioner, RangePartitioner, make_partitioner
+from repro.engine import HashPartitioner, RangePartitioner
 from repro.engine.partitioner import stable_hash
 
 
@@ -151,21 +151,3 @@ class TestRangePartitioner:
         partitions = [part.partition(k) for k in ordered]
         assert partitions == sorted(partitions)
 
-
-class TestMakePartitioner:
-    def test_hash(self):
-        part = make_partitioner("hash", 5)
-        assert isinstance(part, HashPartitioner)
-        assert part.num_partitions == 5
-
-    def test_range_requires_sample(self):
-        with pytest.raises(ConfigurationError):
-            make_partitioner("range", 5)
-
-    def test_range_with_sample(self):
-        part = make_partitioner("range", 3, sample_keys=range(100))
-        assert isinstance(part, RangePartitioner)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_partitioner("zigzag", 3)

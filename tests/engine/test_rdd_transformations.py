@@ -1,11 +1,9 @@
 """Correctness tests for RDD transformations (values, not timing)."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import uniform_cluster
-from repro.common.errors import WorkloadError
 from repro.engine import AnalyticsContext, EngineConf, HashPartitioner
 
 
@@ -64,30 +62,10 @@ class TestNarrowOps:
         assert unioned.num_partitions == 3
         assert sorted(unioned.collect()) == [1, 2, 3]
 
-    def test_coalesce_merges_contiguously(self, ctx):
-        rdd = ctx.parallelize(range(8), num_partitions=8).coalesce(3)
-        assert rdd.num_partitions == 3
-        assert sorted(rdd.collect()) == list(range(8))
-
-    def test_coalesce_no_op_when_growing(self, ctx):
-        rdd = ctx.parallelize(range(4), num_partitions=2)
-        assert rdd.coalesce(10) is rdd
-
     def test_repartition_changes_count_and_keeps_data(self, ctx):
         rdd = ctx.parallelize(range(20), num_partitions=2).repartition(5)
         assert rdd.num_partitions == 5
         assert sorted(rdd.collect()) == list(range(20))
-
-    def test_sample_fraction_bounds(self, ctx):
-        with pytest.raises(WorkloadError):
-            ctx.parallelize(range(10)).sample(1.5)
-
-    def test_sample_deterministic(self, ctx):
-        rdd = ctx.parallelize(range(1000), num_partitions=4)
-        a = rdd.sample(0.1, seed=3).collect()
-        b = rdd.sample(0.1, seed=3).collect()
-        assert a == b
-        assert 40 < len(a) < 200
 
 
 class TestShuffleOps:
@@ -101,13 +79,6 @@ class TestShuffleOps:
         grouped = pairs.group_by_key(num_partitions=2).collect_as_map()
         assert sorted(grouped[1]) == ["a", "b"]
         assert grouped[2] == ["c"]
-
-    def test_aggregate_by_key(self, ctx):
-        pairs = ctx.parallelize([(1, 2), (1, 3), (2, 4)], num_partitions=2)
-        out = pairs.aggregate_by_key(
-            0, lambda acc, v: acc + v, lambda a, b: a + b, num_partitions=2
-        )
-        assert out.collect_as_map() == {1: 5, 2: 4}
 
     def test_combine_by_key_with_list_combiners(self, ctx):
         pairs = ctx.parallelize([(1, 1), (1, 2), (2, 3)], num_partitions=2)
@@ -165,13 +136,6 @@ class TestJoins:
         b = ctx.parallelize([(1, "b1"), (1, "b2")], 1)
         out = a.join(b, 2).collect()
         assert len(out) == 4
-
-    def test_left_outer_join(self, ctx):
-        a = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        b = ctx.parallelize([(1, "x")], 1)
-        out = dict(a.left_outer_join(b, 2).collect())
-        assert out[1] == ("a", "x")
-        assert out[2] == ("b", None)
 
     def test_cogroup(self, ctx):
         a = ctx.parallelize([(1, "a")], 1)

@@ -187,7 +187,7 @@ class TestDispatchOrder:
                 sched._dispatch()
                 scan_dispatch(queue, free, alive, model_launch)
                 assert launched == expected
-                assert sched.queued_tasks == len(queue)
+                assert len(sched._queue) == len(queue)
 
 
 class TestFailureInjection:

@@ -55,13 +55,13 @@ class TestRoundTrip:
         shm.cleanup_segments()  # segment gone; the copy must survive
         assert int(arr.sum()) == int(obj.sum())
 
-    def test_record_batch_helpers(self):
+    def test_record_batch_round_trip(self):
         batch = RecordBatch(
             np.arange(8_000, dtype=np.int64),
             np.arange(8_000, dtype=np.float64),
         )
-        payload = batch.to_shared()
-        decoded = RecordBatch.from_shared(payload)
+        payload = shm.encode_shared(batch)
+        decoded = shm.decode_shared(payload)
         assert np.array_equal(decoded.obj.keys, batch.keys)
         assert np.array_equal(decoded.obj.values, batch.values)
         decoded.close()
@@ -73,8 +73,8 @@ class TestRoundTrip:
             np.arange(8_000, dtype=np.int64),
             np.arange(8_000, dtype=np.float64),
         )
-        payload = batch.to_shared()
-        decoded = RecordBatch.from_shared(payload)
+        payload = shm.encode_shared(batch)
+        decoded = shm.decode_shared(payload)
         # The decoded key column is a view, not a copy: no ndarray base
         # owning fresh memory of the same size.
         assert not decoded.obj.keys.flags.owndata

@@ -45,7 +45,7 @@ class TestSpillManager:
         store.put(1, 0, [1, 2, 3], 60.0, "a")
         assert spill.spill_events == 0
         assert not store.get(1, 0).is_spilled
-        assert spill.resident_bytes == 60.0
+        assert spill._resident_bytes == 60.0
 
     def test_lru_spills_past_budget(self, spill):
         store = BlockStore(spill=spill)
@@ -85,7 +85,7 @@ class TestSpillManager:
         block = store.peek(1, 0)
         spill.forget(block)
         spill.forget(block)  # double-forget must not go negative
-        assert spill.resident_bytes == 0.0
+        assert spill._resident_bytes == 0.0
         assert spill.live_spilled_bytes == 0.0
 
     def test_virtual_accounting_unchanged_by_spill(self, spill):
@@ -95,8 +95,8 @@ class TestSpillManager:
         assert spill.spill_events == 1
         # Virtual per-node totals are exactly what an unbudgeted store
         # would report: spilling is simulation-invisible.
-        assert store.bytes_on_node("a") == 70.0
-        assert store.bytes_on_node("b") == 70.0
+        assert store._node_bytes.get("a", 0.0) == 70.0
+        assert store._node_bytes.get("b", 0.0) == 70.0
         assert store.total_bytes() == 140.0
 
     def test_disk_bytes_accounted(self, spill):
@@ -252,7 +252,7 @@ class TestRemoveAndEvictWithSpilledBlocks:
         assert store.peek(1, 0).is_spilled
         assert store.evict_rdd(1) == 2
         assert spill.live_spilled_bytes == 0.0
-        assert spill.resident_bytes == 0.0
+        assert spill._resident_bytes == 0.0
         assert store.total_bytes() == 0.0
 
     def test_evict_node_holding_only_spilled_blocks(self, spill):
@@ -264,13 +264,13 @@ class TestRemoveAndEvictWithSpilledBlocks:
         store.put(2, 0, ["b0"], 60.0, "b")  # spills (1,1): node a all-disk
         assert store.peek(1, 0).is_spilled and store.peek(1, 1).is_spilled
         assert store.evict_node("a") == 2
-        assert store.bytes_on_node("a") == 0.0
+        assert store._node_bytes.get("a", 0.0) == 0.0
         assert "a" not in store._by_node
         assert "a" not in store._node_bytes
         assert spill.live_spilled_bytes == 0.0
         # Double eviction is a no-op, never negative.
         assert store.evict_node("a") == 0
-        assert store.bytes_on_node("a") == 0.0
+        assert store._node_bytes.get("a", 0.0) == 0.0
 
     def test_overwrite_of_spilled_block_does_not_double_count(self, spill):
         store = BlockStore(spill=spill)
@@ -278,8 +278,8 @@ class TestRemoveAndEvictWithSpilledBlocks:
         store.put(1, 1, ["x"], 60.0, "a")  # spills (1,0)
         store.put(1, 0, ["v2"], 30.0, "b")  # replaces the spilled block
         assert store.get(1, 0).records == ["v2"]
-        assert store.bytes_on_node("a") == 60.0
-        assert store.bytes_on_node("b") == 30.0
+        assert store._node_bytes.get("a", 0.0) == 60.0
+        assert store._node_bytes.get("b", 0.0) == 30.0
         assert spill.live_spilled_bytes == 0.0
 
     def test_clear_forgets_spilled_blocks(self, spill):
@@ -287,7 +287,7 @@ class TestRemoveAndEvictWithSpilledBlocks:
         store.put(1, 0, ["a"], 60.0, "a")
         store.put(1, 1, ["b"], 60.0, "a")
         store.clear()
-        assert spill.resident_bytes == 0.0
+        assert spill._resident_bytes == 0.0
         assert spill.live_spilled_bytes == 0.0
 
 
@@ -362,7 +362,7 @@ class TestShuffleSpill:
         lost = mgr.invalidate_node("a")
         assert lost == {0: [0]}
         # The dead node's blocks (spilled or not) left the spill budget.
-        total = spill.resident_bytes + spill.live_spilled_bytes
+        total = spill._resident_bytes + spill.live_spilled_bytes
         assert total == 80.0
 
     def test_replaced_map_output_forgets_old_blocks(self, spill):
@@ -370,7 +370,7 @@ class TestShuffleSpill:
         mgr.register(0, num_maps=1, num_reduces=1)
         mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 1)], 80.0)}))
         mgr.put_map_output(0, 0, "a", map_output({0: ([("k", 9)], 80.0)}))  # re-execution
-        total = spill.resident_bytes + spill.live_spilled_bytes
+        total = spill._resident_bytes + spill.live_spilled_bytes
         assert total == 80.0
         records, _ = mgr.fetch(0, 0, "a")
         assert records == [("k", 9)]

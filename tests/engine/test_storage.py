@@ -25,23 +25,23 @@ def test_missing_returns_none(store):
 def test_location(store):
     store.put(1, 3, [], 10.0, "b")
     assert store.location(1, 3) == "b"
-    assert store.contains(1, 3)
+    assert store.peek(1, 3) is not None
 
 
 def test_node_bytes_accounting(store):
     store.put(1, 0, [], 100.0, "a")
     store.put(1, 1, [], 50.0, "a")
     store.put(2, 0, [], 25.0, "b")
-    assert store.bytes_on_node("a") == 150.0
-    assert store.bytes_on_node("b") == 25.0
+    assert store._node_bytes.get("a", 0.0) == 150.0
+    assert store._node_bytes.get("b", 0.0) == 25.0
     assert store.total_bytes() == 175.0
 
 
 def test_overwrite_replaces_bytes(store):
     store.put(1, 0, [1], 100.0, "a")
     store.put(1, 0, [2], 60.0, "b")
-    assert store.bytes_on_node("a") == 0.0
-    assert store.bytes_on_node("b") == 60.0
+    assert store._node_bytes.get("a", 0.0) == 0.0
+    assert store._node_bytes.get("b", 0.0) == 60.0
     assert store.get(1, 0).records == [2]
 
 
@@ -50,8 +50,8 @@ def test_evict_rdd(store):
     store.put(1, 1, [], 10.0, "a")
     store.put(2, 0, [], 10.0, "a")
     assert store.evict_rdd(1) == 2
-    assert not store.contains(1, 0)
-    assert store.contains(2, 0)
+    assert store.peek(1, 0) is None
+    assert store.peek(2, 0) is not None
     assert store.total_bytes() == 10.0
 
 
@@ -72,7 +72,7 @@ def test_total_bytes_exactly_zero_after_full_eviction(store):
         store.put(1, i, [], nbytes, "a")
     assert store.evict_rdd(1) == len(sizes)
     assert store.total_bytes() == 0.0
-    assert store.bytes_on_node("a") == 0.0
+    assert store._node_bytes.get("a", 0.0) == 0.0
 
 
 def test_evict_node(store):
@@ -80,10 +80,10 @@ def test_evict_node(store):
     store.put(1, 1, [], 10.0, "a")
     store.put(2, 0, [], 10.0, "b")
     assert store.evict_node("a") == 2
-    assert not store.contains(1, 0)
-    assert not store.contains(1, 1)
-    assert store.contains(2, 0)
-    assert store.bytes_on_node("a") == 0.0
+    assert store.peek(1, 0) is None
+    assert store.peek(1, 1) is None
+    assert store.peek(2, 0) is not None
+    assert store._node_bytes.get("a", 0.0) == 0.0
     assert store.total_bytes() == 10.0
     assert store.evict_node("a") == 0
     assert store.evict_node("never-existed") == 0
@@ -97,10 +97,10 @@ class TestLruEviction:
         store = self.capacity_store(100.0)
         store.put(1, 0, ["a"], 60.0, "n")
         store.put(1, 1, ["b"], 60.0, "n")  # evicts (1, 0)
-        assert not store.contains(1, 0)
-        assert store.contains(1, 1)
+        assert store.peek(1, 0) is None
+        assert store.peek(1, 1) is not None
         assert store.evictions == 1
-        assert store.bytes_on_node("n") == 60.0
+        assert store._node_bytes.get("n", 0.0) == 60.0
 
     def test_get_refreshes_recency(self):
         store = self.capacity_store(100.0)
@@ -108,13 +108,13 @@ class TestLruEviction:
         store.put(1, 1, ["b"], 40.0, "n")
         store.get(1, 0)  # touch: (1, 1) becomes LRU
         store.put(1, 2, ["c"], 40.0, "n")
-        assert store.contains(1, 0)
-        assert not store.contains(1, 1)
+        assert store.peek(1, 0) is not None
+        assert store.peek(1, 1) is None
 
     def test_oversized_block_not_cached(self):
         store = self.capacity_store(100.0)
         assert store.put(1, 0, ["x"], 500.0, "n") is False
-        assert not store.contains(1, 0)
+        assert store.peek(1, 0) is None
         assert store.evictions == 0
 
     def test_oversized_replacement_keeps_existing_block(self):
@@ -127,14 +127,14 @@ class TestLruEviction:
         block = store.get(1, 0)
         assert block is not None
         assert block.records == ["small"]
-        assert store.bytes_on_node("n") == 40.0
+        assert store._node_bytes.get("n", 0.0) == 40.0
         assert store.evictions == 0
 
     def test_per_node_capacities_independent(self):
         store = self.capacity_store(100.0)
         store.put(1, 0, ["a"], 80.0, "a")
         store.put(1, 1, ["b"], 80.0, "b")
-        assert store.contains(1, 0) and store.contains(1, 1)
+        assert store.peek(1, 0) is not None and store.peek(1, 1) is not None
 
     def test_unbounded_by_default(self):
         store = BlockStore()

@@ -1,4 +1,4 @@
-"""Tests for the ledger analysis passes: skew, stragglers, drift, diff."""
+"""Tests for the ledger analysis passes: skew, stragglers, diff."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.obs.diagnostics import (
     diff_runs,
     gini,
     max_mean,
-    model_drift,
     partition_skew,
 )
 
@@ -185,56 +184,6 @@ class TestStragglers:
         entry = make_entry([make_stage(durations=durations)])
         outliers = detect_stragglers(entry)[0].outliers
         assert [o["duration"] for o in outliers] == [8.0, 4.0]
-
-
-def eval_entry(rel_residual: float, signature="sig", actual=10.0):
-    """An entry whose model_eval has one row at the given rel residual."""
-    predicted = actual * (1.0 - rel_residual)
-    return make_entry(
-        [],
-        model_eval={
-            "per_stage": [
-                {
-                    "signature": signature,
-                    "partitioner": "hash",
-                    "P": 8,
-                    "predicted_time": predicted,
-                    "actual_time": actual,
-                    "time_residual": actual - predicted,
-                }
-            ]
-        },
-    )
-
-
-class TestModelDrift:
-    def test_stable_residuals_not_flagged(self):
-        entries = [eval_entry(0.01) for _ in range(5)]
-        findings = model_drift(entries)
-        assert len(findings) == 1
-        assert not findings[0].flagged
-        assert findings[0].slope == pytest.approx(0.0)
-
-    def test_growing_residuals_flagged(self):
-        entries = [eval_entry(0.1 * i) for i in range(5)]
-        findings = model_drift(entries)
-        assert findings[0].flagged
-        assert findings[0].slope == pytest.approx(0.1)
-
-    def test_large_constant_residual_flagged(self):
-        entries = [eval_entry(0.8) for _ in range(4)]
-        findings = model_drift(entries)
-        assert findings[0].flagged
-        assert findings[0].mean_abs_rel_residual == pytest.approx(0.8)
-
-    def test_too_few_runs_skipped(self):
-        assert model_drift([eval_entry(0.9), eval_entry(0.9)]) == []
-
-    def test_entries_without_eval_ignored(self):
-        entries = [make_entry([])] + [eval_entry(0.01) for _ in range(3)]
-        findings = model_drift(entries)
-        assert len(findings) == 1
-        assert findings[0].n_runs == 3
 
 
 def timed_entry(run_id, wall, shuffle_write=100.0):

@@ -18,8 +18,9 @@ class TestTracer:
         tr = Tracer()
         tr.on_span(TraceEvent("a", "stage", 0.0, 2.0))
         tr.on_span(TraceEvent("b", "stage", 1.0, 5.0))
-        assert tr.horizon == 5.0
         assert [e.name for e in tr.events] == ["a", "b"]
+        tr.instant("marker", "chopper.optimizer")
+        assert tr.events[-1].start == 5.0
 
     def test_instant_lands_at_horizon(self):
         tr = Tracer()

@@ -145,14 +145,6 @@ class TestOrderingAndDisplay:
         amounts = [r[3] for r in out]
         assert amounts == sorted(amounts, reverse=True)
 
-    def test_limit(self, orders):
-        assert len(orders.limit(2)) == 2
-
-    def test_show(self, orders):
-        text = orders.show(3)
-        assert "order_id" in text
-        assert text.count("\n") >= 3
-
 
 class TestJoinCollisions:
     def test_right_columns_gain_suffix(self, ctx):

@@ -92,14 +92,6 @@ class TestRunUntil:
 
 
 class TestReset:
-    def test_reset_clears_clock_and_events(self):
-        engine = SimEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.schedule(1.0, lambda: None)
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.pending() == 0
 
     def test_clear_drops_events_and_keeps_the_clock(self):
         engine = SimEngine()

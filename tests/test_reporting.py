@@ -4,12 +4,7 @@ import pytest
 
 from repro.cluster import uniform_cluster
 from repro.engine import AnalyticsContext, EngineConf
-from repro.reporting import (
-    comparison_report,
-    gantt,
-    stage_report,
-    utilization_report,
-)
+from repro.reporting import gantt, stage_report, utilization_report
 
 
 @pytest.fixture
@@ -71,19 +66,3 @@ class TestUtilizationReport:
             assert worker.name in text
         assert "cpu" in text and "disk tx/s" in text
 
-
-class TestComparisonReport:
-    def test_side_by_side_with_delta(self, run_ctx):
-        ctx2 = AnalyticsContext(
-            uniform_cluster(n_workers=2, cores=4),
-            EngineConf(default_parallelism=8),
-        )
-        pairs = ctx2.parallelize([(i % 5, i) for i in range(400)], 3)
-        pairs.reduce_by_key(lambda a, b: a + b, 2).collect()
-        text = comparison_report(run_ctx.stage_stats, ctx2.stage_stats)
-        assert "totals:" in text
-        assert "%" in text
-
-    def test_uneven_lengths(self, run_ctx):
-        text = comparison_report(run_ctx.stage_stats, run_ctx.stage_stats[:1])
-        assert "-" in text

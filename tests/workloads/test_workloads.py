@@ -31,7 +31,7 @@ class TestKMeans:
         )
         workload.run(ctx)
         stats = ctx.stage_stats
-        assert len(stats) == workload.expected_stage_count() == 20
+        assert len(stats) == 20
         # Only stages 12-17 (iterations) and 18-19 (final count) shuffle.
         shuffling = [i for i, s in enumerate(stats) if s.shuffle_bytes > 0]
         assert shuffling == [12, 13, 14, 15, 16, 17, 18, 19]
@@ -78,7 +78,7 @@ class TestPCA:
         ctx = make_ctx()
         workload = PCAWorkload(virtual_gb=2.0, physical_records=1200)
         workload.run(ctx)
-        assert len(ctx.stage_stats) == workload.expected_stage_count() == 12
+        assert len(ctx.stage_stats) == 12
 
     def test_recovers_dominant_direction(self):
         ctx = make_ctx()
