@@ -205,6 +205,37 @@ class TestNodeLossRecovery:
         assert sorted(kinds) == ["result", "shuffle_map"]
 
 
+class TestLossOfAnEarlierJobsShuffle:
+    """A job reads map output an earlier job wrote; a node dies under it."""
+
+    @staticmethod
+    def two_jobs(ctx):
+        pairs = ctx.parallelize([(i % N_KEYS, 1) for i in range(N_RECORDS)], 8)
+        counts = pairs.reduce_by_key(lambda a, b: a + b, 6)
+        assert counts.count() == N_KEYS
+        return counts.collect_as_map()
+
+    def test_second_job_recovers_by_lineage(self):
+        baseline = make_ctx()
+        assert self.two_jobs(baseline) == EXPECTED
+        first_job_end = baseline.job_stats[0].completed_at
+        reduce_stats = baseline.stage_stats[-1]
+        # Map-stage-less second job: only its result stage ran.
+        assert [s.kind for s in baseline.job_stats[1].stages] == ["result"]
+        start = min(t.start for t in reduce_stats.tasks)
+        first_end = min(t.end for t in reduce_stats.tasks)
+        kill_time = (start + first_end) / 2.0  # absolute, on the context clock
+        assert first_job_end < kill_time
+
+        ctx = make_ctx(node_failure_times={"w0": kill_time})
+        assert self.two_jobs(ctx) == EXPECTED
+        assert ctx.task_scheduler.nodes_lost == 1
+        assert ctx.dag_scheduler.fetch_failures > 0
+        assert ctx.dag_scheduler.stage_resubmissions >= 1
+        rerun = [s for s in ctx.job_stats[1].stages if s.attempt > 0]
+        assert [s.kind for s in rerun] == ["shuffle_map"]
+
+
 class TestTaskAbort:
     """``failed N times; aborting stage``: the job dies, the context lives."""
 

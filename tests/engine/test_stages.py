@@ -55,6 +55,20 @@ class TestStageFormation:
         assert result.num_partitions == 7
 
 
+class TestShuffleReuse:
+    def test_second_action_on_a_shuffled_rdd_runs_no_map_task(self, ctx):
+        pairs = ctx.parallelize([(i % 5, i) for i in range(100)], 4)
+        r = pairs.reduce_by_key(lambda a, b: a + b, 3)
+        assert r.count() == 5
+        assert job_stage_kinds(ctx) == [SHUFFLE_MAP, RESULT]
+        assert sorted(r.collect()) == [
+            (k, sum(range(k, 100, 5))) for k in range(5)
+        ]
+        # The map output the first job wrote is read again, not rebuilt.
+        assert job_stage_kinds(ctx) == [RESULT]
+        assert len(ctx.stage_stats) == 3
+
+
 class TestSignatures:
     def test_iterations_share_signature(self, ctx):
         """Same-structure stages (paper's KMeans 12-17) share a signature."""
