@@ -397,12 +397,14 @@ class AnalyticsContext:
         """End the run: release its resources and its object graph. Idempotent.
 
         Released: the result cache's pending misses are flushed and its
-        backend closed, cached and shuffle blocks are dropped, spill
+        backend closed, cached blocks and the shuffle blocks still held
+        are dropped (a shuffle whose dependency died before the last job
+        started is already gone: each job start releases those), spill
         files removed, pending simulator events discarded, and the
-        schedulers let go of this context and of the stages (hence RDDs)
-        they cached — so nothing the context owns points back at it, and
-        a closed context is freed by refcount alone once the caller drops
-        it. Close a context only once its results are collected.
+        schedulers let go of this context — so nothing the context owns
+        points back at it, and a closed context is freed by refcount
+        alone once the caller drops it. Close a context only once its
+        results are collected.
 
         Stays readable: ``now``, ``stage_stats``, ``job_stats``,
         ``plan_events``, the metrics recorder and registry, the query

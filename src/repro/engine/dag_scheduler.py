@@ -4,7 +4,9 @@ Faithful to the structure in the paper's Fig. 1: an action submits a job;
 the lineage is cut at shuffle dependencies into ShuffleMapStages plus one
 ResultStage; a stage launches when all its parents have completed; map
 outputs persist, so a shuffle already computed by an earlier job is
-skipped (Spark's stage-skipping).
+skipped (Spark's stage-skipping) for as long as an RDD can still read
+it. Once its dependency is garbage, the next job's start drops it
+(Spark's ContextCleaner).
 
 The two CHOPPER integration points (§III-A — "the scheduler checks the
 Spark configuration file before a stage is executed"):
@@ -124,7 +126,11 @@ class StageRun:
 
 class _JobState:
     def __init__(
-        self, job_id: int, result_fn: Optional[Callable], submitted_at: float
+        self,
+        job_id: int,
+        result_fn: Optional[Callable],
+        submitted_at: float,
+        shuffle_stages: Dict[int, Stage],
     ) -> None:
         self.stats = JobStats(job_id=job_id, submitted_at=submitted_at)
         self.result_fn = result_fn
@@ -133,6 +139,19 @@ class _JobState:
         # Running stages by id (the AQE switch guard needs the objects:
         # a shuffle is only re-bucketed while no running stage reads it).
         self.running: Dict[int, Stage] = {}
+        # Lineage recovery: the map stage behind each shuffle the job
+        # reads, reduce tasks parked on a fetch failure awaiting the
+        # rebuild, and shuffle ids with a resubmission already scheduled.
+        # Per job, so a finished or dead job's stages (and through them
+        # its shuffle dependencies) go with it.
+        self.shuffle_stages = shuffle_stages
+        self.parked: Dict[int, List[Tuple[StageRun, Task]]] = {}
+        self.resubmitting: Set[int] = set()
+        # AQE: the adaptive plan derived at each stage's first full
+        # launch (None = measured sizes asked for no change). Cached by
+        # stage id so any later full launch of the same stage object
+        # reuses the derived plan rather than re-deciding.
+        self.adaptive_plans: Dict[int, Optional["AdaptivePlan"]] = {}
 
     @property
     def done(self) -> bool:
@@ -146,17 +165,6 @@ class DAGScheduler:
         self.ctx = ctx
         self._completed_shuffles: Set[int] = set()
         self._job: Optional[_JobState] = None
-        # Lineage recovery (node loss): the map stage behind each shuffle
-        # id, reduce tasks parked on a fetch failure awaiting the rebuild,
-        # and shuffle ids with a resubmission already scheduled.
-        self._shuffle_stages: Dict[int, Stage] = {}
-        self._parked: Dict[int, List[Tuple[StageRun, Task]]] = {}
-        self._resubmitting: Set[int] = set()
-        # AQE: the adaptive plan derived at each stage's first full
-        # launch (None = measured sizes asked for no change). Cached by
-        # stage id so any later full launch of the same stage object
-        # reuses the derived plan rather than re-deciding.
-        self._adaptive_plans: Dict[int, Optional["AdaptivePlan"]] = {}
         # This context's own tallies (a metrics registry may be shared
         # between contexts).
         self.fetch_failures = 0
@@ -173,6 +181,10 @@ class DAGScheduler:
         self._check_open()
         if self._job is not None:
             raise SchedulingError("nested run_job is not supported")
+        # Shuffles no live RDD can read again are dropped between jobs.
+        self._completed_shuffles.difference_update(
+            self.ctx.shuffle_manager.release_dead()
+        )
         if self.ctx.advisor is not None:
             wall0 = time.perf_counter()
             self.ctx.advisor.rewrite(final_rdd, self.ctx)
@@ -180,8 +192,11 @@ class DAGScheduler:
                 "advisor_rewrite", advisor=type(self.ctx.advisor).__name__,
                 wall_ms=round((time.perf_counter() - wall0) * 1e3, 3),
             )
-        final_stage = self._build_stages(final_rdd)
-        job = _JobState(self.ctx.next_job_id(), result_fn, self.ctx.sim.now)
+        shuffle_stages: Dict[int, Stage] = {}
+        final_stage = self._build(final_rdd, RESULT, None, shuffle_stages)
+        job = _JobState(
+            self.ctx.next_job_id(), result_fn, self.ctx.sim.now, shuffle_stages
+        )
         self._job = job
         self.ctx.obs.event(
             "job_started", job=job.stats.job_id, final_stage=final_stage.name
@@ -205,8 +220,6 @@ class DAGScheduler:
                 # runs at a time, so every pending event is the dead
                 # job's. The clock stays where it stopped.
                 self.ctx.task_scheduler.abort_tasks()
-                self._parked.clear()
-                self._resubmitting.clear()
                 self.ctx.sim.clear()
         job.stats.completed_at = self.ctx.sim.now
         self.ctx.job_stats.append(job.stats)
@@ -215,16 +228,8 @@ class DAGScheduler:
         return job.results
 
     def close(self) -> None:
-        """Drop the context and every stage cached for lineage recovery.
-
-        A stage holds its RDDs and an RDD its context, so the cache would
-        keep a closed context alive in a cycle. The tallies stay readable.
-        """
+        """Drop the context; the tallies stay readable."""
         self.ctx = None
-        self._shuffle_stages.clear()
-        self._parked.clear()
-        self._resubmitting.clear()
-        self._adaptive_plans.clear()
 
     def _check_open(self) -> None:
         if self.ctx is None:
@@ -243,15 +248,12 @@ class DAGScheduler:
         """
         self._check_open()
         ordered: List[Stage] = []
-        _post_order(self._build_stages(final_rdd), set(), ordered)
+        _post_order(self._build(final_rdd, RESULT, None, {}), set(), ordered)
         return ordered
 
     # The graph is built by two mutually recursive methods over an
     # explicit per-job map, not by nested closures: a recursive closure is
     # a function <-> cell cycle that only the cyclic collector frees.
-
-    def _build_stages(self, final_rdd: "RDD") -> Stage:
-        return self._build(final_rdd, RESULT, None, {})
 
     def _build(
         self,
@@ -280,7 +282,6 @@ class DAGScheduler:
         if dep.shuffle_id in self._completed_shuffles:
             stage.completed = True
         stage_by_shuffle[dep.shuffle_id] = stage
-        self._shuffle_stages[dep.shuffle_id] = stage
         return stage
 
     # ------------------------------------------------------------------
@@ -318,7 +319,7 @@ class DAGScheduler:
                 dep.partitioner, delay = dep.pending_scheme.resolve(self.ctx, stage)
                 dep.pending_scheme = None
             self.ctx.shuffle_manager.register(
-                dep.shuffle_id, stage.num_tasks, dep.num_reduce_partitions
+                dep.shuffle_id, stage.num_tasks, dep.num_reduce_partitions, dep
             )
 
         # The launch's (task index, spec) pairs. The static layout is one
@@ -331,11 +332,11 @@ class DAGScheduler:
         # from the measured shuffle inputs, indexed by plan position.
         plan = None
         if self.ctx.conf.adaptive_execution and missing is None:
-            if stage.stage_id not in self._adaptive_plans:
-                self._adaptive_plans[stage.stage_id] = replan(
+            if stage.stage_id not in job.adaptive_plans:
+                job.adaptive_plans[stage.stage_id] = replan(
                     self.ctx, stage, job.running.values()
                 )
-            plan = self._adaptive_plans[stage.stage_id]
+            plan = job.adaptive_plans[stage.stage_id]
         if plan is not None:
             specs = list(enumerate(plan.specs))
         else:
@@ -436,9 +437,11 @@ class DAGScheduler:
             lost_maps=len(failure.map_ids),
         )
         task.attempt += 1
-        self._parked.setdefault(failure.shuffle_id, []).append((stage_run, task))
-        if failure.shuffle_id not in self._resubmitting:
-            self._resubmitting.add(failure.shuffle_id)
+        job = self._job
+        assert job is not None
+        job.parked.setdefault(failure.shuffle_id, []).append((stage_run, task))
+        if failure.shuffle_id not in job.resubmitting:
+            job.resubmitting.add(failure.shuffle_id)
             self.ctx.sim.schedule(
                 STAGE_RESUBMIT_DELAY,
                 self._resubmit_map_stage,
@@ -446,7 +449,8 @@ class DAGScheduler:
             )
 
     def _resubmit_map_stage(self, shuffle_id: int) -> None:
-        stage = self._shuffle_stages[shuffle_id]
+        assert self._job is not None
+        stage = self._job.shuffle_stages[shuffle_id]
         missing = self.ctx.shuffle_manager.missing_map_ids(shuffle_id)
         if not missing:
             # Rebuilt in the meantime (e.g. by a speculative map attempt
@@ -470,8 +474,10 @@ class DAGScheduler:
 
     def _requeue_parked(self, shuffle_id: int) -> None:
         """Release reduce tasks parked on ``shuffle_id`` back to the queue."""
-        self._resubmitting.discard(shuffle_id)
-        parked = self._parked.pop(shuffle_id, None)
+        job = self._job
+        assert job is not None
+        job.resubmitting.discard(shuffle_id)
+        parked = job.parked.pop(shuffle_id, None)
         if not parked:
             return
         by_run: Dict[int, Tuple[StageRun, List[Task]]] = {}

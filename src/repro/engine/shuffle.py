@@ -20,9 +20,10 @@ arrays change where the addends live, never the order they are added in.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from repro.engine import effects
 from repro.engine.batch import RecordBatch, as_record_list
 from repro.engine.storage import SpillableBlock, SpillManager, SpillRef
 from repro.obs import Observability
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.dependencies import ShuffleDependency
 
 # A records container: a list of (k, v) tuples or a columnar RecordBatch.
 Records = Union[List, RecordBatch]
@@ -232,6 +236,9 @@ class _ShuffleState:
     version: int = 0
     # Lazy per-reduce view of ``outputs``; None = stale (rebuilt on use).
     index: Optional[_ReduceIndex] = None
+    # Kept so its callback fires when the dependency dies: then no RDD
+    # can read the shuffle again, and ``release_dead`` drops it.
+    dep: Optional[weakref.ref] = None
 
 
 class ShuffleManager:
@@ -251,14 +258,25 @@ class ShuffleManager:
         # Running count of lost map outputs across all shuffles, so the
         # task scheduler's "is any shuffle degraded?" gate is O(1).
         self._lost_blocks = 0
+        # Ids of shuffles whose dependency died, appended by weakref
+        # callbacks that hold this list, not the manager (no cycle).
+        self._dead: List[int] = []
 
-    def register(self, shuffle_id: int, num_maps: int, num_reduces: int) -> None:
+    def register(
+        self,
+        shuffle_id: int,
+        num_maps: int,
+        num_reduces: int,
+        dep: Optional["ShuffleDependency"] = None,
+    ) -> None:
         """Declare a shuffle's dimensions before its map stage runs.
 
         Re-registration with identical dimensions is a no-op, so a
         resubmitted map stage (lineage recovery) cannot orphan the
         surviving map outputs. Changing the dimensions of a live shuffle
         is an error — it would silently invalidate every stored block.
+        A shuffle registered with its ``dep`` is released by the first
+        :meth:`release_dead` after that dependency is garbage.
         """
         state = self._shuffles.get(shuffle_id)
         if state is not None:
@@ -268,7 +286,10 @@ class ShuffleManager:
                 f"shuffle {shuffle_id} re-registered with different dimensions:"
                 f" {state.num_maps}x{state.num_reduces} -> {num_maps}x{num_reduces}"
             )
-        self._shuffles[shuffle_id] = _ShuffleState(num_maps, num_reduces)
+        state = self._shuffles[shuffle_id] = _ShuffleState(num_maps, num_reduces)
+        if dep is not None:
+            dead = self._dead
+            state.dep = weakref.ref(dep, lambda _ref: dead.append(shuffle_id))
         self._obs.event(
             "shuffle_registered", shuffle=shuffle_id, maps=num_maps, reduces=num_reduces
         )
@@ -515,13 +536,29 @@ class ShuffleManager:
             for map_id, output in sorted(state.outputs.items())
         }
 
+    def release_dead(self) -> List[int]:
+        """Drop every shuffle whose dependency died; returns their ids.
+
+        Called between jobs, so no fetch or :meth:`invalidate_node` is
+        iterating the registry meanwhile.
+        """
+        released = sorted(self._dead)
+        del self._dead[: len(released)]  # callbacks only ever append
+        for shuffle_id in released:
+            self._drop(self._shuffles.pop(shuffle_id))
+        return released
+
     def clear(self) -> None:
-        if self._spill is not None:
-            for state in self._shuffles.values():
-                for output in state.outputs.values():
-                    self._spill.forget(output)
+        for state in self._shuffles.values():
+            self._drop(state)
         self._shuffles.clear()
-        self._lost_blocks = 0
+        self._dead.clear()
+
+    def _drop(self, state: _ShuffleState) -> None:
+        if self._spill is not None:
+            for output in state.outputs.values():
+                self._spill.forget(output)
+        self._lost_blocks -= len(state.lost)
 
     def _state(self, shuffle_id: int) -> _ShuffleState:
         try:

@@ -16,9 +16,11 @@ context needed, so a run can be diagnosed long after it finished:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 # The failure/recovery counters every run maintains; their totals are a
@@ -283,10 +285,17 @@ def diff_runs(
     A regression is a fractional increase beyond the threshold: wall
     clock against ``time_threshold``, total shuffle volume (max of read
     and write, the paper's metric) against ``shuffle_threshold`` (which
-    defaults to the time threshold). Improvements never flag.
+    defaults to the time threshold). Improvements never flag. A
+    threshold that is negative or not finite (NaN would pass every
+    pair) is a :class:`ConfigurationError`.
     """
     if shuffle_threshold is None:
         shuffle_threshold = time_threshold
+    for name, value in (("time", time_threshold), ("shuffle", shuffle_threshold)):
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(
+                f"{name} threshold must be finite and >= 0, got {value}"
+            )
     wall_a = entry_a.get("wall_clock", 0.0)
     wall_b = entry_b.get("wall_clock", 0.0)
     time_delta = (wall_b - wall_a) / wall_a if wall_a > 0 else 0.0

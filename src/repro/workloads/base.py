@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -31,8 +32,10 @@ class Workload:
     input_bytes: float = 0.0
 
     def __init__(self, physical_scale: float = 1.0, seed: int = 7) -> None:
-        if physical_scale <= 0:
-            raise WorkloadError("physical_scale must be positive")
+        if not 0 < physical_scale < math.inf:
+            raise WorkloadError(
+                f"physical_scale must be positive and finite, got {physical_scale}"
+            )
         self.physical_scale = physical_scale
         self.seed = seed
 
@@ -52,10 +55,16 @@ class Workload:
         raise NotImplementedError
 
     def virtual_bytes(self, scale: float = 1.0) -> float:
-        """Virtual input size for a run at ``scale``."""
-        if scale <= 0:
-            raise WorkloadError("scale must be positive")
-        return self.input_bytes * scale
+        """Virtual input size for a run at ``scale``: positive and finite."""
+        if not 0 < scale < math.inf:
+            raise WorkloadError(f"scale must be positive and finite, got {scale}")
+        size = self.input_bytes * scale
+        if not 0 < size < math.inf:
+            raise WorkloadError(
+                f"virtual input size (virtual_gb x scale) must be positive and"
+                f" finite, got {size} bytes"
+            )
+        return size
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -15,6 +15,7 @@ and CHOPPER runs compute identical answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 from typing import Callable, Dict, List, Tuple
@@ -43,6 +44,12 @@ def clear_block_cache() -> None:
     _BLOCK_CACHE.clear()
 
 
+def _check_zipf_a(zipf_a: float) -> None:
+    """numpy's Zipf domain; an infinite exponent puts every draw on rank 1."""
+    if not zipf_a > 1:
+        raise WorkloadError(f"skew (Zipf exponent) must be > 1, got {zipf_a}")
+
+
 @dataclass
 class _GenBase:
     """Shared plumbing: micro-block generation and virtual byte accounting.
@@ -58,8 +65,10 @@ class _GenBase:
     parse_cost: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.virtual_bytes <= 0 or self.physical_records < 1:
-            raise WorkloadError("need positive virtual size and physical records")
+        if not 0 < self.virtual_bytes < math.inf or self.physical_records < 1:
+            raise WorkloadError(
+                "need a positive, finite virtual size and physical records"
+            )
 
     def _split_range(self, split: int, num_splits: int) -> Tuple[int, int]:
         n = self.physical_records
@@ -218,6 +227,7 @@ class SQLTableGen(_GenBase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _check_zipf_a(self.zipf_a)
         if self.orders_layout not in ("range", "hash"):
             raise WorkloadError(
                 f"orders_layout must be 'range' or 'hash', "
@@ -329,6 +339,10 @@ class TextDataGen(_GenBase):
     # 1 are near-uniform; larger values concentrate mass on the top
     # ranks (the `--skew` CLI knob, for exercising AQE skew handling).
     zipf_a: float = 1.3
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_zipf_a(self.zipf_a)
 
     def rdd(self, ctx: AnalyticsContext, num_partitions: int) -> SourceRDD:
         token = [f"w{w}" for w in range(self.vocabulary)].__getitem__

@@ -239,7 +239,7 @@ class TestSplittableShuffle:
         self.ctx.close()
 
     def _result_stage(self, rdd):
-        return self.ctx.dag_scheduler._build_stages(rdd)
+        return self.ctx.dag_scheduler.provisional_stages(rdd)[-1]
 
     def test_identity_shuffle_with_record_local_chain(self):
         pairs = self.ctx.parallelize([(i, i) for i in range(20)], 4)

@@ -1,5 +1,8 @@
 """A closed context is freed by refcount: nothing it owns points back at it.
 
+And a shuffle dies with its dependency: once no RDD can read it, the next
+job's start drops its map outputs.
+
 Each case runs with the cyclic collector disabled, closes its context and
 drops the last reference. The context must be gone at once (its weakref
 dead), and a full collection afterwards must find no object of this
@@ -23,6 +26,7 @@ from repro.cluster import paper_cluster, uniform_cluster
 from repro.common.errors import SchedulingError
 from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.costmodel import CostModelConfig
+from repro.engine.listener import Listener
 from repro.workloads import KMeansWorkload, SQLWorkload
 from tests.engine.test_speculation import straggler_cluster
 
@@ -81,6 +85,28 @@ def kmeans_spill():
     ctx = AnalyticsContext(paper_cluster(), conf)
     w.run(ctx)
     assert ctx.spill is not None and ctx.spill.spill_events > 0
+    return ctx
+
+
+class ShuffleCounter(Listener):
+    """The number of shuffles registered at the end of each job."""
+
+    def __init__(self, manager) -> None:
+        self.manager = manager
+        self.counts: list = []
+
+    def on_job_end(self, job_stats) -> None:
+        self.counts.append(len(self.manager._shuffles))
+
+
+def kmeans_shuffles():
+    ctx = AnalyticsContext(paper_cluster(), EngineConf())
+    counter = ShuffleCounter(ctx.shuffle_manager)
+    ctx.listener_bus.add(counter)
+    KMeansWorkload(physical_records=5000).run(ctx)
+    # Four jobs shuffle; each shuffle dies with the iteration's RDDs.
+    assert len(counter.counts) == 16
+    assert max(counter.counts) == 1, counter.counts
     return ctx
 
 
@@ -168,6 +194,50 @@ class TestFreedByRefcount:
 
     def test_measured_run(self):
         assert_freed_by_refcount(measured)
+
+    def test_kmeans_keeps_at_most_one_shuffle(self):
+        assert_freed_by_refcount(kmeans_shuffles)
+
+
+class TestShuffleRelease:
+    @staticmethod
+    def budgeted_shuffle():
+        """A context holding one shuffle, written under a memory budget
+        that keeps it resident, and the RDD that reads it."""
+        ctx = AnalyticsContext(
+            uniform_cluster(n_workers=4, cores=4),
+            EngineConf(default_parallelism=8, memory_budget=1e12),
+        )
+        pairs = ctx.parallelize([(i % 7, i) for i in range(200)], 8)
+        summed = pairs.reduce_by_key(lambda a, b: a + b)
+        assert len(summed.collect()) == 7
+        (shuffle_id,) = ctx.shuffle_manager._shuffles
+        return ctx, summed, shuffle_id
+
+    def test_dropped_shuffle_leaves_the_spill_resident_set(self):
+        ctx, summed, shuffle_id = self.budgeted_shuffle()
+        mgr = ctx.shuffle_manager
+        outputs = list(mgr._state(shuffle_id).outputs.values())
+        assert outputs and all(o in ctx.spill._resident for o in outputs)
+        assert ctx.parallelize(range(10), 2).count() == 10
+        assert mgr.is_registered(shuffle_id)  # a live RDD still reads it
+        del summed
+        assert ctx.parallelize(range(10), 2).count() == 10
+        assert not mgr.is_registered(shuffle_id)
+        assert shuffle_id not in ctx.dag_scheduler._completed_shuffles
+        assert not any(o in ctx.spill._resident for o in outputs)
+        assert ctx.spill._resident_bytes == 0.0
+        ctx.close()
+
+    def test_dropped_shuffle_takes_its_lost_blocks(self):
+        ctx, summed, shuffle_id = self.budgeted_shuffle()
+        mgr = ctx.shuffle_manager
+        lost = mgr.invalidate_node(ctx.cluster.workers[0].name)
+        assert lost[shuffle_id] and mgr.has_lost_blocks()
+        del summed
+        assert ctx.parallelize(range(10), 2).count() == 10
+        assert not mgr.has_lost_blocks()
+        ctx.close()
 
 
 class TestClosedContext:

@@ -658,13 +658,25 @@ class TestWordCountStoresColumns:
     def test_containers_are_array_batches_and_fetch_builds_one(self, monkeypatch):
         from repro.workloads import ShuffleWordCountWorkload
 
+        # Hold the shuffle's dependency: once the run drops its RDDs, the
+        # next job would release the map outputs inspected here.
+        held = []
+        register = ShuffleManager.register
+
+        def holding_register(self, shuffle_id, num_maps, num_reduces, dep=None):
+            held.append(dep)
+            register(self, shuffle_id, num_maps, num_reduces, dep)
+
+        monkeypatch.setattr(ShuffleManager, "register", holding_register)
         ctx = _shuffled_context()
         try:
             ShuffleWordCountWorkload(
                 virtual_gb=1.0, physical_records=400, vocabulary=200
             ).run(ctx)
+            assert ctx.parallelize(range(4), 2).count() == 4
             mgr = ctx.shuffle_manager
             (shuffle_id,) = mgr._shuffles
+            assert len(held) == 1
             outputs = list(mgr._state(shuffle_id).outputs.values())
             assert outputs
             for output in outputs:

@@ -39,6 +39,32 @@ class TestErrorHandling:
         assert "kmeans" in err  # suggests the valid names
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("argv, subject", [
+        (("run", "wordcount", "--skew", "1.0"), "skew"),
+        (("run", "wordcount", "--skew", "nan"), "skew"),
+        (("run", "sql", "--skew", "0.5"), "skew"),
+        (("run", "wordcount", "--scale", "nan"), "scale"),
+        (("run", "wordcount", "--virtual-gb", "nan"), "virtual"),
+        (("run", "wordcount", "--virtual-gb", "inf"), "virtual"),
+        (("profile", "wordcount", "--scales", "nan"), "scale"),
+    ])
+    def test_degenerate_workload_number_one_line_error(self, tmp_path, argv, subject):
+        ledger = ("--ledger", str(tmp_path / "runs.jsonl"))
+        code, _, err = run_cli(
+            *argv, "--physical-records", "400", "--parallelism", "8",
+            *(ledger if argv[0] == "profile" else ()),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and subject in err
+        assert err.count("\n") == 1
+
+    def test_infinite_skew_stays_legal(self):
+        code, text, _ = run_cli(
+            "run", "wordcount", "--skew", "inf",
+            "--physical-records", "400", "--parallelism", "8",
+        )
+        assert code == 0 and "total:" in text
+
     def test_unreadable_db_one_line_error(self, tmp_path):
         missing = str(tmp_path / "missing.jsonl")
         code, text, err = run_cli("optimize", "wordcount", "--ledger", missing)
@@ -561,6 +587,29 @@ class TestLedgerErrorHandling:
         assert code == 2
         assert err.startswith("error: ")
         assert "nope" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"),
+        ("--shuffle-threshold", "nan"), ("--shuffle-threshold", "-0.5"),
+    ])
+    def test_diff_runs_bad_threshold_one_line_error(self, tmp_path, flag, value):
+        # Two identical runs: NaN would pass them (and any other pair), a
+        # negative threshold would flag them.
+        ledger = tmp_path / "runs.jsonl"
+        entry = {
+            "workload": "wordcount", "label": "run", "wall_clock": 2.0,
+            "shuffle": {"write_bytes": 1e6},
+        }
+        ledger.write_text("".join(
+            json.dumps({"run_id": f"000{i}-wordcount-run", **entry}) + "\n"
+            for i in range(2)
+        ))
+        runs = ("diff-runs", str(ledger), "0000-wordcount-run", "0001-wordcount-run")
+        assert run_cli(*runs, flag, "0")[0] == 0
+        code, text, err = run_cli(*runs, flag, value)
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and "threshold" in err
         assert err.count("\n") == 1
 
     def test_diff_runs_corrupt_ledger_one_line_error(self, tmp_path):
