@@ -87,7 +87,7 @@ class TestCrossModeTelemetryIdentity:
         assert par.last_dispatch == "pool"
         # The sinks that used to force the serial loop: same run ids,
         # same order, same bytes (no profiler, so nothing to strip).
-        assert len(serial.ledger.runs()) == 5
+        assert len(serial.ledger.entries()) == 5
         assert (tmp_path / "serial.jsonl").read_bytes() == (
             tmp_path / "procs.jsonl"
         ).read_bytes()
