@@ -147,6 +147,20 @@ class TestPersistence:
             b.close()
         assert dumps[0] == dumps[1]
 
+    def test_journal_file_is_kept_between_commits(self, tmp_path):
+        # One journal file, reused: a commit neither creates nor deletes
+        # it, so no commit pays a file-metadata update.
+        b = backend(tmp_path)
+        journal = tmp_path / "cache.sqlite-journal"
+        b.put(entry("a"))
+        inode = journal.stat().st_ino
+        b.put(entry("b"))
+        assert journal.stat().st_ino == inode
+        b.close()
+        reopened = backend(tmp_path)
+        assert {e.key for e in reopened.entries()} == {"a", "b"}
+        reopened.close()
+
     def test_not_a_database_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a cache file, and long enough to be read")
