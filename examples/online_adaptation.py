@@ -16,11 +16,7 @@ Shows three production-oriented features around the core optimizer:
 import tempfile
 from pathlib import Path
 
-from repro.chopper import (
-    ChopperRunner,
-    OnlineChopper,
-    validate_config,
-)
+from repro.chopper import ChopperRunner, OnlineChopper
 from repro.cluster import paper_cluster
 from repro.common.units import fmt_duration
 from repro.engine import AnalyticsContext, EngineConf
@@ -52,24 +48,6 @@ def main() -> None:
     runner.profile(p_grid=(100, 300, 600, 1000), scales=(1.0,))
     runner.db.add_ledger(RunLedger(str(ledger_path)), workload.name)
     runner.train()
-    config = runner.optimize()
-
-    # Validate the config against a fresh job graph before trusting it.
-    probe_ctx = AnalyticsContext(paper_cluster(), EngineConf(default_parallelism=300))
-    from repro.workloads.datagen import LabeledDataGen
-
-    probe = LabeledDataGen(
-        virtual_bytes=workload.input_bytes,
-        physical_records=workload.physical_records,
-        dim=workload.dim,
-        seed=workload.seed,
-    ).rdd(probe_ctx, 300)
-    print("\n" + validate_config(config, probe, probe_ctx).summary())
-    print(
-        "(the 'stale' entries here belong to later jobs of the iterative\n"
-        " workload — the probe graph only covers the load job, the caveat\n"
-        " validate_config documents)"
-    )
 
     # --- 3. an online-adapting CHOPPER run -------------------------------
     online_ctx = AnalyticsContext(
@@ -85,6 +63,10 @@ def main() -> None:
     print(f"\nonline run: {fmt_duration(online_ctx.now)}"
           f" (vanilla was {fmt_duration(production.total_time)});"
           f" models refit {online.refits}x during the run")
+    # Every job of the run looked its stages up in the config: how many
+    # of its entries matched a stage and applied.
+    applied = len(set(online.advisor.applied_stages))
+    print(f"config: {applied} of {len(online.config)} entries applied")
 
     print("\ntask timeline (online run):")
     print(gantt(online_ctx, width=72))

@@ -35,7 +35,6 @@ from repro.chopper.optimizer import (
 from repro.chopper.runner import ChopperRunner, RunOutcome, improvement
 from repro.chopper.schemes import HASH, RANGE, PartitionScheme, SchemeRef
 from repro.chopper.stats import RunRecord, StageObservation, StatisticsCollector
-from repro.chopper.validate import ValidationReport, validate_config
 from repro.chopper.workload_db import DagStage, WorkloadDB, WorkloadDag
 
 __all__ = [
@@ -70,8 +69,6 @@ __all__ = [
     "RunRecord",
     "StageObservation",
     "StatisticsCollector",
-    "ValidationReport",
-    "validate_config",
     "DagStage",
     "WorkloadDB",
     "WorkloadDag",

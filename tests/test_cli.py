@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from repro.chopper import ChopperRunner
+from repro.chopper import (
+    ChopperRunner,
+    ConfigEntry,
+    PartitionScheme,
+    WorkloadConfig,
+)
 from repro.cli import build_parser, main
 from repro.engine import EngineConf
 from repro.obs import RunLedger
@@ -95,6 +100,23 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error: ")
         assert "not a workload config" in err
+        assert err.count("\n") == 1
+
+    def test_config_for_another_workload_one_line_error(self, tmp_path):
+        # A wordcount config matches no sql stage: running it would be
+        # a silent vanilla run, so it is refused before anything runs.
+        config = WorkloadConfig(workload="wordcount")
+        config.add(ConfigEntry("0" * 16, PartitionScheme("hash", 8)))
+        path = tmp_path / "wc.json"
+        path.write_text(config.to_json())
+        code, text, err = run_cli(
+            "run", "sql", "--physical-records", "400", "--parallelism", "8",
+            "--config", str(path),
+        )
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ")
+        assert "'wordcount'" in err and "'sql'" in err
         assert err.count("\n") == 1
 
     def test_unreadable_config_one_line_error(self, tmp_path):
@@ -266,6 +288,25 @@ class TestPipelineCommands:
         code, text, _ = run_cli("run", *common, "--config", config_path)
         assert code == 0
         assert "total:" in text
+
+    def test_run_reports_applied_config_entries(self, tmp_path):
+        # One entry names a stage of the run, the other none: the run
+        # says so on stdout, and its ledger entry records the same count.
+        ledger = str(tmp_path / "runs.jsonl")
+        assert run_cli("run", *WC_FAST, "--ledger", ledger)[0] == 0
+        signature = RunLedger(ledger).entries()[0]["stages"][-1]["signature"]
+        config = WorkloadConfig(workload="wordcount")
+        config.add(ConfigEntry(signature, PartitionScheme("hash", 8)))
+        config.add(ConfigEntry("0" * 16, PartitionScheme("hash", 8)))
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        code, text, _ = run_cli(
+            "run", *WC_FAST, "--config", str(path), "--ledger", ledger
+        )
+        assert code == 0
+        assert "config: 1 of 2 entries applied\n" in text
+        chopper = RunLedger(ledger).read("0001-wordcount-run")["chopper"]
+        assert chopper["applied"] == 1 and len(chopper["schemes"]) == 2
 
     def test_optimize_prints_json_without_output(self, tmp_path):
         # The ledger is the whole persisted DB: optimize in a fresh
