@@ -132,7 +132,8 @@ class ChopperAdvisor:
         self._group_refs: Dict[str, SchemeRef] = {}
         self._entry_refs: Dict[str, SchemeRef] = {}
         self._resplit_sources: Set[int] = set()
-        # Diagnostics the tests and benches assert on.
+        # Diagnostics the tests and benches assert on; the distinct
+        # applied signatures are also the run's `config: N of M` count.
         self.applied_stages: List[str] = []
         self.aligned_shuffles: int = 0
         self.inserted_repartitions: int = 0
