@@ -143,6 +143,12 @@ def perf_conf_kwargs(args: argparse.Namespace) -> dict:
     if getattr(args, "aqe", False):
         kwargs["adaptive_execution"] = True
     if getattr(args, "aqe_target", None) is not None:
+        if not getattr(args, "aqe", False):
+            # EngineConf cannot tell an explicit default target from an
+            # unset one, so the pairing is checked on the flags.
+            raise ConfigurationError(
+                "--aqe-target requires --aqe (nothing is re-planned without it)"
+            )
         try:
             kwargs["aqe_target_partition_bytes"] = float(
                 parse_bytes(args.aqe_target)
@@ -534,12 +540,11 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                              "(identical results; more stages)")
     parser.add_argument("--aqe", action="store_true",
                         help="adaptive query execution: re-plan each reduce "
-                             "side from measured map-output sizes — "
-                             "coalesce tiny partitions, split hot ones, "
-                             "re-derive range bounds (bit-identical "
-                             "results)")
+                             "side from measured map-output sizes, "
+                             "coalescing runs of tiny partitions "
+                             "(bit-identical results)")
     parser.add_argument("--aqe-target", default=None, metavar="BYTES",
-                        help="AQE coalesce/split target partition size in "
+                        help="AQE coalesce target partition size in "
                              "virtual bytes (e.g. '4M', '16K'; default "
                              "64M); requires --aqe")
     parser.add_argument("--skew", type=float, default=None, metavar="A",

@@ -109,14 +109,13 @@ class EngineConf:
     result_cache_path: Optional[str] = None
     # Adaptive query execution: after each map stage materializes, the
     # DAG scheduler consults the exact per-partition shuffle sizes and
-    # may re-plan the not-yet-launched reduce side (coalesce tiny
-    # partitions, split hot ones into map-output slices, re-derive range
-    # bounds for ordered shuffles from the measured key histogram).
-    # Collected results are bit-identical on/off; only the physical task
-    # layout (and thus simulated timing) changes.
+    # may re-plan the not-yet-launched reduce side by coalescing runs of
+    # tiny partitions into one task each. Collected results are
+    # bit-identical on/off; only the physical task layout (and thus
+    # simulated timing) changes.
     adaptive_execution: bool = False
-    # Coalesce packs runs of small partitions up to (and splits carve
-    # hot partitions down toward) this many virtual bytes per task.
+    # Coalesce packs runs of small partitions up to this many virtual
+    # bytes per task.
     aqe_target_partition_bytes: float = 64.0 * 1024 * 1024
 
     def __post_init__(self) -> None:

@@ -26,7 +26,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import FetchFailure, SchedulingError, StageAbortedError
-from repro.engine.adaptive import AdaptivePlan, AdaptiveTaskSpec, replan
+from repro.engine.adaptive import AdaptivePlan, replan
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.listener import JobStats, StageStats
 from repro.engine.stage import RESULT, SHUFFLE_MAP, Stage
@@ -71,10 +71,6 @@ class StageRun:
         self.result_fn = result_fn
         self.results: Dict[int, Any] = {}
         self.completed_partitions: Set[int] = set()
-        # AQE split partitions mid-assembly: original split -> {slice
-        # index -> raw slice records}, concatenated in slice order (==
-        # map-output order) once every slice has landed.
-        self._pending_slices: Dict[int, Dict[int, Any]] = {}
         self._remaining = len(tasks)
         self._on_complete = on_complete
 
@@ -91,37 +87,14 @@ class StageRun:
         self.stats.shuffle_read_bytes += metrics.shuffle_read
         self.stats.shuffle_write_bytes += metrics.shuffle_write
         if self.stage.kind == RESULT:
-            self._record_result(task, result)
+            # ``task.partition`` is a *physical* index while
+            # ``self.results`` is keyed by original split, so the final
+            # ``job.results`` assembly is the same whatever layout the
+            # stage ran in.
+            self.results.update(zip(task.splits, result))
         self._remaining -= 1
         if self._remaining == 0:
             self._on_complete(self)
-
-    def _record_result(self, task: Task, results: List[Any]) -> None:
-        """File a physical task's results under the splits it covered.
-
-        ``task.partition`` is a *physical* index while ``self.results``
-        is keyed by original split, so the final ``job.results`` assembly
-        is the same whatever layout the stage ran in.
-        """
-        spec = task.spec
-        if not spec.is_slice:
-            self.results.update(zip(spec.splits, results))
-            return
-        split = spec.splits[0]
-        slices = self._pending_slices.setdefault(split, {})
-        slices[spec.slice_index] = results[0]
-        if len(slices) == spec.n_slices:
-            # Slices carry raw records (the executor skips result_fn
-            # for them); concatenating in slice order reproduces the
-            # unsplit partition byte-for-byte, then result_fn runs
-            # once — exactly like the plain task would have.
-            records: List[Any] = []
-            for idx in range(spec.n_slices):
-                records.extend(slices[idx])
-            del self._pending_slices[split]
-            self.results[split] = (
-                self.result_fn(split, records) if self.result_fn else records
-            )
 
 
 class _JobState:
@@ -136,9 +109,7 @@ class _JobState:
         self.result_fn = result_fn
         self.results: Optional[List[Any]] = None
         self.waiting: List[Stage] = []
-        # Running stages by id (the AQE switch guard needs the objects:
-        # a shuffle is only re-bucketed while no running stage reads it).
-        self.running: Dict[int, Stage] = {}
+        self.running: Set[int] = set()  # ids of the running stages
         # Lineage recovery: the map stage behind each shuffle the job
         # reads, reduce tasks parked on a fetch failure awaiting the
         # rebuild, and shuffle ids with a resubmission already scheduled.
@@ -310,7 +281,7 @@ class DAGScheduler:
         """Launch a stage: every split, or (lineage recovery) the ``missing``."""
         job = self._job
         assert job is not None
-        job.running[stage.stage_id] = stage
+        job.running.add(stage.stage_id)
 
         delay = 0.0
         dep = stage.shuffle_dep
@@ -322,26 +293,24 @@ class DAGScheduler:
                 dep.shuffle_id, stage.num_tasks, dep.num_reduce_partitions, dep
             )
 
-        # The launch's (task index, spec) pairs. The static layout is one
-        # plain spec per split, indexed by the split; a relaunch of lost
-        # map partitions is the same over ``missing`` (the rebuilt outputs
+        # The launch's (task index, splits) pairs. The static layout is
+        # one split per task, indexed by the split; a relaunch of lost map
+        # partitions is the same over ``missing`` (the rebuilt outputs
         # must land under their original map ids) and parked reduce tasks
-        # keep their specs, so a recovered run never re-decides anything.
+        # keep their splits, so a recovered run never re-decides anything.
         # With AQE on, a stage's first full launch asks the planner, which
         # answers None (keep the static layout) or a layout re-planned
         # from the measured shuffle inputs, indexed by plan position.
         plan = None
         if self.ctx.conf.adaptive_execution and missing is None:
             if stage.stage_id not in job.adaptive_plans:
-                job.adaptive_plans[stage.stage_id] = replan(
-                    self.ctx, stage, job.running.values()
-                )
+                job.adaptive_plans[stage.stage_id] = replan(self.ctx, stage)
             plan = job.adaptive_plans[stage.stage_id]
         if plan is not None:
             specs = list(enumerate(plan.specs))
         else:
-            splits = range(stage.num_tasks) if missing is None else missing
-            specs = [(i, AdaptiveTaskSpec(splits=(i,))) for i in splits]
+            indices = range(stage.num_tasks) if missing is None else missing
+            specs = [(i, (i,)) for i in indices]
 
         stats = StageStats(
             stage_run_id=self.ctx.next_stage_run_id(),
@@ -364,8 +333,8 @@ class DAGScheduler:
             if rdd.num_partitions == stage.num_tasks
         ]
         tasks = [
-            Task(stage, i, spec, self._preferences(stage, spec, cached))
-            for i, spec in specs
+            Task(stage, i, splits, self._preferences(stage, splits, cached))
+            for i, splits in specs
         ]
         result_fn = job.result_fn if stage.kind == RESULT else None
         run = StageRun(stage, stats, tasks, result_fn, self._on_stage_complete)
@@ -386,7 +355,7 @@ class DAGScheduler:
         assert job is not None
         stage = run.stage
         stage.completed = True
-        job.running.pop(stage.stage_id, None)
+        job.running.discard(stage.stage_id)
         run.stats.completed_at = self.ctx.sim.now
         if stage.kind == SHUFFLE_MAP:
             assert stage.shuffle_dep is not None
@@ -503,11 +472,11 @@ class DAGScheduler:
     # ------------------------------------------------------------------
 
     def _preferences(
-        self, stage: Stage, spec: AdaptiveTaskSpec, cached: List[int]
+        self, stage: Stage, splits: Tuple[int, ...], cached: List[int]
     ) -> List[str]:
         """Nodes a task would rather run on, for every split it covers."""
         prefs: List[str] = []
-        for split in spec.splits:
+        for split in splits:
             # 1. Cached blocks of pipeline RDDs with the same partition space.
             for rdd_id in cached:
                 loc = self.ctx.block_store.location(rdd_id, split)
@@ -528,4 +497,4 @@ class DAGScheduler:
                     if node not in prefs:
                         prefs.append(node)
         # A task over several splits keeps the first three of their union.
-        return prefs if len(spec.splits) == 1 else prefs[:3]
+        return prefs if len(splits) == 1 else prefs[:3]

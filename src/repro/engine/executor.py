@@ -50,7 +50,7 @@ class TaskRunner:
     ) -> Tuple[TaskCostBreakdown, TaskContext, Any]:
         """Run one task on ``node``; returns (cost breakdown, ctx, results).
 
-        ``results`` has one entry per split of ``task.spec``.
+        ``results`` has one entry per split of ``task.splits``.
         """
         tctx, result = self._execute_body(stage, task, node, result_fn)
         return self.price(tctx, node), tctx, result
@@ -105,7 +105,7 @@ class TaskRunner:
     def _execute_body_inner(
         self, stage: Stage, task: Task, node: "NodeSpec", result_fn=None
     ) -> Tuple[TaskContext, List[Any]]:
-        """Run the pipeline for every split of the task's spec.
+        """Run the pipeline for every split the task covers.
 
         Returns one value per split, in split order: what the one-split
         tasks of the static layout would each have produced. Cumulative
@@ -113,20 +113,13 @@ class TaskRunner:
         physical task pays for all its splits, but the per-RDD byte maps
         reset between splits: ``note_input_hint`` adds per RDD id, so a
         stale entry from split A would inflate split B's priced input.
-
-        A *slice* task computes its one split from a restricted range of
-        map outputs and keeps the **raw records**: ``result_fn`` is the
-        driver's to apply, to the assembled partition (see ``StageRun``).
         """
         tctx = TaskContext(node=node.name, task_index=task.partition)
-        spec = task.spec
-        if spec.is_slice:
-            tctx.map_ranges[spec.shuffle_id] = spec.map_range
         is_map = stage.kind == SHUFFLE_MAP
         obs = self.ctx.obs  # on a worker thread it buffers, like the stores
         results: List[Any] = []
         try:
-            for split in spec.splits:
+            for split in task.splits:
                 if results:
                     tctx.rdd_bytes = {}
                     tctx.input_hints = {}
@@ -135,9 +128,7 @@ class TaskRunner:
                 else:
                     records = stage.rdd.materialize(split, tctx)
                     results.append(
-                        result_fn(split, records)
-                        if result_fn and not spec.is_slice
-                        else records
+                        result_fn(split, records) if result_fn else records
                     )
         except FetchFailure as failure:
             # Shuffle inputs lost to a dead node; the task scheduler

@@ -78,7 +78,7 @@ class StageStats:
     # completion from the shuffle manager; empty for result stages. The
     # data-side skew signal (task durations only show the compute side).
     output_partition_bytes: List[float] = field(default_factory=list)
-    # AQE: physical task count after runtime re-planning (coalesce/split);
+    # AQE: physical task count after runtime re-planning (coalesce);
     # None when the stage ran its static layout. num_partitions always
     # stays the logical (original) partition count.
     adapted_num_partitions: Optional[int] = None

@@ -313,42 +313,3 @@ class RangePartitioner(Partitioner):
                 bounds.append(bound)
         return cls(num_partitions, bounds)
 
-    @classmethod
-    def from_weighted_keys(
-        cls,
-        keys: Iterable[Any],
-        weights: Iterable[float],
-        num_partitions: int,
-    ) -> "RangePartitioner":
-        """Build byte-balanced split points from an exact key histogram.
-
-        The AQE "switch" path: ``keys``/``weights`` are every shuffled
-        key with its virtual record size, so unlike :meth:`from_sample`
-        (uniform over *records*) the cuts equalize **bytes** per range.
-        Walks the sorted (key, weight) pairs consuming whole equal-key
-        runs — equal keys can never straddle a bound — and emits a bound
-        each time the byte prefix-sum crosses the next equal share.
-        Deterministic in the multiset of pairs, so re-deriving from
-        rebucketted (or chaos-rebuilt) map outputs reproduces the same
-        partitioner.
-        """
-        pairs = sorted(zip(keys, weights), key=lambda kw: kw[0])
-        if not pairs:
-            return cls(num_partitions, [])
-        total = float(sum(w for _k, w in pairs))
-        if total <= 0:
-            return cls(num_partitions, [])
-        share = total / num_partitions
-        bounds: List[Any] = []
-        acc = 0.0
-        i = 0
-        n = len(pairs)
-        while i < n and len(bounds) < num_partitions - 1:
-            key = pairs[i][0]
-            while i < n and pairs[i][0] == key:
-                acc += pairs[i][1]
-                i += 1
-            if i < n and acc >= share * (len(bounds) + 1) - 1e-9:
-                bounds.append(key)
-        return cls(num_partitions, bounds)
-

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.common.errors import FetchFailure, ShuffleError
 from repro.engine import effects
-from repro.engine.batch import RecordBatch, as_record_list
+from repro.engine.batch import RecordBatch
 from repro.engine.storage import SpillableBlock, SpillManager, SpillRef
 from repro.obs import Observability
 
@@ -363,18 +363,9 @@ class ShuffleManager:
         return index
 
     def fetch(
-        self,
-        shuffle_id: int,
-        reduce_id: int,
-        dst_node: str,
-        map_range: Optional[Tuple[int, int]] = None,
+        self, shuffle_id: int, reduce_id: int, dst_node: str
     ) -> Tuple[Records, FetchStats]:
         """Collect all records for ``reduce_id``, with byte accounting.
-
-        ``map_range`` restricts the fetch to the half-open ``[lo, hi)``
-        slice of map outputs (AQE split sub-tasks); the completeness and
-        lost-output checks still cover the whole shuffle, so a slice never
-        serves a partial view either.
 
         A single contributing bucket is returned as served, which for a
         bucket spanning its whole map output is the stored container
@@ -406,9 +397,6 @@ class ShuffleManager:
         # Serve (and account) in ascending map id, whatever order the map
         # tasks registered in.
         rows = np.argsort(maps)
-        if map_range is not None:
-            ordered = maps[rows]
-            rows = rows[(ordered >= map_range[0]) & (ordered < map_range[1])]
         spans: List[Tuple[Records, int, int]] = []
         stats = FetchStats()
         for map_id, start, stop, size in zip(
@@ -503,38 +491,6 @@ class ShuffleManager:
         distributed over the reduce partitions, including empty ones.
         """
         return self._index(self._state(shuffle_id)).sizes.tolist()
-
-    def block_sizes(self, shuffle_id: int, reduce_id: int) -> List[float]:
-        """Bytes per map output feeding one reduce partition (index = map id).
-
-        The histogram AQE slices a hot partition on: contiguous map
-        ranges are packed to near-equal byte totals.
-        """
-        state = self._state(shuffle_id)
-        maps, _starts, _stops, nbytes = self._index(state).rows(reduce_id)
-        sizes = np.zeros(state.num_maps, dtype=np.float64)
-        sizes[maps] = nbytes
-        return sizes.tolist()
-
-    def map_contents(self, shuffle_id: int) -> Dict[int, Tuple[str, List]]:
-        """``{map_id: (node, records)}``, records in ascending bucket order.
-
-        For AQE rebucketting: the caller re-partitions each map's records
-        and writes them back via :meth:`put_map_output` (which handles
-        replacement accounting, spill bookkeeping and the version bump
-        that invalidates concurrent deferred reads). Read-only like
-        fetched records: a list container is handed out as stored.
-        Refuses while any map output is lost — rebucketting a degraded
-        shuffle would bake the loss into the new buckets.
-        """
-        state = self._state(shuffle_id)
-        if state.lost:
-            map_ids = sorted(state.lost)
-            raise FetchFailure(shuffle_id, map_ids, state.lost[map_ids[0]])
-        return {
-            map_id: (output.node, as_record_list(output.records))
-            for map_id, output in sorted(state.outputs.items())
-        }
 
     def release_dead(self) -> List[int]:
         """Drop every shuffle whose dependency died; returns their ids.

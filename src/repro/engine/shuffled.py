@@ -135,13 +135,7 @@ class ShuffledRDD(RDD):
         dep = self.deps[0]
         if isinstance(dep, ShuffleDependency):
             records, stats = self.ctx.shuffle_manager.fetch(
-                dep.shuffle_id,
-                split,
-                task.node,
-                # AQE slice tasks fetch only their map-output range; the
-                # driver concatenates slices in map order, reproducing
-                # the unsplit partition byte-for-byte.
-                map_range=task.map_ranges.get(dep.shuffle_id),
+                dep.shuffle_id, split, task.node
             )
             task.note_shuffle_read(
                 stats.local_bytes, stats.remote_bytes_by_src, stats.n_blocks

@@ -127,7 +127,7 @@ class Stage:
         """What a launch records about the pipeline in its ``StageStats``.
 
         Read off the walk at launch time, not kept: partitioners change
-        until then (the advisor, pending-scheme resolution, AQE's switch).
+        until then (the advisor, pending-scheme resolution).
         """
         pipeline, incoming = self._pipeline
         bases = self.input_rdds()

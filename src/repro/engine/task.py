@@ -1,11 +1,12 @@
 """Tasks and the per-task measurement context.
 
-A :class:`Task` is one unit of work of one stage: the partitions its spec
-names, which is one partition, as in Spark, unless AQE re-planned the
-stage. The :class:`TaskContext` rides along while the task's RDD
-pipeline materializes, accumulating the quantities the cost model turns
-into a simulated duration: virtual bytes computed, source bytes scanned,
-shuffle bytes read (local/remote, per source node) and written.
+A :class:`Task` is one unit of work of one stage: the partitions its
+``splits`` name, which is one partition, as in Spark, unless AQE
+coalesced the stage. The :class:`TaskContext` rides along while the
+task's RDD pipeline materializes, accumulating the quantities the cost
+model turns into a simulated duration: virtual bytes computed, source
+bytes scanned, shuffle bytes read (local/remote, per source node) and
+written.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.adaptive import AdaptiveTaskSpec
     from repro.engine.stage import Stage
 
 
@@ -50,9 +50,6 @@ class TaskContext:
     # Bytes read from the block-store cache (local and remote).
     cache_read_bytes: float = 0.0
     cache_remote_by_src: Dict[str, float] = field(default_factory=dict)
-    # AQE slice tasks: shuffle_id -> half-open [lo, hi) range of map
-    # outputs this task fetches instead of all of them.
-    map_ranges: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def note_compute(self, weighted_bytes: float, records: int, raw_bytes: float) -> None:
         self.compute_bytes += weighted_bytes
@@ -103,9 +100,9 @@ class Task:
     # Physical task index: the split for static and recovery launches,
     # the position in the plan for AQE-re-planned ones.
     partition: int
-    # Which original partitions the task computes (and, for slice tasks,
-    # which map-output range): the one thing the task body reads.
-    spec: "AdaptiveTaskSpec"
+    # Which original partitions the task computes: the one thing the
+    # task body reads.
+    splits: Tuple[int, ...]
     preferred_nodes: List[str] = field(default_factory=list)
     attempt: int = 0
 

@@ -207,16 +207,9 @@ FACTS: Dict[str, Fact] = {
         feeds=(
             Feed("aqe.stages_replanned"),
             Feed("aqe.partitions_coalesced", lambda f: f["coalesced"] or None),
-            Feed("aqe.partitions_split", lambda f: f["split"] or None),
             Feed("aqe.tasks_saved", _tasks_saved),
         ),
         span=("aqe-replan", "aqe"), span_only=_HISTOGRAMS | {"stage_id"},
-    ),
-    "shuffle_switched": Fact(
-        log=(INFO, "aqe", "shuffle_switched"),
-        feeds=(Feed("aqe.shuffles_switched"),),
-        span=("aqe-switch", "aqe"), rename={"shuffle": "shuffle_id"},
-        span_only=_HISTOGRAMS,
     ),
     # -- relational layer -----------------------------------------------
     "partitions_pruned": Fact(

@@ -334,16 +334,10 @@ def _bars_svg(values: Sequence[float], width: int = 160, height: int = 28) -> st
 
 def _aqe_detail(event: dict) -> str:
     """One-line decision summary of an ``aqe.*`` ledger event."""
-    if event.get("event") == "aqe-switch":
-        return (
-            f"{event.get('from_kind', '?')} → {event.get('to_kind', '?')} "
-            f"(shuffle {event.get('shuffle_id', '?')})"
-        )
     return (
         f"{event.get('original_partitions', '?')} → "
         f"{event.get('adapted_partitions', '?')} tasks "
-        f"({event.get('coalesced', 0)} coalesced, "
-        f"{event.get('split', 0)} split)"
+        f"({event.get('coalesced', 0)} coalesced)"
     )
 
 

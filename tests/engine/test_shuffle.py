@@ -312,13 +312,11 @@ class _DictModel:
         self.blocks, self.nodes, self.written = {}, {}, {}
         self.bytes_written = 0.0
 
-    def put(self, map_id, node, records, rids, weights, ascending):
+    def put(self, map_id, node, records, rids, weights):
         buckets = {}
         for record, rid, weight in zip(records, rids, weights):
             recs, payload = buckets.get(rid, ([], 0.0))
             buckets[rid] = (recs + [record], payload + weight)
-        if ascending:
-            buckets = dict(sorted(buckets.items()))
         if map_id in self.blocks:
             self.bytes_written -= self.written[map_id]
         written = 0.0
@@ -338,10 +336,9 @@ class _DictModel:
             self.bytes_written -= self.written.pop(map_id)
         return gone
 
-    def fetch(self, reduce_id, dst_node, map_range):
-        lo, hi = map_range or (0, self.num_maps)
+    def fetch(self, reduce_id, dst_node):
         records, local, remote, n_blocks = [], 0.0, {}, 0
-        for map_id in range(max(0, lo), min(self.num_maps, hi)):
+        for map_id in range(self.num_maps):
             block = self.blocks[map_id].get(reduce_id)
             if block is None:
                 continue
@@ -359,13 +356,6 @@ class _DictModel:
         for blocks in self.blocks.values():
             for rid, (_recs, nbytes) in blocks.items():
                 sizes[rid] += nbytes
-        return sizes
-
-    def block_sizes(self, reduce_id):
-        sizes = [0.0] * self.num_maps
-        for map_id, blocks in self.blocks.items():
-            if reduce_id in blocks:
-                sizes[map_id] = blocks[reduce_id][1]
         return sizes
 
     def map_output_nodes(self, reduce_id):
@@ -394,7 +384,6 @@ def _map_task(draw, map_id, num_reduces, serial):
         "rids": draw(st.lists(st.integers(0, num_reduces - 1), min_size=n, max_size=n)),
         "weights": draw(st.lists(_WEIGHTS, min_size=n, max_size=n)),
         "columnar": draw(st.booleans()),
-        "ascending": draw(st.booleans()),
     }
 
 
@@ -406,7 +395,6 @@ def _shuffle_history(draw):
     replaced = draw(st.none() | st.integers(0, num_maps - 1))
     if replaced is not None:  # a retried / speculative map task
         tasks.append(draw(_map_task(replaced, num_reduces, 1)))
-    lo = draw(st.integers(0, num_maps))
     return {
         "num_maps": num_maps,
         "num_reduces": num_reduces,
@@ -414,7 +402,6 @@ def _shuffle_history(draw):
         "tasks": tasks,
         "lost_node": draw(st.none() | _NODES),
         "rebuild_nodes": draw(st.lists(_NODES, min_size=num_maps, max_size=num_maps)),
-        "map_range": draw(st.none() | st.just((lo, draw(st.integers(lo, num_maps))))),
         "dst_node": draw(_NODES),
     }
 
@@ -425,12 +412,9 @@ def _put_both(mgr, model, task):
     if task["columnar"] and records:
         container = RecordBatch.from_records(records)
     output = MapOutput(container, task["rids"], np.array(task["weights"]))
-    if task["ascending"]:  # what AQE's re-bucketing asks for
-        output.order = None
     got = mgr.put_map_output(1, task["map_id"], task["node"], output)
     want = model.put(
-        task["map_id"], task["node"], records, task["rids"], task["weights"],
-        task["ascending"],
+        task["map_id"], task["node"], records, task["rids"], task["weights"]
     )
     assert got == want
     assert len(output) == len(model.blocks[task["map_id"]])
@@ -441,17 +425,13 @@ def _assert_same_view(mgr, model, history):
     assert mgr.bytes_written(1) == model.bytes_written
     assert mgr.partition_sizes(1) == model.partition_sizes()
     for rid in range(model.num_reduces):
-        assert mgr.block_sizes(1, rid) == model.block_sizes(rid)
         assert mgr.map_output_nodes(1, rid) == model.map_output_nodes(rid)
-        for map_range in (None, history["map_range"]):
-            records, stats = mgr.fetch(1, rid, history["dst_node"], map_range=map_range)
-            want, local, remote, n_blocks = model.fetch(
-                rid, history["dst_node"], map_range
-            )
-            assert as_record_list(records) == want
-            assert stats.local_bytes == local
-            assert stats.remote_bytes_by_src == remote
-            assert stats.n_blocks == n_blocks
+        records, stats = mgr.fetch(1, rid, history["dst_node"])
+        want, local, remote, n_blocks = model.fetch(rid, history["dst_node"])
+        assert as_record_list(records) == want
+        assert stats.local_bytes == local
+        assert stats.remote_bytes_by_src == remote
+        assert stats.n_blocks == n_blocks
 
 
 class TestConsolidatedLayoutAgainstDictModel:
@@ -566,11 +546,9 @@ def _list_format_shuffle(draw):
     shared = pairs()
     num_maps = draw(st.integers(1, 4))
     per_map = draw(st.booleans())
-    lo = draw(st.integers(0, num_maps))
     return {
         "splits": [draw(pairs() if per_map else shared) for _ in range(num_maps)],
         "num_reduces": draw(st.integers(1, 5)),
-        "map_range": (lo, draw(st.integers(lo, num_maps))),
     }
 
 
@@ -637,13 +615,10 @@ class TestListFormatMapTasksAgainstDictModel:
                 assert output.nbytes == written
 
             for rid in range(num_reduces):
-                for lo, hi in ((0, len(splits)), case["map_range"]):
-                    want = [r for b in model[lo:hi] for r in b.get(rid, [])]
-                    got, stats = mgr.fetch(
-                        shuffled.deps[0].shuffle_id, rid, "A", map_range=(lo, hi)
-                    )
-                    assert _typed(as_record_list(got)) == _typed(want)
-                    assert stats.n_blocks == sum(rid in b for b in model[lo:hi])
+                want = [r for b in model for r in b.get(rid, [])]
+                got, stats = mgr.fetch(shuffled.deps[0].shuffle_id, rid, "A")
+                assert _typed(as_record_list(got)) == _typed(want)
+                assert stats.n_blocks == sum(rid in b for b in model)
             assert _typed(collected) == _typed(
                 [r for rid in range(num_reduces) for b in model for r in b.get(rid, [])]
             )

@@ -9,9 +9,9 @@ specs, attempt)":
 * the three lists derived from that walk keep the exact orders the
   hand-written walks produced (they feed "first match" lookups and float
   folds);
-* a plain one-split spec runs the task body the static ``spec=None``
-  task ran (numbers pinned from the commit before the fork was deleted),
-  and a coalesced spec equals its plain tasks back to back.
+* a one-split task runs the task body the static ``spec=None`` task
+  ran (numbers pinned from the commit before the fork was deleted), and
+  a coalesced task equals its one-split tasks back to back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.cluster import uniform_cluster
 from repro.engine import AnalyticsContext, EngineConf, HashPartitioner
-from repro.engine.adaptive import AdaptiveTaskSpec
 from repro.engine.dependencies import OneToOneDependency
 from repro.engine.rdd import RDD
 from repro.engine.task import Task
@@ -182,7 +181,7 @@ class TestDerivedListOrder:
 
 
 # ----------------------------------------------------------------------
-# (b) A plain spec is the static task; a coalesced spec is its splits
+# (b) A one-split task is the static task; a coalesced one is its splits
 # ----------------------------------------------------------------------
 
 # Recorded at the parent commit from ``Task(stage, i)`` (``spec=None``)
@@ -242,7 +241,7 @@ class _TwoStageJob:
         self.nodes = {w.name: w for w in ctx.cluster.workers}
 
     def run(self, stage, index, splits, node, result_fn=None):
-        task = Task(stage, index, AdaptiveTaskSpec(splits=tuple(splits)))
+        task = Task(stage, index, tuple(splits))
         _cost, tctx, result = self.ctx.task_scheduler.runner.execute(
             stage, task, self.nodes[node], result_fn
         )
@@ -254,9 +253,18 @@ class _TwoStageJob:
             self.run(self.map_stage, i, (i,), f"w{i % 2}")[0] for i in range(4)
         ]
 
-    def block_sizes(self) -> list:
+    def bucket_bytes(self) -> list:
+        """Per reduce partition, the bytes each map task's bucket holds."""
         manager = self.ctx.shuffle_manager
-        return [list(manager.block_sizes(self.shuffle_id, r)) for r in range(4)]
+        index = manager._index(manager._state(self.shuffle_id))
+        sizes = []
+        for rid in range(4):
+            maps, _starts, _stops, nbytes = index.rows(rid)
+            row = [0.0] * 4
+            for map_id, size in zip(maps.tolist(), nbytes.tolist()):
+                row[map_id] = size
+            sizes.append(row)
+        return sizes
 
     def counter(self, name: str) -> float:
         return self.ctx.obs.metrics.counter_total(name)
@@ -281,7 +289,7 @@ class TestSpecDrivenTaskBody:
     def test_plain_spec_is_the_static_task(self):
         job = _TwoStageJob()
         assert [_map_totals(t) for t in job.run_plain_maps()] == PARENT_MAP_TOTALS
-        assert job.block_sizes() == PARENT_BLOCK_SIZES
+        assert job.bucket_bytes() == PARENT_BLOCK_SIZES
         assert job.counter("executor.map_tasks") == 4
         for i in range(4):
             tctx, result = job.run(
@@ -293,7 +301,7 @@ class TestSpecDrivenTaskBody:
 
     def test_task_index_is_not_the_split(self):
         """A plain spec computes the split it names, whatever physical
-        index the plan gave the task (indices shift after a slice)."""
+        index the plan gave the task (a coalesced plan renumbers them)."""
         job = _TwoStageJob()
         job.run_plain_maps()
         tctx, result = job.run(job.result_stage, 7, (1,), "w0", _sorted_records)
@@ -314,7 +322,7 @@ class TestSpecDrivenTaskBody:
                 sum(p[4] for p in parts),
             )
         # Every split's output landed under its own map id.
-        assert job.block_sizes() == PARENT_BLOCK_SIZES
+        assert job.bucket_bytes() == PARENT_BLOCK_SIZES
         assert job.counter("executor.map_tasks") == 2  # one per physical task
 
     def test_coalesced_result_task_equals_its_plain_tasks(self):

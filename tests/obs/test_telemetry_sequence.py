@@ -1,8 +1,8 @@
 """Sequence guard: what the engine reports, in what order, pinned as literals.
 
 Seven runs that between them reach every fact the engine emits (node loss
-with recovery, without and with locality preferences, an AQE re-plan
-plus a range switch, spill under a memory budget, speculation under task
+with recovery, without and with locality preferences, an AQE coalescing
+re-plan, spill under a memory budget, speculation under task
 failures, threaded task bodies, a pruned and cached SQL query), each
 with a tracer, an event log, a registry and a ledger collector attached.
 Pinned per run: the ``(logger, event)`` sequence of the log and the
@@ -11,7 +11,8 @@ of the order), digests of the full records and spans, every instrument
 series with its value, and the ledger body's outcome / chaos / AQE /
 spill rows. The literals were recorded from the commit before the
 engine's reporting moved behind ``ctx.obs.event`` (``chaos_local``: from
-the commit before dispatch read a per-node index of queued tasks), so a
+the commit before dispatch read a per-node index of queued tasks;
+``aqe``: from the commit that left AQE coalescing only), so a
 change to how a fact is routed or a task placed shows here as a changed
 artifact.
 
@@ -37,9 +38,10 @@ from tests.conftest import quiet_cost
 from tests.engine.test_speculation import straggler_cluster
 
 QUIET = quiet_cost()
-# Half the records carry key 0 (AQE splits and coalesces the identity
-# shuffle); four fifths do in the sorted set (its sampled range bounds
-# leave one partition hot enough for the switch).
+# Half the records carry key 0 (every partition of the identity shuffle
+# is past the target, so AQE keeps its layout); four fifths do in the
+# sorted set (its sampled range bounds leave the trailing half of the
+# partitions empty, and AQE coalesces them).
 SKEWED = [((i % 40) if i % 2 else 0, i) for i in range(12000)]
 SORT_SKEWED = [((i % 40) if i % 5 == 0 else 0, i) for i in range(12000)]
 
@@ -193,52 +195,50 @@ SCENARIOS = {
     ),
 }
 # fmt: off
-EXPECTED = {'aqe': {'log': {'counts': [('aqe.shuffle_switched', 1), ('aqe.stage_replanned', 2),
-                            ('dag_scheduler.job_finished', 3), ('dag_scheduler.job_started', 3),
-                            ('dag_scheduler.stage_completed', 5),
-                            ('dag_scheduler.stage_submitted', 5), ('executor.task_executed', 54),
+EXPECTED = {'aqe': {'log': {'counts': [('aqe.stage_replanned', 1), ('dag_scheduler.job_finished', 3),
+                            ('dag_scheduler.job_started', 3), ('dag_scheduler.stage_completed', 5),
+                            ('dag_scheduler.stage_submitted', 5), ('executor.task_executed', 48),
                             ('shuffle.shuffle_registered', 2),
-                            ('task_scheduler.task_finished', 54)],
-                 'order': '9cbb22ee33dac406'},
-         'records': '494663e0f06cf553',
-         'trace': {'counts': [('aqe:aqe-replan', 2), ('aqe:aqe-switch', 1), ('job:job-1', 1),
-                              ('job:job-2', 1), ('job:job-3', 1), ('stage:result:keySample#3', 1),
+                            ('task_scheduler.task_finished', 48)],
+                 'order': 'd5bc99e8fd188e41'},
+         'records': '837723ba76ac8778',
+         'trace': {'counts': [('aqe:aqe-replan', 1), ('job:job-1', 1), ('job:job-2', 1),
+                              ('job:job-3', 1), ('stage:result:keySample#3', 1),
                               ('stage:result:sortByKey#4', 1), ('stage:result:values#1', 1),
                               ('stage:shuffle_map:parallelize#2', 1),
-                              ('stage:shuffle_map:parallelize#5', 1), ('task.phase:compute', 54),
-                              ('task.phase:input-io', 24), ('task.phase:overhead', 54),
-                              ('task.phase:shuffle-fetch', 30), ('task.phase:shuffle-write', 16),
+                              ('stage:shuffle_map:parallelize#5', 1), ('task.phase:compute', 48),
+                              ('task.phase:input-io', 24), ('task.phase:overhead', 48),
+                              ('task.phase:shuffle-fetch', 24), ('task.phase:shuffle-write', 16),
                               ('task:result:keySample#3', 8), ('task:result:sortByKey#4', 8),
-                              ('task:result:values#1', 22), ('task:shuffle_map:parallelize#2', 8),
+                              ('task:result:values#1', 16), ('task:shuffle_map:parallelize#2', 8),
                               ('task:shuffle_map:parallelize#5', 8)],
-                   'order': '02efcd12443e64c0'},
-         'spans': '595d7e0f653d5a50',
-         'series': [('aqe.partitions_coalesced', 9.0), ('aqe.partitions_split', 1.0),
-                    ('aqe.shuffles_switched', 1.0), ('aqe.stages_replanned', 2.0),
+                   'order': '9971ff82c6646fa6'},
+         'spans': '16aae751cdcde9bf',
+         'series': [('aqe.partitions_coalesced', 9.0), ('aqe.stages_replanned', 1.0),
                     ('aqe.tasks_saved', 8.0), ('cluster.total_cores', 12.0),
                     ('executor.map_tasks{node=w0}', 6.0), ('executor.map_tasks{node=w1}', 6.0),
-                    ('executor.map_tasks{node=w2}', 4.0), ('executor.result_tasks{node=w0}', 13.0),
-                    ('executor.result_tasks{node=w1}', 13.0),
+                    ('executor.map_tasks{node=w2}', 4.0), ('executor.result_tasks{node=w0}', 10.0),
+                    ('executor.result_tasks{node=w1}', 10.0),
                     ('executor.result_tasks{node=w2}', 12.0), ('scheduler.fetch_failures', 0.0),
                     ('scheduler.node_lost_tasks', 0.0), ('scheduler.nodes_lost', 0.0),
                     ('scheduler.nodes_recovered', 0.0), ('scheduler.queue_depth', 0.0),
-                    ('scheduler.queue_wait_seconds', 54), ('scheduler.speculative_launches', 0.0),
+                    ('scheduler.queue_wait_seconds', 48), ('scheduler.speculative_launches', 0.0),
                     ('scheduler.speculative_wins', 0.0), ('scheduler.stage_resubmissions', 0.0),
-                    ('scheduler.task_retries', 0.0), ('scheduler.tasks_completed', 54.0),
-                    ('scheduler.tasks_failed', 0.0), ('scheduler.tasks_launched', 54.0),
-                    ('shuffle.local_bytes', 353760.0), ('shuffle.local_bytes{node=w0}', 199768.0),
-                    ('shuffle.local_bytes{node=w1}', 100552.0),
-                    ('shuffle.local_bytes{node=w2}', 53440.0), ('shuffle.remote_bytes', 618528.0),
-                    ('shuffle.remote_bytes{src=w0}', 164840.0),
-                    ('shuffle.remote_bytes{src=w1}', 264056.0),
-                    ('shuffle.remote_bytes{src=w2}', 189632.0), ('shuffle.write_bytes', 1456384.0),
-                    ('shuffle.write_bytes{node=w0}', 546144.0),
-                    ('shuffle.write_bytes{node=w1}', 546144.0),
-                    ('shuffle.write_bytes{node=w2}', 364096.0)],
-         'bodies': [{'task_attempts': {'ok': 54},
+                    ('scheduler.task_retries', 0.0), ('scheduler.tasks_completed', 48.0),
+                    ('scheduler.tasks_failed', 0.0), ('scheduler.tasks_launched', 48.0),
+                    ('shuffle.local_bytes', 317568.0), ('shuffle.local_bytes{node=w0}', 185864.0),
+                    ('shuffle.local_bytes{node=w1}', 37424.0),
+                    ('shuffle.local_bytes{node=w2}', 94280.0), ('shuffle.remote_bytes', 654720.0),
+                    ('shuffle.remote_bytes{src=w0}', 178744.0),
+                    ('shuffle.remote_bytes{src=w1}', 327184.0),
+                    ('shuffle.remote_bytes{src=w2}', 148792.0), ('shuffle.write_bytes', 972288.0),
+                    ('shuffle.write_bytes{node=w0}', 364608.0),
+                    ('shuffle.write_bytes{node=w1}', 364608.0),
+                    ('shuffle.write_bytes{node=w2}', 243072.0)],
+         'bodies': [{'task_attempts': {'ok': 48},
                      'chaos_events': [],
-                     'aqe_events': 'c784c031c6d664e9',
-                     'aqe_event_count': 3,
+                     'aqe_events': '620ee086de5a44eb',
+                     'aqe_event_count': 1,
                      'spill_event_count': 0,
                      'spill_events': '4f53cda18c2baa0c'}]},
  'chaos': {'log': {'counts': [('dag_scheduler.fetch_failure', 2), ('dag_scheduler.job_finished', 1),

@@ -415,6 +415,17 @@ class TestMemoryBudgetFlags:
         assert err.count("\n") == 1
 
 
+class TestAqeFlags:
+    def test_aqe_target_without_aqe_one_line_error(self):
+        code, text, err = run_cli(
+            *TestMemoryBudgetFlags.WORKLOAD, "--aqe-target", "4K"
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "--aqe" in err
+        assert err.count("\n") == 1
+
+
 class TestObservabilityFlags:
     def test_run_writes_trace_and_metrics(self, tmp_path):
         trace = str(tmp_path / "trace.json")

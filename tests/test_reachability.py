@@ -5,7 +5,9 @@ the examples (``ROOTS``). A module, a public top-level function or class,
 or a public method that none of them reaches is dead code: delete it with
 the tests that only test it. ``ALLOWED`` keeps a name alive for one reason
 only: a test of *other* behaviour builds its scenario, or reads its
-result, through that name. "Has a unit test" is not a reason.
+result, through that name. "Has a unit test" is not a reason. Each reason
+names the test files that go through the name, so a reason goes stale
+(and fails) once none of them spells it any more.
 
 Reach is decided by name, with stdlib ``ast`` only:
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -41,36 +44,50 @@ ROOTS = (
 )
 
 # Kept alive, with what it reaches, because a test of other behaviour goes
-# through it: name -> that test.
+# through it: name -> the test file(s) that do, and what for. At least one
+# of the named files must spell the name (``test_allow_list_names_its_tests``).
 ALLOWED: Dict[str, str] = {
     "repro.engine.context.AnalyticsContext.union":
-        "test_stage_launch builds its multi-parent narrow stage with it",
+        "tests/engine/test_stage_launch.py builds its multi-parent narrow stage "
+        "with it",
     "repro.engine.rdd.RDD.flat_map":
-        "test_fusion builds its fused narrow chains with it",
+        "tests/engine/test_fusion.py builds its fused narrow chains with it",
     "repro.engine.rdd.RDD.glom":
-        "test_adaptive ends a fused chain on a partition-level op with it",
+        "tests/engine/test_rdd_transformations.py reads the partitions of its "
+        "partition_by test through it",
     "repro.engine.rdd.RDD.partition_by":
-        "the AQE, shuffle and telemetry-sequence tests build explicit shuffles with it",
+        "tests/engine/test_aqe_oracle.py, tests/engine/test_shuffle.py and "
+        "tests/obs/test_telemetry_sequence.py build explicit shuffles with it",
     "repro.obs.metrics.MetricsRegistry.counter_labels":
-        "test_integration reads remote shuffle bytes per source node through it",
+        "tests/obs/test_integration.py reads remote shuffle bytes per source "
+        "node through it",
     "repro.obs.metrics.MetricsRegistry.counter_value":
-        "the chaos, speculation, lifetime and integration tests read counters through it",
+        "tests/engine/test_chaos.py, tests/engine/test_speculation.py, "
+        "tests/engine/test_lifetime.py and tests/obs/test_integration.py read "
+        "counters through it",
     "repro.obs.trace.Tracer.to_chrome":
-        "the trace-integration and telemetry-determinism tests read the trace through it",
+        "tests/obs/test_integration.py and tests/obs/test_telemetry_determinism.py "
+        "read the trace through it",
     "repro.relational.expr.avg":
-        "the relational and optimizer oracles build aggregate queries with it",
+        "tests/relational/test_oracle.py and tests/relational/test_optimizer_oracle.py "
+        "build aggregate queries with it",
     "repro.relational.expr.lit":
-        "the pruning oracle, zone-map and cache-key tests build predicates with it",
+        "tests/relational/test_pruning_oracle.py, tests/relational/test_stats.py "
+        "(zone maps) and tests/relational/test_cache_backends.py (cache keys) "
+        "build predicates with it",
     "repro.relational.expr.max_":
-        "the relational oracle builds its aggregate query with it",
+        "tests/relational/test_oracle.py builds its aggregate query with it",
     "repro.relational.expr.min_":
-        "the relational oracle builds its aggregate query with it",
+        "tests/relational/test_oracle.py builds its aggregate query with it",
     "repro.relational.stats.RangeLayout":
-        "the pruning oracle declares range-partitioned scans with it",
+        "tests/relational/test_pruning_oracle.py declares range-partitioned scans "
+        "with it",
     "repro.relational.table.Table.from_rows":
-        "the relational, optimizer and plan tests build their input tables with it",
+        "tests/relational/test_oracle.py, tests/relational/test_optimizer_oracle.py "
+        "and tests/relational/test_plan.py build their input tables with it",
     "repro.workloads.datagen.clear_block_cache":
-        "test_parallel_fallback starts each sweep from a cold block cache with it",
+        "tests/chopper/test_parallel_fallback.py starts each sweep from a cold "
+        "block cache with it",
 }
 
 Binding = Tuple[str, Optional[str]]  # (module, member or None for the module)
@@ -325,3 +342,16 @@ def test_allow_list_is_honest():
     names, by_roots, _ = analyse()
     assert sorted(set(ALLOWED) - set(names)) == [], "allow-listed but missing"
     assert sorted(set(ALLOWED) & by_roots) == [], "allow-listed but reached"
+
+
+def test_allow_list_names_its_tests():
+    stale: List[str] = []
+    for ident, reason in ALLOWED.items():
+        files = re.findall(r"tests/[\w/]+\.py", reason)
+        spelled = re.compile(rf"\b{re.escape(ident.rpartition('.')[2])}\b")
+        if not any(
+            (ROOT / f).is_file() and spelled.search((ROOT / f).read_text())
+            for f in files
+        ):
+            stale.append(f"{ident}: {files or 'no test file named'}")
+    assert not stale, "no named test file spells the name:\n  " + "\n  ".join(stale)
