@@ -681,3 +681,88 @@ class TestWordCountStoresColumns:
             assert built == [len(records)]
         finally:
             ctx.close()
+
+
+class TestWordCountFetchPinned:
+    """What a reduce fetch of wordcount-shaped map outputs returns, resident
+    and spilled: the column dtypes, every record in order, the fetched
+    block count, the write total and the per-partition bytes. Map outputs
+    are built as the map task builds them: ``(word, 1.0)`` batches bucketed
+    by the hash partitioner and weighted by their exact sizes."""
+
+    LINES = {
+        # Every map's widest word has five letters: each column is one
+        # dtype across the shuffle.
+        "same_width": [
+            "the cat sat on the mat while a sheep ate",
+            "sheep and goats graze the hill",
+            "every sheep sleep",
+            "tiger",
+        ],
+        # Maps of width 3, 4, 5 and 2: key columns differ in width.
+        "mixed_width": [
+            "the cat sat on the mat", "a dog ran to the park", "sheep and oxen", "ox",
+        ],
+    }
+    # layout -> (bytes_written, partition_sizes, per reduce id:
+    # (n_blocks, keys dtype, values dtype, words))
+    PINNED = {
+        "same_width": (
+            1036704.0,
+            [210192.0, 156128.0, 307128.0, 257128.0, 106128.0],
+            [
+                (3, "<U5", "<f8", ["sat", "sheep", "sheep", "sheep"]),
+                (2, "<U5", "<f8", ["and", "hill", "every"]),
+                (2, "<U5", "<f8", ["cat", "on", "mat", "while", "a", "sleep"]),
+                (2, "<U5", "<f8", ["the", "the", "ate", "graze", "the"]),
+                (2, "<U5", "<f8", ["goats", "tiger"]),
+            ],
+        ),
+        "mixed_width": (
+            815768.0,
+            [205256.0, 152128.0, 253192.0, 153128.0, 52064.0],
+            [
+                (4, "<U5", "<f8", ["sat", "dog", "sheep", "ox"]),
+                (2, "<U5", "<f8", ["ran", "to", "and"]),
+                (3, "<U5", "<f8", ["cat", "on", "mat", "a", "oxen"]),
+                (2, "<U4", "<f8", ["the", "the", "the"]),
+                (1, "<U4", "<f8", ["park"]),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("spilled", [False, True], ids=["resident", "spilled"])
+    @pytest.mark.parametrize("layout", sorted(LINES))
+    def test_fetch_is_pinned(self, layout, spilled, tmp_path):
+        from repro.engine.partitioner import HashPartitioner
+        from repro.engine.storage import SpillManager
+
+        lines = self.LINES[layout]
+        spill = SpillManager(1.0, directory=str(tmp_path)) if spilled else None
+        mgr = ShuffleManager(block_header=64.0, spill=spill)
+        partitioner = HashPartitioner(5)
+        mgr.register(0, len(lines), 5)
+        try:
+            for map_id, line in enumerate(lines):
+                batch = RecordBatch.from_records([(w, 1.0) for w in line.split()])
+                rids = partitioner.partition_many(batch.keys)
+                output = MapOutput(batch, rids, batch.sizes_array() * 1000.0)
+                mgr.put_map_output(0, map_id, "AB"[map_id % 2], output)
+                assert output.is_spilled == spilled
+            written, sizes, fetches = self.PINNED[layout]
+            assert mgr.bytes_written(0) == written
+            assert mgr.partition_sizes(0) == sizes
+            for rid, (n_blocks, keys, values, words) in enumerate(fetches):
+                for _ in range(2):  # a re-fetch (retry) reads the same
+                    records, stats = mgr.fetch(0, rid, "A")
+                    assert stats.n_blocks == n_blocks
+                    assert isinstance(records, RecordBatch)
+                    assert (records.keys.dtype.str, records.values.dtype.str) == (
+                        keys, values,
+                    )
+                    assert _typed(records.to_records()) == _typed(
+                        [(w, 1.0) for w in words]
+                    )
+        finally:
+            if spill is not None:
+                spill.close()
