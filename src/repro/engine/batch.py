@@ -8,6 +8,10 @@ plain Python list column. The conversion is **loss-free by construction**:
 to Python scalars is provably exact, otherwise the column stays a list —
 so ``to_records`` always reproduces the original tuples value-for-value
 (and type-for-type: ``int`` stays ``int``, ``str`` stays ``str``).
+A batch never holds ``S`` bytes or float32 (``_normalize`` lists them):
+those are the shuffle's encodings at rest, which it narrows a stored
+batch's columns to and widens back on fetch (``repro.engine.shuffle``),
+so every batch a reader sees has these dtypes.
 
 Why this exists: list-of-tuples shuffle blocks pay a Python object per
 record on every bucket/concat/fold step. A batch partitions with one

@@ -10,6 +10,14 @@ describing how many bytes were local vs remote per source node — which
 the cost model converts into fetch time and the metrics recorder into
 network traffic.
 
+At rest, each array column of a batch is kept in its narrowest exact
+encoding (:func:`_narrow`): an all-ASCII ``<U{w}`` key column as
+``S{w}`` bytes, a float64 column whose values all survive float32 as
+float32. Fetch widens each column once, after the spans' bytes are
+joined, so every reader gets the arrays that were stored, bit for bit.
+On wordcount_shuffle that takes a stored record from 28 bytes (a
+``<U5`` key and a float64 weight) to 9.
+
 Byte accounting uses *virtual* bytes (physical estimate x the writing
 RDD's ``size_scale``) plus a per-non-empty-bucket header, so shuffle volume
 reproduces the paper's Fig. 4 behaviour: for map-side-combined
@@ -29,7 +37,7 @@ import numpy as np
 
 from repro.common.errors import FetchFailure, ShuffleError
 from repro.engine import effects
-from repro.engine.batch import RecordBatch
+from repro.engine.batch import Column, RecordBatch
 from repro.engine.storage import SpillableBlock, SpillManager, SpillRef
 from repro.obs import Observability
 
@@ -38,6 +46,82 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # A records container: a list of (k, v) tuples or a columnar RecordBatch.
 Records = Union[List, RecordBatch]
+# A map output's container at rest: the same, or a batch stored packed.
+Stored = Union[List, RecordBatch, "_Packed"]
+
+
+def _narrow(column: Column) -> Column:
+    """``column`` in its narrowest exact encoding, else itself.
+
+    An all-ASCII ``<U{w}`` column becomes ``S{w}``: its UCS4 code points,
+    each below 0x80, cast to one byte (``astype("S")`` costs ~60x more).
+    ASCII, not Latin-1: where maps of both encodings meet, numpy's
+    concatenation decodes the bytes as ASCII.
+    A float64 column becomes float32 when every value survives the round
+    trip bit for bit (-0.0, infinities and float32 subnormals do; 0.1 and
+    2**24 + 1 do not). Int64 and list columns stay as they are.
+    """
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "U" and column.dtype.isnative:
+        codes = np.ascontiguousarray(column).view(np.uint32)
+        if int(codes.max(initial=0)) < 0x80:
+            return codes.astype(np.uint8).view(f"S{column.dtype.itemsize // 4}")
+    elif column.dtype == np.float64:
+        with np.errstate(over="ignore"):  # a value past float32 stays wide
+            narrow = column.astype(np.float32)
+        back = narrow.astype(np.float64)
+        if np.array_equal(back.view(np.int64), column.view(np.int64)):
+            return narrow
+    return column
+
+
+def _widen(column: Column) -> Column:
+    """Undo :func:`_narrow`: ``S{w}`` back to ``<U{w}``, float32 back to
+    float64 (a batch never holds either, so neither kind is ambiguous)."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "S":
+        codes = np.ascontiguousarray(column).view(np.uint8).astype(np.uint32)
+        return codes.view(f"U{column.dtype.itemsize}")
+    if column.dtype == np.float32:
+        return column.astype(np.float64)
+    return column
+
+
+class _Packed:
+    """A batch at rest with at least one column narrowed (:func:`_narrow`).
+
+    Never handed to a reader: :meth:`widen` returns the records as the
+    batch that was packed. It pickles as its columns, so a spilled frame
+    carries the packed bytes.
+    """
+
+    __slots__ = ("keys", "values", "_raw")
+
+    def __init__(self, keys: Column, values: Column) -> None:
+        self.keys, self.values = keys, values
+        self._raw: Optional[Tuple[memoryview, memoryview]] = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __reduce__(self):
+        return (_Packed, (self.keys, self.values))
+
+    raw = RecordBatch.raw  # the same cached byte views, of the packed columns
+
+    def slice(self, start: int, stop: int) -> "_Packed":
+        return _Packed(self.keys[start:stop], self.values[start:stop])
+
+    def widen(self, start: int, stop: int) -> RecordBatch:
+        """Records ``[start, stop)`` as a batch of fresh wide columns."""
+        return RecordBatch(
+            _widen(self.keys[start:stop]), _widen(self.values[start:stop])
+        )
+
+    def to_records(self, start: int, stop: int) -> List[Tuple]:
+        return self.widen(start, stop).to_records()
 
 
 class MapOutput(SpillableBlock):
@@ -54,7 +138,9 @@ class MapOutput(SpillableBlock):
     summed by ``np.add.at``'s unbuffered left fold, and ``order`` (how
     bucket bytes fold into the task's write total; None = ascending) the
     dict's insertion order. Registration spends ``order`` and fills in
-    that total (``nbytes``) and ``node``. Under a memory budget the
+    that total (``nbytes``) and ``node``. A batch container is stored
+    packed (:class:`_Packed`) when a column narrows, after sizing and
+    bucketing, so no byte total sees it. Under a memory budget the
     container may live in the spill file, one frame per bucket, so a
     reduce task reads back only its own bucket.
     """
@@ -76,6 +162,13 @@ class MapOutput(SpillableBlock):
                 container = container.take(positions)
             else:
                 container = [container[i] for i in positions.tolist()]
+        self.dtypes = None  # the two stored column dtypes, when both are arrays
+        if isinstance(container, RecordBatch):
+            columns = (_narrow(container.keys), _narrow(container.values))
+            if columns[0] is not container.keys or columns[1] is not container.values:
+                container = _Packed(*columns)
+            if all(isinstance(c, np.ndarray) for c in columns):
+                self.dtypes = tuple(c.dtype for c in columns)
         super().__init__(container, 0.0, "")
         starts = np.flatnonzero(np.concatenate(([n > 0], rid_arr[1:] != rid_arr[:-1])))
         self.rids = rid_arr[starts]
@@ -84,16 +177,11 @@ class MapOutput(SpillableBlock):
         # positions[start] is where a bucket's first record sat in the
         # task's output: ranking those recovers first-occurrence order.
         self.order = None if positions is None else np.argsort(positions[starts])
-        self.dtypes = None  # a batch's two column dtypes, when both are arrays
-        if isinstance(container, RecordBatch):
-            columns = (container.keys, container.values)
-            if all(isinstance(c, np.ndarray) for c in columns):
-                self.dtypes = tuple(c.dtype for c in columns)
 
     def __len__(self) -> int:  # the number of non-empty buckets
         return len(self.rids)
 
-    def span(self, start: int, stop: int) -> Tuple[Records, int, int]:
+    def span(self, start: int, stop: int) -> Tuple[Stored, int, int]:
         """Where bucket ``[start, stop)`` lives: the resident container and
         the span itself, or a spilled bucket's frame, read back whole."""
         container = self._records
@@ -104,25 +192,34 @@ class MapOutput(SpillableBlock):
             return frame, 0, len(frame)
         return container, start, stop
 
-    def _spans(self) -> List[Tuple[Records, int, int]]:
+    def _spans(self) -> List[Tuple[Stored, int, int]]:
         offsets = self.offsets.tolist()
         return [self.span(*bounds) for bounds in zip(offsets, offsets[1:])]
 
-    def _payloads(self) -> List[Records]:
-        return [_cut(*span) for span in self._spans()]
+    def _payloads(self) -> List[Stored]:
+        # One frame per bucket, as stored: packed columns stay packed.
+        container = self._records
+        offsets = self.offsets.tolist()
+        if isinstance(container, list):
+            return [container[a:b] for a, b in zip(offsets, offsets[1:])]
+        return [container.slice(a, b) for a, b in zip(offsets, offsets[1:])]
 
     @property
     def records(self) -> Records:
-        """Every record in bucket order: the container, or all its frames."""
+        """Every record in bucket order, as a fetch serves them: the
+        container (widened if packed), or all its frames."""
         container = self._records
         if container is None:
             return _gather(self._spans(), self.dtypes)
-        return container
+        return _cut(container, 0, len(container))
 
 
-def _cut(container: Records, start: int, stop: int) -> Records:
-    """Records ``[start, stop)``: the container itself when it spans it
-    whole, else a fresh list or column views."""
+def _cut(container: Stored, start: int, stop: int) -> Records:
+    """Records ``[start, stop)``: a packed container's widened, else the
+    container itself when it spans it whole, else a fresh list or column
+    views."""
+    if isinstance(container, _Packed):
+        return container.widen(start, stop)
     if stop - start == len(container):
         return container
     if isinstance(container, RecordBatch):
@@ -130,30 +227,34 @@ def _cut(container: Records, start: int, stop: int) -> Records:
     return container[start:stop]
 
 
-def _gather(spans: List[Tuple[Records, int, int]], dtypes: Optional[Tuple]) -> Records:
+def _gather(spans: List[Tuple[Stored, int, int]], dtypes: Optional[Tuple]) -> Records:
     """Merge one reduce partition's ``(container, start, stop)`` spans in
     map order (one span is served as :func:`_cut` serves it). ``dtypes``
     (see ``_ReduceIndex``): each column joins the spans' raw bytes (the
     speed path: ``np.concatenate`` of slices raised wordcount_shuffle's
     fetch_s from 0.146 to 0.249 s on 2 vCPUs), or concatenates slices
-    where widths differ. Without it: one list of tuples, same order."""
+    where stored dtypes differ, then widens once. Without it: one list
+    of tuples, same order."""
     if len(spans) == 1:
         return _cut(*spans[0])
     if dtypes is None or not spans:
         return list(chain.from_iterable(
-            c.to_records(a, b) if isinstance(c, RecordBatch) else c[a:b]
+            c[a:b] if isinstance(c, list) else c.to_records(a, b)
             for c, a, b in spans
         ))
     raws = [(batch.raw(), start, stop) for batch, start, stop in spans]
     columns = []
     for j, dtype in enumerate(dtypes):
         if dtype is None:
+            # Mixed widths or encodings: numpy pads to the widest and
+            # casts ASCII bytes to code points, float32 to float64.
             cuts = [(c.keys, c.values)[j][a:b] for c, a, b in spans]
-            columns.append(np.concatenate(cuts))
+            column = np.concatenate(cuts)
         else:
             w = dtype.itemsize
             joined = bytearray().join([raw[j][a * w : b * w] for raw, a, b in raws])
-            columns.append(np.frombuffer(joined, dtype))
+            column = np.frombuffer(joined, dtype)
+        columns.append(_widen(column))
     return RecordBatch(*columns)
 
 
@@ -172,6 +273,9 @@ class FetchStats:
     @property
     def total_bytes(self) -> float:
         return self.local_bytes + self.remote_bytes
+
+
+_WIDE_KIND = {"S": "U"}  # the kind a stored column widens to, where it differs
 
 
 class _ReduceIndex:
@@ -200,14 +304,16 @@ class _ReduceIndex:
         by_rid = np.argsort(rids, kind="stable")
         self.indptr = np.searchsorted(rids[by_rid], np.arange(num_reduces + 1))
         self.columns = (maps[by_rid], starts[by_rid], stops[by_rid], nbytes[by_rid])
-        # Per column, the dtype every bucket shares (None: widths differ)
-        # if all are array batches of one kind. Once per shuffle: a check
-        # per fetch (hashing ~249 dtypes) costs what the byte join saves.
+        # Per column, the stored dtype every bucket shares (None: widths
+        # or encodings differ) if all are array batches whose columns
+        # widen to one kind. Once per shuffle: a check per fetch (hashing
+        # ~249 dtypes) costs what the byte join saves.
         self.dtypes: Optional[Tuple] = None
         found = {o.dtypes for o in stored if len(o)}
         if found and None not in found:
             columns = [set(c) for c in zip(*found)]
-            if all(len({d.kind for d in c}) == 1 for c in columns):
+            kinds = [{_WIDE_KIND.get(d.kind, d.kind) for d in c} for c in columns]
+            if all(len(k) == 1 for k in kinds):
                 self.dtypes = tuple(c.pop() if len(c) == 1 else None for c in columns)
 
     def rows(self, reduce_id: int) -> Tuple[np.ndarray, ...]:
@@ -368,10 +474,11 @@ class ShuffleManager:
         """Collect all records for ``reduce_id``, with byte accounting.
 
         A single contributing bucket is returned as served, which for a
-        bucket spanning its whole map output is the stored container
-        **itself, uncopied** — callers must treat fetched records as
-        read-only and copy before mutating (``ShuffledRDD`` does for its
-        sorting mode). Several buckets are merged by :func:`_gather`.
+        bucket spanning its whole unpacked map output is the stored
+        container **itself, uncopied** — callers must treat fetched
+        records as read-only and copy before mutating (``ShuffledRDD``
+        does for its sorting mode). A packed container comes back as a
+        fresh widened batch. Several buckets are merged by :func:`_gather`.
 
         Raises :class:`FetchFailure` when any of the shuffle's map
         outputs were discarded by a node loss — never silently serves a
@@ -397,7 +504,7 @@ class ShuffleManager:
         # Serve (and account) in ascending map id, whatever order the map
         # tasks registered in.
         rows = np.argsort(maps)
-        spans: List[Tuple[Records, int, int]] = []
+        spans: List[Tuple[Stored, int, int]] = []
         stats = FetchStats()
         for map_id, start, stop, size in zip(
             *(column[rows].tolist() for column in (maps, starts, stops, nbytes))

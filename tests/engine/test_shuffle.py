@@ -187,13 +187,42 @@ class TestZeroCopyFetch:
         records, _stats = mgr.fetch(1, 0, "a")
         assert records is block
 
-    def test_single_batch_block_returns_same_batch(self, mgr):
+    def test_single_batch_block_returns_same_batch(self):
+        """A batch with no column to narrow is stored as it is, and a
+        single-span fetch hands it back uncopied."""
+        for pairs in (
+            [("été", 1), ("ü", 2)],  # non-ASCII keys, int64 values
+            [("é", 0.1), ("ü", 2.0**24 + 1)],  # values float32 cannot hold
+            [(7, 0.1), (8, -2.0)],  # int64 keys
+        ):
+            mgr = ShuffleManager(block_header=10.0)
+            mgr.register(1, 2, 2)
+            batch = RecordBatch.from_records(pairs)
+            assert isinstance(batch.keys, np.ndarray)
+            assert isinstance(batch.values, np.ndarray)
+            put(mgr, 1, 0, "a", {0: (batch, 1.0)})
+            put(mgr, 1, 1, "b", {1: ([("z", 3)], 1.0)})
+            records, _stats = mgr.fetch(1, 0, "a")
+            assert records is batch
+
+    @pytest.mark.parametrize("pairs", [
+        [("x", 1), ("y", 2)],  # ASCII keys
+        [("été", 1.0), ("ü", -0.0)],  # float32-exact values
+        [("x", 1.0), ("yy", float("inf"))],  # both
+    ], ids=["ascii_int", "non_ascii_exact", "ascii_exact"])
+    def test_single_packed_block_returns_widened_batch(self, mgr, pairs):
+        """A batch with a column to narrow is stored packed: a single-span
+        fetch returns a fresh batch with the stored dtypes and bytes."""
         mgr.register(1, 2, 2)
-        batch = RecordBatch.from_records([("x", 1), ("y", 2)])
+        batch = RecordBatch.from_records(pairs)
         put(mgr, 1, 0, "a", {0: (batch, 1.0)})
         put(mgr, 1, 1, "b", {1: ([("z", 3)], 1.0)})
         records, _stats = mgr.fetch(1, 0, "a")
-        assert records is batch
+        assert isinstance(records, RecordBatch) and records is not batch
+        for got, want in ((records.keys, batch.keys), (records.values, batch.values)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert _typed(records.to_records()) == _typed(pairs)
 
     def test_multi_block_fetch_does_not_mutate_registered_lists(self, mgr):
         mgr.register(1, 2, 1)
@@ -763,6 +792,78 @@ class TestWordCountFetchPinned:
                     assert _typed(records.to_records()) == _typed(
                         [(w, 1.0) for w in words]
                     )
+        finally:
+            if spill is not None:
+                spill.close()
+
+
+class TestPackedColumnsAreExact:
+    """Columns stored narrowed come back as the arrays that were put, by
+    dtype and by bytes, resident and spilled: what the unpacked store
+    served (each contributing bucket's slice of the stored columns,
+    concatenated in map order)."""
+
+    LAYOUTS = {
+        # Every map packs both columns to one width: the byte-join path.
+        "ascii_exact": [
+            [("ab", 1.0), ("", -0.0), ("a\x00c", float("inf")), ("zz", 2.0**-149)],
+            [("xyz", 2.0**-149), ("q", -float("inf")), ("\x00qq", 0.5)],
+        ],
+        # Widths and encodings differ from map to map: empty, interior
+        # NUL, non-ASCII keys; float32-exact values next to 0.1, 2**24+1,
+        # a float64 subnormal and one past float32's range.
+        "mixed": [
+            [("a", -0.0), ("", float("inf")), ("a\x00b", -float("inf")), ("word", 2.0**-149)],
+            [("été", 5e-324), ("ü", 2.0**24 + 1), ("\x00q", 0.1), ("x", 1e300)],
+            [("abcdefgh", 0.5), ("z", -0.0), ("", 3.0), ("b", 1.0)],
+            [("ñ", -1.5), ("\x00\x00z", 0.25)],
+        ],
+        # One ASCII map next to one non-ASCII map.
+        "ascii_beside_non_ascii": [
+            [("the", 1.0), ("cat", 1.0), ("sat", 1.0), ("on", 1.0)],
+            [("été", 1.0), ("naïve", 1.0), ("ü", 1.0)],
+        ],
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spilled", [False, True], ids=["resident", "spilled"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_fetch_returns_the_stored_arrays(self, layout, spilled, tmp_path):
+        from repro.engine.storage import SpillManager
+
+        maps = self.LAYOUTS[layout]
+        num_reduces = 3
+        spill = SpillManager(1.0, directory=str(tmp_path)) if spilled else None
+        mgr = ShuffleManager(block_header=8.0, spill=spill)
+        mgr.register(0, len(maps), num_reduces)
+        batches, rid_lists = [], []
+        try:
+            for map_id, pairs in enumerate(maps):
+                batch = RecordBatch.from_records(pairs)
+                assert isinstance(batch.keys, np.ndarray)
+                assert isinstance(batch.values, np.ndarray)
+                rids = [(i + map_id) % num_reduces for i in range(len(pairs))]
+                output = MapOutput(batch, rids, batch.sizes_array())
+                mgr.put_map_output(0, map_id, "a", output)
+                assert output.is_spilled == spilled
+                order = np.argsort(rids, kind="stable")
+                for got, want in zip(
+                    (output.records.keys, output.records.values),
+                    (batch.keys[order], batch.values[order]),
+                ):
+                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+                batches.append(batch)
+                rid_lists.append(np.array(rids))
+            for rid in range(num_reduces):
+                records, _stats = mgr.fetch(0, rid, "a")
+                picks = [rids == rid for rids in rid_lists]
+                for column in ("keys", "values"):
+                    want = np.concatenate([
+                        getattr(batch, column)[pick]
+                        for batch, pick in zip(batches, picks) if pick.any()
+                    ])
+                    got = getattr(records, column)
+                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
         finally:
             if spill is not None:
                 spill.close()
