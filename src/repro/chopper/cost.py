@@ -47,11 +47,12 @@ class CostWeights:
     shuffle_significance: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
+        # Each guard tests the legal condition, so NaN fails it too.
+        if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta > 0):
             raise ModelError("alpha/beta must be non-negative, not both zero")
-        if self.default_parallelism < 1:
+        if not self.default_parallelism >= 1:
             raise ModelError("default_parallelism must be >= 1")
-        if self.shuffle_significance < 0:
+        if not self.shuffle_significance >= 0:
             raise ModelError("shuffle_significance must be >= 0")
 
 

@@ -40,15 +40,16 @@ class NodeSpec:
     executor_memory: float = 40.0 * GB
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
+        # Each guard tests the legal condition, so NaN fails it too.
+        if not self.cores >= 1:
             raise ConfigurationError(f"node {self.name!r}: cores must be >= 1")
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ConfigurationError(f"node {self.name!r}: speed must be positive")
-        if self.memory <= 0 or self.net_bw <= 0 or self.disk_bw <= 0:
+        if not (self.memory > 0 and self.net_bw > 0 and self.disk_bw > 0):
             raise ConfigurationError(
                 f"node {self.name!r}: memory/net_bw/disk_bw must be positive"
             )
-        if self.executor_memory > self.memory:
+        if not self.executor_memory <= self.memory:
             raise ConfigurationError(
                 f"node {self.name!r}: executor memory exceeds node memory"
             )

@@ -86,9 +86,10 @@ class CostModelConfig:
     disk_transaction_bytes: float = 512.0 * 1024
 
     def __post_init__(self) -> None:
-        if self.task_overhead < 0 or self.per_byte_compute < 0:
+        # Each guard tests the legal condition, so NaN fails it too.
+        if not (self.task_overhead >= 0 and self.per_byte_compute >= 0):
             raise ConfigurationError("cost constants must be non-negative")
-        if self.partition_knee <= 0:
+        if not self.partition_knee > 0:
             raise ConfigurationError("partition_knee must be positive")
 
 

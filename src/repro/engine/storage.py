@@ -186,7 +186,7 @@ class SpillManager:
         directory: Optional[str] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        if budget_bytes <= 0:
+        if not budget_bytes > 0:  # NaN fails too
             raise ConfigurationError(
                 f"memory budget must be > 0 bytes, got {budget_bytes}"
             )

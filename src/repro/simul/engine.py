@@ -33,13 +33,13 @@ class SimEngine:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )

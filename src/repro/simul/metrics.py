@@ -101,7 +101,7 @@ class MetricsRecorder:
         the paper's "average of the statistics collected from the six
         nodes" presentation.
         """
-        if bucket_width <= 0:
+        if not bucket_width > 0:  # NaN fails too
             raise ConfigurationError("bucket_width must be positive")
         horizon = end if end is not None else self._horizon
         n_buckets = max(1, int(np.ceil(horizon / bucket_width)) if horizon > 0 else 1)

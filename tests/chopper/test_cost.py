@@ -34,6 +34,10 @@ class TestWeights:
     def test_negative_rejected(self):
         with pytest.raises(ModelError):
             CostWeights(alpha=-0.1)
+        with pytest.raises(ModelError):
+            CostWeights(alpha=float("nan"))
+        with pytest.raises(ModelError):
+            CostWeights(shuffle_significance=float("nan"))
 
     def test_both_zero_rejected(self):
         with pytest.raises(ModelError):

@@ -20,6 +20,13 @@ class TestNodeSpec:
             dict(cores=4, speed=0.0, memory=GB, net_bw=GBPS),
             dict(cores=4, speed=1.0, memory=-1.0, net_bw=GBPS),
             dict(cores=4, speed=1.0, memory=GB, net_bw=0.0),
+            # NaN, each where every other field is legal.
+            dict(cores=4, speed=float("nan"), memory=GB, net_bw=GBPS,
+                 executor_memory=GB),
+            dict(cores=4, speed=1.0, memory=GB, net_bw=GBPS,
+                 disk_bw=float("nan"), executor_memory=GB),
+            dict(cores=4, speed=1.0, memory=GB, net_bw=GBPS,
+                 executor_memory=float("nan")),
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -26,10 +26,14 @@ class TestConfig:
     def test_negative_constants_rejected(self):
         with pytest.raises(ConfigurationError):
             CostModelConfig(task_overhead=-1.0)
+        with pytest.raises(ConfigurationError):
+            CostModelConfig(task_overhead=float("nan"))
 
     def test_zero_knee_rejected(self):
         with pytest.raises(ConfigurationError):
             CostModelConfig(partition_knee=0.0)
+        with pytest.raises(ConfigurationError):
+            CostModelConfig(partition_knee=float("nan"))
 
 
 class TestOversizeFactor:

@@ -39,6 +39,8 @@ class TestSpillManager:
             SpillManager(0)
         with pytest.raises(ConfigurationError):
             SpillManager(-5.0)
+        with pytest.raises(ConfigurationError):
+            SpillManager(float("nan"))
 
     def test_within_budget_stays_resident(self, spill):
         store = BlockStore(spill=spill)

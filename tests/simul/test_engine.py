@@ -38,6 +38,8 @@ class TestSchedule:
     def test_negative_delay_rejected(self):
         with pytest.raises(SchedulingError):
             SimEngine().schedule(-1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            SimEngine().schedule(float("nan"), lambda: None)
 
     def test_schedule_in_past_rejected(self):
         engine = SimEngine()
@@ -45,6 +47,8 @@ class TestSchedule:
         engine.run()
         with pytest.raises(SchedulingError):
             engine.schedule_at(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            engine.schedule_at(float("nan"), lambda: None)
 
     def test_events_can_schedule_events(self):
         engine = SimEngine()

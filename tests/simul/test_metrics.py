@@ -87,3 +87,5 @@ class TestSeriesStats:
     def test_bad_bucket_width(self):
         with pytest.raises(ConfigurationError):
             MetricsRecorder().bucketize("cpu", 0.0)
+        with pytest.raises(ConfigurationError):
+            MetricsRecorder().bucketize("cpu", float("nan"))
