@@ -54,11 +54,12 @@ def run_pipeline(build, **conf_kwargs):
 
 
 def pipe_identity_hot(ctx):
-    """Skewed identity shuffle + record-local chain: every partition is
-    past the target, so AQE keeps the static layout."""
+    """Skewed identity shuffle + record-local chain over 32 partitions:
+    the cold ones (one key or none, each under the target) coalesce, and
+    the hot one stays a task of its own."""
     return (
         ctx.parallelize(DATA, 8)
-        .partition_by(HashPartitioner(16))
+        .partition_by(HashPartitioner(32))
         .values()
         .map(lambda v: v * 2)
         .collect()
@@ -135,6 +136,14 @@ class TestAqeActuallyFires:
         _, counters, _ = run_pipeline(pipe_aggregate, **AQE_KNOBS)
         assert counters.get("aqe.partitions_coalesced", 0) >= 2
         assert counters.get("aqe.tasks_saved", 0) >= 1
+
+    def test_identity_coalesces_around_the_hot_partition(self):
+        (event,) = replans(pipe_identity_hot)[1]
+        assert event["original_partitions"] == 32
+        assert event["coalesced"] >= 2 and event["adapted_partitions"] < 32
+        hot = max(event["before"])
+        assert hot > AQE_KNOBS["aqe_target_partition_bytes"]
+        assert max(event["after"]) == hot  # never merged with a neighbour
 
     def test_off_by_default_no_counters(self):
         _, counters, _ = run_pipeline(pipe_identity_hot)
