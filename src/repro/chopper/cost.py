@@ -159,6 +159,6 @@ def repartition_cost(
     launches ``p`` tasks; both terms amortize over the cluster's cores.
     Used by Algorithm 3's gamma test for user-fixed stages.
     """
-    if d < 0 or p < 1:
+    if not (d >= 0 and p >= 1):  # NaN fails too
         raise ModelError("repartition_cost needs d >= 0 and p >= 1")
     return (d * per_byte * 2.0 + p * per_task) / max(1, cluster_parallelism)

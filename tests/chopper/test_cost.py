@@ -117,3 +117,5 @@ class TestRepartitionCost:
             repartition_cost(-1.0, 10)
         with pytest.raises(ModelError):
             repartition_cost(1.0, 0)
+        with pytest.raises(ModelError):
+            repartition_cost(float("nan"), 10)
