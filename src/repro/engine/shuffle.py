@@ -89,6 +89,9 @@ def _widen(column: Column) -> Column:
     return column
 
 
+_WIDE_KIND = {"S": "U"}  # the kind a stored column widens to, where it differs
+
+
 class _Packed:
     """A batch at rest with at least one column narrowed (:func:`_narrow`).
 
@@ -273,9 +276,6 @@ class FetchStats:
     @property
     def total_bytes(self) -> float:
         return self.local_bytes + self.remote_bytes
-
-
-_WIDE_KIND = {"S": "U"}  # the kind a stored column widens to, where it differs
 
 
 class _ReduceIndex:
