@@ -45,10 +45,11 @@ class Workload:
 
         Subclasses clamp small requests up to a workable floor, which
         would otherwise turn ``physical_records=0`` into a silent
-        default instead of an error.
+        default instead of an error. Only a positive ``int`` passes: NaN,
+        ``2.5`` and ``True`` are not record counts.
         """
-        if value < 1:
-            raise WorkloadError(f"physical_records must be >= 1, got {value}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise WorkloadError(f"physical_records must be a positive int, got {value!r}")
         return value
 
     def run(self, ctx: AnalyticsContext, scale: float = 1.0) -> WorkloadResult:

@@ -210,6 +210,14 @@ class TestPageRank:
         assert len(map_stages) == 3
 
 
+class TestPhysicalRecords:
+    @pytest.mark.parametrize("cls", [KMeansWorkload, SQLWorkload])
+    @pytest.mark.parametrize("records", [float("nan"), 2.5, True, 0])
+    def test_must_be_a_positive_int(self, cls, records):
+        with pytest.raises(WorkloadError, match="physical_records"):
+            cls(physical_records=records)
+
+
 class TestScaling:
     def test_scale_shrinks_virtual_input(self):
         workload = KMeansWorkload(virtual_gb=4.0, physical_records=500)
