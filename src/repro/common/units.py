@@ -7,6 +7,8 @@ readable (``21.8 * GB``) and log output legible.
 
 from __future__ import annotations
 
+import math
+
 KB: float = 1024.0
 MB: float = 1024.0 * KB
 GB: float = 1024.0 * MB
@@ -47,8 +49,8 @@ def parse_bytes(text: str) -> float:
     """Parse a human byte count: ``"64M"``, ``"1.5GB"``, ``"4096"``.
 
     Binary units (1K = 1024), case-insensitive, optional ``B`` suffix.
-    Raises ``ValueError`` on anything else, so argparse renders it as a
-    clean usage error.
+    Raises ``ValueError`` on anything else, NaN and overflow to infinity
+    included, so argparse renders it as a clean usage error.
 
     >>> parse_bytes("1.5K")
     1536.0
@@ -66,9 +68,10 @@ def parse_bytes(text: str) -> float:
         value = float(number)
     except ValueError:
         raise ValueError(f"unrecognized byte size {text!r}") from None
-    if value < 0:
-        raise ValueError(f"byte size must be >= 0, got {text!r}")
-    return value * _SUFFIXES[suffix]
+    size = value * _SUFFIXES[suffix]
+    if not 0 <= size < math.inf:
+        raise ValueError(f"byte size must be finite and >= 0, got {text!r}")
+    return size
 
 
 def fmt_duration(seconds: float) -> str:

@@ -79,7 +79,9 @@ class TestParseBytes:
         assert parse_bytes(fmt_bytes(64 * MB).replace(" ", "")) == 64 * MB
 
     @pytest.mark.parametrize(
-        "text", ["", "MB", "12X", "1..5K", "twelve", "1 2K", "-64M"]
+        "text",
+        ["", "MB", "12X", "1..5K", "twelve", "1 2K", "-64M",
+         "NaN MB", "nan mb", "1e400", "1e308TB"],
     )
     def test_rejects(self, text):
         with pytest.raises(ValueError, match="byte size"):

@@ -414,6 +414,17 @@ class TestMemoryBudgetFlags:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--memory-budget", "1e400"),
+        ("--memory-budget", "NaN MB"),
+        ("--aqe", "--aqe-target", "nan mb"),
+    ])
+    def test_non_finite_size_one_line_error(self, flags):
+        code, text, err = run_cli(*self.WORKLOAD, *flags)
+        assert code == 2
+        assert err.startswith("error: ") and "byte size" in err
+        assert err.count("\n") == 1
+
 
 class TestAqeFlags:
     def test_aqe_target_without_aqe_one_line_error(self):
