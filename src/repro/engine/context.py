@@ -131,12 +131,10 @@ class EngineConf:
                 f"aqe_target_partition_bytes must be > 0,"
                 f" got {self.aqe_target_partition_bytes}"
             )
-        if self.physical_parallelism < 1:
-            raise ConfigurationError(
-                f"physical_parallelism must be >= 1, got {self.physical_parallelism}"
-            )
-        if self.default_parallelism < 1:
-            raise ConfigurationError("default_parallelism must be >= 1")
+        for name in ("default_parallelism", "max_task_attempts", "physical_parallelism"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
         if not 0.0 <= self.task_failure_rate < 1.0:
             raise ConfigurationError("task_failure_rate must be in [0, 1)")
         if not 0.0 <= self.node_failure_rate <= 1.0:

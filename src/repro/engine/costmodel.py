@@ -29,6 +29,7 @@ iteration stages in seconds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -86,11 +87,17 @@ class CostModelConfig:
     disk_transaction_bytes: float = 512.0 * 1024
 
     def __post_init__(self) -> None:
-        # Each guard tests the legal condition, so NaN fails it too.
-        if not (self.task_overhead >= 0 and self.per_byte_compute >= 0):
-            raise ConfigurationError("cost constants must be non-negative")
-        if not self.partition_knee > 0:
-            raise ConfigurationError("partition_knee must be positive")
+        # Each field is checked as its legal range, so NaN fails too. A
+        # constant is finite: an infinite one makes every task endless.
+        for name, value in vars(self).items():
+            if name in ("memory_fraction", "shuffle_write_disk_fraction"):
+                legal, rule = 0 <= value <= 1, "in [0, 1]"
+            elif name in ("partition_knee", "partition_penalty_exponent", "disk_transaction_bytes"):
+                legal, rule = 0 < value < math.inf, "> 0 and finite"
+            else:
+                legal, rule = 0 <= value < math.inf, ">= 0 and finite"
+            if not legal:
+                raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass

@@ -32,6 +32,23 @@ class TestEngineConf:
         # inf stays legal: a node that never fails.
         EngineConf(node_failure_times={"B": float("inf")})
 
+    @pytest.mark.parametrize("field, value", [
+        ("default_parallelism", float("nan")),
+        ("default_parallelism", 2.5),
+        ("default_parallelism", True),
+        ("physical_parallelism", float("nan")),
+        ("physical_parallelism", 2.5),
+        ("physical_parallelism", True),
+        ("max_task_attempts", float("nan")),
+        ("max_task_attempts", 0),
+        ("max_task_attempts", True),
+    ])
+    def test_counts_must_be_positive_ints(self, field, value):
+        # A count is an int >= 1, not a bool: NaN and 2.5 used to pass and
+        # die later ("'float' object cannot be interpreted as an integer").
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConf(**{field: value})
+
 
 class TestContext:
     def test_default_cluster_is_paper_testbed(self):

@@ -35,6 +35,29 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CostModelConfig(partition_knee=float("nan"))
 
+    @pytest.mark.parametrize("field, illegal, edge", [
+        ("task_overhead", -1.0, 0.0),
+        ("per_byte_compute", float("inf"), 0.0),
+        ("per_record_compute", -1e-6, 0.0),
+        ("partition_knee", float("inf"), 1.0),
+        ("partition_penalty_exponent", 0.0, 0.5),
+        ("driver_dispatch_interval", -0.008, 0.0),
+        ("jitter_sigma", -0.15, 0.0),
+        ("memory_fraction", 1.5, 1.0),
+        ("spill_penalty", -1.0, 0.0),
+        ("shuffle_block_latency", float("inf"), 0.0),
+        ("shuffle_block_header", -64.0, 0.0),
+        ("shuffle_write_disk_fraction", -0.1, 0.0),
+        ("disk_transaction_bytes", 0.0, 1.0),
+    ])
+    def test_each_field_is_checked_as_its_legal_range(self, field, illegal, edge):
+        # NaN used to run silently (jitter off, one disk transaction) or
+        # die mid-run ("cannot schedule into the past (delay=nan)").
+        for value in (float("nan"), illegal):
+            with pytest.raises(ConfigurationError, match=field):
+                CostModelConfig(**{field: value})
+        CostModelConfig(**{field: edge})  # the edge of the range is legal
+
 
 class TestOversizeFactor:
     def test_small_partitions_no_penalty(self, model):
