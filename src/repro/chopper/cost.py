@@ -125,17 +125,20 @@ def get_min_par(
     def cost_at(p: int) -> float:
         return stage_cost(model, d, float(p), weights, t_default, s_default)
 
-    candidates = np.unique(
+    # A rounded linspace is non-decreasing, so sorted(set()) keeps its
+    # order; np.unique would import numpy.ma (~1 MB) for it.
+    candidates = sorted(set(
         np.clip(np.linspace(lo, hi, num=min(coarse_points, hi - lo + 1)), lo, hi)
         .round()
         .astype(int)
-    )
-    best_p = int(candidates[0])
+        .tolist()
+    ))
+    best_p = candidates[0]
     best_cost = cost_at(best_p)
     for p in candidates[1:]:
-        c = cost_at(int(p))
+        c = cost_at(p)
         if c < best_cost:
-            best_p, best_cost = int(p), c
+            best_p, best_cost = p, c
 
     # Fine pass: exhaustive within one coarse step around the minimum.
     step = max(1, (hi - lo) // max(1, len(candidates) - 1))

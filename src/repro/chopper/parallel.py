@@ -33,16 +33,17 @@ custom workload) runs in-process too.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chopper.runner import RunOutcome, RunSpec, measured_run
-from repro.engine import shm
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import multiprocessing
+
+    from repro.engine import shm
 
 # What measured_run returns: the outcome and its telemetry blob, into
 # which run_specs stamps a "worker" slot label for pool-dispatched runs.
@@ -99,6 +100,9 @@ def measure_chunk(task: Tuple[shm.SharedPayload, str]) -> shm.SharedPayload:
     driver-chosen ``out_name``), so a chunk of N runs costs one segment
     round trip, not N pipe payloads.
     """
+    # The shared-memory data plane: only a pooled sweep uses it.
+    from repro.engine import shm
+
     payload, out_name = task
     decoded = shm.decode_shared(payload)
     try:
@@ -116,6 +120,9 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     (copy-on-write), so running the first spec inline on the driver
     pre-warms every worker's block cache for free.
     """
+    # Process start methods: only a sweep that takes the pool asks.
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
@@ -200,6 +207,12 @@ def _pool_specs(specs: Sequence[RunSpec], workers: int) -> List[RunResult]:
     back to one-task-per-spec ``pool.map``.
     """
     global last_dispatch
+    # The process pool and its shared-memory data plane: only a pooled sweep.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.engine import shm
+
     head = specs[0]
     shared = all(
         s[0] is head[0] and s[1] is head[1] and s[2] is head[2] for s in specs

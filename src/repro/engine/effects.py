@@ -21,8 +21,10 @@ directly (the unchanged serial path).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ThreadPoolExecutor
 
 # Op tags recorded in TaskEffects.ops, replayed in order at apply time:
 #   ("cache_get", key, block)        - validated: the key still maps to
@@ -93,6 +95,9 @@ _pool_size = 0
 def worker_pool(workers: int) -> ThreadPoolExecutor:
     global _pool, _pool_size
     if _pool is None or _pool_size < workers:
+        # The thread pool (it imports logging): physical_parallelism > 1 only.
+        from concurrent.futures import ThreadPoolExecutor
+
         if _pool is not None:
             _pool.shutdown(wait=True)
         _pool = ThreadPoolExecutor(

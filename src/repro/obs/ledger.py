@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import os
 from contextlib import contextmanager
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional
@@ -31,8 +30,6 @@ from typing import Any, BinaryIO, Dict, Iterator, List, Optional
 from repro.common.errors import LedgerError
 
 LEDGER_VERSION = 1
-
-logger = logging.getLogger("repro.obs.ledger")
 
 _BLOCK = 1 << 16  # bytes read per step when walking back from the end
 
@@ -48,6 +45,13 @@ def _line_start(fh: BinaryIO, end: int) -> int:
         if newline >= 0:
             return pos + newline + 1
     return 0
+
+
+def _warn(msg: str, *args: Any) -> None:
+    # Logging: only a ledger with a torn final line warns.
+    import logging
+
+    logging.getLogger("repro.obs.ledger").warning(msg, *args)
 
 
 class RunLedger:
@@ -103,7 +107,7 @@ class RunLedger:
                 if self._tail_entry(line) is None:
                     fh.truncate(start)
                     end = start
-                    logger.warning(
+                    _warn(
                         "ledger %s: dropping torn final line (%d bytes) left "
                         "by an interrupted append",
                         self.path,
@@ -111,7 +115,7 @@ class RunLedger:
                     )
                     continue
                 fh.write(b"\n")
-                logger.warning(
+                _warn(
                     "ledger %s: final line was missing its newline; repaired",
                     self.path,
                 )
@@ -193,7 +197,7 @@ class RunLedger:
                 if entry is not None:
                     yield entry
                 else:
-                    logger.warning(
+                    _warn(
                         "ledger %s: skipping torn final line at byte %d "
                         "(interrupted append)",
                         self.path,

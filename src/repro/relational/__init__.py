@@ -15,60 +15,19 @@ Quick taste::
          .agg(sum_(col("amount")).alias("revenue"))
          .order_by("revenue")
     )
+
+The package exports what a query is written with. The plan, rules and
+statistics are imported from their modules, and so is the result cache
+(:mod:`repro.relational.cache`), which loads ``sqlite3`` and is only
+needed by a context that configures one.
 """
 
-from repro.relational.expr import (
-    Agg,
-    Col,
-    Expr,
-    Lit,
-    avg,
-    col,
-    count_,
-    lit,
-    max_,
-    min_,
-    sum_,
-)
-from repro.relational.plan import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    LogicalPlan,
-    Project,
-    Repartition,
-    Scan,
-    Sort,
-    render_plan,
-)
-from repro.relational.cache import (
-    CacheEntry,
-    ResultCacheManager,
-    SQLiteCacheBackend,
-    query_signature,
-)
-from repro.relational.rules import (
-    RuleBatch,
-    RuleRunner,
-    default_rule_runner,
-)
-from repro.relational.stats import (
-    ColumnStats,
-    RangeLayout,
-    ZoneMapSpec,
-    can_match,
-    collect_column_stats,
-)
-from repro.relational.table import GroupedTable, Table, lower_plan
+from repro.relational.expr import avg, col, count_, lit, max_, min_, sum_
+from repro.relational.stats import RangeLayout
+from repro.relational.table import Table
 
 __all__ = [
     "Table",
-    "GroupedTable",
-    "Expr",
-    "Col",
-    "Lit",
-    "Agg",
     "col",
     "lit",
     "sum_",
@@ -76,27 +35,5 @@ __all__ = [
     "min_",
     "max_",
     "avg",
-    "LogicalPlan",
-    "Scan",
-    "Project",
-    "Filter",
-    "Aggregate",
-    "Join",
-    "Sort",
-    "Limit",
-    "Repartition",
-    "render_plan",
-    "RuleBatch",
-    "RuleRunner",
-    "default_rule_runner",
-    "lower_plan",
-    "CacheEntry",
-    "ResultCacheManager",
-    "SQLiteCacheBackend",
-    "query_signature",
-    "ColumnStats",
     "RangeLayout",
-    "ZoneMapSpec",
-    "can_match",
-    "collect_column_stats",
 ]

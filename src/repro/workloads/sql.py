@@ -45,13 +45,15 @@ partitioner choice matter for the join.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.units import GB
 from repro.engine.context import AnalyticsContext
-from repro.relational import Table, col, sum_
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.datagen import SQLTableGen
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational import Table
 
 ORDERS_SCHEMA = ["order_id", "cust_id", "product_id", "amount"]
 CUSTOMERS_SCHEMA = ["cust_id", "region"]
@@ -103,6 +105,9 @@ class SQLWorkload(Workload):
 
     def build_query(self, ctx: AnalyticsContext, scale: float = 1.0) -> Table:
         """The query as a relational plan (what ``repro explain`` shows)."""
+        # The relational layer: only SQL runs build a query.
+        from repro.relational import Table, col, sum_
+
         gen_kwargs = {}
         if self.skew is not None:
             gen_kwargs["zipf_a"] = self.skew
