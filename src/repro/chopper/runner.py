@@ -111,7 +111,7 @@ def measured_run(spec: RunSpec) -> Tuple[RunOutcome, dict]:
     ``repro run`` — is this function, in the driver or in a pool worker
     (module-level, so it pickles by reference). It builds the context,
     attaches *fresh per-run* sinks, runs, and closes the context before
-    returning or raising, so a run always flushes its result cache and
+    returning or raising, so a run always flushes its zone-map cache and
     removes its spill files. Alongside the outcome it returns the
     telemetry blob the driver folds into its shared sinks (see
     :meth:`ChopperRunner._fold`): one key per requested sink, plus

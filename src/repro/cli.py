@@ -12,7 +12,7 @@ Each sub-command, and the journey step or paper figure it serves:
 * ``report`` — one ledger run as a self-contained HTML report;
 * ``diff-runs`` — two ledger runs compared, exit 1 on a regression (CI);
 * ``logs`` — tail and filter the event log written by ``--log``;
-* ``cache`` — inspect or clear the partition-pruning result cache.
+* ``cache`` — report or clear the zone-map coverage of a cache file.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def cmd_logs(args: argparse.Namespace, out) -> int:
 
 
 def cmd_cache(args: argparse.Namespace, out) -> int:
-    """Inspect or manage an on-disk partition-pruning result cache."""
+    """Report (or clear) the per-table zone-map coverage of a cache file."""
     from repro.relational.cache import SQLiteCacheBackend
 
     if not os.path.isfile(args.path):
@@ -322,47 +322,38 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
         raise ConfigurationError(f"no cache file at {args.path!r}")
     backend = SQLiteCacheBackend(args.path)
     try:
-        entries = backend.entries()
-        if args.action == "stats":
-            tables = sorted({e.table for e in entries})
-            kept = sum(len(e.partitions) for e in entries)
-            total = sum(e.num_partitions for e in entries)
-            out.write(
-                f"backend: {backend.name}\n"
-                f"path: {args.path}\n"
-                f"entries: {len(entries)}\n"
-                f"hits: {sum(e.hits for e in entries)}\n"
-                f"partitions kept: {kept}/{total}\n"
-                f"tables: {', '.join(tables) or '-'}\n"
-            )
-        elif args.action == "inspect":
-            if not entries:
-                out.write("(empty)\n")
-            for e in entries:
-                out.write(
-                    f"{e.key}  table={e.table} version={e.version[:12]}"
-                    f" partitions={len(e.partitions)}/{e.num_partitions}"
-                    f" hits={e.hits}"
-                    f" kept={','.join(str(p) for p in e.partitions)}\n"
-                )
-        elif args.action == "clear":
+        tables = backend.coverage()
+        if args.action == "clear":
             backend.clear()
-            out.write(f"cleared {len(entries)} entries from {args.path}\n")
-        else:  # export
-            doc = {
-                "backend": backend.name,
-                "path": args.path,
-                "entries": [e.to_dict() for e in entries],
-            }
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                out.write(f"cache export -> {args.out}\n")
-            else:
-                out.write(text)
     finally:
         backend.close()
+    if args.action == "export":
+        doc = {"backend": backend.name, "path": args.path, "tables": tables}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out.write(f"cache export -> {args.out}\n")
+        else:
+            out.write(text)
+        return 0
+    maps = sum(t["splits_covered"] for t in tables)
+    if args.action == "stats":
+        out.write(
+            f"backend: {backend.name}\npath: {args.path}\n"
+            f"tables: {len(tables)}\nzone maps: {maps}\n"
+        )
+    elif args.action == "clear":
+        out.write(f"cleared {maps} zone maps from {args.path}\n")
+    elif not tables:
+        out.write("(empty)\n")
+    for t in tables:
+        n = t["num_partitions"]
+        out.write(
+            f"{t['table']}  version={t['version'][:12]} P={n}"
+            f" splits={t['splits_covered']}/{n}"
+            f" columns={','.join(t['columns'])}\n"
+        )
     return 0
 
 
@@ -556,14 +547,14 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                              "(a selective scan predicate partition "
                              "pruning can exploit)")
     parser.add_argument("--no-prune", action="store_true",
-                        help="disable all partition pruning (zone maps, "
-                             "range layouts, and cached partition sets; "
-                             "identical results, more scan tasks)")
+                        help="disable all partition pruning (zone maps "
+                             "and range layouts; identical results, more "
+                             "scan tasks)")
     parser.add_argument("--cache-path", default=None, metavar="PATH",
-                        help="sqlite file of the partition-pruning result "
-                             "cache; shared across runs, so warm runs skip "
-                             "partitions proven irrelevant (bit-identical "
-                             "results)")
+                        help="sqlite file of scanned tables' zone maps; "
+                             "shared across runs, so later runs skip "
+                             "partitions proven irrelevant for any "
+                             "predicate (bit-identical results)")
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -662,13 +653,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = add_parser(
         "cache",
-        help="inspect/manage an on-disk result cache (run --cache-path)",
+        help="report/clear the zone maps of a cache file (run --cache-path)",
     )
     p_cache.add_argument("action",
                          choices=("stats", "inspect", "clear", "export"),
-                         help="stats: one-line totals; inspect: per-entry "
-                              "rows; clear: drop all entries; export: JSON "
-                              "dump")
+                         help="each reports per-table coverage (version, "
+                              "P, splits covered, columns); stats adds "
+                              "totals, clear empties the file, export "
+                              "writes JSON")
     p_cache.add_argument("path", help="sqlite cache file")
     p_cache.add_argument("--out", default=None, metavar="PATH",
                          help="export: write the JSON dump here instead of "

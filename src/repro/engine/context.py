@@ -96,15 +96,15 @@ class EngineConf:
     # either way, the optimized plan just runs fewer stages.
     logical_optimizer: bool = True
     # Partition pruning: a final optimizer batch evaluates Filter
-    # predicates against declared range layouts, collected zone maps
-    # and the result cache, rewriting scans into partition subsets so
+    # predicates against declared range layouts and zone maps (collected
+    # here or loaded from the cache file), rewriting scans into subsets so
     # skipped partitions never schedule tasks. Collected results are
     # bit-identical on/off (the evidence is always a conservative
     # superset).
     partition_pruning: bool = True
-    # Result cache of pruned partition sets, keyed by query-variant
-    # signature: None (off) or "sqlite" (a file at ``result_cache_path``;
-    # warm runs in later processes prune from earlier runs' zone maps).
+    # Zone-map cache: None (off) or "sqlite" (a file at
+    # ``result_cache_path`` holding every scanned split's zone map, so
+    # runs in later processes prune from earlier runs' scans).
     result_cache: Optional[str] = None
     result_cache_path: Optional[str] = None
     # Adaptive query execution: after each map stage materializes, the
@@ -237,8 +237,8 @@ class AnalyticsContext:
         # One entry per relational plan optimized in this context (rule
         # hit counts, node counts); surfaces in the run ledger as "plan".
         self.plan_events: List[Dict[str, Any]] = []
-        # Zone maps collected at scan time, and the optional result
-        # cache of pruned partition sets (see relational/cache.py). The
+        # Zone maps collected at scan time, and the optional file that
+        # keeps them across contexts (see relational/cache.py). The
         # import is deferred: the engine layer only needs the cache
         # machinery when a cache file is actually configured.
         self.zone_maps = ZoneMapStore()
@@ -250,7 +250,8 @@ class AnalyticsContext:
             )
 
             self.query_cache = ResultCacheManager(
-                SQLiteCacheBackend(self.conf.result_cache_path), obs=self.obs
+                SQLiteCacheBackend(self.conf.result_cache_path),
+                self.zone_maps, self.obs,
             )
 
         self._rdd_counter = 0
@@ -318,7 +319,7 @@ class AnalyticsContext:
         Give each distinct dataset a distinct ``op_name`` — it is the
         source's structural signature. ``version`` (a content hash of
         the generator's parameters) makes the source eligible for
-        zone-map statistics and the partition-pruning result cache.
+        zone-map statistics and the zone-map cache file.
         """
         return SourceRDD(
             self, generator, num_partitions,
@@ -393,9 +394,9 @@ class AnalyticsContext:
     def close(self) -> None:
         """End the run: release its resources and its object graph. Idempotent.
 
-        Released: the result cache's pending misses are flushed and its
-        backend closed, cached blocks and the shuffle blocks still held
-        are dropped (a shuffle whose dependency died before the last job
+        Released: the zone maps its scans collected are written to the
+        cache file and its backend closed, cached blocks and the shuffle
+        blocks still held are dropped (a shuffle whose dependency died before the last job
         started is already gone: each job start releases those), spill
         files removed, pending simulator events discarded, and the
         schedulers let go of this context — so nothing the context owns
@@ -412,9 +413,8 @@ class AnalyticsContext:
         """
         try:
             if self.query_cache is not None:
-                # Resolve this run's cache misses from the zone maps its
-                # scans collected.
-                self.query_cache.flush(self.zone_maps)
+                # Keep the zone maps this run's scans collected.
+                self.query_cache.flush()
         finally:
             # A failed cache write must still release the backend, the
             # blocks and the spill directory.

@@ -83,7 +83,7 @@ class StageStats:
     # stays the logical (original) partition count.
     adapted_num_partitions: Optional[int] = None
     # Partition pruning: source partitions skipped by this stage's scans
-    # (zone maps / range layout / result cache). Pruned partitions never
+    # (zone maps / range layout). Pruned partitions never
     # appear in any task's lineage, so they are not in num_partitions.
     pruned_partitions: int = 0
 

@@ -515,12 +515,13 @@ class ZoneMapStore:
     """Per-partition column statistics of versioned source tables.
 
     Keyed by ``(table, version, num_partitions)`` — the same triple the
-    result cache validates against — mapping each scanned split to its
-    ``{column: ColumnStats}`` zone map. Sits beside the block store as
-    run metadata: written via the deferred-effects path (or directly on
-    the driver), read by the ``PrunePartitions`` rule and by the result
-    cache's flush at context close. Puts are idempotent because the
-    statistics are a pure function of the split's records.
+    zone-map cache file keys its rows by — mapping each scanned split to
+    its ``{column: ColumnStats}`` zone map. Sits beside the block store
+    as run metadata: written via the deferred-effects path (or directly
+    on the driver, or loaded from the cache file), read by the
+    ``PrunePartitions`` rule and saved by the cache's flush at context
+    close. Puts are idempotent because the statistics are a pure
+    function of the split's records.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ Quick taste::
     )
 
 The package exports what a query is written with. The plan, rules and
-statistics are imported from their modules, and so is the result cache
+statistics are imported from their modules, and so is the zone-map cache
 (:mod:`repro.relational.cache`), which loads ``sqlite3`` and is only
 needed by a context that configures one.
 """

@@ -1,156 +1,73 @@
-"""Partition-pruning result cache: query signatures + one sqlite file.
+"""Zone-map cache: every scanned split's column statistics, in one sqlite file.
 
-The cache does *not* store query results — it stores something cheaper
-and safer: for a given query variant, the set of partition IDs of a
-versioned source table that can possibly contribute rows. A warm run
-intersects the cached set into the scan before any task is scheduled;
-a cold run records zone maps while scanning and derives the set at
-context close.
-
-Entries live in a stdlib :mod:`sqlite3` file, which is what lets a warm
-run in a later process prune from an earlier run's zone maps. Every
-write is row-targeted inside one ``BEGIN IMMEDIATE`` transaction, so
-processes sharing a file never clobber each other's rows. Past
-:data:`MAX_ENTRIES` the least-recently-used rows are deleted; recency is
-a logical tick (``MAX(last_used) + 1``, taken inside the writing
-transaction), so cache files never depend on the wall clock.
-
-Keys are *query-variant signatures*: a BLAKE2b hash over the
-canonicalized optimized plan text, the scan's table name + dataset
-version + partition count, and the predicate's deterministic repr
-(literal constants included — ``x < 100`` and ``x < 200`` are different
-variants). A table regenerated with different parameters changes its
-dataset version, which changes the signature *and* fails the entry's
-stored-version check — stale sets can never be applied.
+One row per ``(table, version, num_partitions, split)`` holds that
+split's ``{column: ColumnStats}`` as JSON. A later context loads the
+rows of the table versions it filters into ``ctx.zone_maps``, so it
+prunes any predicate, not only one seen before. ``to_dict`` widens a
+bound JSON cannot hold to ``None``: a loaded map is stale-wide, never
+narrow. Stats are a pure function of a split's records, so writers of
+one row agree. Writes are ``BEGIN IMMEDIATE`` transactions; one kept
+waiting past :data:`BUSY_TIMEOUT_S` fails with a one-line error instead
+of dropping its rows. Nothing is evicted (``repro cache clear``).
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from hashlib import blake2b
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.engine.storage import ZoneMapStore
 from repro.obs import Observability
-from repro.relational.expr import Expr
-from repro.relational.stats import can_match
+from repro.relational.stats import ColumnStats
 
-#: LRU bound on cached query variants.
-MAX_ENTRIES = 256
+#: Seconds a connection waits on another process's lock before failing.
+BUSY_TIMEOUT_S = 5.0
 
-
-def query_signature(
-    plan_text: str,
-    table: str,
-    version: str,
-    num_partitions: int,
-    predicate: Expr,
-) -> str:
-    """Deterministic signature of one (query variant, scan) pair.
-
-    ``plan_text`` is the canonical rendering of the optimized plan as it
-    stands *before* partition pruning rewrites it, so cold and warm runs
-    of the same query derive the same key. Expression reprs are
-    deterministic (``col('x')``, ``lit(100)``), so predicate constants
-    are part of the variant.
-    """
-    h = blake2b(digest_size=16)
-    for part in (plan_text, table, version, str(num_partitions), repr(predicate)):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached partition set, plus enough metadata to validate it."""
-
-    key: str
-    table: str
-    version: str
-    num_partitions: int
-    partitions: Tuple[int, ...]
-    created: float = 0.0
-    last_used: float = 0.0
-    hits: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "table": self.table,
-            "version": self.version,
-            "num_partitions": self.num_partitions,
-            "partitions": list(self.partitions),
-            "created": self.created,
-            "last_used": self.last_used,
-            "hits": self.hits,
-        }
-
-
-_COLUMNS = (
-    "key, table_name, version, num_partitions, partitions,"
-    " created, last_used, hits"
-)
-_NEXT_TICK = "SELECT COALESCE(MAX(last_used), 0) + 1 FROM cache_entries"
-
-
-def _entry(row: tuple) -> CacheEntry:
-    return CacheEntry(
-        key=row[0],
-        table=row[1],
-        version=row[2],
-        num_partitions=row[3],
-        partitions=tuple(json.loads(row[4])),
-        created=row[5],
-        last_used=row[6],
-        hits=row[7],
-    )
+Key = Tuple[str, str, int]  # (table, version, num_partitions)
+ZoneMap = Dict[str, ColumnStats]
 
 
 class SQLiteCacheBackend:
-    """The cache file: one row per query variant, LRU-bounded."""
+    """The cache file: one zone-map row per scanned split."""
 
     name = "sqlite"
 
     _SCHEMA = """
-        CREATE TABLE IF NOT EXISTS cache_entries (
-            key TEXT PRIMARY KEY,
-            table_name TEXT NOT NULL,
-            version TEXT NOT NULL,
-            num_partitions INTEGER NOT NULL,
-            partitions TEXT NOT NULL,
-            created REAL NOT NULL,
-            last_used REAL NOT NULL,
-            hits INTEGER NOT NULL
-        )
+        CREATE TABLE IF NOT EXISTS zone_maps (
+            table_name TEXT NOT NULL, version TEXT NOT NULL,
+            num_partitions INTEGER NOT NULL, split INTEGER NOT NULL,
+            stats TEXT NOT NULL,
+            PRIMARY KEY (table_name, version, num_partitions, split))
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         try:
             # Autocommit mode: transactions are opened explicitly below.
-            self._conn = sqlite3.connect(path, isolation_level=None)
+            self._conn = sqlite3.connect(
+                path, timeout=BUSY_TIMEOUT_S, isolation_level=None
+            )
             # Keep the rollback journal between commits (its header is
             # zeroed instead): no file create, sync and unlink per
             # transaction, which costs tens of ms where metadata
             # commits are slow, and no WAL checkpoint at close.
             self._conn.execute("PRAGMA journal_mode=PERSIST")
+            # Pages are read once per context: cache 64 KiB, not 2 MiB.
+            self._conn.execute("PRAGMA cache_size=-64")
             self._conn.execute(self._SCHEMA)
         except sqlite3.Error as exc:
             raise ConfigurationError(
                 f"cannot open sqlite cache at {path!r}: {exc}"
             ) from exc
 
-    @contextmanager
-    def _transaction(self) -> Iterator[sqlite3.Connection]:
-        """One write-locked transaction; sqlite errors become exit-2 text."""
+    def _write(self, sql: str, rows: Iterable[tuple]) -> int:
+        """``sql`` over ``rows`` in one write-locked transaction."""
         try:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                yield self._conn
+                count = self._conn.executemany(sql, rows).rowcount
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
@@ -159,188 +76,98 @@ class SQLiteCacheBackend:
             raise ConfigurationError(
                 f"cannot write sqlite cache at {self.path!r}: {exc}"
             ) from exc
+        return count
 
-    def _select(self, where: str = "", args: tuple = ()) -> List[CacheEntry]:
+    def _select(self, sql: str, args: tuple = ()) -> List[tuple]:
         try:
-            rows = self._conn.execute(
-                f"SELECT {_COLUMNS} FROM cache_entries {where}", args
-            ).fetchall()
+            return self._conn.execute(sql, args).fetchall()
         except sqlite3.Error as exc:
             raise ConfigurationError(
                 f"cannot read sqlite cache at {self.path!r}: {exc}"
             ) from exc
-        return [_entry(row) for row in rows]
 
-    def get(self, key: str) -> Optional[CacheEntry]:
-        """Look ``key`` up, counting the hit and marking it most recent."""
-        with self._transaction() as conn:
-            conn.execute(
-                f"UPDATE cache_entries SET last_used = ({_NEXT_TICK}),"
-                " hits = hits + 1 WHERE key = ?",
-                (key,),
-            )
-            return self.peek(key)
+    def read(self, key: Key) -> Dict[int, ZoneMap]:
+        """The stored zone maps of one table version, by split."""
+        rows = self._select(
+            "SELECT split, stats FROM zone_maps"
+            " WHERE (table_name, version, num_partitions) = (?, ?, ?)", key,
+        )
+        return {
+            split: {c: ColumnStats.from_dict(d) for c, d in json.loads(text).items()}
+            for split, text in rows
+        }
 
-    def peek(self, key: str) -> Optional[CacheEntry]:
-        """Read-only lookup: no hit count, no LRU touch — a peek leaves
-        every observable cache state as it was. Dry runs (``repro
-        explain``) use this."""
-        found = self._select("WHERE key = ?", (key,))
-        return found[0] if found else None
-
-    def put(self, entry: CacheEntry) -> None:
-        with self._transaction() as conn:
-            if entry.created == 0.0:
-                now = conn.execute(_NEXT_TICK).fetchone()[0]
-                entry = replace(entry, created=now, last_used=now)
-            conn.execute(
-                "INSERT OR REPLACE INTO cache_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    entry.key, entry.table, entry.version, entry.num_partitions,
-                    json.dumps(list(entry.partitions)), entry.created,
-                    entry.last_used, entry.hits,
-                ),
-            )
-            conn.execute(
-                "DELETE FROM cache_entries WHERE key IN ("
-                " SELECT key FROM cache_entries ORDER BY last_used, key"
-                " LIMIT MAX(0, (SELECT COUNT(*) FROM cache_entries) - ?))",
-                (MAX_ENTRIES,),
-            )
+    def write(self, rows: List[Tuple[Key, int, ZoneMap]]) -> None:
+        # A generator: one row's JSON is alive at a time, not the file's.
+        self._write("INSERT OR REPLACE INTO zone_maps VALUES (?, ?, ?, ?, ?)", (
+            (*key, split, json.dumps({c: s.to_dict() for c, s in stats.items()}))
+            for key, split, stats in rows
+        ))
 
     def clear(self) -> int:
-        with self._transaction() as conn:
-            return conn.execute("DELETE FROM cache_entries").rowcount
+        return self._write("DELETE FROM zone_maps", [()])
 
-    def entries(self) -> List[CacheEntry]:
-        return self._select("ORDER BY key")
+    def coverage(self) -> List[dict]:
+        """Per table version: splits covered of P, and the columns."""
+        store = ZoneMapStore()
+        for table, version, n, split, text in self._select(
+            "SELECT * FROM zone_maps"
+        ):
+            store.put((table, version, n), split, json.loads(text))
+        return store.summary()
 
     def close(self) -> None:
         self._conn.close()
 
 
-@dataclass
-class _PendingLookup:
-    """A cache miss awaiting zone maps from the run that follows it."""
-
-    key: str
-    table: str
-    version: str
-    num_partitions: int
-    predicate: Expr
-    planned: Optional[Tuple[int, ...]] = None  # plan-time static pruning
-
-
 class ResultCacheManager:
-    """Drives the backend on behalf of the optimizer and the context.
-
-    ``lookup`` runs at plan time (driver-side, deterministic — counters
-    incremented here never race); misses are remembered and resolved at
-    ``flush`` time from the zone maps the run collected. Entries are
-    written conservatively: a partition is kept unless its zone map
-    proves the predicate cannot match, and scans that never executed
-    (zero zone-map coverage, e.g. `repro explain`) write nothing.
-    """
+    """Loads (at plan time) and saves (at close) one context's zone maps."""
 
     def __init__(
-        self, backend: SQLiteCacheBackend, obs: Optional[Observability] = None
+        self, backend: SQLiteCacheBackend, zone_maps: ZoneMapStore,
+        obs: Observability,
     ) -> None:
         self.backend = backend
-        # The context's hub; on its own, a manager reports to a bare one.
-        self._obs = obs if obs is not None else Observability()
-        self._pending: Dict[str, _PendingLookup] = {}
+        self.zone_maps = zone_maps
+        self._obs = obs
+        self._loaded: Dict[Key, Set[int]] = {}  # splits the file held
         self.hits = 0
         self.misses = 0
-        self._closed = False
 
-    def lookup(
-        self,
-        key: str,
-        table: str,
-        version: str,
-        num_partitions: int,
-        predicate: Expr,
-    ) -> Optional[Set[int]]:
-        """Cached partition set, or None (and a registered miss)."""
-        entry = self.backend.get(key)
-        if (
-            entry is not None
-            and entry.version == version
-            and entry.num_partitions == num_partitions
-        ):
-            self.hits += 1
-            self._obs.event("result_cache_hit")
-            return set(entry.partitions)
-        self.misses += 1
-        self._obs.event("result_cache_miss")
-        if key not in self._pending:
-            self._pending[key] = _PendingLookup(
-                key=key, table=table, version=version,
-                num_partitions=num_partitions, predicate=predicate,
-            )
-        return None
+    def load(self, key: Key) -> bool:
+        """Put the file's maps of ``key`` into the store, once, counting
+        nothing (``explain``'s dry run). True if the file held any."""
+        if key not in self._loaded:
+            maps = self.backend.read(key)
+            for split, stats in maps.items():
+                if not self.zone_maps.has(key, split):
+                    self.zone_maps.put(key, split, stats)
+            self._loaded[key] = set(maps)
+        return bool(self._loaded[key])
 
-    def peek(
-        self, key: str, version: str, num_partitions: int
-    ) -> Optional[Set[int]]:
-        """Read-only lookup for dry runs (``repro explain``): reports
-        the cached set without counting a hit/miss, touching the
-        backend's LRU state, or registering a pending miss — explaining
-        a query must not perturb what a subsequent run observes."""
-        entry = self.backend.peek(key)
-        if (
-            entry is not None
-            and entry.version == version
-            and entry.num_partitions == num_partitions
-        ):
-            return set(entry.partitions)
-        return None
+    def lookup(self, table: str, version: str, num_partitions: int) -> bool:
+        """:meth:`load`, counted as a hit or a miss."""
+        hit = self.load((table, version, num_partitions))
+        self.hits += hit
+        self.misses += not hit
+        self._obs.event("result_cache_hit" if hit else "result_cache_miss")
+        return hit
 
-    def note_planned(self, key: str, kept: Set[int]) -> None:
-        """Record the plan-time (static) kept set for a pending miss."""
-        pending = self._pending.get(key)
-        if pending is not None:
-            pending.planned = tuple(sorted(kept))
-
-    def flush(self, zone_maps) -> int:
-        """Resolve pending misses against collected zone maps; returns
-        the number of entries written."""
-        written = 0
-        for key in sorted(self._pending):
-            p = self._pending[key]
-            maps = zone_maps.get((p.table, p.version, p.num_partitions))
-            if not maps:
-                continue  # scan never executed: nothing to learn
-            candidates = (
-                p.planned if p.planned is not None
-                else range(p.num_partitions)
-            )
-            kept = tuple(
-                split
-                for split in sorted(candidates)
-                if split not in maps  # no stats: conservative keep
-                or can_match(p.predicate, maps[split])
-            )
-            self.backend.put(
-                CacheEntry(
-                    key=key, table=p.table, version=p.version,
-                    num_partitions=p.num_partitions, partitions=kept,
-                )
-            )
-            written += 1
-        self._pending.clear()
-        return written
+    def flush(self) -> int:
+        """Write the splits the file did not hold; returns their count."""
+        rows = [
+            (key, split, stats)
+            for key in self.zone_maps.tables()
+            for split, stats in sorted(self.zone_maps.get(key).items())
+            if split not in self._loaded.get(key, ())
+        ]
+        if rows:
+            self.backend.write(rows)
+        return len(rows)
 
     def stats(self) -> dict:
-        return {
-            "backend": self.backend.name,
-            "hits": self.hits,
-            "misses": self.misses,
-            "pending": len(self._pending),
-            "entries": len(self.backend.entries()),
-        }
+        return {"backend": self.backend.name, "hits": self.hits,
+                "misses": self.misses, "tables": self.backend.coverage()}
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.backend.close()
+        self.backend.close()  # closing twice is a no-op

@@ -46,7 +46,6 @@ from repro.relational.plan import (
     Scan,
     Sort,
     count_nodes,
-    render_plan,
     transform_up,
 )
 from repro.relational.stats import can_match
@@ -377,29 +376,27 @@ class PruneColumns(Rule):
 class PrunePartitions(Rule):
     """Rewrite ``Filter``-over-``Scan`` into a partition-subset scan.
 
-    Runs last (the plan is otherwise final) and consults, in order:
+    Runs last (the plan is otherwise final) and consults two sources:
 
     1. the scan's declared :class:`~repro.relational.stats.RangeLayout`
        (static — prunes even a cold run of a range-partitioned table;
        a hash layout declares nothing and prunes nothing, CHOPPER's
        read-path trade-off in one rule);
-    2. zone maps already collected in this context (a second query over
-       the same materialized table prunes from the first one's scan);
-    3. the result cache, keyed by the query-variant signature — a hit
-       intersects the cached partition set in, a miss registers a
-       pending entry the context resolves from zone maps at close.
+    2. the zone maps of the scanned table version in ``ctx.zone_maps``:
+       collected by an earlier scan in this context, or loaded from the
+       context's cache file (a later process prunes from an earlier
+       one's scans).
 
-    All three sources are conservative supersets of the true matching
-    set, so intersecting them never changes results. The rewrite bakes
-    the subset into the lineage at plan time — chaos resubmission and
-    AQE re-planning re-derive the identical scan.
+    Both sources are conservative supersets of the true matching set,
+    so intersecting them never changes results. The rewrite bakes the
+    subset into the lineage at plan time — chaos resubmission and AQE
+    re-planning re-derive the identical scan.
 
     ``dry_run`` (what ``Table.explain`` uses) derives the identical
     rewrite but as a pure observer: no counter increments, no log
-    events, and the cache is *peeked* rather than looked up — no
-    hit/miss counting, no LRU touch, no pending-miss registration — so
-    explaining a query never double-counts the health line or perturbs
-    backend state a real run would then see.
+    events, and the cache file's maps are loaded without counting a hit
+    or a miss — so explaining a query never double-counts the health
+    line.
     """
 
     name = "PrunePartitions"
@@ -410,9 +407,6 @@ class PrunePartitions(Rule):
 
     def rewrite(self, plan: LogicalPlan) -> Tuple[LogicalPlan, int]:
         self._hits = 0
-        # The signature hashes the plan as it stands *before* this rule
-        # rewrites anything, so cold and warm runs derive the same key.
-        self._plan_text = render_plan(plan)
         out = transform_up(plan, self._apply_filter)
         return out, self._hits
 
@@ -438,37 +432,26 @@ class PrunePartitions(Rule):
         ctx = self.ctx
         kept = set(range(n))
         evidence: List[str] = []
-        if ctx.conf.partition_pruning:
-            if scan.layout is not None:
-                layout_kept = scan.layout.kept_partitions(pred, n)
-                if len(layout_kept) < n:
-                    evidence.append("range-layout")
-                kept &= layout_kept
-            if table is not None and version is not None:
-                maps = ctx.zone_maps.get((table, version, n))
-                if maps:
-                    zone_kept = {
-                        s for s in range(n)
-                        if s not in maps or can_match(pred, maps[s])
-                    }
-                    if len(zone_kept) < n:
-                        evidence.append("zone-map")
-                    kept &= zone_kept
-        cache = getattr(ctx, "query_cache", None)
-        if cache is not None and table is not None and version is not None:
-            from repro.relational.cache import query_signature
-
-            key = query_signature(self._plan_text, table, version, n, pred)
-            if self.dry_run:
-                cached = cache.peek(key, version, n)
-            else:
-                cached = cache.lookup(key, table, version, n, pred)
-            if cached is not None:
-                if len(cached) < n:
-                    evidence.append("cache")
-                kept &= cached
-            elif not self.dry_run:
-                cache.note_planned(key, kept)
+        if scan.layout is not None:
+            layout_kept = scan.layout.kept_partitions(pred, n)
+            if len(layout_kept) < n:
+                evidence.append("range-layout")
+            kept &= layout_kept
+        if table is not None and version is not None:
+            cache = getattr(ctx, "query_cache", None)
+            if cache is not None and self.dry_run:
+                cache.load((table, version, n))
+            elif cache is not None:
+                cache.lookup(table, version, n)
+            maps = ctx.zone_maps.get((table, version, n))
+            if maps:
+                zone_kept = {
+                    s for s in range(n)
+                    if s not in maps or can_match(pred, maps[s])
+                }
+                if len(zone_kept) < n:
+                    evidence.append("zone-map")
+                kept &= zone_kept
         if len(kept) == n:
             return None
         if not kept:
@@ -500,8 +483,8 @@ def default_rule_runner(ctx=None, dry_run: bool = False) -> RuleRunner:
 
     With a context, a final partition-pruning batch runs unless the
     context disables pruning — ``partition_pruning=False`` turns off
-    *all* partition-subset rewriting, so a result cache configured
-    alongside it is neither consulted nor written (inert, not merely
+    *all* partition-subset rewriting, so a cache file configured
+    alongside it is neither read nor written (inert, not merely
     weakened). Without a context (direct callers, unit tests) the
     classic two batches apply unchanged. ``dry_run`` makes the pruning
     batch side-effect-free (``Table.explain``'s mode — see

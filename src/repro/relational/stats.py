@@ -68,6 +68,11 @@ class ColumnStats:
             "nan_count": self.nan_count,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ColumnStats":
+        """Inverse of :meth:`to_dict`; a bound it widened stays ``None``."""
+        return cls(**data)
+
 
 def _is_nan(value: Any) -> bool:
     """NaN of any float flavor (Python float, numpy scalar)."""
@@ -293,9 +298,9 @@ class ZoneMapSpec:
 
     Attached by the relational layer to versioned scans; the key triple
     ``(table, version, num_partitions)`` is what the
-    :class:`~repro.engine.storage.ZoneMapStore` and the result cache are
-    both keyed by, so a regenerated or re-split table never reuses stale
-    statistics.
+    :class:`~repro.engine.storage.ZoneMapStore` and the zone-map cache
+    file are both keyed by, so a regenerated or re-split table never
+    reuses stale statistics.
     """
 
     table: str

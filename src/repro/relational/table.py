@@ -273,18 +273,14 @@ def _attach_zone_map_spec(scan: Scan) -> None:
 
     Only source RDDs with a dataset version can be described (the
     version is what keys the statistics and invalidates them when the
-    data changes); collection is skipped entirely when neither pruning
-    nor a result cache could ever consume the maps.
+    data changes); collection is skipped entirely when pruning, the
+    only consumer of the maps, is off.
     """
     rdd = scan.rdd
     version = getattr(rdd, "dataset_version", None)
     if version is None or not hasattr(rdd, "zone_map_spec"):
         return
-    ctx = rdd.ctx
-    if not (
-        ctx.conf.partition_pruning
-        or getattr(ctx, "query_cache", None) is not None
-    ):
+    if not rdd.ctx.conf.partition_pruning:
         return
     rdd.zone_map_spec = ZoneMapSpec(
         table=rdd.op_name, version=version, columns=scan.schema()
@@ -449,8 +445,8 @@ class Table:
 
         Optimizes in dry-run mode: pruning decisions are derived and
         shown exactly as a run would make them, but no counters move
-        and the result-cache backend is only peeked — explaining then
-        collecting counts each lookup once, not twice.
+        and the cache file is only read — explaining then collecting
+        counts each lookup once, not twice.
         """
         lines = ["== Logical plan ==", render_plan(self.plan)]
         if self._effective_optimize():
@@ -471,8 +467,8 @@ class Table:
             _collect_scans(optimized, scans)
             pruned_any = any(s.partitions is not None for s in scans)
             # Per-scan decisions: shown whenever something pruned, or
-            # whenever a result cache is attached (`repro explain
-            # --cache ...` then reports exactly what `run` would skip).
+            # whenever a cache file is attached (`repro explain
+            # --cache-path ...` then reports exactly what `run` would skip).
             if pruned_any or getattr(ctx, "query_cache", None) is not None:
                 lines += ["", "== Partition pruning =="]
                 for scan in scans:

@@ -149,8 +149,8 @@ class _GenBase:
         """Content version of one generated stream.
 
         Hashes exactly the fields record content depends on — the same
-        key the block cache uses — so the partition-pruning result cache
-        is invalidated iff the data actually changes.
+        key the block cache uses — so zone maps, in a context or in the
+        cache file, are invalidated iff the data actually changes.
         """
         key = self._content_key(label)
         return blake2b(repr(key).encode("utf-8"), digest_size=8).hexdigest()

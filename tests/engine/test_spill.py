@@ -509,12 +509,12 @@ class TestConfValidation:
         )
         table = Table.from_rdd(rdd, ["id", "val"], optimize=True)
         assert len(table.where(col("id") < lit(15)).collect()) == 15
-        assert ctx.query_cache.stats()["pending"] == 1  # flush will write
+        assert ctx.zone_maps.tables()  # flush will write
         spill_dir = ctx.spill.directory
         assert os.path.isdir(spill_dir)
         # Break the cache file under the open context: the flush fails.
         other = sqlite3.connect(cache_path)
-        other.execute("DROP TABLE cache_entries")
+        other.execute("DROP TABLE zone_maps")
         other.close()
         with pytest.raises(ConfigurationError, match="sqlite cache"):
             ctx.close()

@@ -540,7 +540,7 @@ EXPECTED = {'aqe': {'log': {'counts': [('aqe.stage_replanned', 1), ('dag_schedul
                                    ('shuffle.shuffle_registered', 8),
                                    ('task_scheduler.task_finished', 265)],
                         'order': 'f15259b9c9fab718'},
-                'records': '726410beadea6e5d',
+                'records': '4b27cc3b251957fb',
                 'trace': {'counts': [('job:job-1', 2), ('job:job-2', 2),
                                      ('stage:result:keySample#1', 2), ('stage:result:values#5', 2),
                                      ('stage:shuffle_map:groupKey#2', 2),

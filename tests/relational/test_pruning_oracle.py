@@ -1,6 +1,6 @@
-"""Partition pruning / result cache bit-identity oracle.
+"""Partition pruning / zone-map cache bit-identity oracle.
 
-Pruning and the result cache are only allowed to change *which tasks
+Pruning and the zone-map cache are only allowed to change *which tasks
 schedule*, never *what a query returns*: rows must be bit-identical with
 pruning on or off, cold or warm, under threaded and process-parallel
 execution, AQE, node-loss chaos, and with the logical optimizer
@@ -125,37 +125,69 @@ class TestInContextPruning:
 
 class TestExplainDryRun:
     def test_explain_moves_no_counters_or_cache_state(self, tmp_path):
-        ctx = make_ctx(
-            result_cache="sqlite", result_cache_path=str(tmp_path / "q.db")
-        )
+        path = tmp_path / "q.db"
+        cold = make_ctx(result_cache="sqlite", result_cache_path=str(path))
+        run_query(cold)
+        cold.close()  # writes the scan's zone maps
+        stored = path.read_bytes()
+
+        ctx = make_ctx(result_cache="sqlite", result_cache_path=str(path))
         table = Table.from_rdd(id_source(ctx), ["id", "val"], optimize=True)
-        query = table.where(col("id") < lit(40))
-        query.collect()  # cold run: one counted miss, zone maps recorded
-        ctx.query_cache.flush(ctx.zone_maps)  # write the entry, as close would
-        before = (
-            ctx.query_cache.hits,
-            ctx.query_cache.misses,
-            pruned_total(ctx),
-            ctx.obs.metrics.counter_total("cache.hits"),
-            ctx.obs.metrics.counter_total("cache.misses"),
-        )
-        text = query.explain()
-        # Explain still reports the full decision, cached set included...
-        assert "Partition pruning" in text
-        assert "cache" in text
+        text = table.where(col("id") < lit(40)).explain()
+        # Explain reports the full decision, from the file's zone maps...
+        assert "scan 2/8 partitions (pruned via zone-map)" in text
         # ...but as a pure observer: no hit/miss counted, no pruned
-        # counter moved, no LRU touch, no pending miss registered.
-        after = (
-            ctx.query_cache.hits,
-            ctx.query_cache.misses,
-            pruned_total(ctx),
-            ctx.obs.metrics.counter_total("cache.hits"),
-            ctx.obs.metrics.counter_total("cache.misses"),
-        )
-        assert after == before
-        assert ctx.query_cache.stats()["pending"] == 0
-        assert all(e.hits == 0 for e in ctx.query_cache.backend.entries())
+        # counter moved, and closing writes nothing back.
+        assert (ctx.query_cache.hits, ctx.query_cache.misses) == (0, 0)
+        assert pruned_total(ctx) == 0
+        assert ctx.obs.metrics.counter_total("cache.hits") == 0
+        assert ctx.obs.metrics.counter_total("cache.misses") == 0
         ctx.close()
+        assert path.read_bytes() == stored
+
+
+class TestCacheFile:
+    """The file keeps zone maps, so a later context prunes any predicate."""
+
+    def test_later_context_prunes_an_unseen_predicate(self, tmp_path):
+        path = str(tmp_path / "q.db")
+        first = make_ctx(result_cache="sqlite", result_cache_path=path)
+        run_query(first, limit=40)
+        first.close()
+        later = make_ctx(result_cache="sqlite", result_cache_path=path)
+        rows = run_query(later, limit=41)
+        later.close()
+        assert pruned_total(later) == 6  # splits 2-7 hold ids >= 50
+        assert later.query_cache.hits == 1
+        assert sorted(rows) == [(i, 2 * i) for i in range(41)]
+
+    def test_pruning_off_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "q.db"
+        cold = make_ctx(result_cache="sqlite", result_cache_path=str(path))
+        run_query(cold)
+        cold.close()
+        stored = path.read_bytes()
+        off = make_ctx(partition_pruning=False, result_cache="sqlite",
+                       result_cache_path=str(path))
+        run_query(off, limit=41, optimize=None)
+        off.close()
+        assert off.zone_maps.tables() == []  # nothing collected...
+        assert (off.query_cache.hits, off.query_cache.misses) == (0, 0)
+        assert path.read_bytes() == stored  # ...read or written
+
+    def test_later_process_prunes_an_unseen_predicate(self, tmp_path):
+        script = ID_QUERY.format(root=ROOT, path=str(tmp_path / "q.db"))
+        results = []
+        for limit in (40, 41):
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(limit)],
+                capture_output=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr.decode()
+            results.append(json.loads(out.stdout))
+        assert results == [
+            {"pruned": 0, "rows": 40}, {"pruned": 6, "rows": 41}
+        ]
 
 
 class TestExecutionModes:
@@ -197,6 +229,19 @@ class TestExecutionModes:
         assert warm == base_warm
 
 
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
+
+ID_QUERY = """
+import json, sys
+sys.path[:0] = [{root!r} + "/src", {root!r}]
+from tests.relational.test_pruning_oracle import make_ctx, pruned_total, run_query
+
+ctx = make_ctx(result_cache="sqlite", result_cache_path={path!r})
+rows = run_query(ctx, limit=int(sys.argv[1]))
+ctx.close()
+print(json.dumps({{"pruned": pruned_total(ctx), "rows": len(rows)}}))
+"""
+
 WORKER = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -221,10 +266,8 @@ class TestProcessParallelism:
     def test_procs4_share_a_sqlite_cache(self, tmp_path):
         """Four concurrent processes over one warm sqlite cache all
         return the serial answer (and actually hit the cache)."""
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        src = os.path.abspath(src)
         path = str(tmp_path / "shared.sqlite")
-        script = WORKER.format(src=src, path=path)
+        script = WORKER.format(src=os.path.join(ROOT, "src"), path=path)
 
         # Seed the cache with one in-process cold run.
         ctx = AnalyticsContext(

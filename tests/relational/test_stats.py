@@ -1,6 +1,11 @@
 """Zone-map statistics and conservative predicate evaluation."""
 
+import json
+import operator
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational import col, lit
 from repro.relational.stats import (
@@ -208,3 +213,54 @@ class TestColumnStatsDict:
         s = ColumnStats(count=3, null_count=1, low=1, high=5, distinct=2)
         d = s.to_dict()
         assert d["count"] == 3 and d["high"] == 5
+
+
+def _column(values):
+    return st.lists(values, max_size=8)
+
+
+# Every column kind a split may hold, one kind per column.
+COLUMNS = st.one_of(
+    _column(st.integers(min_value=-(2**70), max_value=2**70)),
+    _column(st.floats() | st.sampled_from([-0.0, float("nan"), float("inf")])),
+    _column(st.none() | st.integers(-5, 5)),
+    _column(st.booleans()),
+    _column(st.text(max_size=3)),  # non-ASCII included
+    _column(st.integers(-5, 5) | st.floats(-5, 5) | st.text(max_size=2)),
+    _column(st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+)
+LITERALS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+COMPARISONS = (
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne,
+)
+
+
+class TestStoredStatsAreStaleWide:
+    """A zone map read back from JSON may prune less, never more."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        splits=st.lists(COLUMNS, min_size=1, max_size=3),
+        literals=st.lists(LITERALS, min_size=1, max_size=3),
+    )
+    def test_loaded_stats_keep_every_split_the_originals_keep(
+        self, splits, literals
+    ):
+        simple = [cmp(col("x"), lit(v)) for v in literals for cmp in COMPARISONS]
+        grid = simple + [a & b for a in simple for b in simple[:6]]
+        grid += [a | b for a in simple for b in simple[:6]]
+        for values in splits:
+            original = {"x": stats_of(values)}
+            text = json.dumps({c: s.to_dict() for c, s in original.items()})
+            loaded = {
+                c: ColumnStats.from_dict(d) for c, d in json.loads(text).items()
+            }
+            for pred in grid:
+                if can_match(pred, original):
+                    assert can_match(pred, loaded), (values, pred)

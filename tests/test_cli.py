@@ -787,11 +787,12 @@ class TestCacheCli:
         code, text, _ = run_cli("cache", "stats", path)
         assert code == 0
         assert "backend: sqlite" in text
-        assert "entries: 1" in text
-        assert "orders" in text
+        assert "tables: 2" in text  # orders and customers
         code, text, _ = run_cli("cache", "inspect", path)
         assert code == 0
-        assert "table=orders" in text
+        orders = next(l for l in text.splitlines() if l.startswith("orders "))
+        assert " P=8 splits=8/8 " in orders
+        assert orders.endswith(" columns=amount,cust_id,order_id,product_id")
 
     def test_cache_export_and_clear(self, tmp_path):
         path, _ = self.cold_run(tmp_path)
@@ -801,13 +802,12 @@ class TestCacheCli:
         with open(out_path) as fh:
             doc = json.load(fh)
         assert doc["backend"] == "sqlite"
-        assert len(doc["entries"]) == 1
-        assert doc["entries"][0]["table"] == "orders"
+        assert [t["table"] for t in doc["tables"]] == ["customers", "orders"]
         code, text, _ = run_cli("cache", "clear", path)
         assert code == 0
-        assert "cleared 1 entries" in text
+        assert text.startswith("cleared 16 zone maps")
         code, text, _ = run_cli("cache", "stats", path)
-        assert "entries: 0" in text
+        assert "tables: 0" in text
 
     def test_explain_shows_pruning_decisions(self, tmp_path):
         path, _ = self.cold_run(tmp_path)

@@ -73,7 +73,7 @@ ALLOWED: Dict[str, str] = {
         "build aggregate queries with it",
     "repro.relational.expr.lit":
         "tests/relational/test_pruning_oracle.py, tests/relational/test_stats.py "
-        "(zone maps) and tests/relational/test_cache_backends.py (cache keys) "
+        "(zone maps) and tests/relational/test_cache_backends.py (the cache) "
         "build predicates with it",
     "repro.relational.expr.max_":
         "tests/relational/test_oracle.py builds its aggregate query with it",
