@@ -25,7 +25,6 @@ from repro.chopper.global_opt import (
     get_subgraph_par,
 )
 from repro.chopper.model import StagePerfModel, fit_models_by_partitioner
-from repro.chopper.online import OnlineChopper
 from repro.chopper.optimizer import (
     StageScheme,
     get_stage_input,
@@ -58,7 +57,6 @@ __all__ = [
     "get_stage_input",
     "get_stage_par",
     "get_workload_par",
-    "OnlineChopper",
     "ChopperRunner",
     "RunOutcome",
     "improvement",

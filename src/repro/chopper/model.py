@@ -148,33 +148,6 @@ class StagePerfModel:
             ]
         )
 
-    def r2_time(self, observations: Sequence[StageObservation]) -> float:
-        """Coefficient of determination of the time fit on given samples."""
-        t = np.array([o.duration for o in observations])
-        if t.size < 2 or np.allclose(t, t.mean()):
-            return 1.0
-        resid = self.time_residuals(observations)
-        return float(1.0 - (resid**2).sum() / ((t - t.mean()) ** 2).sum())
-
-    def shuffle_residuals(
-        self, observations: Sequence[StageObservation]
-    ) -> np.ndarray:
-        return np.array(
-            [
-                o.shuffle_bytes
-                - self.predict_shuffle(o.input_bytes, o.num_partitions)
-                for o in observations
-            ]
-        )
-
-    def r2_shuffle(self, observations: Sequence[StageObservation]) -> float:
-        """Coefficient of determination of the shuffle fit on given samples."""
-        s = np.array([o.shuffle_bytes for o in observations])
-        if s.size < 2 or np.allclose(s, s.mean()):
-            return 1.0
-        resid = self.shuffle_residuals(observations)
-        return float(1.0 - (resid**2).sum() / ((s - s.mean()) ** 2).sum())
-
     def mape_time(self, observations: Sequence[StageObservation]) -> float:
         """Median absolute percentage error of the time fit.
 

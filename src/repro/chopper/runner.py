@@ -463,51 +463,9 @@ class ChopperRunner:
                     nodes_after=event.get("nodes_after"),
                 )
         if self.ledger is not None:
-            body = blob["body"]
-            body["model_eval"] = self._model_eval(outcome.record)
             outcome.run_id = self.ledger.append(
-                self.workload.name, outcome.label, body
+                self.workload.name, outcome.label, blob["body"]
             )
-
-    def _model_eval(self, record: RunRecord) -> Optional[dict]:
-        """Predicted-vs-actual per stage, where trained models exist.
-
-        None before train(); after it, one row per observed stage whose
-        (signature, partitioner kind) has a fitted model — actuals from
-        this run, predictions and fit quality (R² on the DB's training
-        samples) from :mod:`repro.chopper.model`.
-        """
-        rows = []
-        for o in record.observations:
-            kind = o.partitioner_kind or "hash"
-            if not self.db.has_model(record.workload, o.signature, kind):
-                continue
-            model = self.db.model(record.workload, o.signature, kind)
-            predicted_time = model.predict_time(o.input_bytes, o.num_partitions)
-            predicted_shuffle = model.predict_shuffle(
-                o.input_bytes, o.num_partitions
-            )
-            training = self.db.observations(
-                record.workload, signature=o.signature, partitioner_kind=kind
-            )
-            rows.append(
-                {
-                    "signature": o.signature,
-                    "partitioner": kind,
-                    "P": o.num_partitions,
-                    "input_bytes": o.input_bytes,
-                    "predicted_time": predicted_time,
-                    "actual_time": o.duration,
-                    "time_residual": o.duration - predicted_time,
-                    "predicted_shuffle": predicted_shuffle,
-                    "actual_shuffle": o.shuffle_bytes,
-                    "shuffle_residual": o.shuffle_bytes - predicted_shuffle,
-                    "r2_time": model.r2_time(training),
-                    "r2_shuffle": model.r2_shuffle(training),
-                    "n_training_samples": model.n_samples,
-                }
-            )
-        return {"per_stage": rows} if rows else None
 
 
 def improvement(vanilla: RunOutcome, chopper: RunOutcome) -> float:
@@ -515,4 +473,3 @@ def improvement(vanilla: RunOutcome, chopper: RunOutcome) -> float:
     if vanilla.total_time <= 0:
         return 0.0
     return 1.0 - chopper.total_time / vanilla.total_time
-

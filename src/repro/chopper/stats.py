@@ -64,22 +64,19 @@ class RunRecord:
     observations: List[StageObservation] = field(default_factory=list)
     total_time: float = 0.0
 
-    def observe(self, stats: StageStats) -> Optional[StageObservation]:
+    def observe(self, stats: StageStats) -> None:
         """Append one completed stage; the only stats -> observation path.
 
-        Returns None for a partial resubmission after a fetch failure
-        (``attempt > 0``): only the lost map partitions re-ran, so its
-        (D, P, t_exe) would mistrain the models. Every consumer (the
-        collector, online adaptation, ledger replay) keeps clean,
-        full-stage observations only.
+        A partial resubmission after a fetch failure (``attempt > 0``) is
+        skipped: only the lost map partitions re-ran, so its (D, P, t_exe)
+        would mistrain the models. Both consumers (the collector and
+        ledger replay) keep clean, full-stage observations only.
         """
         if stats.attempt > 0:
-            return None
-        observation = StageObservation.from_stage_stats(
-            stats, len(self.observations)
+            return
+        self.observations.append(
+            StageObservation.from_stage_stats(stats, len(self.observations))
         )
-        self.observations.append(observation)
-        return observation
 
     @classmethod
     def from_ledger_entry(cls, entry: dict) -> "RunRecord":

@@ -153,10 +153,6 @@ class WorkloadDB:
             )
         return len(entries)
 
-    def add_observation(self, workload: str, observation: StageObservation) -> None:
-        """Append a single production observation (online adaptation)."""
-        self._observations.setdefault(workload, []).append(observation)
-
     def observations(
         self,
         workload: str,
@@ -220,9 +216,9 @@ class WorkloadDB:
     def train(self, workload: str) -> int:
         """Fit Eq. 1-2 models for every DAG stage; returns models stored.
 
-        The one training fold, offline (:meth:`ChopperRunner.train`)
-        and online (:meth:`OnlineChopper.refresh`): per stage signature,
-        a model for every partitioner kind with enough observations.
+        The one training fold (:meth:`ChopperRunner.train` and the
+        ledger replay of ``repro optimize``): per stage signature, a model
+        for every partitioner kind with enough observations.
         """
         trained = 0
         for signature in self.dag(workload).signatures():

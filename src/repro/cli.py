@@ -46,9 +46,7 @@ from repro.obs import (
 )
 from repro.workloads import (
     KMeansWorkload,
-    LogisticRegressionWorkload,
     PCAWorkload,
-    PageRankWorkload,
     ShuffleWordCountWorkload,
     SQLWorkload,
     Workload,
@@ -61,8 +59,6 @@ WORKLOADS: Dict[str, Type[Workload]] = {
     "sql": SQLWorkload,
     "wordcount": WordCountWorkload,
     "wordcount-shuffle": ShuffleWordCountWorkload,
-    "logistic": LogisticRegressionWorkload,
-    "pagerank": PageRankWorkload,
 }
 
 

@@ -101,15 +101,6 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        def _kind(col: Column) -> str:
-            return str(col.dtype) if isinstance(col, np.ndarray) else "list"
-
-        return (
-            f"RecordBatch(n={len(self)}, keys={_kind(self.keys)}, "
-            f"values={_kind(self.values)})"
-        )
-
     def __reduce__(self):
         # Pickles as the two columns; under protocol 5 the ndarray buffers
         # serialize as raw bytes (optionally out-of-band), never as

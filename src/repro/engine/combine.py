@@ -200,15 +200,11 @@ def _fold_column(
                 return None
             if arr.dtype == object or arr.ndim < 2:
                 return None  # ragged (older numpy) or 0-d element arrays
-        if np.issubdtype(arr.dtype, np.floating):
-            zeros = arr == 0.0
-            if zeros.any() and np.signbit(arr[zeros]).any():
-                return None  # 0.0 + (-0.0) would flip the sign vs serial
-        elif np.issubdtype(arr.dtype, np.integer):
-            if max(int(arr.max()), -int(arr.min())) * len(column) >= 2**62:
-                return None
-        else:
-            return None  # bool/object/complex arrays: scalar loop only
+        if not np.issubdtype(arr.dtype, np.floating):
+            return None  # int/bool/object/complex arrays: scalar loop only
+        zeros = arr == 0.0
+        if zeros.any() and np.signbit(arr[zeros]).any():
+            return None  # 0.0 + (-0.0) would flip the sign vs serial
         acc = np.zeros((n_groups,) + arr.shape[1:], dtype=arr.dtype)
         np.add.at(acc, gids, arr)
         return acc.tolist() if ctype is float else list(acc)

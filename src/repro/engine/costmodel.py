@@ -65,11 +65,6 @@ class CostModelConfig:
     # Finer partitioning lets the pull scheduler absorb stragglers, which
     # is the classic reason moderate over-partitioning helps.
     jitter_sigma: float = 0.15
-    # Share each node's NIC among its concurrently fetching tasks. Off by
-    # default (the calibrated defaults assume per-task full-link fetches);
-    # when on, a task's remote fetch time is multiplied by the number of
-    # tasks running on the node at its launch, capped at the core count.
-    network_contention: bool = False
     # Memory-spill modeling: each concurrent task's working-set budget is
     # executor_memory * memory_fraction / cores; a partition exceeding it
     # spills, multiplying compute by 1 + spill_penalty * excess ratio.

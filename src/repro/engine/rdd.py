@@ -350,14 +350,6 @@ class RDD:
             record_op=RecordOp("map_values", f, vec),
         )
 
-    def flat_map_values(self, f: Callable, cost: float = 1.0) -> "RDD":
-        return self.map_partitions(
-            lambda _s, recs: [(k, y) for k, v in recs for y in f(v)],
-            op_name="flatMapValues",
-            preserves_partitioning=True,
-            cost=cost,
-        )
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.ctx, [self, other])
 
@@ -540,14 +532,6 @@ class RDD:
     def count(self) -> int:
         return sum(self.ctx.run_job(self, lambda _s, recs: len(recs)))
 
-    def take(self, n: int) -> List:
-        out: List = []
-        for part in self.ctx.run_job(self, lambda _s, recs: recs[: max(n, 0)]):
-            out.extend(part)
-            if len(out) >= n:
-                return out[:n]
-        return out
-
     def reduce(self, fn: Callable) -> Any:
         sentinel = object()
 
@@ -565,75 +549,16 @@ class RDD:
             acc = fn(acc, p)
         return acc
 
-    def aggregate(self, zero: Any, seq_op: Callable, comb_op: Callable) -> Any:
-        def _part(_s: int, recs: List) -> Any:
-            acc = _copy_zero(zero)
-            for r in recs:
-                acc = seq_op(acc, r)
-            return acc
-
-        acc = _copy_zero(zero)
-        for p in self.ctx.run_job(self, _part):
-            acc = comb_op(acc, p)
-        return acc
-
     def max(self) -> Any:
         return self.reduce(lambda a, b: a if a >= b else b)
 
     def min(self) -> Any:
         return self.reduce(lambda a, b: a if a <= b else b)
 
-    def stats(self) -> Dict[str, float]:
-        """Count/mean/min/max/stdev of a numeric RDD in one pass.
-
-        Partitions report ``(n, mean, M2)`` (M2: squared deviations from
-        their own mean), merged with Chan et al.'s pairwise update:
-        ``E[x^2] - mean^2`` cancels catastrophically on near-equal values.
-        """
-
-        def _part(_s: int, recs: List):
-            if not recs:
-                return (0, 0.0, 0.0, float("inf"), float("-inf"))
-            mean = float(sum(recs)) / len(recs)
-            m2 = float(sum((r - mean) ** 2 for r in recs))
-            return (len(recs), mean, m2, float(min(recs)), float(max(recs)))
-
-        count, mean, m2 = 0, 0.0, 0.0
-        lo, hi = float("inf"), float("-inf")
-        for n, p_mean, p_m2, p_lo, p_hi in self.ctx.run_job(self, _part):
-            if n:
-                total = count + n
-                delta = p_mean - mean
-                mean += delta * (n / total)
-                m2 += p_m2 + delta * delta * (count * n / total)
-                count = total
-            lo = min(lo, p_lo)
-            hi = max(hi, p_hi)
-        if count == 0:
-            raise WorkloadError("stats() on an empty RDD")
-        return {
-            "count": float(count),
-            "mean": mean,
-            "min": lo,
-            "max": hi,
-            "stdev": (m2 / count) ** 0.5,
-        }
-
     def sum(self) -> float:
         return float(
             sum(self.ctx.run_job(self, lambda _s, recs: sum(recs) if recs else 0))
         )
-
-    def mean(self) -> float:
-        total, count = 0.0, 0
-        for part_sum, part_n in self.ctx.run_job(
-            self, lambda _s, recs: (sum(recs), len(recs))
-        ):
-            total += part_sum
-            count += part_n
-        if count == 0:
-            raise WorkloadError("mean() on an empty RDD")
-        return total / count
 
     def collect_as_map(self) -> Dict:
         return dict(self.collect())
@@ -649,13 +574,6 @@ class RDD:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.id}, op={self.op_name!r})"
-
-
-def _copy_zero(zero: Any) -> Any:
-    """Fresh copy of an aggregation zero value (guards mutable zeros)."""
-    import copy
-
-    return copy.deepcopy(zero)
 
 
 class SourceRDD(RDD):

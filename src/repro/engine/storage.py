@@ -466,19 +466,9 @@ class BlockStore:
         """
         keys = list(self._by_node.get(node, ()))
         for key in keys:
-            block = self._index.get(key)
-            if block is not None:
-                self._remove(key, block)
-        # A node that held only spilled blocks must not linger as an
-        # empty dict with a stale byte total.
-        leftover = self._by_node.pop(node, None)
-        if leftover:
-            for key, block in list(leftover.items()):
-                self._index.pop(key, None)
-                if self._spill is not None:
-                    self._spill.forget(block)
-                keys.append(key)
-        self._node_bytes.pop(node, None)
+            # _remove drops the node's dict and byte total with its last
+            # block, spilled or resident.
+            self._remove(key, self._index[key])
         return len(keys)
 
     def total_bytes(self) -> float:

@@ -87,10 +87,6 @@ class _Attempt:
     # Kept for span emission: the priced components and jittered total.
     breakdown: object = None
     duration: float = 0.0
-    # Network-contention sharers, snapshotted at grant time: serial
-    # counts the node's busy cores right after its own reservation, before
-    # any later grant, so a batched apply must not recompute it.
-    sharers: int = 1
 
 
 @dataclass(eq=False)
@@ -344,7 +340,6 @@ class TaskScheduler:
         executor.free_cores -= 1
         start = self.ctx.sim.now
         attempt = _Attempt(executor=executor, start=start, speculative=speculative)
-        attempt.sharers = executor.spec.cores - executor.free_cores
         queued.attempts.append(attempt)
         self._running_tasks[queued] = None
         self.ctx.obs.event(
@@ -422,10 +417,6 @@ class TaskScheduler:
                 return
             self.ctx.dag_scheduler.handle_fetch_failure(stage_run, task, failure)
             return
-        if self.ctx.conf.cost.network_contention:
-            # The NIC is shared: remote fetch slows with the node's
-            # concurrency at launch (a coarse fair-share model).
-            breakdown.shuffle_fetch *= max(1, attempt.sharers)
         duration = breakdown.total
         sigma = self.ctx.conf.cost.jitter_sigma
         if sigma > 0:

@@ -89,19 +89,6 @@ class SkewFinding:
     n: int
     flagged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "stage_run_id": self.stage_run_id,
-            "name": self.name,
-            "signature": self.signature,
-            "attempt": self.attempt,
-            "metric": self.metric,
-            "max_mean": self.max_mean,
-            "gini": self.gini,
-            "n": self.n,
-            "flagged": self.flagged,
-        }
-
 
 def partition_skew(
     entry: Dict[str, Any],
@@ -158,19 +145,6 @@ class StragglerFinding:
     p99: float
     threshold: float
     outliers: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_run_id": self.stage_run_id,
-            "name": self.name,
-            "signature": self.signature,
-            "attempt": self.attempt,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "threshold": self.threshold,
-            "outliers": self.outliers,
-        }
 
 
 def detect_stragglers(
@@ -252,20 +226,6 @@ class RunDiff:
     @property
     def ok(self) -> bool:
         return not self.regressions
-
-    def to_dict(self) -> dict:
-        return {
-            "run_a": self.run_a,
-            "run_b": self.run_b,
-            "wall_clock_a": self.wall_clock_a,
-            "wall_clock_b": self.wall_clock_b,
-            "time_delta": self.time_delta,
-            "shuffle_a": self.shuffle_a,
-            "shuffle_b": self.shuffle_b,
-            "shuffle_delta": self.shuffle_delta,
-            "regressions": self.regressions,
-            "ok": self.ok,
-        }
 
 
 def _total_shuffle(entry: Dict[str, Any]) -> float:

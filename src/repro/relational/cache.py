@@ -154,13 +154,22 @@ class ResultCacheManager:
         return hit
 
     def flush(self) -> int:
-        """Write the splits the file did not hold; returns their count."""
-        rows = [
-            (key, split, stats)
-            for key in self.zone_maps.tables()
-            for split, stats in sorted(self.zone_maps.get(key).items())
-            if split not in self._loaded.get(key, ())
-        ]
+        """Write the splits the file does not hold; returns their count.
+
+        A table version no filtered scan loaded (a scan without a filter
+        over it) is read here, once and counting nothing, so a warm run
+        writes back none of its splits.
+        """
+        rows = []
+        for key in self.zone_maps.tables():
+            held = self._loaded.get(key)
+            if held is None:
+                held = set(self.backend.read(key))
+            rows.extend(
+                (key, split, stats)
+                for split, stats in sorted(self.zone_maps.get(key).items())
+                if split not in held
+            )
         if rows:
             self.backend.write(rows)
         return len(rows)

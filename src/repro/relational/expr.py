@@ -311,15 +311,6 @@ class Agg:
     def references(self) -> set:
         return self.expr.references()
 
-    def same_as(self, other: Any) -> bool:
-        return (
-            isinstance(other, Agg)
-            and self.name == other.name
-            and getattr(self, "label_override", None)
-            == getattr(other, "label_override", None)
-            and self.expr.same_as(other.expr)
-        )
-
     def alias(self, name: str) -> "Agg":
         clone = Agg(
             self.expr, self.create, self.merge_value, self.merge,

@@ -1,7 +1,7 @@
 """Logical query plans for the relational layer.
 
 ``Table`` operators no longer lower straight to RDDs; they build a tree
-of these nodes (Scan, Project, Filter, Aggregate, Join, Sort, Limit,
+of these nodes (Scan, Project, Filter, Aggregate, Join, Sort,
 Repartition). The :mod:`repro.relational.rules` batches rewrite the tree
 to fixed point, and ``lower_plan`` (in :mod:`repro.relational.table`)
 compiles the result into the same RDD lineage CHOPPER profiles, models
@@ -14,14 +14,12 @@ Every node knows three structural facts the optimizer leans on:
 * ``partitioning()`` — the column tuple the *lowered* RDD will carry a
   partitioner for, or None. This is what lets the lowering mark narrow
   maps ``preserves_partitioning=True`` and lets downstream shuffles
-  align instead of re-shuffling;
-* ``same_as()`` — structural equality (expression ``==`` builds
-  predicates, see :meth:`Expr.same_as`).
+  align instead of re-shuffling.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import WorkloadError
 from repro.relational.expr import Agg, AliasExpr, Col, Expr, _agg_label
@@ -79,20 +77,6 @@ class LogicalPlan:
         """One-line summary used by ``Table.explain()``."""
         raise NotImplementedError
 
-    def same_as(self, other: Any) -> bool:
-        if type(self) is not type(other):
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        if not self._params_same_as(other):
-            return False
-        return all(
-            a.same_as(b) for a, b in zip(self.children, other.children)
-        )
-
-    def _params_same_as(self, other: "LogicalPlan") -> bool:
-        return True
-
     def __repr__(self) -> str:
         return self.describe()
 
@@ -134,13 +118,6 @@ class Scan(LogicalPlan):
             return f"{base} (scan {len(self.partitions)}/{total} partitions{by})"
         return base
 
-    def _params_same_as(self, other: "Scan") -> bool:
-        return (
-            self.rdd is other.rdd
-            and self._schema == other._schema
-            and self.partitions == other.partitions
-        )
-
 
 class Project(LogicalPlan):
     """Row-wise projection: one expression per output column."""
@@ -180,11 +157,6 @@ class Project(LogicalPlan):
     def describe(self) -> str:
         return f"Project [{', '.join(_fmt_expr(e) for e in self.exprs)}]"
 
-    def _params_same_as(self, other: "Project") -> bool:
-        return len(self.exprs) == len(other.exprs) and all(
-            a.same_as(b) for a, b in zip(self.exprs, other.exprs)
-        )
-
 
 class Filter(LogicalPlan):
     """Row-wise predicate; schema and partitioning pass through."""
@@ -205,9 +177,6 @@ class Filter(LogicalPlan):
     def describe(self) -> str:
         return f"Filter {self.predicate!r}"
 
-    def _params_same_as(self, other: "Filter") -> bool:
-        return self.predicate.same_as(other.predicate)
-
 
 class Aggregate(LogicalPlan):
     """``group_by(keys).agg(aggs)`` — one shuffle, map-side combined."""
@@ -219,8 +188,8 @@ class Aggregate(LogicalPlan):
         aggs: Sequence[Agg],
         num_partitions: Optional[int] = None,
     ) -> None:
-        if not keys:
-            raise WorkloadError("group_by() needs at least one key")
+        if len(keys) != 1:
+            raise WorkloadError(f"group_by() takes one key, got {len(keys)}")
         if not aggs:
             raise WorkloadError("agg() needs at least one aggregate")
         self.child = child
@@ -237,12 +206,7 @@ class Aggregate(LogicalPlan):
         )
 
     def partitioning(self) -> Optional[Tuple[str, ...]]:
-        # The lowering only claims a partitioner for scalar (single-key)
-        # grouping: with composite keys the shuffle key is a tuple, and
-        # the flattened output rows no longer carry it as row[0].
-        if len(self.keys) == 1:
-            return (self.keys[0].label,)
-        return None
+        return (self.keys[0].label,)
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Aggregate":
         return Aggregate(children[0], self.keys, self.aggs, self.num_partitions)
@@ -252,15 +216,6 @@ class Aggregate(LogicalPlan):
         aggs = ", ".join(_fmt_agg(a) for a in self.aggs)
         suffix = f" P={self.num_partitions}" if self.num_partitions else ""
         return f"Aggregate [{keys}] aggs=[{aggs}]{suffix}"
-
-    def _params_same_as(self, other: "Aggregate") -> bool:
-        return (
-            self.num_partitions == other.num_partitions
-            and len(self.keys) == len(other.keys)
-            and len(self.aggs) == len(other.aggs)
-            and all(a.same_as(b) for a, b in zip(self.keys, other.keys))
-            and all(a.same_as(b) for a, b in zip(self.aggs, other.aggs))
-        )
 
 
 class Join(LogicalPlan):
@@ -285,8 +240,8 @@ class Join(LogicalPlan):
         self.keys = list(keys)
         self.num_partitions = num_partitions
         self.children = (left, right)
-        if not self.keys:
-            raise WorkloadError("join() needs at least one key column")
+        if len(self.keys) != 1:
+            raise WorkloadError(f"join() takes one key column, got {len(self.keys)}")
         for key in self.keys:
             if key not in left.schema() or key not in right.schema():
                 raise WorkloadError(f"join key {key!r} missing from a side")
@@ -310,9 +265,7 @@ class Join(LogicalPlan):
         _check_schema(self._schema, "Join")
 
     def partitioning(self) -> Optional[Tuple[str, ...]]:
-        if len(self.keys) == 1:
-            return (self.keys[0],)
-        return None
+        return (self.keys[0],)
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Join":
         return Join(children[0], children[1], self.keys, self.num_partitions)
@@ -320,12 +273,6 @@ class Join(LogicalPlan):
     def describe(self) -> str:
         suffix = f" P={self.num_partitions}" if self.num_partitions else ""
         return f"Join on=[{', '.join(self.keys)}]{suffix}"
-
-    def _params_same_as(self, other: "Join") -> bool:
-        return (
-            self.keys == other.keys
-            and self.num_partitions == other.num_partitions
-        )
 
 
 class Sort(LogicalPlan):
@@ -351,36 +298,6 @@ class Sort(LogicalPlan):
         suffix = f" P={self.num_partitions}" if self.num_partitions else ""
         return f"Sort [{_fmt_expr(self.expr)}]{suffix}"
 
-    def _params_same_as(self, other: "Sort") -> bool:
-        return (
-            self.num_partitions == other.num_partitions
-            and self.expr.same_as(other.expr)
-        )
-
-
-class Limit(LogicalPlan):
-    """At most ``n`` rows per partition (the take() action caps globally)."""
-
-    def __init__(self, child: LogicalPlan, n: int) -> None:
-        if n < 0:
-            raise WorkloadError(f"limit() needs n >= 0, got {n}")
-        self.child = child
-        self.n = n
-        self.children = (child,)
-        self._schema = child.schema()
-
-    def partitioning(self) -> Optional[Tuple[str, ...]]:
-        return self.child.partitioning()
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Limit":
-        return Limit(children[0], self.n)
-
-    def describe(self) -> str:
-        return f"Limit {self.n}"
-
-    def _params_same_as(self, other: "Limit") -> bool:
-        return self.n == other.n
-
 
 class Repartition(LogicalPlan):
     """Round-robin redistribution over ``n`` partitions."""
@@ -398,9 +315,6 @@ class Repartition(LogicalPlan):
 
     def describe(self) -> str:
         return f"Repartition P={self.n}"
-
-    def _params_same_as(self, other: "Repartition") -> bool:
-        return self.n == other.n
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,6 @@ Rewrites and their equivalence guarantees:
   collapse to the inner one. These preserve the collected multiset; row
   order *at partition granularity* may change, so workloads that demand
   byte-stable output should end in a sort (the shipped ones do).
-* **PushDownLimit** — ``Limit`` moves below projects and merges with
-  adjacent limits, so ``take``/``limit`` stops materializing full
-  partitions above the truncation point.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.relational.plan import (
     Aggregate,
     Filter,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     Repartition,
@@ -270,20 +266,6 @@ class CollapseSorts(Rule):
         return None
 
 
-class PushDownLimit(Rule):
-    name = "PushDownLimit"
-
-    def apply(self, node: LogicalPlan) -> Optional[LogicalPlan]:
-        if not isinstance(node, Limit):
-            return None
-        child = node.child
-        if isinstance(child, Limit):
-            return Limit(child.child, min(node.n, child.n))
-        if isinstance(child, Project):
-            return Project(Limit(child.child, node.n), child.exprs)
-        return None
-
-
 class PruneColumns(Rule):
     """Top-down required-column pass.
 
@@ -326,9 +308,9 @@ class PruneColumns(Rule):
             if child is node.child:
                 return node
             return Sort(child, node.expr, node.num_partitions)
-        if isinstance(node, (Limit, Repartition)):
-            child = self._walk(node.children[0], required)
-            return node if child is node.children[0] else node.with_children((child,))
+        if isinstance(node, Repartition):
+            child = self._walk(node.child, required)
+            return node if child is node.child else node.with_children((child,))
         if isinstance(node, Aggregate):
             child_req: Set[str] = set()
             for k in node.keys:
@@ -496,7 +478,6 @@ def default_rule_runner(ctx=None, dry_run: bool = False) -> RuleRunner:
             [
                 PushDownPredicates(),
                 FoldProjections(),
-                PushDownLimit(),
                 DropRepartition(),
                 CollapseSorts(),
             ],

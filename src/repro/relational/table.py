@@ -16,7 +16,7 @@ engine primitives —
 * ``Join``                            → key-by + RDD ``join`` (cogroup;
   co-partition-alignable the same way);
 * ``Sort``                            → ``sort_by_key`` (range
-  partitioner); ``Limit`` → per-partition truncation.
+  partitioner).
 
 Because it bottoms out in ordinary RDD lineage, CHOPPER profiles, models,
 and retunes relational queries exactly like hand-written drivers —
@@ -35,7 +35,6 @@ from repro.relational.plan import (
     Aggregate,
     Filter,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     Repartition,
@@ -124,15 +123,6 @@ def _lower_node(plan: LogicalPlan, memo: Dict[int, RDD]) -> RDD:
         )
         return keyed.sort_by_key(plan.num_partitions).values()
 
-    if isinstance(plan, Limit):
-        child = lower_plan(plan.child, memo)
-        n = plan.n
-        return child.map_partitions(
-            lambda _s, rows: rows[:n],
-            op_name=f"limit[{n}]",
-            preserves_partitioning=True,
-        )
-
     if isinstance(plan, Repartition):
         return lower_plan(plan.child, memo).repartition(plan.n)
 
@@ -142,41 +132,22 @@ def _lower_node(plan: LogicalPlan, memo: Dict[int, RDD]) -> RDD:
 def _lower_aggregate(plan: Aggregate, memo: Dict[int, RDD]) -> RDD:
     child_rdd = lower_plan(plan.child, memo)
     schema = plan.child.schema()
-    key_fns = [k.bind(schema) for k in plan.keys]
     value_fns = [a.expr.bind(schema) for a in plan.aggs]
     creates = [a.create for a in plan.aggs]
     merge_values = [a.merge_value for a in plan.aggs]
     merges = [a.merge for a in plan.aggs]
     finishes = [a.finish for a in plan.aggs]
 
-    single = len(plan.keys) == 1
-    if single:
-        key_fn = key_fns[0]
+    (key,) = plan.keys
+    key_fn = key.bind(schema)
 
-        def to_pairs(_s, rows):
-            return [
-                (key_fn(row), tuple(fn(row) for fn in value_fns))
-                for row in rows
-            ]
+    def to_pairs(_s, rows):
+        return [
+            (key_fn(row), tuple(fn(row) for fn in value_fns))
+            for row in rows
+        ]
 
-        key = plan.keys[0]
-        aligned = (
-            isinstance(key, Col)
-            and _aligned(plan.child, child_rdd, key.name)
-        )
-    else:
-
-        def to_pairs(_s, rows):
-            return [
-                (
-                    tuple(fn(row) for fn in key_fns),
-                    tuple(fn(row) for fn in value_fns),
-                )
-                for row in rows
-            ]
-
-        aligned = False
-
+    aligned = isinstance(key, Col) and _aligned(plan.child, child_rdd, key.name)
     pairs = child_rdd.map_partitions(
         to_pairs, op_name="groupKey", preserves_partitioning=aligned
     )
@@ -189,58 +160,33 @@ def _lower_aggregate(plan: Aggregate, memo: Dict[int, RDD]) -> RDD:
         num_partitions=plan.num_partitions,
         op_name="groupAgg",
     )
-    if single:
 
-        def finish(_s, rows):
-            return [
-                (k,) + tuple(f(a) for f, a in zip(finishes, acc))
-                for k, acc in rows
-            ]
+    def finish(_s, rows):
+        return [
+            (k,) + tuple(f(a) for f, a in zip(finishes, acc))
+            for k, acc in rows
+        ]
 
-    else:
-
-        def finish(_s, rows):
-            return [
-                k + tuple(f(a) for f, a in zip(finishes, acc))
-                for k, acc in rows
-            ]
-
-    # With a scalar key the finished row still leads with it, so the
-    # combine's partitioner remains valid for downstream alignment.
+    # The finished row still leads with the key, so the combine's
+    # partitioner remains valid for downstream alignment.
     return combined.map_partitions(
-        finish, op_name="groupFinish", preserves_partitioning=single
+        finish, op_name="groupFinish", preserves_partitioning=True
     )
 
 
 def _lower_join(plan: Join, memo: Dict[int, RDD]) -> RDD:
-    single = len(plan.keys) == 1
+    (key,) = plan.keys
 
     def keyed(side: LogicalPlan, tag: str) -> RDD:
         side_rdd = lower_plan(side, memo)
         schema = side.schema()
-        rest = [i for i, c in enumerate(schema) if c not in plan.keys]
-        if single:
-            ki = list(schema).index(plan.keys[0])
+        rest = [i for i, c in enumerate(schema) if c != key]
+        ki = list(schema).index(key)
 
-            def kv(_s, rows):
-                return [
-                    (row[ki], tuple(row[i] for i in rest)) for row in rows
-                ]
+        def kv(_s, rows):
+            return [(row[ki], tuple(row[i] for i in rest)) for row in rows]
 
-            aligned = _aligned(side, side_rdd, plan.keys[0])
-        else:
-            kis = [list(schema).index(k) for k in plan.keys]
-
-            def kv(_s, rows):
-                return [
-                    (
-                        tuple(row[i] for i in kis),
-                        tuple(row[i] for i in rest),
-                    )
-                    for row in rows
-                ]
-
-            aligned = False
+        aligned = _aligned(side, side_rdd, key)
         return side_rdd.map_partitions(
             kv, op_name=f"joinKey[{tag}]", preserves_partitioning=aligned
         )
@@ -248,18 +194,11 @@ def _lower_join(plan: Join, memo: Dict[int, RDD]) -> RDD:
     joined = keyed(plan.left, "left").join(
         keyed(plan.right, "right"), plan.num_partitions
     )
-    if single:
-
-        def flatten(_s, rows):
-            return [(k,) + l + r for k, (l, r) in rows]
-
-    else:
-
-        def flatten(_s, rows):
-            return [k + l + r for k, (l, r) in rows]
+    def flatten(_s, rows):
+        return [(k,) + l + r for k, (l, r) in rows]
 
     return joined.map_partitions(
-        flatten, op_name="joinFlatten", preserves_partitioning=single
+        flatten, op_name="joinFlatten", preserves_partitioning=True
     )
 
 
@@ -389,8 +328,8 @@ class Table:
 
     def group_by(self, *keys: Union[str, Expr]) -> "GroupedTable":
         key_exprs = [col(k) if isinstance(k, str) else k for k in keys]
-        if not key_exprs:
-            raise WorkloadError("group_by() needs at least one key")
+        if len(key_exprs) != 1:
+            raise WorkloadError(f"group_by() takes one key, got {len(key_exprs)}")
         return GroupedTable(self, key_exprs)
 
     def join(

@@ -260,59 +260,6 @@ def _waterfall_svg(entry: dict) -> str:
     return "".join(parts)
 
 
-def _scatter_svg(rows: Sequence[dict]) -> str:
-    """Predicted-vs-actual stage-time scatter with a y=x reference line."""
-    size, margin = 320, 44
-    lim = max(
-        [max(r["predicted_time"], r["actual_time"]) for r in rows] + [1e-9]
-    ) * 1.08
-
-    def sx(v: float) -> float:
-        return margin + v / lim * (size - 2 * margin)
-
-    def sy(v: float) -> float:
-        return size - margin - v / lim * (size - 2 * margin)
-
-    parts = [
-        f"<svg viewBox='0 0 {size} {size}' width='{size}' role='img' "
-        f"aria-label='predicted vs actual stage time'>"
-    ]
-    for i in range(5):
-        v = lim * i / 4
-        parts.append(
-            f"<line x1='{sx(0):.1f}' y1='{sy(v):.1f}' x2='{sx(lim):.1f}' "
-            f"y2='{sy(v):.1f}' stroke='var(--grid)'/>"
-            f"<text x='{sx(0) - 6:.1f}' y='{sy(v) + 4:.1f}' "
-            f"text-anchor='end'>{fmt_duration(v)}</text>"
-            f"<text x='{sx(v):.1f}' y='{size - margin + 16:.1f}' "
-            f"text-anchor='middle'>{fmt_duration(v)}</text>"
-        )
-    parts.append(
-        f"<line x1='{sx(0):.1f}' y1='{sy(0):.1f}' x2='{sx(lim):.1f}' "
-        f"y2='{sy(lim):.1f}' stroke='var(--axis)' stroke-dasharray='4 3'/>"
-    )
-    for r in rows:
-        tip = (
-            f"{r['signature'][:16]} ({r['partitioner']}, P={r['P']}): "
-            f"predicted {fmt_duration(r['predicted_time'])}, "
-            f"actual {fmt_duration(r['actual_time'])}"
-        )
-        parts.append(
-            f"<circle cx='{sx(r['predicted_time']):.1f}' "
-            f"cy='{sy(r['actual_time']):.1f}' r='5' fill='var(--series-1)' "
-            f"stroke='var(--surface-1)' stroke-width='2'>"
-            f"<title>{_esc(tip)}</title></circle>"
-        )
-    parts.append(
-        f"<text x='{size / 2:.0f}' y='{size - 6}' text-anchor='middle'>"
-        f"predicted stage time</text>"
-        f"<text x='12' y='{size / 2:.0f}' text-anchor='middle' "
-        f"transform='rotate(-90 12 {size / 2:.0f})'>actual stage time</text>"
-        "</svg>"
-    )
-    return "".join(parts)
-
-
 def _bars_svg(values: Sequence[float], width: int = 160, height: int = 28) -> str:
     """Tiny inline bar chart of a per-partition byte histogram."""
     if not values:
@@ -345,8 +292,8 @@ def html_report(entry: dict) -> str:
     """One ledger entry rendered as a self-contained HTML page.
 
     Sections: run summary, stage waterfall, skew and straggler callouts,
-    predicted-vs-actual model scatter, adaptive-execution decisions
-    (predicted vs adapted partition histograms), chaos events, and the
+    adaptive-execution decisions (predicted vs adapted partition
+    histograms), chaos events, and the
     real host-resource profile (``--profile`` runs). No external assets,
     so the file can be archived as a CI artifact and opened anywhere.
     """
@@ -428,39 +375,6 @@ def html_report(entry: dict) -> str:
         )
     else:
         out.append("<p class='sub ok'>no straggler tasks detected</p>")
-    out.append("</section>")
-
-    eval_rows = (entry.get("model_eval") or {}).get("per_stage", [])
-    out.append("<section><h2>Cost model: predicted vs actual</h2>")
-    if eval_rows:
-        out.append(
-            "<p class='sub'>each mark is one stage run; the dashed line "
-            "is a perfect prediction</p>"
-        )
-        out.append(_scatter_svg(eval_rows))
-        table_rows = "".join(
-            f"<tr><td>{_esc(r['signature'][:20])}</td>"
-            f"<td>{_esc(r['partitioner'])}</td><td>{r['P']}</td>"
-            f"<td>{fmt_duration(r['predicted_time'])}</td>"
-            f"<td>{fmt_duration(r['actual_time'])}</td>"
-            f"<td>{r['r2_time']:.3f}</td>"
-            f"<td>{fmt_bytes(r['predicted_shuffle'])}</td>"
-            f"<td>{fmt_bytes(r['actual_shuffle'])}</td>"
-            f"<td>{r['r2_shuffle']:.3f}</td></tr>"
-            for r in eval_rows
-        )
-        out.append(
-            "<table><tr><th>stage</th><th>kind</th><th>P</th>"
-            "<th>pred t</th><th>actual t</th><th>R² t</th>"
-            "<th>pred shuffle</th><th>actual shuffle</th>"
-            "<th>R² s</th></tr>"
-            f"{table_rows}</table>"
-        )
-    else:
-        out.append(
-            "<p class='sub ok'>no trained cost model covered this run "
-            "(profile + train first)</p>"
-        )
     out.append("</section>")
 
     aqe = entry.get("aqe_events", [])

@@ -1,4 +1,4 @@
-"""SparkBench-style workloads: KMeans, PCA, SQL, plus extras.
+"""SparkBench-style workloads: KMeans, PCA, SQL, plus WordCount.
 
 Each workload drives the engine the way the paper's evaluation does
 (§IV): KMeans with 20 stages and shuffles at stages 12-17, PCA with
@@ -11,33 +11,25 @@ carrying the paper's virtual input sizes (Table I: KMeans 21.8 GB, PCA
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.datagen import (
     KMeansDataGen,
-    LabeledDataGen,
     PCADataGen,
     SQLTableGen,
     TextDataGen,
-    EdgeDataGen,
 )
 from repro.workloads.kmeans import KMeansWorkload
-from repro.workloads.logistic import LogisticRegressionWorkload
 from repro.workloads.pca import PCAWorkload
 from repro.workloads.sql import SQLWorkload
 from repro.workloads.wordcount import ShuffleWordCountWorkload, WordCountWorkload
-from repro.workloads.pagerank import PageRankWorkload
 
 __all__ = [
     "Workload",
     "WorkloadResult",
     "KMeansDataGen",
-    "LabeledDataGen",
     "PCADataGen",
     "SQLTableGen",
     "TextDataGen",
-    "EdgeDataGen",
     "KMeansWorkload",
-    "LogisticRegressionWorkload",
     "PCAWorkload",
     "SQLWorkload",
     "ShuffleWordCountWorkload",
     "WordCountWorkload",
-    "PageRankWorkload",
 ]

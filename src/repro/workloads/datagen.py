@@ -323,42 +323,6 @@ class SQLTableGen(_GenBase):
 
 
 @dataclass
-class LabeledDataGen(_GenBase):
-    """Labeled points for binary classification (logistic regression).
-
-    Records are ``(features: np.ndarray, label: int)`` drawn from a
-    logistic model with a fixed ground-truth weight vector, so the
-    learned weights can be checked against the truth.
-    """
-
-    dim: int = 10
-    noise: float = 0.5
-
-    def true_weights(self) -> np.ndarray:
-        rng = seeded_rng(derive_seed(self.seed, "lr-weights"))
-        w = rng.normal(0.0, 1.0, size=self.dim)
-        return w / np.linalg.norm(w)
-
-    def rdd(self, ctx: AnalyticsContext, num_partitions: int) -> SourceRDD:
-        weights = self.true_weights()
-
-        def block(b: int) -> List[Tuple[np.ndarray, int]]:
-            n = self._block_len(b)
-            rng = self._block_rng("lr", b)
-            x = rng.normal(0.0, 1.0, size=(n, self.dim))
-            logits = x @ weights + rng.normal(0.0, self.noise, size=n)
-            y = (logits > 0).astype(int)
-            return [(x[i], int(y[i])) for i in range(n)]
-
-        scale = self._size_scale((np.zeros(self.dim), 0))
-        return ctx.source(
-            lambda split, splits: self._gather(split, splits, block, "lr"),
-            num_partitions, size_scale=scale, op_name="labeled-points",
-            cost=self.parse_cost,
-        )
-
-
-@dataclass
 class TextDataGen(_GenBase):
     """Lines of words with a Zipf vocabulary (WordCount input)."""
 
@@ -387,30 +351,5 @@ class TextDataGen(_GenBase):
         return ctx.source(
             lambda split, splits: self._gather(split, splits, block, "text"),
             num_partitions, size_scale=scale, op_name="text-lines",
-            cost=self.parse_cost,
-        )
-
-
-@dataclass
-class EdgeDataGen(_GenBase):
-    """Directed edges of a preferential-attachment-ish graph (PageRank)."""
-
-    n_vertices: int = 1000
-
-    def rdd(self, ctx: AnalyticsContext, num_partitions: int) -> SourceRDD:
-        n_vertices = self.n_vertices
-
-        def block(b: int) -> List[Tuple[int, int]]:
-            n = self._block_len(b)
-            rng = self._block_rng("edges", b)
-            src = rng.integers(0, n_vertices, size=n)
-            # Popular destinations: quadratic skew toward low vertex ids.
-            dst = (rng.random(size=n) ** 2 * n_vertices).astype(int)
-            return [(int(s), int(d)) for s, d in zip(src, dst) if s != d]
-
-        scale = self._size_scale((0, 0))
-        return ctx.source(
-            lambda split, splits: self._gather(split, splits, block, "edges"),
-            num_partitions, size_scale=scale, op_name="edges",
             cost=self.parse_cost,
         )

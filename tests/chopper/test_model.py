@@ -87,13 +87,12 @@ class TestFit:
         model = StagePerfModel.fit(rows)
         assert model.search_bounds() == (100, 800)
 
-    def test_r2_near_perfect_fit(self):
+    def test_near_perfect_fit(self):
         # The model fits in log space, so an exactly-additive ground truth
         # is approximated (very well) rather than interpolated.
         rows = synth_obs([1e9, 2e9, 3e9], [100, 200, 300],
                          lambda d, p: 2e-9 * d + 0.01 * p, lambda d, p: 0)
         model = StagePerfModel.fit(rows)
-        assert model.r2_time(rows) > 0.95
         assert model.mape_time(rows) < 0.05
 
     @settings(max_examples=25)

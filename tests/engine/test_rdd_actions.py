@@ -9,12 +9,6 @@ class TestActions:
     def test_count(self, ctx):
         assert ctx.parallelize(range(17), 4).count() == 17
 
-    def test_take(self, ctx):
-        assert ctx.parallelize(range(100), 5).take(3) == [0, 1, 2]
-
-    def test_take_more_than_available(self, ctx):
-        assert ctx.parallelize([1, 2], 2).take(10) == [1, 2]
-
     def test_reduce(self, ctx):
         assert ctx.parallelize(range(1, 11), 3).reduce(lambda a, b: a + b) == 55
 
@@ -25,28 +19,8 @@ class TestActions:
         with pytest.raises(WorkloadError):
             ctx.parallelize([], 2).reduce(lambda a, b: a + b)
 
-    def test_sum_mean(self, ctx):
-        rdd = ctx.parallelize([1.0, 2.0, 3.0], 2)
-        assert rdd.sum() == pytest.approx(6.0)
-        assert rdd.mean() == pytest.approx(2.0)
-
-    def test_mean_empty_raises(self, ctx):
-        with pytest.raises(WorkloadError):
-            ctx.parallelize([], 2).mean()
-
-    def test_aggregate(self, ctx):
-        out = ctx.parallelize(range(10), 3).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert out == (45, 10)
-
-    def test_aggregate_mutable_zero_not_shared(self, ctx):
-        out = ctx.parallelize(range(6), 3).aggregate(
-            [], lambda acc, x: acc + [x], lambda a, b: a + b
-        )
-        assert sorted(out) == [0, 1, 2, 3, 4, 5]
+    def test_sum(self, ctx):
+        assert ctx.parallelize([1.0, 2.0, 3.0], 2).sum() == pytest.approx(6.0)
 
     def test_collect_as_map(self, ctx):
         assert ctx.parallelize([(1, 2)], 1).collect_as_map() == {1: 2}

@@ -47,10 +47,6 @@ class TestNarrowOps:
         assert mapped.partitioner == HashPartitioner(2)
         assert sorted(mapped.collect()) == [(1, 2), (2, 3)]
 
-    def test_flat_map_values(self, ctx):
-        out = ctx.parallelize([(1, 2)]).flat_map_values(lambda v: [v, v]).collect()
-        assert sorted(out) == [(1, 2), (1, 2)]
-
     def test_plain_map_drops_partitioner(self, ctx):
         rdd = ctx.parallelize([(1, 1)]).partition_by(HashPartitioner(2))
         assert rdd.map(lambda kv: kv).partitioner is None
@@ -73,6 +69,15 @@ class TestShuffleOps:
         pairs = ctx.parallelize([(i % 3, 1) for i in range(30)], num_partitions=5)
         out = pairs.reduce_by_key(lambda a, b: a + b, num_partitions=2)
         assert out.collect_as_map() == {0: 10, 1: 10, 2: 10}
+
+    def test_numeric_add_folds_python_floats_exactly(self, ctx):
+        pairs = [(i % 3, 0.1 * i) for i in range(30)]
+
+        def totals(**kwargs):
+            rdd = ctx.parallelize(pairs, num_partitions=3)
+            return rdd.reduce_by_key(lambda a, b: a + b, 2, **kwargs).collect_as_map()
+
+        assert totals(numeric_add=True) == totals()
 
     def test_group_by_key(self, ctx):
         pairs = ctx.parallelize([(1, "a"), (1, "b"), (2, "c")], num_partitions=2)

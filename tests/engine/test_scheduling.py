@@ -282,32 +282,3 @@ class TestCostEffects:
             return ctx.now
 
         assert run(1e5) > run(10 * GBPS)
-
-
-class TestNetworkContention:
-    def test_contention_slows_shuffle_reads(self):
-        def run(contention):
-            cfg = CostModelConfig(
-                jitter_sigma=0.0, driver_dispatch_interval=0.0,
-                network_contention=contention,
-            )
-            ctx = AnalyticsContext(
-                uniform_cluster(n_workers=4, cores=4, net_bw=1e6),
-                EngineConf(default_parallelism=16, cost=cfg),
-            )
-            pairs = ctx.parallelize([(i, i) for i in range(20_000)], 16)
-            pairs.group_by_key(16).count()
-            return ctx.now
-
-        assert run(True) > run(False)
-
-    def test_contention_preserves_results(self):
-        cfg = CostModelConfig(network_contention=True)
-        ctx = AnalyticsContext(
-            uniform_cluster(n_workers=3, cores=2),
-            EngineConf(default_parallelism=6, cost=cfg),
-        )
-        out = ctx.parallelize([(i % 4, 1) for i in range(80)], 6)
-        assert out.reduce_by_key(lambda a, b: a + b, 4).collect_as_map() == {
-            k: 20 for k in range(4)
-        }

@@ -48,6 +48,16 @@ class TestStageFormation:
         assert kinds.count(SHUFFLE_MAP) == 2
         assert len(kinds) == 3
 
+    def test_shuffle_read_twice_in_one_job_is_one_stage(self, ctx):
+        sums = ctx.parallelize([(i % 4, i) for i in range(20)], 2).reduce_by_key(
+            lambda a, b: a + b, 2
+        )
+        doubled = sums.map_values(lambda v: 2 * v)
+        out = sums.join(doubled, 3).collect_as_map()
+        # Both join sides read the sums' shuffle: its scan stage runs once.
+        assert job_stage_kinds(ctx) == [SHUFFLE_MAP, SHUFFLE_MAP, SHUFFLE_MAP, RESULT]
+        assert out == {k: (v, 2 * v) for k, v in sums.collect_as_map().items()}
+
     def test_result_partition_count_follows_reducer(self, ctx):
         pairs = ctx.parallelize([(i, i) for i in range(10)], 4)
         pairs.reduce_by_key(lambda a, b: a + b, 7).collect()

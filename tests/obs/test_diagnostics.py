@@ -251,9 +251,3 @@ class TestDiffRuns:
         assert diff.time_delta == 0.0
         assert diff.shuffle_delta == 0.0
         assert diff.ok
-
-    def test_to_dict_round_trips(self):
-        diff = diff_runs(timed_entry("a", 10.0), timed_entry("b", 12.5))
-        payload = diff.to_dict()
-        assert payload["ok"] is False
-        assert payload["run_a"] == "a"

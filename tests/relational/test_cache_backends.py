@@ -8,11 +8,13 @@ import sys
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.engine import AnalyticsContext, EngineConf
 from repro.engine.storage import ZoneMapStore
 from repro.obs import Observability
 from repro.relational import cache, col, lit
 from repro.relational.cache import ResultCacheManager, SQLiteCacheBackend
 from repro.relational.stats import ColumnStats, can_match
+from repro.workloads import SQLWorkload
 from tests.test_cli import run_cli
 
 SRC = os.path.abspath(
@@ -264,6 +266,30 @@ class TestResultCacheManager:
         assert m.misses == 1
         assert m.zone_maps.get(KEY) == {}
         m.close()
+
+    def test_warm_run_writes_no_row(self, tmp_path, monkeypatch):
+        """Tables scanned without a filter over them (customers) were
+        never loaded, and are still not written back warm."""
+        written = []
+        write = SQLiteCacheBackend.write
+
+        def counting(self, rows):
+            written[-1] += len(rows)
+            return write(self, rows)
+
+        monkeypatch.setattr(SQLiteCacheBackend, "write", counting)
+        counts = []
+        for _run in ("cold", "warm"):
+            written.append(0)
+            ctx = AnalyticsContext(conf=EngineConf(
+                default_parallelism=16, result_cache="sqlite",
+                result_cache_path=str(tmp_path / "q.db"),
+            ))
+            SQLWorkload(physical_records=1600, max_order=200).run(ctx)
+            counts.append((ctx.query_cache.hits, ctx.query_cache.misses))
+            ctx.close()
+        assert written[0] > 0 and written[1] == 0
+        assert counts == [(0, 1), (1, 0)]
 
     def test_stats_shape(self, tmp_path):
         m = manager(tmp_path)

@@ -144,11 +144,6 @@ class TestStructuralEquality:
         assert not col("a").alias("x").same_as(col("a").alias("y"))
         assert not lit(1).same_as(lit(True))
 
-    def test_agg_same_as(self):
-        assert sum_(col("a")).same_as(sum_(col("a")))
-        assert not sum_(col("a")).same_as(sum_(col("b")))
-        assert not sum_(col("a")).same_as(sum_(col("a")).alias("s"))
-
     def test_substitution(self):
         expr = (col("a") + col("b")) > lit(0)
         sub = expr.substitute({"a": col("x") * 2})

@@ -10,7 +10,6 @@ from repro.relational.plan import (
     Aggregate,
     Filter,
     Join,
-    Limit,
     Project,
     Repartition,
     Scan,
@@ -208,19 +207,6 @@ class TestStructuralRules:
         plan, _ = optimized(query)
         assert isinstance(plan, Sort) and isinstance(plan.child, Sort)
 
-    def test_limit_pushes_below_project(self, orders):
-        plan = Limit(orders.select("cust", "amount").plan, 2)
-        out, stats = default_rule_runner().optimize(plan)
-        assert stats.rule_hits["PushDownLimit"] == 1
-        assert isinstance(out, Project)
-        assert isinstance(out.child, Limit)
-
-    def test_adjacent_limits_merge(self, orders):
-        plan = Limit(Limit(orders.plan, 2), 5)
-        out, _ = default_rule_runner().optimize(plan)
-        assert isinstance(out, Limit) and out.n == 2
-        assert isinstance(out.child, Scan)
-
 
 class TestPruneColumns:
     def test_join_side_narrowed(self, ctx):
@@ -258,20 +244,9 @@ class TestPlanNodes:
         with pytest.raises(KeyError, match="zz"):
             orders.where(col("zz") > 0)
 
-    def test_same_as_is_structural(self, orders):
-        a = orders.where(col("amount") > 5).plan
-        b = orders.where(col("amount") > 5).plan
-        c = orders.where(col("amount") > 6).plan
-        assert a.same_as(b)
-        assert not a.same_as(c)
-
     def test_count_nodes(self, orders):
         plan = orders.where(col("amount") > 5).select("cust").plan
         assert count_nodes(plan) == 3
-
-    def test_negative_limit_rejected(self, orders):
-        with pytest.raises(WorkloadError):
-            Limit(orders.plan, -1)
 
     def test_fixed_partitions_survive_optimization(self, orders):
         query = orders.repartition(6).group_by("cust").agg(

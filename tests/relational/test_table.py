@@ -107,6 +107,8 @@ class TestGroupBy:
     def test_empty_args_rejected(self, orders):
         with pytest.raises(WorkloadError):
             orders.group_by()
+        with pytest.raises(WorkloadError, match="takes one key, got 2"):
+            orders.group_by("cust", "order_id")
         with pytest.raises(WorkloadError):
             orders.group_by("cust").agg()
 
@@ -132,6 +134,8 @@ class TestJoin:
     def test_missing_key_rejected(self, orders, customers):
         with pytest.raises(WorkloadError):
             orders.join(customers, on="region")
+        with pytest.raises(WorkloadError, match="takes one key column, got 2"):
+            orders.join(customers, on=["cust", "region"])
 
 
 class TestOrderingAndDisplay:

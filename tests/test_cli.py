@@ -2,19 +2,23 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro import workloads
 from repro.chopper import (
     ChopperRunner,
     ConfigEntry,
     PartitionScheme,
     WorkloadConfig,
 )
-from repro.cli import build_parser, main
+from repro.cli import WORKLOADS, build_parser, main
 from repro.engine import EngineConf
 from repro.obs import RunLedger
 from repro.obs.log import LEVELS
+from repro.reporting import html_report
 from repro.workloads import WordCountWorkload
 
 
@@ -132,8 +136,19 @@ class TestWorkloadsCommand:
     def test_lists_all(self):
         code, text, _ = run_cli("workloads")
         assert code == 0
-        for name in ("kmeans", "pca", "sql", "wordcount", "pagerank"):
+        for name in WORKLOADS:
             assert name in text
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "docs/tutorial.md"])
+    def test_docs_name_exactly_these(self, doc):
+        """The sentence after `repro workloads` names the CLI's workloads,
+        and every ``*Workload`` class the doc names still exists."""
+        text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+        sentences = re.findall(r"`repro workloads`[^.|]*", text)
+        assert len(sentences) == 1, sentences
+        assert re.findall(r"`([\w-]+)`", sentences[0]) == list(WORKLOADS)
+        classes = set(re.findall(r"\b[A-Z]\w*Workload\b", text))
+        assert sorted(c for c in classes if not hasattr(workloads, c)) == []
 
 
 class TestRunCommand:
@@ -535,6 +550,30 @@ class TestLedgerCommands:
         assert html.count("<html") == html.count("</html>") == 1
         assert "<svg" in html  # the stage waterfall
         assert "0001-wordcount-run" in html  # defaults to the latest run
+
+    def test_report_renders_adaptive_chaos_profile_and_skew(self, tmp_path):
+        ledger = str(tmp_path / "runs.jsonl")
+        code, _, _ = run_cli(
+            "run", "wordcount", "--virtual-gb", "1.0", "--physical-records", "400",
+            "--parallelism", "64", "--skew", "1.9", "--aqe", "--aqe-target", "4K",
+            "--chaos-kill", "C=0.2", "--chaos-recovery", "5.0", "--profile",
+            "--ledger", ledger,
+        )
+        assert code == 0
+        code, html, _ = run_cli("report", ledger)
+        assert code == 0
+        assert "⚠ skewed" in html
+        assert "<th>decision</th>" in html  # the adaptive re-plans
+        assert "<th>detail</th>" in html  # the chaos timeline
+        assert "<th>max task</th>" in html  # the resource profile
+
+    def test_report_calls_out_a_straggler(self, tmp_path):
+        ledger = self.ledger_with_two_runs(tmp_path)
+        with open(ledger) as fh:
+            entry = json.loads(fh.readline())
+        tasks = entry["stages"][0]["tasks"]
+        tasks["duration"][0] *= 10
+        assert "<th>outliers</th>" in html_report(entry)
 
     def test_report_selects_run_and_writes_stdout(self, tmp_path):
         ledger = self.ledger_with_two_runs(tmp_path)

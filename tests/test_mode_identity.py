@@ -33,9 +33,7 @@ from repro.obs import MetricsRegistry
 # filter gives pruning a predicate.
 WORKLOADS: Dict[str, Callable[[], workloads.Workload]] = {
     "kmeans": lambda: workloads.KMeansWorkload(physical_records=400),
-    "logistic": lambda: workloads.LogisticRegressionWorkload(physical_records=400),
     "pca": lambda: workloads.PCAWorkload(physical_records=400),
-    "pagerank": lambda: workloads.PageRankWorkload(physical_records=400),
     "wordcount": lambda: workloads.WordCountWorkload(
         physical_records=400, skew=1.9
     ),

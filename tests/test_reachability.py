@@ -23,13 +23,20 @@ Reach is decided by name, with stdlib ``ast`` only:
   ``getattr`` and the metrics feed table do). Any receiver counts, so
   an override is reached with the method it overrides. A dunder method
   lives when its class lives.
+
+The same goes for modes: every bool or str field of the configuration
+dataclasses (``CONFIGS``) must be set to a non-default value somewhere a
+root reaches, or it is deleted with its branch.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
+import importlib
 import re
+import typing
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -41,6 +48,13 @@ ROOTS = (
     "benchmarks/conftest.py",
     "benchmarks/perf/*.py",
     "examples/*.py",
+)
+
+# (module, class) of the configuration dataclasses whose modes must be used.
+CONFIGS = (
+    ("repro.engine.context", "EngineConf"),
+    ("repro.engine.costmodel", "CostModelConfig"),
+    ("repro.chopper.cost", "CostWeights"),
 )
 
 # Kept alive, with what it reaches, because a test of other behaviour goes
@@ -355,3 +369,63 @@ def test_allow_list_names_its_tests():
         ):
             stale.append(f"{ident}: {files or 'no test file named'}")
     assert not stale, "no named test file spells the name:\n  " + "\n  ".join(stale)
+
+
+def _mode_fields() -> Dict[str, object]:
+    """name -> default of every bool or str field in ``CONFIGS``."""
+    modes: Dict[str, object] = {}
+    for module, name in CONFIGS:
+        cls = getattr(importlib.import_module(module), name)
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if bool in kinds or str in kinds:
+                modes[f.name] = f.default
+    return modes
+
+
+def _set_sites(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """(field name, value) of every keyword, item or attribute assignment,
+    outside the configuration classes themselves."""
+    skip = {name for _, name in CONFIGS}
+    stack: List[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name in skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute):
+                    yield target.attr, node.value
+                elif isinstance(target, ast.Subscript) and isinstance(
+                    target.slice, ast.Constant
+                ):
+                    yield str(target.slice.value), node.value
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant):
+                    yield str(key.value), value
+
+
+def _is_default(value: ast.AST, default: object) -> bool:
+    return (
+        isinstance(value, ast.Constant)
+        and type(value.value) is type(default)
+        and value.value == default
+    )
+
+
+def test_every_mode_is_set_by_a_root():
+    """A bool or str field no root moves off its default is a dead mode."""
+    modes = _mode_fields()
+    paths = {p for pattern in ROOTS for p in ROOT.glob(pattern)}
+    paths |= set(PACKAGE.rglob("*.py"))  # all of it is reached (above)
+    used: Set[str] = set()
+    for path in sorted(paths):
+        for name, value in _set_sites(ast.parse(path.read_text())):
+            if name in modes and not _is_default(value, modes[name]):
+                used.add(name)
+    assert sorted(set(modes) - used) == [], "no root sets these modes"

@@ -15,9 +15,7 @@ from repro.engine.partitioner import stable_hash
 from repro.workloads import datagen
 from repro.workloads.datagen import (
     BLOCK,
-    EdgeDataGen,
     KMeansDataGen,
-    LabeledDataGen,
     PCADataGen,
     SQLTableGen,
     TextDataGen,
@@ -293,18 +291,12 @@ class TestOtherGens:
             assert datagen._BLOCK_CACHE[key] == expected
         assert gen.dataset_version("text") == "a4eb1be936a69485"
 
-    def test_edges(self, ctx):
-        gen = EdgeDataGen(virtual_bytes=1e9, physical_records=500, n_vertices=50)
-        edges = gen.rdd(ctx, 4).collect()
-        assert all(0 <= s < 50 and 0 <= d < 50 and s != d for s, d in edges)
-
 
 class TestContentKey:
     """One helper builds the block-cache key and the dataset version."""
 
     GENERATORS = [
-        EdgeDataGen, KMeansDataGen, LabeledDataGen, PCADataGen, SQLTableGen,
-        TextDataGen,
+        KMeansDataGen, PCADataGen, SQLTableGen, TextDataGen,
     ]
 
     def test_every_generator_is_covered(self):

@@ -9,7 +9,6 @@ from repro.engine import AnalyticsContext, EngineConf
 from repro.workloads import (
     KMeansWorkload,
     PCAWorkload,
-    PageRankWorkload,
     SQLWorkload,
     WordCountWorkload,
 )
@@ -179,35 +178,6 @@ class TestWordCount:
                 counts[word] = counts.get(word, 0) + 1
         expected_top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         assert result.value == expected_top
-
-
-class TestPageRank:
-    def test_ranks_sum_and_skew(self):
-        ctx = make_ctx()
-        workload = PageRankWorkload(
-            virtual_gb=1.0, physical_records=3000, n_vertices=100,
-            iterations=3, link_partitions=8,
-        )
-        result = workload.run(ctx)
-        top = result.value
-        assert len(top) == 10
-        assert all(rank > 0 for _v, rank in top)
-        # The quadratic destination skew favors low vertex ids.
-        top_ids = [v for v, _ in top[:5]]
-        assert min(top_ids) < 20
-
-    def test_iterative_joins_are_copartitioned(self):
-        """Links are hash-partitioned once; each iteration's join reads
-        the links side without a shuffle."""
-        ctx = make_ctx()
-        PageRankWorkload(
-            virtual_gb=1.0, physical_records=2000, n_vertices=50,
-            iterations=2, link_partitions=8,
-        ).run(ctx)
-        # Shuffle-map stages: edges scan (1) + contrib aggregation per
-        # iteration (2). No per-iteration links re-shuffle.
-        map_stages = [s for s in ctx.stage_stats if s.kind == "shuffle_map"]
-        assert len(map_stages) == 3
 
 
 class TestPhysicalRecords:
